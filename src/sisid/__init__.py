@@ -36,7 +36,7 @@ from .linalg import (
     ConditioningError,
     SpectralSummary,
     condition_number,
-    inversion_lemma_update,
+    covariance_update,
     min_eigenvalue_sym,
     solve_spd,
     spectral_summary,

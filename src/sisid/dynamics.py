@@ -13,6 +13,7 @@ the observations are formed, so y inherits both.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,12 +53,20 @@ def reproduction_number(params: SisParams) -> float:
     return params.reproduction_number()
 
 
+# Smallest accepted probability that one process-noise draw lands inside
+# [-bound_nu, bound_nu]; below it the redraw loop would take more than
+# 1 / MIN_DRAW_ACCEPTANCE draws per step on average.
+MIN_DRAW_ACCEPTANCE = 0.01
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian process/observation noise settings for a simulated trajectory.
 
     Process noise samples are redrawn until |xi| <= bound_nu, so the realized
-    perturbation is bounded while staying zero mean.
+    perturbation is bounded while staying zero mean. A draw is accepted with
+    probability erf(bound_nu / (process_std * sqrt(2))), which must be at
+    least ``MIN_DRAW_ACCEPTANCE``.
     """
 
     process_std: float = 1e-3
@@ -66,10 +75,21 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.process_std < 0 or self.observation_std < 0 or self.bound_nu < 0:
+        magnitudes = (self.process_std, self.observation_std, self.bound_nu)
+        if not all(math.isfinite(m) for m in magnitudes):
+            raise ValueError("noise magnitudes must be finite")
+        if min(magnitudes) < 0:
             raise ValueError("noise magnitudes must be nonnegative")
         if self.process_std > 0 and self.bound_nu <= 0:
             raise ValueError("bound_nu must be positive when process_std > 0")
+        if self.process_std > 0:
+            accept = math.erf(self.bound_nu / (self.process_std * math.sqrt(2.0)))
+            if accept < MIN_DRAW_ACCEPTANCE:
+                raise ValueError(
+                    f"bound_nu {self.bound_nu!r} keeps only {accept:.3g} of process-noise "
+                    f"draws (std {self.process_std!r}); it must keep at least "
+                    f"{MIN_DRAW_ACCEPTANCE}"
+                )
 
 
 @dataclass(frozen=True)

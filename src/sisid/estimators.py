@@ -20,15 +20,29 @@ recursive and batch routes can be checked against each other.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import GreedySet, Regressor, greedy_offer, residual
-from .linalg import inversion_lemma_update, min_eigenvalue_sym, solve_spd, symmetrize
+from .excitation import (
+    GreedySet,
+    Regressor,
+    finite_pair,
+    finite_scalar,
+    greedy_offer,
+    residual,
+)
+from .linalg import (
+    Sym2,
+    covariance_update,
+    min_eigenvalue_sym,
+    solve_spd,
+    sym2,
+    sym2_array,
+    symmetrize,
+)
 
 
 def pure_gd_step(theta_hat: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -38,20 +52,70 @@ def pure_gd_step(theta_hat: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.nd
     return theta_hat + phi.T @ residual(y, phi, theta_hat)
 
 
+def _rls_kernel(
+    p: Sym2,
+    theta: tuple[float, float],
+    alpha: float,
+    gset: GreedySet,
+    phi: tuple[float, float] | None,
+    y: float,
+) -> tuple[Sym2, tuple[float, float]]:
+    """One step of the weighted RLS recursion shared by EF-RLS and GRLS.
+
+    Minimizes alpha * (old cost) + (1 - alpha) * (excitation-set cost) +
+    (datum cost): P' = (alpha P^-1 + (1 - alpha) F + phi^T phi)^-1 and
+    theta' = theta + P' ((1 - alpha) (r - F theta) + phi^T (y - phi theta)),
+    where F and r are the set's FIM and right-hand side. ``phi`` is None
+    when the datum has just joined the set, which then carries it.
+    """
+    t1, t2 = theta
+    g1 = g2 = 0.0
+    refresh = None
+    if gset.indices:
+        w = 1.0 - alpha
+        f11, f12, f22 = gset.fim_entries
+        r1, r2 = gset.rhs_entries
+        refresh = (w * f11, w * f12, w * f22)
+        g1 = w * (r1 - (f11 * t1 + f12 * t2))
+        g2 = w * (r2 - (f12 * t1 + f22 * t2))
+    if phi is not None:
+        u1, u2 = phi
+        e = y - (u1 * t1 + u2 * t2)
+        g1 += u1 * e
+        g2 += u2 * e
+    a, b, d = covariance_update(p, alpha, refresh, phi)
+    return (a, b, d), (t1 + (a * g1 + b * g2), t2 + (b * g1 + d * g2))
+
+
+def _finite_state(p: np.ndarray, theta: np.ndarray) -> tuple[Sym2, tuple[float, float]]:
+    """An estimator's (P, theta) as floats; ``ValueError`` when not finite."""
+    return sym2(p, "state P"), finite_pair(theta, "state theta")
+
+
+# EF-RLS is the kernel with an excitation set that stays empty.
+_NO_SET = GreedySet()
+
+
 def ef_rls_step(
     state: tuple[np.ndarray, np.ndarray],
     phi: np.ndarray,
     y: np.ndarray,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One exponentially-forgetting RLS update on a (P, theta_hat) pair."""
-    p, theta_hat = state
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    p_next = inversion_lemma_update(p, phi, alpha)
-    theta_next = np.asarray(theta_hat, dtype=float) + p_next @ (
-        phi.T @ residual(y, phi, theta_hat)
-    )
-    return p_next, theta_next
+    """One exponentially-forgetting RLS update on a (P, theta_hat) pair.
+
+    The GRLS kernel with an empty excitation set: P' = (alpha P^-1 +
+    phi^T phi)^-1 by a Sherman-Morrison step and theta' = theta_hat +
+    P' phi^T (y - phi theta_hat). The estimator fails with
+    ``ConditioningError`` when alpha + phi P phi^T <= 0 or is not finite:
+    its covariance has wound up until round-off destroyed its positive
+    definiteness. Non-finite P, theta_hat, phi or y raise ``ValueError``
+    naming the argument.
+    """
+    p, theta = _finite_state(*state)
+    row = finite_pair(phi, "phi")
+    p_next, theta_next = _rls_kernel(p, theta, alpha, _NO_SET, row, finite_scalar(y, "y"))
+    return sym2_array(p_next), np.array(theta_next)
 
 
 @dataclass(frozen=True)
@@ -62,8 +126,8 @@ class GrlsState:
     definite throughout), ``theta`` the current estimate, ``excitation`` the
     greedy excitation set. ``alpha`` must be strictly below 1: the excitation
     set's refresh weight is 1 - alpha. Setting ``greedy_enabled`` to False
-    makes every offer a rejection, which reduces the recursion exactly to
-    EF-RLS.
+    makes every offer a rejection, which leaves the set empty and the
+    recursion EF-RLS.
     """
 
     P: np.ndarray
@@ -85,15 +149,22 @@ class GrlsState:
     ) -> "GrlsState":
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        theta0 = np.asarray(theta0, dtype=float)
-        if theta0.shape != (regressor.n_params,):
+        if (regressor.n_outputs, regressor.n_params) != (1, 2):
             raise ValueError(
-                f"theta0 has shape {theta0.shape}, expected ({regressor.n_params},)"
+                "the RLS kernel needs a 1x2 regressor, got "
+                f"{regressor.n_outputs}x{regressor.n_params}"
             )
+        theta0 = np.asarray(theta0, dtype=float)
+        if theta0.shape != (2,):
+            raise ValueError(f"theta0 has shape {theta0.shape}, expected (2,)")
+        finite_pair(theta0, "theta0")
+        p0_scale = finite_scalar(p0_scale, "p0_scale")
+        if p0_scale <= 0.0:
+            raise ValueError(f"p0_scale must be positive, got {p0_scale}")
         return cls(
-            P=p0_scale * np.eye(regressor.n_params),
+            P=p0_scale * np.eye(2),
             theta=theta0,
-            excitation=GreedySet.empty(regressor.n_params),
+            excitation=GreedySet.empty(),
             alpha=alpha,
             regressor=regressor,
             greedy_enabled=greedy_enabled,
@@ -103,40 +174,29 @@ class GrlsState:
 def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     """Consume the transition (x_k -> x_next) and return the updated state.
 
-    The incoming regressor is offered to the excitation set. On acceptance
-    the whole set, new point included, forms the update block scaled by
-    sqrt(1 - alpha); on rejection the point is appended to the scaled set
-    block with unit weight, to be forgotten exponentially like ordinary
-    RLS data. Either way P advances through the matrix inversion lemma and
-    the estimate moves by P_next @ (rhs - H theta).
+    The incoming regressor is offered to the excitation set. The set, new
+    point included on acceptance, is refreshed into the covariance with
+    weight 1 - alpha; a rejected point enters by a Sherman-Morrison step
+    with unit weight, to be forgotten exponentially like ordinary RLS data.
+    A non-finite ``x_k``, ``x_next``, regressor, ``state.P`` or
+    ``state.theta`` raises ``ValueError``; a covariance that loses positive
+    definiteness raises ``ConditioningError``.
     """
-    phi = state.regressor(x_k)
-    y = np.atleast_1d(np.asarray(x_next, dtype=float) - np.asarray(x_k, dtype=float))
-    alpha = state.alpha
-    scale = math.sqrt(1.0 - alpha)
+    p, theta = _finite_state(state.P, state.theta)
+    x_k = finite_scalar(x_k, "x_k")
+    x_next = finite_scalar(x_next, "x_next")
+    phi = finite_pair(state.regressor(x_k), "regressor")
+    y = x_next - x_k
 
     if state.greedy_enabled:
         excitation, accepted = greedy_offer(state.excitation, phi, y, state.step)
     else:
         excitation, accepted = state.excitation, False
 
-    if accepted:
-        phi_block = scale * excitation.regressors
-        h = (1.0 - alpha) * excitation.fim
-        rhs = (1.0 - alpha) * excitation.rhs
-    else:
-        phi_block = np.vstack([scale * excitation.regressors, phi])
-        h = (1.0 - alpha) * excitation.fim + phi.T @ phi
-        rhs = (1.0 - alpha) * excitation.rhs + phi.T @ y
-
-    p_next = inversion_lemma_update(state.P, phi_block, alpha)
-    theta_next = state.theta + p_next @ (rhs - h @ state.theta)
-    return replace(
-        state,
-        P=p_next,
-        theta=theta_next,
-        excitation=excitation,
-        step=state.step + 1,
+    p, theta = _rls_kernel(p, theta, state.alpha, excitation, None if accepted else phi, y)
+    return GrlsState(
+        sym2_array(p), np.array(theta), excitation, state.alpha, state.regressor,
+        state.step + 1, state.greedy_enabled,
     )
 
 
@@ -214,12 +274,13 @@ def batch_oracle(
         weights[greedy] = (
             0.0 if spec.alpha == 1.0 else 1.0 - spec.alpha ** (ages[greedy] + 1.0)
         )
-    rows = np.vstack([reg(traj.states[i]) for i in range(k + 1)])
-    ys = np.concatenate([np.atleast_1d(traj.observations[i]) for i in range(k + 1)])
-    row_w = np.repeat(weights, reg.n_outputs)
+    rows = np.empty((k + 1, reg.n_params))
+    for i in range(k + 1):
+        rows[i] = reg(traj.states[i])
+    ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)
-    a = (rows * row_w[:, None]).T @ rows + prior_scale * spec.p0_inv
-    rhs = rows.T @ (row_w * ys) + prior_scale * (spec.p0_inv @ spec.theta0)
+    a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv
+    rhs = rows.T @ (weights * ys) + prior_scale * (spec.p0_inv @ spec.theta0)
     return solve_spd(symmetrize(a), rhs)
 
 

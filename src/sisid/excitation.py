@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import condition_number, min_eigenvalue_sym
+from .linalg import Sym2, condition_number, min_eigenvalue_sym, sym2_array, sym2_condition
 
 # Regressor rows with norm below this contribute nothing and are never
 # admitted into an excitation set.
@@ -119,61 +119,87 @@ class GreedySet:
     A data point is admitted when adding its regressor outer product does not
     increase the condition number of the accumulated FIM. Before the FIM
     reaches full rank both sides of that comparison are +inf, which counts as
-    acceptance; that is what lets the set bootstrap from empty. Redundant
-    representations are kept in sync: ``fim`` always equals
-    ``regressors.T @ regressors``.
+    acceptance; that is what lets the set bootstrap from empty. The set is
+    kept as the sums it contributes to the cost: the FIM of the accepted
+    regressors as its entries (a, b, d), and the right-hand side
+    sum phi_i^T y_i as two floats. Sets are over two parameters only.
     """
 
-    indices: tuple[int, ...]
-    fim: np.ndarray
-    regressors: np.ndarray
-    rhs: np.ndarray
-    cond: float
+    indices: tuple[int, ...] = ()
+    fim_entries: Sym2 = (0.0, 0.0, 0.0)
+    rhs_entries: tuple[float, float] = (0.0, 0.0)
+    cond: float = math.inf
 
     @classmethod
-    def empty(cls, n_params: int) -> "GreedySet":
-        return cls(
-            indices=(),
-            fim=np.zeros((n_params, n_params)),
-            regressors=np.zeros((0, n_params)),
-            rhs=np.zeros(n_params),
-            cond=math.inf,
-        )
+    def empty(cls, n_params: int = 2) -> "GreedySet":
+        if n_params != 2:
+            raise ValueError(f"excitation sets are over 2 parameters, got {n_params}")
+        return cls()
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
+    @property
+    def fim(self) -> np.ndarray:
+        return sym2_array(self.fim_entries)
 
-def greedy_offer(
-    gset: GreedySet, phi_k: np.ndarray, y_k: np.ndarray, k: int
-) -> tuple[GreedySet, bool]:
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.array(self.rhs_entries)
+
+
+def finite_pair(value, name: str) -> tuple[float, float]:
+    """Two finite floats from a pair of floats or any array with two entries."""
+    if type(value) is not tuple:
+        arr = np.asarray(value, dtype=float)
+        if arr.size != 2:
+            raise ValueError(f"{name} must have 2 entries, got shape {arr.shape}")
+        value = tuple(arr.ravel().tolist())
+    u1, u2 = value
+    if not (math.isfinite(u1) and math.isfinite(u2)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return u1, u2
+
+
+def finite_scalar(value, name: str) -> float:
+    """A finite float from a number or a one-entry array."""
+    if isinstance(value, (int, float)):
+        value = float(value)
+    else:
+        arr = np.asarray(value, dtype=float)
+        if arr.size != 1:
+            raise ValueError(f"{name} must be a scalar, got shape {arr.shape}")
+        value = arr.item()
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def greedy_offer(gset: GreedySet, phi_k, y_k, k: int) -> tuple[GreedySet, bool]:
     """Offer datum k to the set; returns the (possibly new) set and the verdict.
 
-    Exact-zero regressor rows are rejected outright: they cannot change the
-    FIM or the right-hand side, and stacking them would only grow the
-    regressor block with useless rows.
+    ``phi_k`` is the 1x2 regressor (an array, or a pair of floats) and
+    ``y_k`` the scalar observation; either raises ``ValueError`` when not
+    finite. Exact-zero regressors are rejected outright: they cannot change
+    the FIM or the right-hand side.
     """
-    phi_k = np.atleast_2d(np.asarray(phi_k, dtype=float))
-    y_k = np.atleast_1d(np.asarray(y_k, dtype=float))
-    if phi_k.shape[1] != gset.fim.shape[0]:
-        raise ValueError(
-            f"regressor has {phi_k.shape[1]} columns, set is over "
-            f"{gset.fim.shape[0]} parameters"
-        )
-    if np.linalg.norm(phi_k) < ZERO_REGRESSOR_NORM:
+    u1, u2 = finite_pair(phi_k, "phi_k")
+    y = finite_scalar(y_k, "y_k")
+    if math.hypot(u1, u2) < ZERO_REGRESSOR_NORM:
         return gset, False
 
-    fim_test = gset.fim + phi_k.T @ phi_k
-    cond_test = condition_number(fim_test)
+    a, b, d = gset.fim_entries
+    a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
+    cond_test = sym2_condition(a, b, d)
     if not cond_test <= gset.cond:
         return gset, False
 
+    r1, r2 = gset.rhs_entries
     accepted = GreedySet(
         indices=gset.indices + (k,),
-        fim=fim_test,
-        regressors=np.vstack([gset.regressors, phi_k]),
-        rhs=gset.rhs + phi_k.T @ y_k,
+        fim_entries=(a, b, d),
+        rhs_entries=(r1 + u1 * y, r2 + u2 * y),
         cond=cond_test,
     )
     return accepted, True

@@ -11,7 +11,6 @@ is bitwise reproducible for a fixed config.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import time
@@ -24,8 +23,8 @@ from . import __version__
 from .config import EstimatorSettings, ExperimentConfig, config_to_mapping
 from .dynamics import Trajectory, simulate
 from .estimators import GrlsState, IeMmaiState, ef_rls_step, grls_step, ie_mmai_step, pure_gd_step
-from .excitation import SIS_REGRESSOR, FisherInfo, Regressor, residual
-from .linalg import ConditioningError, condition_number
+from .excitation import SIS_REGRESSOR, Regressor, finite_pair, residual
+from .linalg import ConditioningError, Sym2, sym2, sym2_condition, sym2_eigenvalues
 
 METRICS_SCHEMA = "sisid-metrics-v1"
 TRAJECTORY_SCHEMA = "sisid-trajectory-v1"
@@ -69,12 +68,17 @@ def empirical_cost(
 
 
 def fim_condition_trace(traj: Trajectory, reg: Regressor, alpha: float) -> list[float]:
-    """Condition number of the discounted FIM after each step (may contain inf)."""
-    fim = FisherInfo.zero(reg.n_params, discount=alpha)
+    """Condition number of the discounted FIM after each step (may contain inf).
+
+    The FIM H = alpha H + phi^T phi is accumulated as its entries, so its
+    condition number is the same closed form the greedy offer uses.
+    """
+    a = b = d = 0.0
     trace = []
-    for k in range(traj.step_count):
-        fim.accumulate(reg(traj.states[k]))
-        trace.append(fim.condition_number())
+    for x in traj.states[:-1].tolist():
+        u1, u2 = finite_pair(reg(x), "regressor")
+        a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
+        trace.append(sym2_condition(a, b, d))
     return trace
 
 
@@ -107,7 +111,8 @@ class _Runner:
         raise NotImplementedError
 
     @property
-    def p_matrix(self) -> np.ndarray | None:
+    def p_entries(self) -> Sym2 | None:
+        """The covariance P as its entries (a, b, d), for estimators that have one."""
         return None
 
 
@@ -142,8 +147,8 @@ class _EfRlsRunner(_Runner):
         return self._theta
 
     @property
-    def p_matrix(self) -> np.ndarray:
-        return self._p
+    def p_entries(self) -> Sym2:
+        return sym2(self._p)
 
 
 class _GrlsRunner(_Runner):
@@ -166,8 +171,8 @@ class _GrlsRunner(_Runner):
         return self.state.theta
 
     @property
-    def p_matrix(self) -> np.ndarray:
-        return self.state.P
+    def p_entries(self) -> Sym2:
+        return sym2(self.state.P)
 
 
 class _IeMmaiRunner(_Runner):
@@ -219,10 +224,10 @@ def _metrics_row(
     else:
         max_rel = None
         log_rel = None
-    p = runner.p_matrix
+    p = runner.p_entries
     if p is not None:
-        p_cond = condition_number(p)
-        p_max_eig = float(np.linalg.svd(p, compute_uv=False)[0])
+        p_cond = sym2_condition(*p)
+        p_max_eig = sym2_eigenvalues(*p)[1]
     else:
         p_cond = None
         p_max_eig = None
@@ -325,6 +330,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # only manifests need it; it costs megabytes on import
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -1,9 +1,14 @@
-"""Small dense matrix utilities shared by the identifiers.
+"""Closed-form 2x2 linear algebra shared by the identifiers.
 
-Everything here operates on plain numpy arrays. Matrices are tiny
-(p = 2 for the scalar SIS problem), so clarity wins over cleverness:
-SVD for condition numbers, a closed form for 2x2 symmetric eigenvalues,
-Cholesky for SPD solves.
+The scalar SIS problem has two parameters, so every matrix the library
+steps is a symmetric 2x2. Such a matrix [[a, b], [b, d]] is passed around
+as its three distinct entries ``(a, b, d)``, and its eigenvalues,
+condition number and forgetting-RLS covariance update are closed forms
+over those floats, with no SVD or factorization. Arrays of other shapes
+are still accepted by ``condition_number`` (singular values through numpy)
+and ``min_eigenvalue_sym``; nothing in the library passes them.
+``solve_spd`` (numpy's Cholesky) serves the batch oracle and the IE-MMAI
+correction, which solve from scratch rather than step.
 """
 
 from __future__ import annotations
@@ -12,14 +17,61 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 # Singular values below RANK_TOLERANCE * sigma_max count as zero.
 RANK_TOLERANCE = 1e-12
 
+# A symmetric 2x2 matrix [[a, b], [b, d]] as its entries (a, b, d).
+Sym2 = tuple[float, float, float]
+
 
 class ConditioningError(ArithmeticError):
-    """A factorization or solve failed because a matrix is numerically singular."""
+    """An update or solve failed because a matrix is numerically singular."""
+
+
+def sym2(m: np.ndarray, name: str = "matrix") -> Sym2:
+    """Entries (a, b, d) of a finite, exactly symmetric 2x2 array."""
+    (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError(f"{name} must be finite, got {[[a, b], [c, d]]}")
+    if b != c:
+        raise ValueError(f"{name} must be exactly symmetric, got {[[a, b], [c, d]]}")
+    return a, b, d
+
+
+def sym2_array(m: Sym2) -> np.ndarray:
+    a, b, d = m
+    return np.array([[a, b], [b, d]])
+
+
+def sym2_eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of [[a, b], [b, d]]; exact for diagonal input.
+
+    With a >= d the eigenvalues are d - t and a + t, t = b^2 / (r + (a - d)/2)
+    and r = hypot((a - d)/2, b): the gap is added to the diagonal instead of
+    being recovered from (a + d)/2 +- r.
+    """
+    if a < d:
+        a, d = d, a
+    half_gap = 0.5 * (a - d)
+    shift = b * b / (math.hypot(half_gap, b) + half_gap) if b else 0.0
+    return d - shift, a + shift
+
+
+def sym2_condition(a: float, b: float, d: float) -> float:
+    """Condition number of [[a, b], [b, d]]: largest over smallest singular value.
+
+    The singular values are the absolute eigenvalues. Returns ``math.inf``
+    when the smaller is at most ``RANK_TOLERANCE`` times the larger (the
+    zero matrix included). Entries must be finite.
+    """
+    lo, hi = sym2_eigenvalues(a, b, d)
+    smax, smin = abs(hi), abs(lo)
+    if smin > smax:
+        smax, smin = smin, smax
+    if smin <= RANK_TOLERANCE * smax:
+        return math.inf
+    return smax / smin
 
 
 @dataclass(frozen=True)
@@ -49,7 +101,16 @@ def spectral_summary(m: np.ndarray) -> SpectralSummary:
 
 
 def condition_number(m: np.ndarray) -> float:
-    """Ratio of largest to smallest singular value; inf for rank-deficient input."""
+    """Ratio of largest to smallest singular value; inf for rank-deficient input.
+
+    Symmetric 2x2 input, the only kind the library passes, goes through
+    ``sym2_condition``; other shapes through an SVD.
+    """
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if m.shape == (2, 2) and m[0, 1] == m[1, 0]:
+        return sym2_condition(*sym2(m))
     return spectral_summary(m).condition_number
 
 
@@ -67,10 +128,7 @@ def min_eigenvalue_sym(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix (closed form for 2x2)."""
     m = _check_symmetric(m)
     if m.shape == (2, 2):
-        a, b, d = m[0, 0], m[0, 1], m[1, 1]
-        half_trace = 0.5 * (a + d)
-        radius = math.hypot(0.5 * (a - d), b)
-        return half_trace - radius
+        return sym2_eigenvalues(m[0, 0], m[0, 1], m[1, 1])[0]
     return float(np.linalg.eigvalsh(m)[0])
 
 
@@ -78,45 +136,58 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def inversion_lemma_update(p: np.ndarray, phi_block: np.ndarray, alpha: float) -> np.ndarray:
-    """Forgetting-factor covariance update via the matrix inversion lemma.
+def covariance_update(
+    p: Sym2,
+    alpha: float,
+    refresh: Sym2 | None = None,
+    phi: tuple[float, float] | None = None,
+) -> Sym2:
+    """Forgetting-RLS covariance step P' = (alpha P^-1 + G + phi^T phi)^-1.
 
-    Returns (1/alpha) * (p - p Phi^T (alpha I + Phi p Phi^T)^-1 Phi p), which
-    equals (alpha p^-1 + Phi^T Phi)^-1 without forming p^-1. ``phi_block`` may
-    have zero rows, in which case the result is p / alpha. The result is
-    re-symmetrized to stop round-off drift.
+    ``p`` is the symmetric positive definite 2x2 covariance, ``refresh`` the
+    positive semidefinite G (default 0) and ``phi`` an optional regressor
+    row (u1, u2). Both parts stay in covariance form, never inverting P:
+
+    * the rank-two refresh Q = (P^-1 + G/alpha)^-1 is the 2x2 identity
+      (P + det(P) adj(G)/alpha) / (1 + tr(P G)/alpha + det(P) det(G)/alpha^2);
+    * the datum is a Sherman-Morrison step Q - Q phi^T phi Q / g with
+      g = alpha + phi Q phi^T,
+
+    and P' = Q / alpha, for alpha in (0, 1]. Raises ``ConditioningError``
+    when g <= 0 or g is not finite: P has lost positive definiteness to
+    round-off, which is how forgetting RLS dies once its covariance has
+    wound up.
     """
-    p = np.asarray(p, dtype=float)
-    phi_block = np.atleast_2d(np.asarray(phi_block, dtype=float))
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"p must be square, got shape {p.shape}")
-    if phi_block.size == 0:
-        return symmetrize(p / alpha)
-    if phi_block.shape[1] != p.shape[0]:
-        raise ValueError(
-            f"phi_block has {phi_block.shape[1]} columns, p is {p.shape[0]}x{p.shape[0]}"
-        )
-    m = phi_block.shape[0]
-    gram = alpha * np.eye(m) + phi_block @ p @ phi_block.T
-    try:
-        factor = cho_factor(symmetrize(gram))
-    except LinAlgError as exc:
-        raise ConditioningError(
-            "alpha*I + Phi P Phi^T is numerically singular; alpha is too small "
-            "for the data scale"
-        ) from exc
-    correction = p @ phi_block.T @ cho_solve(factor, phi_block @ p)
-    return symmetrize((p - correction) / alpha)
+    a, b, d = p
+    if refresh is not None:
+        e, f, h = refresh
+        s = (a * d - b * b) / alpha
+        trace_pg = a * e + 2.0 * b * f + d * h
+        scale = 1.0 / (1.0 + trace_pg / alpha + s * (e * h - f * f) / alpha)
+        a, b, d = (a + s * h) * scale, (b - s * f) * scale, (d + s * e) * scale
+    if phi is not None:
+        u1, u2 = phi
+        v1 = a * u1 + b * u2
+        v2 = b * u1 + d * u2
+        g = alpha + u1 * v1 + u2 * v2
+        if not 0.0 < g < math.inf:
+            raise ConditioningError(
+                f"alpha + phi P phi^T = {g!r} is not a positive number; the "
+                "covariance has wound up beyond working precision"
+            )
+        k1, k2 = v1 / g, v2 / g
+        a, b, d = a - v1 * k1, b - v1 * k2, d - v2 * k2
+    return a / alpha, b / alpha, d / alpha
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a via Cholesky."""
+    """Solve a x = b for symmetric positive definite a via its Cholesky factor."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     try:
-        factor = cho_factor(a)
-    except LinAlgError as exc:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError("matrix is not positive definite") from exc
-    return cho_solve(factor, b)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))

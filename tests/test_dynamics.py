@@ -1,7 +1,11 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from sisid.dynamics import (
+    MIN_DRAW_ACCEPTANCE,
     NoiseSpec,
     SisParams,
     Trajectory,
@@ -166,6 +170,26 @@ class TestNoise:
             NoiseSpec(process_std=-1.0)
         with pytest.raises(ValueError):
             NoiseSpec(process_std=1e-3, bound_nu=0.0)
+
+    def test_unreachable_bound_fails_fast(self):
+        # the redraw loop would never return; validation refuses the spec instead
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bound_nu"):
+            NoiseSpec(process_std=1.0, bound_nu=1e-9)
+        assert time.perf_counter() - start < 1.0
+
+    def test_acceptance_floor(self):
+        # bound_nu = z * std keeps erf(z / sqrt(2)) of the draws
+        z = 0.0126  # erf(z / sqrt(2)) = 0.01005, just above the floor
+        assert math.erf(z / math.sqrt(2.0)) >= MIN_DRAW_ACCEPTANCE
+        NoiseSpec(process_std=1.0, bound_nu=z)
+        with pytest.raises(ValueError, match="bound_nu"):
+            NoiseSpec(process_std=1.0, bound_nu=0.99 * z)
+
+    @pytest.mark.parametrize("field", ["process_std", "observation_std", "bound_nu"])
+    def test_non_finite_magnitudes_rejected(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**{field: math.nan})
 
 
 class TestTrajectory:

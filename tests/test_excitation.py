@@ -142,9 +142,8 @@ class TestGreedyOffer:
     def test_rejects_point_that_worsens_conditioning(self):
         gset = GreedySet(
             indices=(0, 1),
-            fim=np.eye(2),
-            regressors=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            rhs=np.zeros(2),
+            fim_entries=(1.0, 0.0, 1.0),
+            rhs_entries=(0.0, 0.0),
             cond=1.0,
         )
         out, accepted = greedy_offer(gset, np.array([[1.0, 0.0]]), [0.1], 2)
@@ -154,9 +153,8 @@ class TestGreedyOffer:
     def test_accepts_point_that_improves_conditioning(self):
         gset = GreedySet(
             indices=(0, 1),
-            fim=np.diag([4.0, 1.0]),
-            regressors=np.array([[2.0, 0.0], [0.0, 1.0]]),
-            rhs=np.zeros(2),
+            fim_entries=(4.0, 0.0, 1.0),
+            rhs_entries=(0.0, 0.0),
             cond=4.0,
         )
         out, accepted = greedy_offer(gset, np.array([[0.0, 1.0]]), [0.5], 2)
@@ -175,9 +173,8 @@ class TestGreedyOffer:
         # the comparison is non-strict: kappa(diag(4, 2)) == kappa(diag(1, 2)) == 2
         gset = GreedySet(
             indices=(0,),
-            fim=np.diag([1.0, 2.0]),
-            regressors=np.array([[1.0, 0.0], [0.0, np.sqrt(2.0)]]),
-            rhs=np.zeros(2),
+            fim_entries=(1.0, 0.0, 2.0),
+            rhs_entries=(0.0, 0.0),
             cond=2.0,
         )
         out, accepted = greedy_offer(gset, np.array([[np.sqrt(3.0), 0.0]]), [0.1], 1)
@@ -185,13 +182,37 @@ class TestGreedyOffer:
         assert out.cond == pytest.approx(2.0)
 
     def test_representation_coherence(self):
+        # the FIM and right-hand side equal the sums over the accepted points
         rng = np.random.default_rng(10)
         gset = GreedySet.empty(2)
+        rows, ys = np.zeros((0, 2)), np.zeros(0)
         for k in range(200):
             phi = rng.standard_normal((1, 2))
-            gset, _ = greedy_offer(gset, phi, rng.standard_normal(1), k)
-            assert np.allclose(gset.fim, gset.regressors.T @ gset.regressors, atol=1e-10)
+            y = rng.standard_normal(1)
+            gset, accepted = greedy_offer(gset, phi, y, k)
+            if accepted:
+                rows, ys = np.vstack([rows, phi]), np.concatenate([ys, y])
+            assert gset.size == len(rows)
+            assert np.allclose(gset.fim, rows.T @ rows, atol=1e-10)
+            assert np.allclose(gset.rhs, rows.T @ ys, atol=1e-10)
             assert np.array_equal(gset.fim, gset.fim.T)
+
+    @pytest.mark.parametrize(
+        "phi,y,name",
+        [([[math.nan, 0.1]], 0.1, "phi_k"), ((0.1, math.inf), 0.1, "phi_k"),
+         ([[0.1, -0.2]], [math.nan], "y_k"), ((0.1, -0.2), -math.inf, "y_k")],
+    )
+    def test_non_finite_input_rejected(self, phi, y, name):
+        with pytest.raises(ValueError, match=name):
+            greedy_offer(GreedySet.empty(2), phi, y, 0)
+
+    def test_pair_of_floats_equals_array(self):
+        gset = GreedySet.empty(2)
+        for k, x in enumerate((0.01, 0.02, 0.05)):
+            a, _ = greedy_offer(gset, sis_regressor(x), [0.003], k)
+            b, _ = greedy_offer(gset, ((1.0 - x) * x, -x), 0.003, k)
+            assert a == b
+            gset = a
 
     def test_cond_nonincreasing_once_finite(self):
         traj = simulate(0.01, FIG3, 300)

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
 from sisid.excitation import SIS_REGRESSOR, sis_regressor
 from sisid.harness import empirical_cost, fim_condition_trace, run_experiment
 from sisid.linalg import condition_number
+import sisid
 from sisid import cli
 from sisid.estimators import ef_rls_step
 
@@ -156,6 +162,14 @@ class TestConfigParsing:
             config_from_mapping(
                 {"beta": "0.5", "gamma": "0.2", "x0": "0.01", "steps": "10",
                  "estimators": "grls", "emit": "plots"}
+            )
+
+    def test_unreachable_noise_bound_rejected(self):
+        with pytest.raises(ConfigError, match="bound_nu"):
+            config_from_mapping(
+                {"beta": "0.5", "gamma": "0.2", "x0": "0.01", "steps": "10",
+                 "estimators": "grls", "noise": "on", "noise.process_std": "1.0",
+                 "noise.bound_nu": "1e-9"}
             )
 
     def test_unknown_bundled_name(self):
@@ -371,3 +385,26 @@ class TestCli:
         )
         assert cli.main(["run", str(cfg)]) == 1
         assert "numerical error" in capsys.readouterr().err
+
+
+def test_online_use_imports_neither_scipy_nor_hashlib():
+    # scipy is not a dependency; hashlib is loaded only to hash written traces
+    code = textwrap.dedent(
+        """
+        import sys
+        import sisid
+        traj = sisid.simulate(0.01, sisid.SisParams(0.8076, 0.2692), 200)
+        state = sisid.GrlsState.initial([1.0, 1.0], sisid.SIS_REGRESSOR)
+        final = sisid.run_grls(state, traj)[-1]
+        spec = sisid.WeightedCostSpec.from_grls(final, 100.0, [1.0, 1.0])
+        sisid.batch_oracle(traj, sisid.SIS_REGRESSOR, spec, 199)
+        print(sorted(m for m in ("scipy", "hashlib") if m in sys.modules))
+        """
+    )
+    src = str(Path(sisid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

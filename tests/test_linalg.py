@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from sisid.estimators import ef_rls_step
 from sisid.linalg import (
     ConditioningError,
     condition_number,
-    inversion_lemma_update,
+    covariance_update,
     min_eigenvalue_sym,
     solve_spd,
     spectral_summary,
+    sym2,
+    sym2_array,
+    sym2_condition,
+    sym2_eigenvalues,
 )
 
 from _oracles import dense_inverse, eig2x2_sym, random_spd
@@ -106,54 +111,111 @@ class TestMinEigenvalueSym:
             assert min_eigenvalue_sym(h) >= -1e-12
 
 
+def dense_update(p, alpha, rows):
+    """(alpha P^-1 + rows^T rows)^-1 through explicit inverses."""
+    rows = np.reshape(rows, (-1, 2))
+    return dense_inverse(alpha * dense_inverse(p) + rows.T @ rows)
+
+
 class TestInversionLemmaUpdate:
+    """``covariance_update``, the closed-form 2x2 kernel that gives
+    (alpha P^-1 + G + phi^T phi)^-1 without inverting P, against explicit
+    inverses for updates of rank 0, 1 and 2."""
+
     def test_no_data_reduces_to_scaling(self):
-        out = inversion_lemma_update(np.eye(2), np.zeros((0, 2)), 0.5)
+        # rank 0: no refresh, no datum
+        out = sym2_array(covariance_update((1.0, 0.0, 1.0), 0.5))
         assert np.allclose(out, 2.0 * np.eye(2))
+        assert np.allclose(out, dense_update(np.eye(2), 0.5, np.zeros((0, 2))))
 
     def test_single_row_against_direct_inverse(self):
-        # alpha = 1: result must equal inv(I + e1 e1^T)
-        out = inversion_lemma_update(np.eye(2), np.array([[1.0, 0.0]]), 1.0)
+        # rank 1, alpha = 1: result must equal inv(I + e1 e1^T)
+        out = sym2_array(covariance_update((1.0, 0.0, 1.0), 1.0, phi=(1.0, 0.0)))
         expected = dense_inverse(np.eye(2) + np.outer([1.0, 0.0], [1.0, 0.0]))
         assert np.allclose(out, expected, atol=1e-14)
         assert np.allclose(out, np.diag([0.5, 1.0]))
 
     def test_block_update_against_dense_inverse(self):
+        # rank 2 refresh by a three-row block, then with one more datum on top
         rng = np.random.default_rng(5)
         p = random_spd(rng, 2)
-        phi = rng.standard_normal((3, 2))
+        block = rng.standard_normal((3, 2))
         alpha = 0.9
-        out = inversion_lemma_update(p, phi, alpha)
-        expected = dense_inverse(alpha * dense_inverse(p) + phi.T @ phi)
+        out = sym2_array(covariance_update(sym2(p), alpha, refresh=sym2(block.T @ block)))
+        expected = dense_update(p, alpha, block)
+        assert np.linalg.norm(out - expected) / np.linalg.norm(expected) < 1e-10
+        phi = rng.standard_normal(2)
+        out = sym2_array(
+            covariance_update(sym2(p), alpha, refresh=sym2(block.T @ block), phi=tuple(phi))
+        )
+        expected = dense_update(p, alpha, np.vstack([block, phi]))
         assert np.linalg.norm(out - expected) / np.linalg.norm(expected) < 1e-10
 
     def test_inverse_identity_property(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            n = int(rng.integers(2, 5))
-            p = random_spd(rng, n)
-            phi = rng.standard_normal((int(rng.integers(0, 11)), n))
+            p = random_spd(rng, 2)
+            block = rng.standard_normal((int(rng.integers(0, 11)), 2))
+            refresh = sym2(block.T @ block) if len(block) else None
+            phi = tuple(rng.standard_normal(2)) if rng.random() < 0.5 else None
             alpha = float(rng.uniform(0.2, 1.0))
-            out = inversion_lemma_update(p, phi, alpha)
-            prod = out @ (alpha * dense_inverse(p) + phi.T @ phi)
-            assert np.linalg.norm(prod - np.eye(n)) < 1e-8
+            out = sym2_array(covariance_update(sym2(p), alpha, refresh=refresh, phi=phi))
+            rows = np.vstack([block, np.reshape(phi or (), (-1, 2))])
+            prod = out @ (alpha * dense_inverse(p) + rows.T @ rows)
+            assert np.linalg.norm(prod - np.eye(2)) < 1e-8
 
     def test_result_is_symmetric(self):
         rng = np.random.default_rng(7)
-        p = random_spd(rng, 3)
-        out = inversion_lemma_update(p, rng.standard_normal((2, 3)), 0.7)
+        p = random_spd(rng, 2)
+        out, _ = ef_rls_step((p, np.zeros(2)), rng.standard_normal((1, 2)), [0.3], 0.7)
         assert np.array_equal(out, out.T)
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            inversion_lemma_update(np.eye(2), np.zeros((0, 2)), 0.0)
+            covariance_update((1.0, 0.0, 1.0), 0.0)
         with pytest.raises(ValueError):
-            inversion_lemma_update(np.eye(2), np.zeros((0, 2)), 1.5)
+            covariance_update((1.0, 0.0, 1.0), 1.5)
+        with pytest.raises(ValueError):
+            ef_rls_step((np.eye(2), np.zeros(2)), [[1.0, 0.0]], [0.0], 1.5)
 
     def test_indefinite_inner_matrix_raises_conditioning_error(self):
-        p = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite on purpose
+        p = (1.0, 2.0, 1.0)  # indefinite on purpose: alpha + phi P phi^T = -1
         with pytest.raises(ConditioningError):
-            inversion_lemma_update(p, np.array([[1.0, -1.0]]), 1.0)
+            covariance_update(p, 1.0, phi=(1.0, -1.0))
+        with pytest.raises(ConditioningError):
+            ef_rls_step((sym2_array(p), np.zeros(2)), [[1.0, -1.0]], [0.0], 1.0)
+
+
+class TestSym2ClosedForms:
+    def test_eigenvalues_match_dense_solver(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            m = rng.standard_normal((2, 2))
+            m = m + m.T
+            assert np.allclose(sym2_eigenvalues(*sym2(m)), np.linalg.eigvalsh(m), atol=1e-12)
+
+    def test_condition_matches_svd(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            rows = rng.standard_normal((int(rng.integers(2, 6)), 2))
+            h = rows.T @ rows
+            kappa = sym2_condition(*sym2(h))
+            assert kappa == pytest.approx(spectral_summary(h).condition_number, rel=1e-9)
+            assert condition_number(h) == kappa
+
+    def test_indefinite_uses_absolute_eigenvalues(self):
+        assert sym2_condition(1.0, 0.0, -4.0) == pytest.approx(4.0)
+
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                condition_number(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_diagonal_is_exact(self):
+        # no rounding through (a + d) / 2 +- r: the exact-tie rule depends on it
+        a = 1.0 + math.sqrt(3.0) ** 2
+        assert sym2_eigenvalues(a, 0.0, 2.0) == (2.0, a)
+        assert sym2_condition(a, 0.0, 2.0) == a / 2.0
 
 
 class TestSolveSpd:
