@@ -34,10 +34,8 @@ from .excitation import (
 from .harness import MetricsRow, RunResult, empirical_cost, fim_condition_trace, run_experiment
 from .linalg import (
     ConditioningError,
-    SpectralSummary,
     condition_number,
     covariance_update,
     min_eigenvalue_sym,
     solve_spd,
-    spectral_summary,
 )

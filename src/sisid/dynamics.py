@@ -12,7 +12,6 @@ the observations are formed, so y inherits both.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +91,9 @@ class NoiseSpec:
                 )
 
 
+TRAJECTORY_SCHEMA = "sisid-trajectory-v1"
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States x[0..K], observations y[k] = x[k+1] - x[k], and realized process noise."""
@@ -117,16 +119,20 @@ class Trajectory:
         return len(self.states) - 1
 
     def to_csv(self, path: str | Path) -> None:
-        """Write step, state, observation, noise_applied rows (last row has state only)."""
+        """Write the trajectory CSV: a schema line, then a header and one
+        (step, state, observation, noise_applied) row per step; the last row
+        has the final state only.
+
+        Rows end in \\r\\n, as the csv module's default dialect writes them.
+        """
+        states = self.states.tolist()
+        rows = zip(states, self.observations.tolist(), self.process_noise.tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "state", "observation", "noise_applied"])
-            for k in range(self.step_count):
-                writer.writerow(
-                    [k, repr(float(self.states[k])), repr(float(self.observations[k])),
-                     repr(float(self.process_noise[k]))]
-                )
-            writer.writerow([self.step_count, repr(float(self.states[-1])), "", ""])
+            fh.write(f"# {TRAJECTORY_SCHEMA}\n")
+            fh.write("step,state,observation,noise_applied\r\n")
+            for k, (x, y, xi) in enumerate(rows):
+                fh.write(f"{k},{x!r},{y!r},{xi!r}\r\n")
+            fh.write(f"{self.step_count},{states[-1]!r},,\r\n")
 
 
 def sis_step(x: float, params: SisParams) -> float:

@@ -26,30 +26,36 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import (
-    GreedySet,
-    Regressor,
-    finite_pair,
-    finite_scalar,
-    greedy_offer,
-    residual,
-)
+from .excitation import GreedySet, Regressor, finite_pair, finite_scalar, greedy_offer
 from .linalg import (
     Sym2,
     covariance_update,
-    min_eigenvalue_sym,
     solve_spd,
     sym2,
     sym2_array,
+    sym2_eigenvalues,
     symmetrize,
 )
 
 
+def pure_gd_kernel(
+    theta: tuple[float, float], phi: tuple[float, float], y: float
+) -> tuple[float, float]:
+    """Unit-gain gradient step on floats: theta + phi^T (y - phi theta)."""
+    t1, t2 = theta
+    u1, u2 = phi
+    e = y - (u1 * t1 + u2 * t2)
+    return t1 + u1 * e, t2 + u2 * e
+
+
 def pure_gd_step(theta_hat: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One unit-gain negative-gradient step: theta + phi^T (y - phi theta)."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    return theta_hat + phi.T @ residual(y, phi, theta_hat)
+    """One unit-gain negative-gradient step: theta + phi^T (y - phi theta).
+
+    Two parameters and one scalar observation, like the RLS kernels; a
+    non-finite theta_hat, phi or y raises ``ValueError`` naming it.
+    """
+    theta = finite_pair(theta_hat, "theta_hat")
+    return np.array(pure_gd_kernel(theta, finite_pair(phi, "phi"), finite_scalar(y, "y")))
 
 
 def _rls_kernel(
@@ -92,8 +98,14 @@ def _finite_state(p: np.ndarray, theta: np.ndarray) -> tuple[Sym2, tuple[float, 
     return sym2(p, "state P"), finite_pair(theta, "state theta")
 
 
-# EF-RLS is the kernel with an excitation set that stays empty.
 _NO_SET = GreedySet()
+
+
+def ef_rls_kernel(
+    p: Sym2, theta: tuple[float, float], phi: tuple[float, float], y: float, alpha: float
+) -> tuple[Sym2, tuple[float, float]]:
+    """EF-RLS on floats: the RLS kernel with an excitation set that stays empty."""
+    return _rls_kernel(p, theta, alpha, _NO_SET, phi, y)
 
 
 def ef_rls_step(
@@ -114,7 +126,7 @@ def ef_rls_step(
     """
     p, theta = _finite_state(*state)
     row = finite_pair(phi, "phi")
-    p_next, theta_next = _rls_kernel(p, theta, alpha, _NO_SET, row, finite_scalar(y, "y"))
+    p_next, theta_next = ef_rls_kernel(p, theta, row, finite_scalar(y, "y"), alpha)
     return sym2_array(p_next), np.array(theta_next)
 
 
@@ -267,6 +279,9 @@ def batch_oracle(
         raise ValueError(f"step {k} out of range for {traj.step_count} observations")
     if any(i > k for i in spec.greedy_indices):
         raise ValueError("greedy_indices contains points beyond step k")
+    for name in ("p0_inv", "theta0"):
+        if not np.isfinite(getattr(spec, name)).all():
+            raise ValueError(f"spec.{name} must be finite, got {getattr(spec, name)!r}")
     ages = k - np.arange(k + 1)
     weights = spec.alpha ** ages.astype(float)
     if spec.greedy_indices:
@@ -304,6 +319,11 @@ class IeMmaiConfig:
 class IeModel:
     theta: np.ndarray
     cost: float = 0.0
+
+
+# IE-MMAI's state on floats: (theta1, theta2, cost) per model, the FIM's
+# entries, the right-hand side, and whether the correction has fired.
+IeFloats = tuple[tuple[tuple[float, float, float], ...], Sym2, tuple[float, float], bool]
 
 
 @dataclass(frozen=True)
@@ -347,6 +367,45 @@ class IeMmaiState:
         best = min(range(len(self.models)), key=lambda i: self.models[i].cost)
         return self.models[best].theta
 
+    def floats(self) -> IeFloats:
+        """The state as ``ie_mmai_kernel`` steps it; ``ValueError`` when not finite."""
+        models = tuple(
+            (*finite_pair(m.theta, "model theta"), finite_scalar(m.cost, "model cost"))
+            for m in self.models
+        )
+        fim = sym2(self.fim, "state fim")
+        return models, fim, finite_pair(self.rhs, "state rhs"), self.corrected
+
+
+def ie_mmai_kernel(
+    state: IeFloats, config: IeMmaiConfig, phi: tuple[float, float], y: float
+) -> IeFloats:
+    """One IE-MMAI step on floats; see ``ie_mmai_step``."""
+    models, (a, b, d), (r1, r2), corrected = state
+    u1, u2 = phi
+    stepped = []
+    for t1, t2, cost in models:
+        # the pure-GD step, whose residual also feeds the model's cost
+        e = y - (u1 * t1 + u2 * t2)
+        stepped.append((t1 + u1 * e, t2 + u2 * e, config.cost_alpha * cost + 0.5 * (e * e)))
+    a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
+    r1, r2 = r1 + u1 * y, r2 + u2 * y
+    if not corrected and sym2_eigenvalues(a, b, d)[0] >= config.ie_threshold:
+        w = config.prox_weight
+        regularized = sym2_array((a + w, b, d + w))
+        stepped = [
+            (*solve_spd(regularized, np.array([r1 + w * t1, r2 + w * t2])).tolist(), cost)
+            for t1, t2, cost in stepped
+        ]
+        corrected = True
+    return tuple(stepped), (a, b, d), (r1, r2), corrected
+
+
+def ie_mmai_selected(models: tuple[tuple[float, float, float], ...]) -> tuple[float, float]:
+    """(theta1, theta2) of the first model with the lowest cost."""
+    t1, t2, _ = min(models, key=lambda m: m[2])
+    return t1, t2
+
 
 def ie_mmai_step(
     state: IeMmaiState, phi: np.ndarray, y: np.ndarray
@@ -357,37 +416,17 @@ def ie_mmai_step(
     undiscounted FIM over all data so far passes the initial-excitation
     threshold, each model jumps to the proximally-regularized least squares
     solution over that window; afterwards the models keep descending as before.
+    Two parameters and one scalar observation; a non-finite phi or y raises
+    ``ValueError`` naming it.
     """
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    cfg = state.config
-
-    models = []
-    for model in state.models:
-        r = residual(y, phi, model.theta)
-        cost = cfg.cost_alpha * model.cost + 0.5 * float(r @ r)
-        models.append(IeModel(theta=pure_gd_step(model.theta, phi, y), cost=cost))
-
-    fim = state.fim + phi.T @ phi
-    rhs = state.rhs + phi.T @ y
-    corrected = state.corrected
-    if not corrected and min_eigenvalue_sym(fim) >= cfg.ie_threshold:
-        reg = cfg.prox_weight * np.eye(fim.shape[0])
-        models = [
-            IeModel(
-                theta=solve_spd(fim + reg, rhs + cfg.prox_weight * m.theta),
-                cost=m.cost,
-            )
-            for m in models
-        ]
-        corrected = True
-
+    row, y = finite_pair(phi, "phi"), finite_scalar(y, "y")
+    models, fim, rhs, corrected = ie_mmai_kernel(state.floats(), state.config, row, y)
     new_state = IeMmaiState(
-        models=tuple(models),
-        fim=fim,
-        rhs=rhs,
+        models=tuple(IeModel(theta=np.array(m[:2]), cost=m[2]) for m in models),
+        fim=sym2_array(fim),
+        rhs=np.array(rhs),
         corrected=corrected,
-        config=cfg,
+        config=state.config,
         step=state.step + 1,
     )
     return new_state, new_state.selected()

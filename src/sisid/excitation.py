@@ -10,12 +10,11 @@ practically identifiable from a window of data.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -45,9 +44,14 @@ class Regressor:
         return phi
 
 
+def sis_regressor_pair(x: float) -> tuple[float, float]:
+    """The SIS regressor [(1-x)x, -x] as two floats."""
+    return (1.0 - x) * x, -x
+
+
 def sis_regressor(x: float) -> np.ndarray:
     """1x2 regressor [(1-x)x, -x] of the scalar SIS model."""
-    return np.array([[(1.0 - x) * x, -x]])
+    return np.array([sis_regressor_pair(x)])
 
 
 SIS_REGRESSOR = Regressor(fn=sis_regressor, n_outputs=1, n_params=2)
@@ -249,10 +253,28 @@ def optimal_excitation_set(
     return best
 
 
+GREEDY_SCHEMA = "sisid-greedy-v1"
+
+
+def write_acceptance_trace(
+    path: str | Path, rows: Iterable[tuple[int, bool, float, float]]
+) -> None:
+    """Write the acceptance-trace CSV: a schema line, then a header and one
+    (step, accepted, kappa before, kappa after) row per offer.
+
+    Rows end in \\r\\n, as the csv module's default dialect writes them.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {GREEDY_SCHEMA}\n")
+        fh.write("step,accepted,kappa_before,kappa_after\r\n")
+        for step, accepted, before, after in rows:
+            fh.write(f"{step},{int(accepted)},{before!r},{after!r}\r\n")
+
+
 def export_acceptance_trace(
     traj: Trajectory, reg: Regressor, path: str | Path
 ) -> list[tuple[int, bool, float, float]]:
-    """Write the per-step acceptance trace CSV (step, accepted, kappa before/after)."""
+    """Run the acceptance rule over a trajectory and write its trace CSV."""
     gset = GreedySet.empty(reg.n_params)
     rows = []
     for k in range(traj.step_count):
@@ -261,9 +283,5 @@ def export_acceptance_trace(
             gset, reg(traj.states[k]), traj.observations[k], k
         )
         rows.append((k, accepted, before, gset.cond))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "accepted", "kappa_before", "kappa_after"])
-        for step, accepted, before, after in rows:
-            writer.writerow([step, int(accepted), repr(before), repr(after)])
+    write_acceptance_trace(path, rows)
     return rows

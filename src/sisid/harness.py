@@ -1,34 +1,61 @@
 """Experiment runner: simulate, drive the identifiers in lockstep, emit traces.
 
 A run produces one CSV per requested trace kind plus a ``manifest.json``
-echoing the config, the library version, wall time, and a sha256 hash of
-every written file. Numerical failures inside an estimator do not abort
-the run: the estimator is frozen at its last state, the offending step is
-recorded in the manifest, and the exit status becomes nonzero. CSV content
-is bitwise reproducible for a fixed config.
+echoing the config, the library version, wall time and per-phase timings,
+the GRLS excitation set, and a sha256 hash of every written file. Numerical
+failures inside an estimator do not abort the run: the estimator is frozen
+at its last state, the offending step is recorded in the manifest, and the
+exit status becomes nonzero. CSV content is bitwise reproducible for a
+fixed config; timings appear only in the manifest.
+
+The step loop works on floats. Each estimator kind is one entry of
+``_ESTIMATORS``: how to build its state, step it, and read its estimate and
+covariance. Metrics rows and CSV lines are formed from those floats.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .config import EstimatorSettings, ExperimentConfig, config_to_mapping
 from .dynamics import Trajectory, simulate
-from .estimators import GrlsState, IeMmaiState, ef_rls_step, grls_step, ie_mmai_step, pure_gd_step
-from .excitation import SIS_REGRESSOR, Regressor, finite_pair, residual
-from .linalg import ConditioningError, Sym2, sym2, sym2_condition, sym2_eigenvalues
+from .estimators import (
+    GrlsState,
+    IeMmaiConfig,
+    IeMmaiState,
+    ef_rls_kernel,
+    grls_step,
+    ie_mmai_kernel,
+    ie_mmai_selected,
+    pure_gd_kernel,
+)
+from .excitation import (
+    SIS_REGRESSOR,
+    Regressor,
+    finite_pair,
+    finite_scalar,
+    residual,
+    sis_regressor_pair,
+    write_acceptance_trace,
+)
+from .linalg import (
+    ConditioningError,
+    Sym2,
+    eigenvalue_condition,
+    sym2,
+    sym2_condition,
+    sym2_eigenvalues,
+)
 
 METRICS_SCHEMA = "sisid-metrics-v1"
-TRAJECTORY_SCHEMA = "sisid-trajectory-v1"
-GREEDY_SCHEMA = "sisid-greedy-v1"
 
 METRICS_COLUMNS = (
     "step", "estimator", "beta_hat", "gamma_hat", "r0_hat",
@@ -37,7 +64,7 @@ METRICS_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRow:
     """Per-step, per-estimator metrics; None marks a field without a defined value."""
 
@@ -82,167 +109,118 @@ def fim_condition_trace(traj: Trajectory, reg: Regressor, alpha: float) -> list[
     return trace
 
 
-class _Runner:
-    """Shared freeze-on-failure stepping for one estimator."""
-
-    kind = ""
-
-    def __init__(self, settings: EstimatorSettings):
-        self.settings = settings
-        self.failed_at: int | None = None
-        self.error: str | None = None
-        self.accepted_last: bool | None = None
-
-    def step(self, k: int, x_k: float, x_next: float, phi: np.ndarray, y: np.ndarray) -> None:
-        if self.failed_at is not None:
-            return
-        try:
-            self._advance(k, x_k, x_next, phi, y)
-        except ConditioningError as exc:
-            self.failed_at = k
-            self.error = str(exc)
-            self.accepted_last = None
-
-    def _advance(self, k, x_k, x_next, phi, y) -> None:
-        raise NotImplementedError
-
-    @property
-    def theta(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def p_entries(self) -> Sym2 | None:
-        """The covariance P as its entries (a, b, d), for estimators that have one."""
-        return None
+# A greedy offer's outcome: (accepted, kappa before, kappa after).
+_Offer = tuple[bool, float, float]
 
 
-class _PureGdRunner(_Runner):
-    kind = "pure_gd"
+class _Estimator(NamedTuple):
+    """How the run loop drives one estimator kind on floats.
 
-    def __init__(self, settings: EstimatorSettings):
-        super().__init__(settings)
-        self._theta = np.asarray(settings.theta0, dtype=float)
+    ``init(settings)`` builds the state. ``step(settings, state, x_k, x_next,
+    phi, y)`` returns the next state and the outcome of its excitation-set
+    offer, None for estimators without a set; it raises
+    ``ConditioningError`` when the estimator fails. ``theta(state)`` is the
+    estimate, ``p(state)`` the covariance's entries (None without one).
+    """
 
-    def _advance(self, k, x_k, x_next, phi, y) -> None:
-        self._theta = pure_gd_step(self._theta, phi, y)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta
-
-
-class _EfRlsRunner(_Runner):
-    kind = "ef_rls"
-
-    def __init__(self, settings: EstimatorSettings):
-        super().__init__(settings)
-        self._p = settings.p0_scale * np.eye(2)
-        self._theta = np.asarray(settings.theta0, dtype=float)
-
-    def _advance(self, k, x_k, x_next, phi, y) -> None:
-        self._p, self._theta = ef_rls_step((self._p, self._theta), phi, y, self.settings.alpha)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta
-
-    @property
-    def p_entries(self) -> Sym2:
-        return sym2(self._p)
+    init: Callable[[EstimatorSettings], Any]
+    step: Callable[..., tuple[Any, _Offer | None]]
+    theta: Callable[[Any], tuple[float, float]]
+    p: Callable[[Any], Sym2 | None]
 
 
-class _GrlsRunner(_Runner):
-    kind = "grls"
-
-    def __init__(self, settings: EstimatorSettings):
-        super().__init__(settings)
-        self.state = GrlsState.initial(
-            settings.theta0, SIS_REGRESSOR,
-            alpha=settings.alpha, p0_scale=settings.p0_scale,
-        )
-
-    def _advance(self, k, x_k, x_next, phi, y) -> None:
-        before = self.state.excitation.size
-        self.state = grls_step(self.state, x_k, x_next)
-        self.accepted_last = self.state.excitation.size > before
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.state.theta
-
-    @property
-    def p_entries(self) -> Sym2:
-        return sym2(self.state.P)
+def _theta0(est: EstimatorSettings) -> tuple[float, float]:
+    return finite_pair(np.asarray(est.theta0, dtype=float), f"{est.kind}.theta0")
 
 
-class _IeMmaiRunner(_Runner):
-    kind = "ie_mmai"
-
-    def __init__(self, settings: EstimatorSettings):
-        super().__init__(settings)
-        self.state = IeMmaiState.initialize(
-            settings.theta0, settings.models,
-            spread=settings.spread, seed=settings.seed,
-        )
-        self._selected = self.state.selected()
-
-    def _advance(self, k, x_k, x_next, phi, y) -> None:
-        self.state, self._selected = ie_mmai_step(self.state, phi, y)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._selected
+def _ef_rls_init(est: EstimatorSettings) -> tuple[Sym2, tuple[float, float]]:
+    p0 = finite_scalar(est.p0_scale, f"{est.kind}.p0_scale")
+    return (p0, 0.0, p0), _theta0(est)
 
 
-_RUNNERS = {
-    "pure_gd": _PureGdRunner,
-    "ef_rls": _EfRlsRunner,
-    "grls": _GrlsRunner,
-    "ie_mmai": _IeMmaiRunner,
+def _grls_init(est: EstimatorSettings) -> GrlsState:
+    return GrlsState.initial(est.theta0, SIS_REGRESSOR, alpha=est.alpha, p0_scale=est.p0_scale)
+
+
+def _ie_mmai_init(est: EstimatorSettings):
+    return IeMmaiState.initialize(est.theta0, est.models, spread=est.spread, seed=est.seed).floats()
+
+
+def _pure_gd_step(est, theta, x_k, x_next, phi, y):
+    return pure_gd_kernel(theta, phi, y), None
+
+
+def _ef_rls_step(est, state, x_k, x_next, phi, y):
+    return ef_rls_kernel(*state, phi, y, est.alpha), None
+
+
+def _grls_step(est, state, x_k, x_next, phi, y):
+    after = grls_step(state, x_k, x_next)
+    before_set, after_set = state.excitation, after.excitation
+    return after, (after_set.size > before_set.size, before_set.cond, after_set.cond)
+
+
+_IE_MMAI_CONFIG = IeMmaiConfig()
+
+
+def _ie_mmai_step(est, state, x_k, x_next, phi, y):
+    return ie_mmai_kernel(state, _IE_MMAI_CONFIG, phi, y), None
+
+
+def _no_p(state) -> None:
+    return None
+
+
+_ESTIMATORS = {
+    "pure_gd": _Estimator(_theta0, _pure_gd_step, lambda theta: theta, _no_p),
+    "ef_rls": _Estimator(_ef_rls_init, _ef_rls_step, lambda s: s[1], lambda s: s[0]),
+    "grls": _Estimator(_grls_init, _grls_step, lambda s: s.theta.tolist(), lambda s: sym2(s.P)),
+    "ie_mmai": _Estimator(_ie_mmai_init, _ie_mmai_step, lambda s: ie_mmai_selected(s[0]), _no_p),
 }
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+@dataclass(slots=True)
+class _Lane:
+    """One estimator's run: its settings, table entry, state and failure."""
+
+    settings: EstimatorSettings
+    estimator: _Estimator
+    state: Any
+    fim_trace: list[float]
+    failed_at: int | None = None
+    error: str | None = None
+    step_s: float = 0.0
 
 
 def _metrics_row(
-    k: int, runner: _Runner, true_theta: np.ndarray, fim_cond: float, clamp: bool
+    k: int,
+    kind: str,
+    theta: tuple[float, float],
+    p: Sym2 | None,
+    fim_cond: float,
+    accepted: bool | None,
+    truth: tuple[float, float] | None,
+    clamp: bool,
 ) -> MetricsRow:
-    theta = np.maximum(runner.theta, 0.0) if clamp else runner.theta
-    beta_hat, gamma_hat = float(theta[0]), float(theta[1])
+    beta_hat, gamma_hat = theta
+    if clamp:
+        beta_hat = beta_hat if beta_hat > 0.0 else 0.0
+        gamma_hat = gamma_hat if gamma_hat > 0.0 else 0.0
     r0_hat = beta_hat / gamma_hat if gamma_hat != 0.0 else None
-    if np.all(true_theta > 0):
-        max_rel = float(np.max(np.abs(theta - true_theta) / true_theta))
+    if truth is None:
+        max_rel = log_rel = None
+    else:
+        beta, gamma = truth
+        max_rel = max(abs(beta_hat - beta) / beta, abs(gamma_hat - gamma) / gamma)
         log_rel = math.log10(max_rel) if max_rel > 0 else None
+    if p is None:
+        p_cond = p_max_eig = None
     else:
-        max_rel = None
-        log_rel = None
-    p = runner.p_entries
-    if p is not None:
-        p_cond = sym2_condition(*p)
-        p_max_eig = sym2_eigenvalues(*p)[1]
-    else:
-        p_cond = None
-        p_max_eig = None
+        p_min_eig, p_max_eig = sym2_eigenvalues(*p)
+        p_cond = eigenvalue_condition(p_min_eig, p_max_eig)
     return MetricsRow(
-        step=k,
-        estimator=runner.kind,
-        beta_hat=beta_hat,
-        gamma_hat=gamma_hat,
-        r0_hat=r0_hat,
-        max_rel_err=max_rel,
-        log10_max_rel_err=log_rel,
-        fim_cond=fim_cond,
-        p_cond=p_cond,
-        p_max_eig=p_max_eig,
-        accepted=runner.accepted_last,
+        k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel,
+        fim_cond, p_cond, p_max_eig, accepted,
     )
 
 
@@ -263,46 +241,69 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     list is empty and no directory is forced. The exit status is nonzero
     when any estimator hit a numerical error mid-run; such estimators stay
     frozen at their last state for the remaining steps.
+
+    ``manifest["timings"]`` holds seconds spent simulating, computing the
+    FIM condition trace, stepping each estimator, forming metrics rows and
+    writing files. ``manifest["excitation"]``, present when GRLS ran, holds
+    its excitation set: size, step indices and final condition number
+    (null while the set is rank deficient).
     """
     config.validate()
     start = time.monotonic()
+    clock = time.perf_counter
 
+    t0 = clock()
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
-    runners = [_RUNNERS[est.kind](est) for est in config.estimators]
-    true_theta = config.sis.as_vector()
-
+    t1 = clock()
     fim_traces: dict[float, list[float]] = {}
     for est in config.estimators:
         if est.alpha not in fim_traces:
             fim_traces[est.alpha] = fim_condition_trace(traj, SIS_REGRESSOR, est.alpha)
+    t2 = clock()
+    lanes = [
+        _Lane(est, _ESTIMATORS[est.kind], _ESTIMATORS[est.kind].init(est), fim_traces[est.alpha])
+        for est in config.estimators
+    ]
+    beta, gamma = config.sis.beta, config.sis.gamma
+    truth = (beta, gamma) if beta > 0 and gamma > 0 else None
+    clamp = config.clamp_estimates
 
     rows: list[MetricsRow] = []
     greedy_rows: list[tuple[int, bool, float, float]] = []
+    xs = traj.states.tolist()
+    ys = traj.observations.tolist()
     for k in range(traj.step_count):
-        x_k, x_next = traj.states[k], traj.states[k + 1]
-        phi = SIS_REGRESSOR(x_k)
-        y = np.atleast_1d(traj.observations[k])
-        for runner in runners:
-            grls_live = runner.kind == "grls" and runner.failed_at is None
-            before = runner.state.excitation.cond if grls_live else None
-            runner.step(k, x_k, x_next, phi, y)
-            if grls_live and runner.failed_at is None:
-                greedy_rows.append(
-                    (k, bool(runner.accepted_last), before, runner.state.excitation.cond)
-                )
+        x_k, x_next, y = xs[k], xs[k + 1], ys[k]
+        phi = sis_regressor_pair(x_k)
+        for lane in lanes:
+            estimator = lane.estimator
+            offer = None
+            if lane.failed_at is None:
+                t_step = clock()
+                try:
+                    lane.state, offer = estimator.step(
+                        lane.settings, lane.state, x_k, x_next, phi, y
+                    )
+                except ConditioningError as exc:
+                    lane.failed_at, lane.error = k, str(exc)
+                lane.step_s += clock() - t_step
+                if offer is not None:
+                    greedy_rows.append((k, *offer))
             rows.append(
                 _metrics_row(
-                    k, runner, true_theta,
-                    fim_traces[runner.settings.alpha][k], config.clamp_estimates,
+                    k, lane.settings.kind, estimator.theta(lane.state), estimator.p(lane.state),
+                    lane.fim_trace[k], None if offer is None else offer[0], truth, clamp,
                 )
             )
+    t3 = clock()
 
     errors = [
-        {"estimator": r.kind, "step": r.failed_at, "message": r.error}
-        for r in runners
-        if r.failed_at is not None
+        {"estimator": lane.settings.kind, "step": lane.failed_at, "message": lane.error}
+        for lane in lanes
+        if lane.failed_at is not None
     ]
     status = 1 if errors else 0
+    step_s = {lane.settings.kind: lane.step_s for lane in lanes}
 
     manifest = {
         "schema": "sisid-manifest-v1",
@@ -311,7 +312,22 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
         "errors": errors,
         "status": status,
         "files": [],
+        "timings": {
+            "simulate_s": t1 - t0,
+            "fim_trace_s": t2 - t1,
+            "step_s": step_s,
+            "metrics_rows_s": t3 - t2 - sum(step_s.values()),
+            "write_s": 0.0,
+        },
     }
+    if greedy_rows:
+        indices = [k for k, accepted, _, _ in greedy_rows if accepted]
+        kappa = greedy_rows[-1][3]
+        manifest["excitation"] = {
+            "size": len(indices),
+            "indices": indices,
+            "final_kappa": kappa if math.isfinite(kappa) else None,
+        }
 
     if output_dir is None and not config.emit:
         out = None
@@ -323,6 +339,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
             {"name": name, "kind": kind, "sha256": _sha256(out / name)}
             for name, kind in written
         ]
+        manifest["timings"]["write_s"] = clock() - t3
         manifest["wall_time_s"] = time.monotonic() - start
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -344,46 +361,34 @@ def _write_traces(
 ) -> list[tuple[str, str]]:
     written = []
     if "metrics" in config.emit:
-        path = out / "metrics.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {METRICS_SCHEMA}\n")
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.step, row.estimator,
-                        _cell(row.beta_hat), _cell(row.gamma_hat), _cell(row.r0_hat),
-                        _cell(row.max_rel_err), _cell(row.log10_max_rel_err),
-                        _cell(row.fim_cond), _cell(row.p_cond), _cell(row.p_max_eig),
-                        _cell(row.accepted),
-                    ]
-                )
+        _write_metrics(out / "metrics.csv", rows)
         written.append(("metrics.csv", "metrics"))
     if "trajectory" in config.emit:
-        path = out / "trajectory.csv"
-        _write_trajectory(path, traj)
+        traj.to_csv(out / "trajectory.csv")
         written.append(("trajectory.csv", "trajectory"))
     if "greedy" in config.emit and greedy_rows:
-        path = out / "greedy.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {GREEDY_SCHEMA}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step", "accepted", "kappa_before", "kappa_after"])
-            for step, accepted, before, after in greedy_rows:
-                writer.writerow([step, int(accepted), repr(before), repr(after)])
+        write_acceptance_trace(out / "greedy.csv", greedy_rows)
         written.append(("greedy.csv", "greedy"))
     return written
 
 
-def _write_trajectory(path: Path, traj: Trajectory) -> None:
+def _opt(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
+def _write_metrics(path: Path, rows: list[MetricsRow]) -> None:
+    """Write the metrics CSV: a schema line, then a header and one line per row.
+
+    Floats are written by ``repr`` and None as an empty field; rows end in
+    \\r\\n, as the csv module's default dialect writes them.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {TRAJECTORY_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "state", "observation", "noise_applied"])
-        for k in range(traj.step_count):
-            writer.writerow(
-                [k, repr(float(traj.states[k])), repr(float(traj.observations[k])),
-                 repr(float(traj.process_noise[k]))]
+        fh.write(f"# {METRICS_SCHEMA}\n")
+        fh.write(",".join(METRICS_COLUMNS) + "\r\n")
+        for r in rows:
+            accepted = "" if r.accepted is None else "1" if r.accepted else "0"
+            fh.write(
+                f"{r.step},{r.estimator},{r.beta_hat!r},{r.gamma_hat!r},{_opt(r.r0_hat)},"
+                f"{_opt(r.max_rel_err)},{_opt(r.log10_max_rel_err)},{r.fim_cond!r},"
+                f"{_opt(r.p_cond)},{_opt(r.p_max_eig)},{accepted}\r\n"
             )
-        writer.writerow([traj.step_count, repr(float(traj.states[-1])), "", ""])

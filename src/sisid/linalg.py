@@ -14,7 +14,6 @@ correction, which solve from scratch rather than step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +64,15 @@ def sym2_condition(a: float, b: float, d: float) -> float:
     when the smaller is at most ``RANK_TOLERANCE`` times the larger (the
     zero matrix included). Entries must be finite.
     """
-    lo, hi = sym2_eigenvalues(a, b, d)
+    return eigenvalue_condition(*sym2_eigenvalues(a, b, d))
+
+
+def eigenvalue_condition(lo: float, hi: float) -> float:
+    """Larger over smaller of |lo| and |hi|; ``math.inf`` at ``RANK_TOLERANCE``.
+
+    The condition number of a symmetric matrix whose extreme eigenvalues
+    are lo and hi, or of any matrix whose extreme singular values they are.
+    """
     smax, smin = abs(hi), abs(lo)
     if smin > smax:
         smax, smin = smin, smax
@@ -74,44 +81,22 @@ def sym2_condition(a: float, b: float, d: float) -> float:
     return smax / smin
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Singular values (nonincreasing) and the condition number of a matrix.
-
-    ``condition_number`` is ``math.inf`` when the matrix is rank deficient
-    at tolerance ``RANK_TOLERANCE``; it is >= 1 whenever finite.
-    """
-
-    singular_values: np.ndarray
-    condition_number: float
-
-
-def spectral_summary(m: np.ndarray) -> SpectralSummary:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-        raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = float(s[0])
-    smin = float(s[-1])
-    if smax == 0.0 or smin <= RANK_TOLERANCE * smax:
-        kappa = math.inf
-    else:
-        kappa = smax / smin
-    return SpectralSummary(singular_values=s, condition_number=kappa)
-
-
 def condition_number(m: np.ndarray) -> float:
     """Ratio of largest to smallest singular value; inf for rank-deficient input.
 
     Symmetric 2x2 input, the only kind the library passes, goes through
-    ``sym2_condition``; other shapes through an SVD.
+    ``sym2_condition``; other shapes through an SVD, with the same rank
+    tolerance.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
+        raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     if m.shape == (2, 2) and m[0, 1] == m[1, 0]:
         return sym2_condition(*sym2(m))
-    return spectral_summary(m).condition_number
+    s = np.linalg.svd(m, compute_uv=False)
+    return eigenvalue_condition(float(s[-1]), float(s[0]))
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:

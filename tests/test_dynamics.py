@@ -210,6 +210,7 @@ class TestTrajectory:
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,state,observation,noise_applied"
-        assert len(lines) == 12  # header + 10 observation rows + final state row
-        assert lines[1].startswith("0,0.01,")
+        assert lines[0] == "# sisid-trajectory-v1"
+        assert lines[1] == "step,state,observation,noise_applied"
+        assert len(lines) == 13  # schema + header + 10 observation rows + final state row
+        assert lines[2].startswith("0,0.01,")

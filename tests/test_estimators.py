@@ -282,6 +282,38 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=name):
             ef_rls_step((p, np.asarray(theta)), phi, y, 0.94)
 
+    @pytest.mark.parametrize(
+        "theta,phi,y,name",
+        [
+            ([math.nan, 1.0], [[0.1, -0.1]], [0.01], "theta_hat"),
+            (THETA0, [[0.1, math.inf]], [0.01], "phi"),
+            (THETA0, [[0.1, -0.1]], -math.inf, "y"),
+        ],
+    )
+    def test_pure_gd_step(self, theta, phi, y, name):
+        with pytest.raises(ValueError, match=name):
+            pure_gd_step(theta, phi, y)
+
+    @pytest.mark.parametrize(
+        "phi,y,name", [([[math.nan, -0.1]], 0.01, "phi"), ([[0.1, -0.1]], [math.inf], "y")]
+    )
+    def test_ie_mmai_step(self, phi, y, name):
+        state = IeMmaiState.initialize(THETA0, n_models=3)
+        with pytest.raises(ValueError, match=name):
+            ie_mmai_step(state, phi, y)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("p0_inv", np.diag([0.01, math.nan])), ("theta0", np.array([1.0, math.inf]))],
+    )
+    def test_batch_oracle(self, field, value):
+        traj = simulate(0.01, FIG3, 10)
+        spec = WeightedCostSpec(
+            alpha=0.94, p0_inv=0.01 * np.eye(2), theta0=THETA0, greedy_indices=frozenset()
+        )
+        with pytest.raises(ValueError, match=f"spec.{field}"):
+            batch_oracle(traj, SIS_REGRESSOR, dataclasses.replace(spec, **{field: value}), 5)
+
 
 class TestWeights:
     def make_spec(self, greedy=(), alpha=0.94):

@@ -324,8 +324,9 @@ class TestAcceptanceTraceExport:
         path = tmp_path / "trace.csv"
         rows = export_acceptance_trace(traj, SIS_REGRESSOR, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,accepted,kappa_before,kappa_after"
-        assert len(lines) == 51
+        assert lines[0] == "# sisid-greedy-v1"
+        assert lines[1] == "step,accepted,kappa_before,kappa_after"
+        assert len(lines) == 52
         assert rows[0][1] is True  # bootstrap acceptance
         accepted_steps = [r[0] for r in rows if r[1]]
         final = build_greedy_set(traj, SIS_REGRESSOR)

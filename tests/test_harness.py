@@ -256,6 +256,38 @@ class TestRunExperiment:
         h1 = {f["name"]: f["sha256"] for f in r1.manifest["files"]}
         h2 = {f["name"]: f["sha256"] for f in r2.manifest["files"]}
         assert h1 == h2
+        # timings vary between the runs, and only the manifest carries them
+        assert "timings" in json.loads((tmp_path / "a" / "manifest.json").read_text())
+
+    def test_manifest_timings_and_excitation_set(self, tmp_path):
+        config = small_config(
+            steps=200,
+            noise=NoiseSpec(seed=5),
+            estimators=(EstimatorSettings(kind="ef_rls"), EstimatorSettings(kind="grls")),
+            emit=("metrics", "greedy"),
+        )
+        result = run_experiment(config, output_dir=tmp_path / "run")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"simulate_s", "fim_trace_s", "step_s", "metrics_rows_s", "write_s"}
+        assert set(timings["step_s"]) == {"ef_rls", "grls"}
+        assert all(t >= 0.0 for t in (*timings.values(), *timings["step_s"].values())
+                   if not isinstance(t, dict))
+        assert timings["write_s"] > 0.0
+        accepted = [r.step for r in result.rows if r.estimator == "grls" and r.accepted]
+        greedy = (tmp_path / "run" / "greedy.csv").read_text().splitlines()
+        assert manifest["excitation"] == {
+            "size": len(accepted),
+            "indices": accepted,
+            "final_kappa": float(greedy[-1].split(",")[3]),
+        }
+        assert math.isfinite(manifest["excitation"]["final_kappa"])
+
+    def test_in_memory_manifest_has_no_write_time(self):
+        result = run_experiment(small_config(steps=1, emit=()))
+        assert result.manifest["timings"]["write_s"] == 0.0
+        # a one-point set is rank deficient: its condition number is null, not Infinity
+        assert result.manifest["excitation"] == {"size": 1, "indices": [0], "final_kappa": None}
 
     def test_manifest_lists_every_file_with_hash(self, tmp_path):
         import hashlib
@@ -408,3 +440,61 @@ def test_online_use_imports_neither_scipy_nor_hashlib():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# sha256 of what the bundled configs wrote before the step loop moved to
+# floats. The trajectories, the acceptance traces, and the EF-RLS and GRLS
+# metrics rows (each estimator's lines, \r\n included, in file order) must
+# not move; pure-GD and IE-MMAI rows may differ in the last bits, because
+# u1*t1 + u2*t2 rounds differently from numpy's 1x2 matmul.
+PINNED_FILES = {
+    "fig1/trajectory.csv": "c748a6c03894014f04e7dcd9c3ed3b407b719c1b442b5eca5d7c478bbba4cd91",
+    "fig2/trajectory.csv": "8dd5175511970596275a084647a34e94690fbb5064772c9f12c9b6e6f9d50c68",
+    "fig3_noisefree/trajectory.csv":
+        "4b6c4627e2aead3b3d5fa2b292b94d699a287f88813d0f11b886f6b0aa57f8bf",
+    "fig3_noisefree/greedy.csv": "21b0d557c479f7b29d31946b7d75ba3205f920faab1adbd4abbe45ae768aec2f",
+    "fig3_noisy/trajectory.csv": "6f5ef32dc4f5ef15ddb2186d18001b11bbf43941a739a89a2ac2fbc126c329f7",
+    "fig3_noisy/greedy.csv": "5f0c61d7df91c559d4657cebdcbf36b753ae37676ea4dc2ed43edb5250cb6fbb",
+}
+PINNED_METRICS_ROWS = {
+    "fig3_noisefree/ef_rls": "6f1c4e12b375acf3be426e1bcd35916755539cabd93b38bd9c3a9d0b88285e1a",
+    "fig3_noisefree/grls": "2b87ba7732dbc265464b2b16c617e64deabe5a3a923cbfffeacf0efc8caf055c",
+    "fig3_noisy/ef_rls": "b29023b5ba3efd24dc8ee947516ad7fc70cf22f7805e529beb4a72acc6bda5e3",
+    "fig3_noisy/grls": "739857b70d402d7636f946cd7d364ee6bad837560ab31cf083670ed8589176f1",
+}
+BUNDLED = ("fig1", "fig2", "fig3_noisefree", "fig3_noisy")
+
+
+class TestPinnedOutputs:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bundled")
+        results = {
+            name: run_experiment(load_config(bundled_config_path(name)), output_dir=root / name)
+            for name in BUNDLED
+        }
+        return root, results
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FILES))
+    def test_trace_files(self, runs, name):
+        import hashlib
+
+        root, _ = runs
+        assert hashlib.sha256((root / name).read_bytes()).hexdigest() == PINNED_FILES[name]
+
+    @pytest.mark.parametrize("key", sorted(PINNED_METRICS_ROWS))
+    def test_rls_metrics_rows(self, runs, key):
+        import hashlib
+
+        root, _ = runs
+        name, kind = key.split("/")
+        lines = (root / name / "metrics.csv").read_bytes().splitlines(keepends=True)
+        rows = b"".join(line for line in lines if line.split(b",")[1:2] == [kind.encode()])
+        assert rows.count(b"\r\n") == 2000
+        assert hashlib.sha256(rows).hexdigest() == PINNED_METRICS_ROWS[key]
+
+    def test_ef_rls_fails_at_step_570_on_fig3_noisefree(self, runs):
+        _, results = runs
+        errors = results["fig3_noisefree"].manifest["errors"]
+        assert [(e["estimator"], e["step"]) for e in errors] == [("ef_rls", 570)]
+        assert all(results[name].status == 0 for name in BUNDLED if name != "fig3_noisefree")
