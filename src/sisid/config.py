@@ -28,6 +28,7 @@ Values round-trip losslessly: floats are written with repr().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -70,6 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if not 0.0 <= self.x0 <= 1.0:
             raise ConfigError(f"x0: must lie in [0, 1], got {self.x0}")
+        if self.noise is not None and self.noise.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.noise.seed}")
         if not self.estimators:
             raise ConfigError("estimators: at least one estimator is required")
         seen = set()
@@ -86,10 +89,19 @@ class ExperimentConfig:
                 raise ConfigError(f"{est.kind}.alpha: must be in (0, 1], got {est.alpha}")
             if est.kind == "grls" and est.alpha == 1.0:
                 raise ConfigError("grls.alpha: must be strictly below 1")
+            if not math.isfinite(est.p0_scale):
+                raise ConfigError(f"{est.kind}.p0_scale: must be finite, got {est.p0_scale}")
             if est.p0_scale <= 0:
                 raise ConfigError(f"{est.kind}.p0_scale: must be positive")
-            if est.kind == "ie_mmai" and est.models < 1:
-                raise ConfigError("ie_mmai.models: must be >= 1")
+            if not all(map(math.isfinite, est.theta0)):
+                raise ConfigError(f"{est.kind}.theta0: must be finite, got {est.theta0}")
+            if est.kind == "ie_mmai":
+                if est.models < 1:
+                    raise ConfigError("ie_mmai.models: must be >= 1")
+                if est.seed < 0:
+                    raise ConfigError(f"ie_mmai.seed: must be >= 0, got {est.seed}")
+                if not math.isfinite(est.spread):
+                    raise ConfigError(f"ie_mmai.spread: must be finite, got {est.spread}")
         for kind in self.emit:
             if kind not in TRACE_KINDS:
                 raise ConfigError(

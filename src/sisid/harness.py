@@ -1,22 +1,26 @@
 """Experiment runner: simulate, drive the identifiers in lockstep, emit traces.
 
 A run produces one CSV per requested trace kind plus a ``manifest.json``
-echoing the config, the library version, wall time and per-phase timings,
-the GRLS excitation set, and a sha256 hash of every written file. Numerical
-failures inside an estimator do not abort the run: the estimator is frozen
-at its last state, the offending step is recorded in the manifest, and the
-exit status becomes nonzero. CSV content is bitwise reproducible for a
-fixed config; timings appear only in the manifest.
+echoing the config, the library, Python and numpy versions, wall time and
+per-phase timings, the GRLS excitation set, and a sha256 hash of every
+written file. Numerical failures inside an estimator do not abort the run:
+the estimator is frozen at its last state, the offending step is recorded
+in the manifest, and the exit status becomes nonzero. CSV content is
+bitwise reproducible for a fixed config; timings appear only in the
+manifest.
 
 The step loop works on floats. Each estimator kind is one entry of
-``_ESTIMATORS``: how to build its state, step it, and read its estimate and
-covariance. Metrics rows and CSV lines are formed from those floats.
+``_ESTIMATORS``: how to build its state, step it through its float kernel,
+and read its estimate and covariance. The regressor pairs are computed
+once per run and feed both the FIM condition trace and the steps. Metrics
+rows and CSV lines are formed from those floats.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,13 +36,14 @@ from .estimators import (
     IeMmaiConfig,
     IeMmaiState,
     ef_rls_kernel,
-    grls_step,
+    grls_kernel,
     ie_mmai_kernel,
     ie_mmai_selected,
     pure_gd_kernel,
 )
 from .excitation import (
     SIS_REGRESSOR,
+    GreedySet,
     Regressor,
     finite_pair,
     finite_scalar,
@@ -100,10 +105,15 @@ def fim_condition_trace(traj: Trajectory, reg: Regressor, alpha: float) -> list[
     The FIM H = alpha H + phi^T phi is accumulated as its entries, so its
     condition number is the same closed form the greedy offer uses.
     """
+    pairs = [finite_pair(reg(x), "regressor") for x in traj.states[:-1].tolist()]
+    return _fim_condition_trace(pairs, alpha)
+
+
+def _fim_condition_trace(pairs: list[tuple[float, float]], alpha: float) -> list[float]:
+    """``fim_condition_trace`` over regressor pairs (u1, u2), one per step."""
     a = b = d = 0.0
     trace = []
-    for x in traj.states[:-1].tolist():
-        u1, u2 = finite_pair(reg(x), "regressor")
+    for u1, u2 in pairs:
         a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
         trace.append(sym2_condition(a, b, d))
     return trace
@@ -116,9 +126,9 @@ _Offer = tuple[bool, float, float]
 class _Estimator(NamedTuple):
     """How the run loop drives one estimator kind on floats.
 
-    ``init(settings)`` builds the state. ``step(settings, state, x_k, x_next,
-    phi, y)`` returns the next state and the outcome of its excitation-set
-    offer, None for estimators without a set; it raises
+    ``init(settings)`` builds the state. ``step(settings, state, phi, y)``
+    returns the next state and the outcome of its excitation-set offer,
+    None for estimators without a set; it raises
     ``ConditioningError`` when the estimator fails. ``theta(state)`` is the
     estimate, ``p(state)`` the covariance's entries (None without one).
     """
@@ -138,32 +148,37 @@ def _ef_rls_init(est: EstimatorSettings) -> tuple[Sym2, tuple[float, float]]:
     return (p0, 0.0, p0), _theta0(est)
 
 
-def _grls_init(est: EstimatorSettings) -> GrlsState:
-    return GrlsState.initial(est.theta0, SIS_REGRESSOR, alpha=est.alpha, p0_scale=est.p0_scale)
+# GRLS's state on floats: P's entries, theta, the excitation set, the step.
+_GrlsFloats = tuple[Sym2, tuple[float, float], GreedySet, int]
+
+
+def _grls_init(est: EstimatorSettings) -> _GrlsFloats:
+    state = GrlsState.initial(est.theta0, SIS_REGRESSOR, alpha=est.alpha, p0_scale=est.p0_scale)
+    return sym2(state.P), tuple(state.theta.tolist()), state.excitation, state.step
 
 
 def _ie_mmai_init(est: EstimatorSettings):
     return IeMmaiState.initialize(est.theta0, est.models, spread=est.spread, seed=est.seed).floats()
 
 
-def _pure_gd_step(est, theta, x_k, x_next, phi, y):
+def _pure_gd_step(est, theta, phi, y):
     return pure_gd_kernel(theta, phi, y), None
 
 
-def _ef_rls_step(est, state, x_k, x_next, phi, y):
+def _ef_rls_step(est, state, phi, y):
     return ef_rls_kernel(*state, phi, y, est.alpha), None
 
 
-def _grls_step(est, state, x_k, x_next, phi, y):
-    after = grls_step(state, x_k, x_next)
-    before_set, after_set = state.excitation, after.excitation
-    return after, (after_set.size > before_set.size, before_set.cond, after_set.cond)
+def _grls_step(est, state, phi, y):
+    p, theta, before, k = state
+    p, theta, after, accepted = grls_kernel(p, theta, before, phi, y, k, est.alpha, True)
+    return (p, theta, after, k + 1), (accepted, before.cond, after.cond)
 
 
 _IE_MMAI_CONFIG = IeMmaiConfig()
 
 
-def _ie_mmai_step(est, state, x_k, x_next, phi, y):
+def _ie_mmai_step(est, state, phi, y):
     return ie_mmai_kernel(state, _IE_MMAI_CONFIG, phi, y), None
 
 
@@ -174,7 +189,7 @@ def _no_p(state) -> None:
 _ESTIMATORS = {
     "pure_gd": _Estimator(_theta0, _pure_gd_step, lambda theta: theta, _no_p),
     "ef_rls": _Estimator(_ef_rls_init, _ef_rls_step, lambda s: s[1], lambda s: s[0]),
-    "grls": _Estimator(_grls_init, _grls_step, lambda s: s.theta.tolist(), lambda s: sym2(s.P)),
+    "grls": _Estimator(_grls_init, _grls_step, lambda s: s[1], lambda s: s[0]),
     "ie_mmai": _Estimator(_ie_mmai_init, _ie_mmai_step, lambda s: ie_mmai_selected(s[0]), _no_p),
 }
 
@@ -255,10 +270,11 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     t0 = clock()
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
     t1 = clock()
+    pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
     fim_traces: dict[float, list[float]] = {}
     for est in config.estimators:
         if est.alpha not in fim_traces:
-            fim_traces[est.alpha] = fim_condition_trace(traj, SIS_REGRESSOR, est.alpha)
+            fim_traces[est.alpha] = _fim_condition_trace(pairs, est.alpha)
     t2 = clock()
     lanes = [
         _Lane(est, _ESTIMATORS[est.kind], _ESTIMATORS[est.kind].init(est), fim_traces[est.alpha])
@@ -270,20 +286,14 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
 
     rows: list[MetricsRow] = []
     greedy_rows: list[tuple[int, bool, float, float]] = []
-    xs = traj.states.tolist()
-    ys = traj.observations.tolist()
-    for k in range(traj.step_count):
-        x_k, x_next, y = xs[k], xs[k + 1], ys[k]
-        phi = sis_regressor_pair(x_k)
+    for k, (phi, y) in enumerate(zip(pairs, traj.observations.tolist())):
         for lane in lanes:
             estimator = lane.estimator
             offer = None
             if lane.failed_at is None:
                 t_step = clock()
                 try:
-                    lane.state, offer = estimator.step(
-                        lane.settings, lane.state, x_k, x_next, phi, y
-                    )
+                    lane.state, offer = estimator.step(lane.settings, lane.state, phi, y)
                 except ConditioningError as exc:
                     lane.failed_at, lane.error = k, str(exc)
                 lane.step_s += clock() - t_step
@@ -308,6 +318,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     manifest = {
         "schema": "sisid-manifest-v1",
         "version": __version__,
+        "environment": {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+        },
         "config": config_to_mapping(config),
         "errors": errors,
         "status": status,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,20 @@ from sisid.config import (
     parse_config_text,
 )
 from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
-from sisid.excitation import SIS_REGRESSOR, sis_regressor
+from sisid.excitation import SIS_REGRESSOR, sis_regressor, sis_regressor_pair
 from sisid.harness import empirical_cost, fim_condition_trace, run_experiment
-from sisid.linalg import condition_number
+from sisid.linalg import condition_number, eigenvalue_condition, sym2, sym2_eigenvalues
 import sisid
 from sisid import cli
-from sisid.estimators import ef_rls_step
+from sisid.estimators import (
+    GrlsState,
+    IeMmaiConfig,
+    IeMmaiState,
+    ef_rls_step,
+    ie_mmai_kernel,
+    ie_mmai_selected,
+    run_grls,
+)
 
 FIG3 = SisParams(beta=0.8076, gamma=0.2692)
 
@@ -282,6 +291,10 @@ class TestRunExperiment:
             "final_kappa": float(greedy[-1].split(",")[3]),
         }
         assert math.isfinite(manifest["excitation"]["final_kappa"])
+        assert manifest["environment"] == {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+        }
 
     def test_in_memory_manifest_has_no_write_time(self):
         result = run_experiment(small_config(steps=1, emit=()))
@@ -498,3 +511,72 @@ class TestPinnedOutputs:
         errors = results["fig3_noisefree"].manifest["errors"]
         assert [(e["estimator"], e["step"]) for e in errors] == [("ef_rls", 570)]
         assert all(results[name].status == 0 for name in BUNDLED if name != "fig3_noisefree")
+
+
+# A slow epidemic keeps ~100 points in its excitation set over 400 steps.
+SLOW_GRLS = ExperimentConfig(
+    sis=SisParams(beta=0.12, gamma=0.04), x0=0.01, steps=400, noise=None,
+    estimators=(EstimatorSettings(kind="grls"),), emit=(),
+)
+
+
+def _in_memory(name):
+    return SLOW_GRLS if name == "slow" else replace(load_config(bundled_config_path(name)), emit=())
+
+
+class TestHarnessLanes:
+    """The harness's float lanes report what the public steppers compute."""
+
+    @pytest.mark.parametrize("name", ["fig3_noisy", "slow"])
+    def test_grls_rows_equal_grls_step(self, name):
+        config = _in_memory(name)
+        result = run_experiment(config)
+        est = next(e for e in config.estimators if e.kind == "grls")
+        state = GrlsState.initial(est.theta0, SIS_REGRESSOR, est.alpha, est.p0_scale)
+        expected = []
+        size = 0
+        for s in run_grls(state, result.trajectory):
+            lo, hi = sym2_eigenvalues(*sym2(s.P))
+            accepted = s.excitation.size > size
+            expected.append((*s.theta.tolist(), eigenvalue_condition(lo, hi), hi, accepted))
+            size = s.excitation.size
+        rows = [
+            (r.beta_hat, r.gamma_hat, r.p_cond, r.p_max_eig, r.accepted)
+            for r in result.rows
+            if r.estimator == "grls"
+        ]
+        assert rows == expected
+        assert result.manifest["excitation"]["indices"] == list(s.excitation.indices)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig3_noisy", "slow"])
+    def test_fim_cond_column_equals_fim_condition_trace(self, name):
+        config = _in_memory(name)
+        result = run_experiment(config)
+        for est in config.estimators:
+            trace = fim_condition_trace(result.trajectory, SIS_REGRESSOR, est.alpha)
+            assert [r.fim_cond for r in result.rows if r.estimator == est.kind] == trace
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3_noisefree", "fig3_noisy"])
+    def test_ie_mmai_models_agree_after_the_correction(self, name):
+        # Once corrected, the models differ only by what the proximal term
+        # keeps apart; on noise-free data their costs are rounding noise, so
+        # which one is selected is arbitrary, and this bounds what it moves.
+        config = _in_memory(name)
+        result = run_experiment(config)
+        est = next(e for e in config.estimators if e.kind == "ie_mmai")
+        selected = [(r.beta_hat, r.gamma_hat) for r in result.rows if r.estimator == "ie_mmai"]
+        state = IeMmaiState.initialize(
+            est.theta0, est.models, spread=est.spread, seed=est.seed
+        ).floats()
+        traj = result.trajectory
+        spreads = []
+        for k, (x, y) in enumerate(zip(traj.states.tolist(), traj.observations.tolist())):
+            state = ie_mmai_kernel(state, IeMmaiConfig(), sis_regressor_pair(x), y)
+            assert ie_mmai_selected(state[0]) == selected[k]
+            if state[3]:
+                best = selected[k]
+                spreads.extend(
+                    abs(m[i] - best[i]) / abs(best[i]) for m in state[0] for i in (0, 1)
+                )
+        assert len(spreads) > 2 * est.models * (config.steps - 20)
+        assert max(spreads) <= 1e-4
