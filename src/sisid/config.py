@@ -15,7 +15,7 @@ comment and blank lines are ignored. Keys:
     <name>.alpha          forgetting factor of estimator <name> (default 0.94)
     <name>.p0_scale       initial covariance scale (default 100.0)
     <name>.theta0         comma pair, initial estimate (default 1.0, 1.0)
-    ie_mmai.models        model count (default 3)
+    ie_mmai.models        model count (default 3, at most 1000)
     ie_mmai.seed          sub-seed for random model initialization (default 0)
     ie_mmai.spread        std of the random initialization around theta0
     outputs               output directory for traces
@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dynamics import NoiseSpec, SisParams
+from .estimators import MAX_IE_MMAI_MODELS
 
 ESTIMATOR_KINDS = ("pure_gd", "ef_rls", "ie_mmai", "grls")
 TRACE_KINDS = ("metrics", "trajectory", "greedy")
@@ -98,6 +99,10 @@ class ExperimentConfig:
             if est.kind == "ie_mmai":
                 if est.models < 1:
                     raise ConfigError("ie_mmai.models: must be >= 1")
+                if est.models > MAX_IE_MMAI_MODELS:
+                    raise ConfigError(
+                        f"ie_mmai.models: must be <= {MAX_IE_MMAI_MODELS}, got {est.models}"
+                    )
                 if est.seed < 0:
                     raise ConfigError(f"ie_mmai.seed: must be >= 0, got {est.seed}")
                 if not math.isfinite(est.spread):

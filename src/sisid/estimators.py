@@ -340,6 +340,11 @@ class IeModel:
     cost: float = 0.0
 
 
+# The most models an IE-MMAI state may hold. Every model is stepped on every
+# step, so a count far beyond a few is only a way to exhaust memory or time.
+MAX_IE_MMAI_MODELS = 1000
+
+
 # IE-MMAI's state on floats: (theta1, theta2, cost) per model, the FIM's
 # entries, the right-hand side, and whether the correction has fired.
 IeFloats = tuple[tuple[tuple[float, float, float], ...], Sym2, tuple[float, float], bool]
@@ -367,6 +372,8 @@ class IeMmaiState:
     ) -> "IeMmaiState":
         if n_models < 1:
             raise ValueError("need at least one model")
+        if n_models > MAX_IE_MMAI_MODELS:
+            raise ValueError(f"n_models: at most {MAX_IE_MMAI_MODELS} models, got {n_models}")
         theta0 = np.asarray(theta0, dtype=float)
         rng = np.random.default_rng(seed)
         models = tuple(

@@ -263,12 +263,21 @@ def write_acceptance_trace(
     (step, accepted, kappa before, kappa after) row per offer.
 
     Rows end in \\r\\n, as the csv module's default dialect writes them.
+    A row whose (kappa before, kappa after) equals the previous row's reuses
+    that row's text, unless a value is zero (0.0 == -0.0, but their reprs
+    differ). NaN equals no value, so it is formatted anew unless the very
+    same object repeats.
     """
+    last, text = None, ""
     with open(path, "w", newline="") as fh:
         fh.write(f"# {GREEDY_SCHEMA}\n")
         fh.write("step,accepted,kappa_before,kappa_after\r\n")
         for step, accepted, before, after in rows:
-            fh.write(f"{step},{int(accepted)},{before!r},{after!r}\r\n")
+            kappas = (before, after)
+            if kappas != last:
+                text = f"{before!r},{after!r}"
+                last = None if 0.0 in kappas else kappas
+            fh.write(f"{step},{int(accepted)},{text}\r\n")
 
 
 def export_acceptance_trace(

@@ -69,9 +69,11 @@ METRICS_COLUMNS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsRow:
-    """Per-step, per-estimator metrics; None marks a field without a defined value."""
+class MetricsRow(NamedTuple):
+    """Per-step, per-estimator metrics; None marks a field without a defined value.
+
+    A NamedTuple: it unpacks, indexes and compares equal to a plain tuple.
+    """
 
     step: int
     estimator: str
@@ -363,7 +365,12 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
 def _sha256(path: Path) -> str:
     import hashlib  # only manifests need it; it costs megabytes on import
 
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # in chunks: a whole trace file in memory would set the run's peak RSS
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_traces(
@@ -395,14 +402,34 @@ def _write_metrics(path: Path, rows: list[MetricsRow]) -> None:
 
     Floats are written by ``repr`` and None as an empty field; rows end in
     \\r\\n, as the csv module's default dialect writes them.
+
+    A converged or stalled estimator repeats its values, and lanes that
+    share an alpha share ``fim_cond``, so each float is formatted once per
+    run of equal values: a row reuses the text of its estimator's previous
+    row when its seven floats besides ``fim_cond`` equal that row's, and
+    the text of the previous row's ``fim_cond`` when that value is equal.
+    Text is never reused for a zero, as 0.0 == -0.0 but their reprs differ.
+    NaN equals no value, so it is formatted anew unless the very same
+    object repeats.
     """
+    # estimator -> its previous row's floats (None if one was zero) and their text
+    last: dict[str, tuple[tuple | None, str, str]] = {}
+    last_fim, fim_text = None, ""
     with open(path, "w", newline="") as fh:
         fh.write(f"# {METRICS_SCHEMA}\n")
         fh.write(",".join(METRICS_COLUMNS) + "\r\n")
-        for r in rows:
-            accepted = "" if r.accepted is None else "1" if r.accepted else "0"
-            fh.write(
-                f"{r.step},{r.estimator},{r.beta_hat!r},{r.gamma_hat!r},{_opt(r.r0_hat)},"
-                f"{_opt(r.max_rel_err)},{_opt(r.log10_max_rel_err)},{r.fim_cond!r},"
-                f"{_opt(r.p_cond)},{_opt(r.p_max_eig)},{accepted}\r\n"
-            )
+        for step, estimator, beta, gamma, r0, rel, log_rel, fim, p_cond, p_max, accepted in rows:
+            values = (beta, gamma, r0, rel, log_rel, p_cond, p_max)
+            prev = last.get(estimator)
+            if prev is None or prev[0] != values:
+                prev = last[estimator] = (
+                    None if 0.0 in values else values,
+                    f"{beta!r},{gamma!r},{_opt(r0)},{_opt(rel)},{_opt(log_rel)}",
+                    f"{_opt(p_cond)},{_opt(p_max)}",
+                )
+            if fim != last_fim:
+                fim_text = repr(fim)
+                last_fim = None if fim == 0.0 else fim
+            _, head, tail = prev
+            flag = "" if accepted is None else "1" if accepted else "0"
+            fh.write(f"{step},{estimator},{head},{fim_text},{tail},{flag}\r\n")

@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the library's own update recursions:
 eigenvalues come from the quadratic formula or numpy's dense solvers,
-inverses are formed explicitly, and window scans accumulate outer products
-from scratch. These are the yardsticks the fast paths are measured against.
+inverses are formed explicitly, window scans accumulate outer products
+from scratch, and trace CSVs format every field anew. These are the
+yardsticks the fast paths are measured against.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,3 +67,23 @@ def weighted_normal_solution(
     a = (phi_rows * weights[:, None]).T @ phi_rows + prior_precision
     rhs = phi_rows.T @ (weights * ys) + prior_precision @ prior_mean
     return np.linalg.solve(a, rhs)
+
+
+def naive_trace_csv(schema: str, columns: Sequence[str], rows: Iterable[Sequence]) -> bytes:
+    """A trace CSV with every field formatted on its own: ``repr`` for each
+    number, None as an empty field, booleans as 1/0 and strings as they are.
+    A schema line ends in \\n, the header and each row in \\r\\n.
+    """
+
+    def field(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, str):
+            return value
+        return repr(value)
+
+    lines = [f"# {schema}\n", ",".join(columns) + "\r\n"]
+    lines += [",".join(field(v) for v in row) + "\r\n" for row in rows]
+    return "".join(lines).encode()

@@ -17,6 +17,7 @@ from sisid.config import (
     parse_config_text,
 )
 from sisid.dynamics import NoiseSpec, SisParams
+from sisid.estimators import MAX_IE_MMAI_MODELS
 
 BASE = {"beta": "0.5", "gamma": "0.2", "x0": "0.01", "steps": "10"}
 
@@ -36,6 +37,7 @@ class TestOutOfRangeFields:
             ("ie_mmai", "ie_mmai.spread", "nan"),
             ("ie_mmai", "ie_mmai.spread", "inf"),
             ("ie_mmai", "ie_mmai.seed", "-3"),
+            ("ie_mmai", "ie_mmai.models", str(MAX_IE_MMAI_MODELS + 1)),
         ],
     )
     def test_estimator_field_rejected(self, kind, key, value):
@@ -56,7 +58,13 @@ class TestOutOfRangeFields:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
-        "line", ["grls.p0_scale = inf", "grls.theta0 = nan, 1.0", "ie_mmai.spread = nan"]
+        "line",
+        [
+            "grls.p0_scale = inf",
+            "grls.theta0 = nan, 1.0",
+            "ie_mmai.spread = nan",
+            f"ie_mmai.models = {MAX_IE_MMAI_MODELS + 1}",
+        ],
     )
     def test_cli_exits_2(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -67,6 +75,12 @@ class TestOutOfRangeFields:
         assert cli.main([command, str(cfg)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_ie_mmai_models_at_the_bound_accepted(self):
+        config = config_from_mapping(
+            {**BASE, "estimators": "ie_mmai", "ie_mmai.models": str(MAX_IE_MMAI_MODELS)}
+        )
+        assert config.estimators[0].models == MAX_IE_MMAI_MODELS
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

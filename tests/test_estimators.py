@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from sisid.config import bundled_config_path, load_config
 
 from sisid.dynamics import NoiseSpec, SisParams, simulate
+from sisid import estimators
 from sisid.estimators import (
+    MAX_IE_MMAI_MODELS,
     GrlsState,
     IeMmaiConfig,
     IeMmaiState,
@@ -496,3 +498,10 @@ class TestIeMmai:
     def test_model_count_validated(self):
         with pytest.raises(ValueError):
             IeMmaiState.initialize(THETA0, n_models=0)
+
+    def test_model_count_bounded_before_any_model_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(estimators, "IeModel", lambda **kw: built.append(kw))
+        with pytest.raises(ValueError, match="n_models"):
+            IeMmaiState.initialize(THETA0, n_models=MAX_IE_MMAI_MODELS + 1)
+        assert built == []

@@ -3,14 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sisid.config import (
+    ESTIMATOR_KINDS,
     ConfigError,
     EstimatorSettings,
     ExperimentConfig,
@@ -22,8 +26,22 @@ from sisid.config import (
     parse_config_text,
 )
 from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
-from sisid.excitation import SIS_REGRESSOR, sis_regressor, sis_regressor_pair
-from sisid.harness import empirical_cost, fim_condition_trace, run_experiment
+from sisid.excitation import (
+    GREEDY_SCHEMA,
+    SIS_REGRESSOR,
+    sis_regressor,
+    sis_regressor_pair,
+    write_acceptance_trace,
+)
+from sisid.harness import (
+    METRICS_COLUMNS,
+    METRICS_SCHEMA,
+    MetricsRow,
+    _write_metrics,
+    empirical_cost,
+    fim_condition_trace,
+    run_experiment,
+)
 from sisid.linalg import condition_number, eigenvalue_condition, sym2, sym2_eigenvalues
 import sisid
 from sisid import cli
@@ -36,6 +54,8 @@ from sisid.estimators import (
     ie_mmai_selected,
     run_grls,
 )
+
+from _oracles import naive_trace_csv
 
 FIG3 = SisParams(beta=0.8076, gamma=0.2692)
 
@@ -468,6 +488,12 @@ PINNED_FILES = {
     "fig3_noisefree/greedy.csv": "21b0d557c479f7b29d31946b7d75ba3205f920faab1adbd4abbe45ae768aec2f",
     "fig3_noisy/trajectory.csv": "6f5ef32dc4f5ef15ddb2186d18001b11bbf43941a739a89a2ac2fbc126c329f7",
     "fig3_noisy/greedy.csv": "5f0c61d7df91c559d4657cebdcbf36b753ae37676ea4dc2ed43edb5250cb6fbb",
+    # every estimator's rows, schema and header lines included
+    "fig1/metrics.csv": "041b2f30c406a862d81ce16c5f63a27380955e5eac706b2335c027a09c10b4d7",
+    "fig2/metrics.csv": "2783ef1bb08d8aef96af11fd3559f50d65afdbec58338f33919165c7a99470b8",
+    "fig3_noisefree/metrics.csv":
+        "554f093315cfe70f1031e3ee1298877f34414ecda2b2f0d01d2c6dc1f90600e8",
+    "fig3_noisy/metrics.csv": "63bd2c9fd62e7fba99058c56c76c53e6558b0f7e43e9f244f18dd563f36c310c",
 }
 PINNED_METRICS_ROWS = {
     "fig3_noisefree/ef_rls": "6f1c4e12b375acf3be426e1bcd35916755539cabd93b38bd9c3a9d0b88285e1a",
@@ -505,6 +531,12 @@ class TestPinnedOutputs:
         rows = b"".join(line for line in lines if line.split(b",")[1:2] == [kind.encode()])
         assert rows.count(b"\r\n") == 2000
         assert hashlib.sha256(rows).hexdigest() == PINNED_METRICS_ROWS[key]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_metrics_file_equals_the_naive_writer(self, runs, name):
+        root, results = runs
+        expected = naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, results[name].rows)
+        assert (root / name / "metrics.csv").read_bytes() == expected
 
     def test_ef_rls_fails_at_step_570_on_fig3_noisefree(self, runs):
         _, results = runs
@@ -580,3 +612,114 @@ class TestHarnessLanes:
                 )
         assert len(spreads) > 2 * est.models * (config.steps - 20)
         assert max(spreads) <= 1e-4
+
+
+# Values a trace float takes, weighted toward those whose text must not be
+# reused from an equal value: zeros of either sign, NaN, infinities.
+NUMBER = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.floats())
+OPTIONAL = st.one_of(st.none(), NUMBER)
+GREEDY_COLUMNS = ("step", "accepted", "kappa_before", "kappa_after")
+
+
+@st.composite
+def _runs(draw, fields, n):
+    """n tuples drawn from ``fields``, in runs of equal tuples; inside a run
+    any zero may change sign from one tuple to the next."""
+    out = []
+    while len(out) < n:
+        values = draw(st.tuples(*fields))
+        for _ in range(draw(st.integers(1, 12))):
+            flips = draw(st.integers(0, 2 ** len(fields) - 1))  # bit i flips field i
+            out.append(tuple(
+                -v if flips >> i & 1 and v == 0.0 else v for i, v in enumerate(values)
+            ))
+    return out[:n]
+
+
+@st.composite
+def _metrics_rows(draw):
+    """Rows of two to four interleaved estimators, step by step. Each
+    estimator's fim_cond is either its own or shared with the others, as
+    lanes with one alpha share it."""
+    kinds = draw(st.lists(st.sampled_from(ESTIMATOR_KINDS), min_size=2, max_size=4, unique=True))
+    n = draw(st.integers(1, 30))
+    shared = draw(_runs((NUMBER,), n))
+    lanes = []
+    for kind in kinds:
+        values = draw(_runs((NUMBER, NUMBER) + (OPTIONAL,) * 5, n))
+        fims = draw(_runs((NUMBER,), n)) if draw(st.booleans()) else shared
+        accepted = draw(st.lists(st.sampled_from([None, True, False]), min_size=n, max_size=n))
+        lanes.append((kind, values, fims, accepted))
+    return [
+        _metrics_row(k, kind, values[k], fims[k][0], accepted[k])
+        for k in range(n)
+        for kind, values, fims, accepted in lanes
+    ]
+
+
+def _metrics_row(k, kind, values, fim, accepted):
+    beta, gamma, r0, rel, log_rel, p_cond, p_max = values
+    return MetricsRow(k, kind, beta, gamma, r0, rel, log_rel, fim, p_cond, p_max, accepted)
+
+
+# Both lanes repeat one row, except for the sign of a zero, while they share
+# a zero fim_cond whose sign flips too; then NaN.
+_ZERO_FLIPS = [
+    _metrics_row(k, kind, (1.5, 2.0, zero, None, math.inf, zero, -zero), fim, None)
+    for k, (zero, fim) in enumerate([(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)])
+    for kind in ("pure_gd", "grls")
+] + [
+    _metrics_row(k, "grls", (math.nan, 2.0, None, None, None, None, None), math.nan, True)
+    for k in (4, 5)
+]
+
+
+@st.composite
+def _greedy_rows(draw):
+    n = draw(st.integers(1, 60))
+    kappas = draw(_runs((NUMBER, NUMBER), n))
+    accepted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [(k, accepted[k], *kappas[k]) for k in range(n)]
+
+
+_GREEDY_ZERO_FLIPS = [
+    (k, k % 2 == 0, before, after)
+    for k, (before, after) in enumerate([
+        (0.0, 1.0), (-0.0, 1.0), (-0.0, 1.0), (math.inf, -0.0), (math.inf, 0.0),
+        (math.nan, 2.0), (math.nan, 2.0),
+    ])
+]
+
+
+def _written(writer, rows) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        writer(path, rows)
+        return path.read_bytes()
+
+
+class TestWriterTextReuse:
+    """The writers reuse the text of a repeated float, and write the same
+    bytes as formatting every field anew."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rows=_metrics_rows())
+    @example(rows=_ZERO_FLIPS)
+    def test_metrics_writer_equals_the_naive_writer(self, rows):
+        expected = naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, rows)
+        assert _written(_write_metrics, rows) == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rows=_greedy_rows())
+    @example(rows=_GREEDY_ZERO_FLIPS)
+    def test_acceptance_writer_equals_the_naive_writer(self, rows):
+        expected = naive_trace_csv(GREEDY_SCHEMA, GREEDY_COLUMNS, rows)
+        assert _written(write_acceptance_trace, rows) == expected
+
+    def test_metrics_row_is_a_tuple(self):
+        row = _ZERO_FLIPS[0]
+        assert row == tuple(row)
+        step, kind, *_ = row
+        assert (step, kind, row[2], row.beta_hat) == (0, "pure_gd", 1.5, 1.5)
+        with pytest.raises(AttributeError):
+            row.step = 1
