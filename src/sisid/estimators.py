@@ -2,16 +2,23 @@
 
 Four identifiers are provided:
 
-* ``pure_gd_step`` -- unit-gain gradient descent on the stage cost.
+* ``pure_gd_kernel`` -- unit-gain gradient descent on the stage cost.
 * ``ef_rls_step`` -- recursive least squares with exponential forgetting.
 * ``grls_step`` -- greedily-weighted RLS: exciting data points are kept in
   an excitation set whose contribution is refreshed every step instead of
   being forgotten, which prevents covariance windup once the trajectory
   settles onto an equilibrium.
-* ``ie_mmai_step`` -- a multi-model gradient baseline with a one-shot least
-  squares correction once the data pass the initial-excitation test. This
-  is a deliberately approximate reconstruction of the published method; only
-  its qualitative behavior is relied upon.
+* ``ie_mmai_kernel`` (state from ``ie_mmai_init``) -- a multi-model
+  gradient baseline with a one-shot least squares correction once the data
+  pass the initial-excitation test. This is a deliberately approximate
+  reconstruction of the published method; only its qualitative behavior is
+  relied upon.
+
+Every identifier steps through a kernel on floats (``pure_gd_kernel``,
+``ef_rls_kernel``, ``grls_kernel``, ``ie_mmai_kernel``): two parameters
+and one scalar observation per step, which the caller has checked.
+``ef_rls_step`` and ``grls_step`` are array adapters over theirs that check
+their input.
 
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
@@ -20,6 +27,7 @@ recursive and batch routes can be checked against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +36,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .excitation import GreedySet, Regressor, finite_pair, finite_scalar, greedy_offer
 from .linalg import (
+    ConditioningError,
     Sym2,
     covariance_update,
     solve_spd,
@@ -48,16 +57,6 @@ def pure_gd_kernel(
     return t1 + u1 * e, t2 + u2 * e
 
 
-def pure_gd_step(theta_hat: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One unit-gain negative-gradient step: theta + phi^T (y - phi theta).
-
-    Two parameters and one scalar observation, like the RLS kernels; a
-    non-finite theta_hat, phi or y raises ``ValueError`` naming it.
-    """
-    theta = finite_pair(theta_hat, "theta_hat")
-    return np.array(pure_gd_kernel(theta, finite_pair(phi, "phi"), finite_scalar(y, "y")))
-
-
 def _rls_kernel(
     p: Sym2,
     theta: tuple[float, float],
@@ -72,7 +71,9 @@ def _rls_kernel(
     (datum cost): P' = (alpha P^-1 + (1 - alpha) F + phi^T phi)^-1 and
     theta' = theta + P' ((1 - alpha) (r - F theta) + phi^T (y - phi theta)),
     where F and r are the set's FIM and right-hand side. ``phi`` is None
-    when the datum has just joined the set, which then carries it.
+    when the datum has just joined the set, which then carries it. Raises
+    ``ConditioningError`` when the covariance update does, or when theta'
+    is not finite.
     """
     t1, t2 = theta
     g1 = g2 = 0.0
@@ -90,7 +91,10 @@ def _rls_kernel(
         g1 += u1 * e
         g2 += u2 * e
     a, b, d = covariance_update(p, alpha, refresh, phi)
-    return (a, b, d), (t1 + (a * g1 + b * g2), t2 + (b * g1 + d * g2))
+    t1, t2 = t1 + (a * g1 + b * g2), t2 + (b * g1 + d * g2)
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ConditioningError(f"the RLS step gave non-finite theta' = {(t1, t2)!r}")
+    return (a, b, d), (t1, t2)
 
 
 def _finite_state(p: np.ndarray, theta: np.ndarray) -> tuple[Sym2, tuple[float, float]]:
@@ -121,8 +125,9 @@ def ef_rls_step(
     P' phi^T (y - phi theta_hat). The estimator fails with
     ``ConditioningError`` when alpha + phi P phi^T <= 0 or is not finite:
     its covariance has wound up until round-off destroyed its positive
-    definiteness. Non-finite P, theta_hat, phi or y raise ``ValueError``
-    naming the argument.
+    definiteness. It also fails when the new P or theta_hat is not finite.
+    Non-finite P, theta_hat, phi or y raise ``ValueError`` naming the
+    argument.
     """
     p, theta = _finite_state(*state)
     row = finite_pair(phi, "phi")
@@ -176,7 +181,7 @@ class GrlsState:
         return cls(
             P=p0_scale * np.eye(2),
             theta=theta0,
-            excitation=GreedySet.empty(),
+            excitation=GreedySet(),
             alpha=alpha,
             regressor=regressor,
             greedy_enabled=greedy_enabled,
@@ -215,7 +220,7 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     with unit weight, to be forgotten exponentially like ordinary RLS data.
     A non-finite ``x_k``, ``x_next``, regressor, ``state.P`` or
     ``state.theta`` raises ``ValueError``; a covariance that loses positive
-    definiteness raises ``ConditioningError``.
+    definiteness, or a non-finite new P or theta, raises ``ConditioningError``.
     """
     p, theta = _finite_state(state.P, state.theta)
     x_k = finite_scalar(x_k, "x_k")
@@ -276,15 +281,6 @@ def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
     return spec.alpha ** (k - i)
 
 
-def limiting_cost_weights(spec: WeightedCostSpec, i: int, k: int) -> float:
-    """Limit of cost_weight as k grows with i fixed: 1 inside the set, else alpha^(k-i)."""
-    if i > k:
-        raise ValueError(f"weight requested for future point i={i} > k={k}")
-    if i in spec.greedy_indices:
-        return 1.0
-    return spec.alpha ** (k - i)
-
-
 def batch_oracle(
     traj: Trajectory, reg: Regressor, spec: WeightedCostSpec, k: int
 ) -> np.ndarray:
@@ -318,27 +314,14 @@ def batch_oracle(
     return solve_spd(symmetrize(a), rhs)
 
 
-@dataclass(frozen=True)
-class IeMmaiConfig:
-    """Knobs of the multi-model baseline.
-
-    ``ie_threshold`` is the smallest-eigenvalue level the accumulated FIM
-    must clear before the one-shot correction fires; ``prox_weight``
-    regularizes that correction toward each model's own estimate, so models
-    stay distinguishable in directions the data leave flat; ``cost_alpha``
-    discounts the running residual cost used for model selection.
-    """
-
-    ie_threshold: float = 1e-4
-    prox_weight: float = 1e-8
-    cost_alpha: float = 0.94
-
-
-@dataclass(frozen=True)
-class IeModel:
-    theta: np.ndarray
-    cost: float = 0.0
-
+# IE-MMAI's fixed settings. The one-shot correction fires once the smallest
+# eigenvalue of the accumulated FIM reaches IE_THRESHOLD; IE_PROX_WEIGHT
+# regularizes that correction toward each model's own estimate, so models
+# stay distinguishable in directions the data leave flat; IE_COST_ALPHA
+# discounts the running residual cost used for model selection.
+IE_THRESHOLD = 1e-4
+IE_PROX_WEIGHT = 1e-8
+IE_COST_ALPHA = 0.94
 
 # The most models an IE-MMAI state may hold. Every model is stepped on every
 # step, so a count far beyond a few is only a way to exhaust memory or time.
@@ -350,74 +333,50 @@ MAX_IE_MMAI_MODELS = 1000
 IeFloats = tuple[tuple[tuple[float, float, float], ...], Sym2, tuple[float, float], bool]
 
 
-@dataclass(frozen=True)
-class IeMmaiState:
-    """Models plus the shared excitation accumulators of the IE-MMAI baseline."""
-
-    models: tuple[IeModel, ...]
-    fim: np.ndarray
-    rhs: np.ndarray
-    corrected: bool
-    config: IeMmaiConfig
-    step: int = 0
-
-    @classmethod
-    def initialize(
-        cls,
-        theta0: Sequence[float],
-        n_models: int,
-        spread: float = 0.25,
-        seed: int = 0,
-        config: IeMmaiConfig | None = None,
-    ) -> "IeMmaiState":
-        if n_models < 1:
-            raise ValueError("need at least one model")
-        if n_models > MAX_IE_MMAI_MODELS:
-            raise ValueError(f"n_models: at most {MAX_IE_MMAI_MODELS} models, got {n_models}")
-        theta0 = np.asarray(theta0, dtype=float)
-        rng = np.random.default_rng(seed)
-        models = tuple(
-            IeModel(theta=theta0 + spread * rng.standard_normal(theta0.shape))
-            for _ in range(n_models)
-        )
-        n = theta0.shape[0]
-        return cls(
-            models=models,
-            fim=np.zeros((n, n)),
-            rhs=np.zeros(n),
-            corrected=False,
-            config=config or IeMmaiConfig(),
-        )
-
-    def selected(self) -> np.ndarray:
-        best = min(range(len(self.models)), key=lambda i: self.models[i].cost)
-        return self.models[best].theta
-
-    def floats(self) -> IeFloats:
-        """The state as ``ie_mmai_kernel`` steps it; ``ValueError`` when not finite."""
-        models = tuple(
-            (*finite_pair(m.theta, "model theta"), finite_scalar(m.cost, "model cost"))
-            for m in self.models
-        )
-        fim = sym2(self.fim, "state fim")
-        return models, fim, finite_pair(self.rhs, "state rhs"), self.corrected
-
-
-def ie_mmai_kernel(
-    state: IeFloats, config: IeMmaiConfig, phi: tuple[float, float], y: float
+def ie_mmai_init(
+    theta0: Sequence[float], n_models: int, spread: float = 0.25, seed: int = 0
 ) -> IeFloats:
-    """One IE-MMAI step on floats; see ``ie_mmai_step``."""
+    """IE-MMAI's initial state: ``n_models`` models drawn around ``theta0``.
+
+    Model i is theta0 + spread * z_i, with z_i the i-th pair of standard
+    normals from ``numpy.random.default_rng(seed)``; every cost, the FIM and
+    the right-hand side start at zero. ``ValueError`` for a model count
+    outside 1..``MAX_IE_MMAI_MODELS`` (raised before any draw) or a
+    non-finite model.
+    """
+    if n_models < 1:
+        raise ValueError("need at least one model")
+    if n_models > MAX_IE_MMAI_MODELS:
+        raise ValueError(f"n_models: at most {MAX_IE_MMAI_MODELS} models, got {n_models}")
+    t1, t2 = finite_pair(theta0, "theta0")
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(n_models):
+        z1, z2 = rng.standard_normal(2).tolist()
+        models.append((*finite_pair((t1 + spread * z1, t2 + spread * z2), "model theta"), 0.0))
+    return tuple(models), (0.0, 0.0, 0.0), (0.0, 0.0), False
+
+
+def ie_mmai_kernel(state: IeFloats, phi: tuple[float, float], y: float) -> IeFloats:
+    """Advance every model one gradient step; returns the next state.
+
+    Residual costs are discounted and accumulated before the update. Once the
+    undiscounted FIM over all data so far passes the initial-excitation
+    threshold, each model jumps to the proximally-regularized least squares
+    solution over that window; afterwards the models keep descending as
+    before. ``ie_mmai_selected`` reads the estimate.
+    """
     models, (a, b, d), (r1, r2), corrected = state
     u1, u2 = phi
     stepped = []
     for t1, t2, cost in models:
         # the pure-GD step, whose residual also feeds the model's cost
         e = y - (u1 * t1 + u2 * t2)
-        stepped.append((t1 + u1 * e, t2 + u2 * e, config.cost_alpha * cost + 0.5 * (e * e)))
+        stepped.append((t1 + u1 * e, t2 + u2 * e, IE_COST_ALPHA * cost + 0.5 * (e * e)))
     a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
     r1, r2 = r1 + u1 * y, r2 + u2 * y
-    if not corrected and sym2_eigenvalues(a, b, d)[0] >= config.ie_threshold:
-        w = config.prox_weight
+    if not corrected and sym2_eigenvalues(a, b, d)[0] >= IE_THRESHOLD:
+        w = IE_PROX_WEIGHT
         regularized = sym2_array((a + w, b, d + w))
         stepped = [
             (*solve_spd(regularized, np.array([r1 + w * t1, r2 + w * t2])).tolist(), cost)
@@ -437,28 +396,3 @@ def ie_mmai_selected(models: tuple[tuple[float, float, float], ...]) -> tuple[fl
     """
     t1, t2, _ = min(models, key=lambda m: m[2])
     return t1, t2
-
-
-def ie_mmai_step(
-    state: IeMmaiState, phi: np.ndarray, y: np.ndarray
-) -> tuple[IeMmaiState, np.ndarray]:
-    """Advance every model one gradient step and return (state, selected estimate).
-
-    Residual costs are discounted and accumulated before the update. Once the
-    undiscounted FIM over all data so far passes the initial-excitation
-    threshold, each model jumps to the proximally-regularized least squares
-    solution over that window; afterwards the models keep descending as before.
-    Two parameters and one scalar observation; a non-finite phi or y raises
-    ``ValueError`` naming it.
-    """
-    row, y = finite_pair(phi, "phi"), finite_scalar(y, "y")
-    models, fim, rhs, corrected = ie_mmai_kernel(state.floats(), state.config, row, y)
-    new_state = IeMmaiState(
-        models=tuple(IeModel(theta=np.array(m[:2]), cost=m[2]) for m in models),
-        fim=sym2_array(fim),
-        rhs=np.array(rhs),
-        corrected=corrected,
-        config=state.config,
-        step=state.step + 1,
-    )
-    return new_state, new_state.selected()

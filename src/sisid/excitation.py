@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import Sym2, condition_number, min_eigenvalue_sym, sym2_array, sym2_condition
+from .linalg import Sym2, condition_number, sym2, sym2_condition, sym2_eigenvalues
 
 # Regressor rows with norm below this contribute nothing and are never
 # admitted into an excitation set.
@@ -57,42 +57,6 @@ def sis_regressor(x: float) -> np.ndarray:
 SIS_REGRESSOR = Regressor(fn=sis_regressor, n_outputs=1, n_params=2)
 
 
-def residual(y: np.ndarray, phi: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    """Prediction residual y - phi @ theta_hat."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if phi.shape[0] != y.shape[0] or phi.shape[1] != theta_hat.shape[0]:
-        raise ValueError(
-            f"shape mismatch: y {y.shape}, phi {phi.shape}, theta {theta_hat.shape}"
-        )
-    return y - phi @ theta_hat
-
-
-@dataclass
-class FisherInfo:
-    """Discounted accumulation H = sum_i discount^(k-i) phi_i^T phi_i."""
-
-    h: np.ndarray
-    discount: float = 1.0
-
-    @classmethod
-    def zero(cls, n_params: int, discount: float = 1.0) -> "FisherInfo":
-        if not 0.0 < discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1], got {discount}")
-        return cls(h=np.zeros((n_params, n_params)), discount=discount)
-
-    def accumulate(self, phi: np.ndarray) -> None:
-        phi = np.atleast_2d(np.asarray(phi, dtype=float))
-        self.h = self.discount * self.h + phi.T @ phi
-
-    def condition_number(self) -> float:
-        return condition_number(self.h)
-
-    def min_eigenvalue(self) -> float:
-        return min_eigenvalue_sym(self.h)
-
-
 def sliding_fim(traj: Trajectory, reg: Regressor, l: int, window: int) -> np.ndarray:
     """FIM of the window sum_{k=l}^{l+window} phi(x_k)^T phi(x_k) (inclusive)."""
     if l < 0 or window < 0 or l + window > traj.step_count:
@@ -113,7 +77,7 @@ def is_initially_exciting(
     if alpha_threshold <= 0:
         raise ValueError("alpha_threshold must be positive")
     h = sliding_fim(traj, reg, 0, horizon)
-    return min_eigenvalue_sym(h) >= alpha_threshold
+    return sym2_eigenvalues(*sym2(h))[0] >= alpha_threshold
 
 
 @dataclass(frozen=True)
@@ -134,23 +98,9 @@ class GreedySet:
     rhs_entries: tuple[float, float] = (0.0, 0.0)
     cond: float = math.inf
 
-    @classmethod
-    def empty(cls, n_params: int = 2) -> "GreedySet":
-        if n_params != 2:
-            raise ValueError(f"excitation sets are over 2 parameters, got {n_params}")
-        return cls()
-
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def fim(self) -> np.ndarray:
-        return sym2_array(self.fim_entries)
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array(self.rhs_entries)
 
 
 def finite_pair(value, name: str) -> tuple[float, float]:
@@ -212,7 +162,7 @@ def greedy_offer(gset: GreedySet, phi_k, y_k, k: int) -> tuple[GreedySet, bool]:
 def build_greedy_set(traj: Trajectory, reg: Regressor, upto: int | None = None) -> GreedySet:
     """Run the acceptance rule over steps 0..upto-1 of a trajectory."""
     upto = traj.step_count if upto is None else upto
-    gset = GreedySet.empty(reg.n_params)
+    gset = GreedySet()
     for k in range(upto):
         gset, _ = greedy_offer(gset, reg(traj.states[k]), traj.observations[k], k)
     return gset
@@ -279,18 +229,3 @@ def write_acceptance_trace(
                 last = None if 0.0 in kappas else kappas
             fh.write(f"{step},{int(accepted)},{text}\r\n")
 
-
-def export_acceptance_trace(
-    traj: Trajectory, reg: Regressor, path: str | Path
-) -> list[tuple[int, bool, float, float]]:
-    """Run the acceptance rule over a trajectory and write its trace CSV."""
-    gset = GreedySet.empty(reg.n_params)
-    rows = []
-    for k in range(traj.step_count):
-        before = gset.cond
-        gset, accepted = greedy_offer(
-            gset, reg(traj.states[k]), traj.observations[k], k
-        )
-        rows.append((k, accepted, before, gset.cond))
-    write_acceptance_trace(path, rows)
-    return rows

@@ -33,10 +33,9 @@ from .config import EstimatorSettings, ExperimentConfig, config_to_mapping
 from .dynamics import Trajectory, simulate
 from .estimators import (
     GrlsState,
-    IeMmaiConfig,
-    IeMmaiState,
     ef_rls_kernel,
     grls_kernel,
+    ie_mmai_init,
     ie_mmai_kernel,
     ie_mmai_selected,
     pure_gd_kernel,
@@ -47,7 +46,6 @@ from .excitation import (
     Regressor,
     finite_pair,
     finite_scalar,
-    residual,
     sis_regressor_pair,
     write_acceptance_trace,
 )
@@ -86,19 +84,6 @@ class MetricsRow(NamedTuple):
     p_cond: float | None
     p_max_eig: float | None
     accepted: bool | None
-
-
-def empirical_cost(
-    traj: Trajectory, reg: Regressor, theta_hat: np.ndarray, alpha: float, k: int
-) -> float:
-    """Half-sum of exponentially discounted squared residuals over steps 0..k."""
-    if k >= traj.step_count:
-        raise ValueError(f"step {k} out of range for {traj.step_count} observations")
-    total = 0.0
-    for i in range(k + 1):
-        r = residual(traj.observations[i], reg(traj.states[i]), theta_hat)
-        total += alpha ** (k - i) * float(r @ r)
-    return 0.5 * total
 
 
 def fim_condition_trace(traj: Trajectory, reg: Regressor, alpha: float) -> list[float]:
@@ -160,7 +145,7 @@ def _grls_init(est: EstimatorSettings) -> _GrlsFloats:
 
 
 def _ie_mmai_init(est: EstimatorSettings):
-    return IeMmaiState.initialize(est.theta0, est.models, spread=est.spread, seed=est.seed).floats()
+    return ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
 
 
 def _pure_gd_step(est, theta, phi, y):
@@ -177,11 +162,8 @@ def _grls_step(est, state, phi, y):
     return (p, theta, after, k + 1), (accepted, before.cond, after.cond)
 
 
-_IE_MMAI_CONFIG = IeMmaiConfig()
-
-
 def _ie_mmai_step(est, state, phi, y):
-    return ie_mmai_kernel(state, _IE_MMAI_CONFIG, phi, y), None
+    return ie_mmai_kernel(state, phi, y), None
 
 
 def _no_p(state) -> None:

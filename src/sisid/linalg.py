@@ -4,9 +4,8 @@ The scalar SIS problem has two parameters, so every matrix the library
 steps is a symmetric 2x2. Such a matrix [[a, b], [b, d]] is passed around
 as its three distinct entries ``(a, b, d)``, and its eigenvalues,
 condition number and forgetting-RLS covariance update are closed forms
-over those floats, with no SVD or factorization. Arrays of other shapes
-are still accepted by ``condition_number`` (singular values through numpy)
-and ``min_eigenvalue_sym``; nothing in the library passes them.
+over those floats, with no SVD or factorization. ``condition_number``
+reads a 2x2 array and rejects any other shape or an asymmetric matrix.
 ``solve_spd`` (numpy's Cholesky) serves the batch oracle and the IE-MMAI
 correction, which solve from scratch rather than step.
 """
@@ -82,39 +81,15 @@ def eigenvalue_condition(lo: float, hi: float) -> float:
 
 
 def condition_number(m: np.ndarray) -> float:
-    """Ratio of largest to smallest singular value; inf for rank-deficient input.
+    """Ratio of largest to smallest singular value of a symmetric 2x2 matrix.
 
-    Symmetric 2x2 input, the only kind the library passes, goes through
-    ``sym2_condition``; other shapes through an SVD, with the same rank
-    tolerance.
+    ``math.inf`` for rank-deficient input, by ``sym2_condition``. Raises
+    ``ValueError`` unless ``m`` is a finite, exactly symmetric 2x2 array.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-        raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    if m.shape == (2, 2) and m[0, 1] == m[1, 0]:
-        return sym2_condition(*sym2(m))
-    s = np.linalg.svd(m, compute_uv=False)
-    return eigenvalue_condition(float(s[-1]), float(s[0]))
-
-
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-    scale = np.max(np.abs(m))
-    if scale > 0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return m
-
-
-def min_eigenvalue_sym(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (closed form for 2x2)."""
-    m = _check_symmetric(m)
-    if m.shape == (2, 2):
-        return sym2_eigenvalues(m[0, 0], m[0, 1], m[1, 1])[0]
-    return float(np.linalg.eigvalsh(m)[0])
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a symmetric 2x2 matrix, got shape {m.shape}")
+    return sym2_condition(*sym2(m))
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -141,7 +116,9 @@ def covariance_update(
     and P' = Q / alpha, for alpha in (0, 1]. Raises ``ConditioningError``
     when g <= 0 or g is not finite: P has lost positive definiteness to
     round-off, which is how forgetting RLS dies once its covariance has
-    wound up.
+    wound up. It also raises when an entry of P' is not finite, as when
+    det(P) overflows in the refresh of a huge P, so that no caller carries
+    a NaN covariance on.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -164,7 +141,10 @@ def covariance_update(
             )
         k1, k2 = v1 / g, v2 / g
         a, b, d = a - v1 * k1, b - v1 * k2, d - v2 * k2
-    return a / alpha, b / alpha, d / alpha
+    a, b, d = a / alpha, b / alpha, d / alpha
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        raise ConditioningError(f"the covariance update gave non-finite P' = {(a, b, d)!r}")
+    return a, b, d
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

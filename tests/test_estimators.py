@@ -9,25 +9,22 @@ from hypothesis import strategies as st
 from sisid.config import bundled_config_path, load_config
 
 from sisid.dynamics import NoiseSpec, SisParams, simulate
-from sisid import estimators
 from sisid.estimators import (
     MAX_IE_MMAI_MODELS,
     GrlsState,
-    IeMmaiConfig,
-    IeMmaiState,
-    IeModel,
     WeightedCostSpec,
     batch_oracle,
     cost_weight,
     ef_rls_step,
     grls_step,
-    ie_mmai_step,
-    limiting_cost_weights,
-    pure_gd_step,
+    ie_mmai_init,
+    ie_mmai_kernel,
+    ie_mmai_selected,
+    pure_gd_kernel,
     run_grls,
 )
-from sisid.excitation import SIS_REGRESSOR, Regressor, sis_regressor
-from sisid.linalg import min_eigenvalue_sym
+from sisid.excitation import SIS_REGRESSOR, Regressor, sis_regressor, sis_regressor_pair
+from sisid.linalg import sym2, sym2_eigenvalues
 
 from _oracles import sis_phi_rows, weighted_normal_solution
 
@@ -48,29 +45,34 @@ def drive_ef_rls(traj, theta0, alpha, p0_scale):
     return history
 
 
+def min_eigenvalue(p):
+    return sym2_eigenvalues(*sym2(p))[0]
+
+
 class TestPureGd:
     def test_zero_residual_is_fixed_point(self):
         x = 0.25
         y = (1.0 - x) * FIG3.beta * x - FIG3.gamma * x
-        theta = FIG3.as_vector()
-        assert np.array_equal(pure_gd_step(theta, sis_regressor(x), [y]), theta)
+        theta = (FIG3.beta, FIG3.gamma)
+        assert pure_gd_kernel(theta, sis_regressor_pair(x), y) == theta
 
     def test_zero_regressor_is_fixed_point(self):
-        theta = np.array([0.3, 0.7])
-        assert np.array_equal(pure_gd_step(theta, sis_regressor(0.0), [0.5]), theta)
+        theta = (0.3, 0.7)
+        assert pure_gd_kernel(theta, sis_regressor_pair(0.0), 0.5) == theta
 
     def test_hand_evaluated_step(self):
         # r = 0.000788 - (0.0099*0.05 - 0.01*0.07) = 0.000993
         # theta' = [0.05 + 0.0099*r, 0.07 - 0.01*r]
-        theta = pure_gd_step([0.05, 0.07], sis_regressor(0.01), [0.000788])
+        theta = pure_gd_kernel((0.05, 0.07), sis_regressor_pair(0.01), 0.000788)
         assert theta[0] == pytest.approx(0.05 + 0.0099 * 0.000993, abs=1e-12)
         assert theta[1] == pytest.approx(0.07 - 0.01 * 0.000993, abs=1e-12)
 
     def test_converges_to_ratio_class_not_parameters(self):
         traj = simulate(0.01, FIG1, 5000)
-        theta = np.array([0.05, 0.07])
-        for k in range(traj.step_count):
-            theta = pure_gd_step(theta, sis_regressor(traj.states[k]), traj.observations[k])
+        theta = (0.05, 0.07)
+        for x, y in zip(traj.states[:-1].tolist(), traj.observations.tolist()):
+            theta = pure_gd_kernel(theta, sis_regressor_pair(x), y)
+        theta = np.array(theta)
         ratio_err = abs(theta[0] / theta[1] - FIG1.reproduction_number())
         rel_err = np.max(np.abs(theta - FIG1.as_vector()) / FIG1.as_vector())
         assert ratio_err < 0.05
@@ -132,7 +134,7 @@ class TestEfRls:
     def test_covariance_stays_positive_definite(self):
         traj = simulate(0.01, FIG3, 300, NoiseSpec(seed=1))
         for p, _ in drive_ef_rls(traj, THETA0, 0.94, 100.0):
-            assert min_eigenvalue_sym(p) > 0
+            assert min_eigenvalue(p) > 0
 
 
 class TestGrls:
@@ -173,7 +175,7 @@ class TestGrls:
     def test_covariance_stays_positive_definite(self):
         traj = simulate(0.01, FIG3, 300, NoiseSpec(seed=2))
         for state in run_grls(GrlsState.initial(THETA0, SIS_REGRESSOR), traj):
-            assert min_eigenvalue_sym(state.P) > 0
+            assert min_eigenvalue(state.P) > 0
 
     def test_disabled_excitation_set_reproduces_ef_rls(self):
         traj = simulate(0.01, FIG3, 200, NoiseSpec(seed=3))
@@ -241,7 +243,7 @@ def test_recursion_matches_batch_oracle_and_kappa_never_rises(
 
 
 class TestNonFiniteInput:
-    """Every stepping entry point rejects NaN/inf with ValueError naming the argument."""
+    """Every array entry point rejects NaN/inf with ValueError naming the argument."""
 
     @pytest.mark.parametrize(
         "x_k,x_next,name",
@@ -285,26 +287,6 @@ class TestNonFiniteInput:
             ef_rls_step((p, np.asarray(theta)), phi, y, 0.94)
 
     @pytest.mark.parametrize(
-        "theta,phi,y,name",
-        [
-            ([math.nan, 1.0], [[0.1, -0.1]], [0.01], "theta_hat"),
-            (THETA0, [[0.1, math.inf]], [0.01], "phi"),
-            (THETA0, [[0.1, -0.1]], -math.inf, "y"),
-        ],
-    )
-    def test_pure_gd_step(self, theta, phi, y, name):
-        with pytest.raises(ValueError, match=name):
-            pure_gd_step(theta, phi, y)
-
-    @pytest.mark.parametrize(
-        "phi,y,name", [([[math.nan, -0.1]], 0.01, "phi"), ([[0.1, -0.1]], [math.inf], "y")]
-    )
-    def test_ie_mmai_step(self, phi, y, name):
-        state = IeMmaiState.initialize(THETA0, n_models=3)
-        with pytest.raises(ValueError, match=name):
-            ie_mmai_step(state, phi, y)
-
-    @pytest.mark.parametrize(
         "field,value",
         [("p0_inv", np.diag([0.01, math.nan])), ("theta0", np.array([1.0, math.inf]))],
     )
@@ -331,17 +313,14 @@ class TestWeights:
         w = cost_weight(spec, i, k)
         assert w == pytest.approx(direct, abs=1e-12)
         assert w == pytest.approx(1.0 - 0.94 ** 201, abs=1e-15)
-        assert abs(w - limiting_cost_weights(spec, i, k)) < 1e-4
 
     def test_current_point_weight(self):
         spec = self.make_spec()
         assert cost_weight(spec, 7, 7) == 1.0
-        assert limiting_cost_weights(spec, 7, 7) == 1.0
 
     def test_old_unexciting_points_fade(self):
         spec = self.make_spec()
         assert cost_weight(spec, 0, 500) < 1e-13
-        assert limiting_cost_weights(spec, 0, 500) < 1e-13
 
     def test_weights_lie_in_unit_interval(self):
         rng = np.random.default_rng(12)
@@ -415,6 +394,17 @@ class TestBatchOracle:
             batch_oracle(traj, SIS_REGRESSOR, bad, 5)
 
 
+def sis_data(traj):
+    """(regressor pair, observation) of each step of a trajectory."""
+    xs = traj.states[:-1].tolist()
+    return [(sis_regressor_pair(x), y) for x, y in zip(xs, traj.observations.tolist())]
+
+
+def ie_state(*thetas):
+    """IE-MMAI state with the given model estimates and nothing accumulated."""
+    return tuple((t1, t2, 0.0) for t1, t2 in thetas), (0.0, 0.0, 0.0), (0.0, 0.0), False
+
+
 class TestIeMmai:
     def make_noisy_traj(self, seed=5):
         return simulate(
@@ -426,82 +416,73 @@ class TestIeMmai:
 
     def test_converged_single_model_stays_put(self):
         traj = simulate(0.01, FIG3, 300)
-        state = IeMmaiState(
-            models=(IeModel(theta=FIG3.as_vector()),),
-            fim=np.zeros((2, 2)),
-            rhs=np.zeros(2),
-            corrected=False,
-            config=IeMmaiConfig(),
-        )
-        for k in range(traj.step_count):
-            state, selected = ie_mmai_step(
-                state, sis_regressor(traj.states[k]), traj.observations[k]
-            )
-        assert np.allclose(selected, FIG3.as_vector(), atol=1e-9)
-        assert state.corrected
+        state = ie_state((FIG3.beta, FIG3.gamma))
+        for phi, y in sis_data(traj):
+            state = ie_mmai_kernel(state, phi, y)
+        assert np.allclose(ie_mmai_selected(state[0]), FIG3.as_vector(), atol=1e-9)
+        assert state[3]  # corrected
 
     def test_identical_models_give_identical_outputs(self):
         traj = self.make_noisy_traj()
-        theta = np.array([0.9, 1.1])
-        state = IeMmaiState(
-            models=(IeModel(theta=theta), IeModel(theta=theta), IeModel(theta=theta)),
-            fim=np.zeros((2, 2)),
-            rhs=np.zeros(2),
-            corrected=False,
-            config=IeMmaiConfig(),
-        )
-        for k in range(200):
-            state, selected = ie_mmai_step(
-                state, sis_regressor(traj.states[k]), traj.observations[k]
-            )
-            thetas = [m.theta for m in state.models]
-            assert np.array_equal(thetas[0], thetas[1])
-            assert np.array_equal(thetas[0], thetas[2])
-            assert np.array_equal(selected, thetas[0])
+        state = ie_state((0.9, 1.1), (0.9, 1.1), (0.9, 1.1))
+        for phi, y in sis_data(traj)[:200]:
+            state = ie_mmai_kernel(state, phi, y)
+            thetas = [m[:2] for m in state[0]]
+            assert thetas[0] == thetas[1] == thetas[2]
+            assert ie_mmai_selected(state[0]) == thetas[0]
 
     def test_permutation_symmetry(self):
         traj = self.make_noisy_traj()
-        base = IeMmaiState.initialize(THETA0, n_models=3, seed=13)
-        swapped = IeMmaiState(
-            models=base.models[::-1],
-            fim=base.fim.copy(),
-            rhs=base.rhs.copy(),
-            corrected=base.corrected,
-            config=base.config,
-        )
-        for k in range(300):
-            phi, y = sis_regressor(traj.states[k]), traj.observations[k]
-            base, sel_a = ie_mmai_step(base, phi, y)
-            swapped, sel_b = ie_mmai_step(swapped, phi, y)
-            assert np.array_equal(sel_a, sel_b)
-        for m_a, m_b in zip(base.models, swapped.models[::-1]):
-            assert np.array_equal(m_a.theta, m_b.theta)
+        base = ie_mmai_init(THETA0, n_models=3, seed=13)
+        models, fim, rhs, corrected = base
+        swapped = models[::-1], fim, rhs, corrected
+        for phi, y in sis_data(traj)[:300]:
+            base = ie_mmai_kernel(base, phi, y)
+            swapped = ie_mmai_kernel(swapped, phi, y)
+            assert ie_mmai_selected(base[0]) == ie_mmai_selected(swapped[0])
+        assert base[0] == swapped[0][::-1]
 
     def test_reproduction_number_tracks_truth(self):
         traj = self.make_noisy_traj()
-        state = IeMmaiState.initialize(THETA0, n_models=3, seed=42)
-        for k in range(traj.step_count):
-            state, selected = ie_mmai_step(
-                state, sis_regressor(traj.states[k]), traj.observations[k]
-            )
-        assert state.corrected
-        assert abs(selected[0] / selected[1] - 3.0) < 0.3
+        state = ie_mmai_init(THETA0, n_models=3, seed=42)
+        for phi, y in sis_data(traj):
+            state = ie_mmai_kernel(state, phi, y)
+        assert state[3]  # corrected
+        beta_hat, gamma_hat = ie_mmai_selected(state[0])
+        assert abs(beta_hat / gamma_hat - 3.0) < 0.3
 
     def test_seeded_initialization_is_deterministic(self):
-        a = IeMmaiState.initialize(THETA0, n_models=3, seed=21)
-        b = IeMmaiState.initialize(THETA0, n_models=3, seed=21)
-        for m_a, m_b in zip(a.models, b.models):
-            assert np.array_equal(m_a.theta, m_b.theta)
-        c = IeMmaiState.initialize(THETA0, n_models=3, seed=22)
-        assert not np.array_equal(a.models[0].theta, c.models[0].theta)
+        a = ie_mmai_init(THETA0, n_models=3, seed=21)
+        assert a == ie_mmai_init(THETA0, n_models=3, seed=21)
+        c = ie_mmai_init(THETA0, n_models=3, seed=22)
+        assert a[0][0] != c[0][0]
+
+    @pytest.mark.parametrize("seed", [0, 7, 21, 12345])
+    @pytest.mark.parametrize("spread", [0.25, 3.0])
+    def test_models_are_drawn_one_pair_at_a_time(self, seed, spread):
+        theta0 = np.array([0.4, 1.3])
+        models, fim, rhs, corrected = ie_mmai_init(theta0, 5, spread, seed)
+        rng = np.random.default_rng(seed)
+        for t1, t2, cost in models:
+            expected = theta0 + spread * rng.standard_normal(2)
+            assert (t1, t2) == tuple(expected.tolist())
+            assert cost == 0.0
+        assert (fim, rhs, corrected) == ((0.0, 0.0, 0.0), (0.0, 0.0), False)
 
     def test_model_count_validated(self):
         with pytest.raises(ValueError):
-            IeMmaiState.initialize(THETA0, n_models=0)
+            ie_mmai_init(THETA0, n_models=0)
 
     def test_model_count_bounded_before_any_model_is_built(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(estimators, "IeModel", lambda **kw: built.append(kw))
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
         with pytest.raises(ValueError, match="n_models"):
-            IeMmaiState.initialize(THETA0, n_models=MAX_IE_MMAI_MODELS + 1)
-        assert built == []
+            ie_mmai_init(THETA0, n_models=MAX_IE_MMAI_MODELS + 1)
+        assert draws == []
+
+    def test_non_finite_model_rejected(self):
+        with pytest.raises(ValueError, match="theta0"):
+            ie_mmai_init([math.nan, 1.0], n_models=3)
+        # seed 0 draws 0.126 first: 1.7e308 + 1.26e307 overflows
+        with pytest.raises(ValueError, match="model theta"):
+            ie_mmai_init([1.7e308, 1.0], n_models=1, spread=1e308, seed=0)

@@ -6,19 +6,18 @@ import pytest
 from sisid.dynamics import SisParams, Trajectory, simulate
 from sisid.excitation import (
     SIS_REGRESSOR,
-    FisherInfo,
     GreedySet,
     Regressor,
     build_greedy_set,
-    export_acceptance_trace,
     greedy_offer,
     is_initially_exciting,
     optimal_excitation_set,
-    residual,
     sis_regressor,
     sliding_fim,
+    write_acceptance_trace,
 )
-from sisid.linalg import condition_number, min_eigenvalue_sym
+from sisid.harness import fim_condition_trace
+from sisid.linalg import condition_number
 
 from _oracles import eig2x2_sym, min_window_eig_scan, sis_phi_rows
 
@@ -52,31 +51,6 @@ class TestSisRegressor:
             bad(0.3)
 
 
-class TestResidual:
-    def test_true_parameters_give_zero(self):
-        x = 0.37
-        y = np.atleast_1d(
-            (1.0 - x) * FIG3.beta * x - FIG3.gamma * x
-        )
-        r = residual(y, sis_regressor(x), FIG3.as_vector())
-        assert np.allclose(r, 0.0, atol=1e-16)
-
-    def test_hand_evaluated_residual(self):
-        # y = 0.010788 - 0.01; phi(0.01) = [0.0099, -0.01];
-        # r = 0.000788 - (0.0099*0.05 - 0.01*0.07) = 0.000993
-        r = residual([0.000788], sis_regressor(0.01), [0.05, 0.07])
-        assert r[0] == pytest.approx(0.000993, abs=1e-12)
-
-    def test_zero_estimate_returns_observation(self):
-        y = np.array([0.123])
-        r = residual(y, sis_regressor(0.4), [0.0, 0.0])
-        assert np.array_equal(r, y)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            residual([1.0, 2.0], sis_regressor(0.4), [0.1, 0.2])
-
-
 class TestSlidingFim:
     def test_zero_states_give_zero_matrix(self):
         traj = constant_trajectory(np.zeros(10))
@@ -97,7 +71,7 @@ class TestSlidingFim:
     def test_near_equilibrium_window_is_degenerate(self):
         traj = simulate(0.01, FIG1, 2000)
         h = sliding_fim(traj, SIS_REGRESSOR, 1990, 3)
-        assert min_eigenvalue_sym(h) < 1e-6
+        assert eig2x2_sym(h)[0] < 1e-6
 
     def test_out_of_range_window(self):
         traj = simulate(0.01, FIG1, 10)
@@ -108,7 +82,7 @@ class TestSlidingFim:
         traj = simulate(0.2, FIG3, 30)
         h = sliding_fim(traj, SIS_REGRESSOR, 0, 30)
         assert np.array_equal(h, h.T)
-        assert min_eigenvalue_sym(h) >= -1e-12
+        assert eig2x2_sym(h)[0] >= -1e-12
 
 
 class TestInitialExcitation:
@@ -132,7 +106,7 @@ class TestInitialExcitation:
 
 class TestGreedyOffer:
     def test_bootstrap_accepts_first_nonzero_point(self):
-        gset = GreedySet.empty(2)
+        gset = GreedySet()
         assert gset.cond == math.inf
         out, accepted = greedy_offer(gset, sis_regressor(0.01), [0.0008], 0)
         assert accepted
@@ -161,10 +135,10 @@ class TestGreedyOffer:
         assert accepted  # kappa(diag(4, 2)) = 2 <= 4
         assert out.cond == pytest.approx(2.0)
         assert out.indices == (0, 1, 2)
-        assert np.allclose(out.rhs, [0.0, 0.5])
+        assert out.rhs_entries == (0.0, 0.5)
 
     def test_zero_regressor_rejected(self):
-        gset = GreedySet.empty(2)
+        gset = GreedySet()
         out, accepted = greedy_offer(gset, np.zeros((1, 2)), [0.0], 0)
         assert not accepted
         assert out.size == 0
@@ -184,7 +158,7 @@ class TestGreedyOffer:
     def test_representation_coherence(self):
         # the FIM and right-hand side equal the sums over the accepted points
         rng = np.random.default_rng(10)
-        gset = GreedySet.empty(2)
+        gset = GreedySet()
         rows, ys = np.zeros((0, 2)), np.zeros(0)
         for k in range(200):
             phi = rng.standard_normal((1, 2))
@@ -193,9 +167,9 @@ class TestGreedyOffer:
             if accepted:
                 rows, ys = np.vstack([rows, phi]), np.concatenate([ys, y])
             assert gset.size == len(rows)
-            assert np.allclose(gset.fim, rows.T @ rows, atol=1e-10)
-            assert np.allclose(gset.rhs, rows.T @ ys, atol=1e-10)
-            assert np.array_equal(gset.fim, gset.fim.T)
+            a, b, d = gset.fim_entries
+            assert np.allclose([[a, b], [b, d]], rows.T @ rows, atol=1e-10)
+            assert np.allclose(gset.rhs_entries, rows.T @ ys, atol=1e-10)
 
     @pytest.mark.parametrize(
         "phi,y,name",
@@ -204,10 +178,10 @@ class TestGreedyOffer:
     )
     def test_non_finite_input_rejected(self, phi, y, name):
         with pytest.raises(ValueError, match=name):
-            greedy_offer(GreedySet.empty(2), phi, y, 0)
+            greedy_offer(GreedySet(), phi, y, 0)
 
     def test_pair_of_floats_equals_array(self):
-        gset = GreedySet.empty(2)
+        gset = GreedySet()
         for k, x in enumerate((0.01, 0.02, 0.05)):
             a, _ = greedy_offer(gset, sis_regressor(x), [0.003], k)
             b, _ = greedy_offer(gset, ((1.0 - x) * x, -x), 0.003, k)
@@ -216,7 +190,7 @@ class TestGreedyOffer:
 
     def test_cond_nonincreasing_once_finite(self):
         traj = simulate(0.01, FIG3, 300)
-        gset = GreedySet.empty(2)
+        gset = GreedySet()
         conds = []
         for k in range(traj.step_count):
             gset, accepted = greedy_offer(
@@ -262,28 +236,17 @@ class TestOptimalExcitationSet:
 
 class TestFisherInfo:
     def test_discounted_accumulation_matches_direct_sum(self):
+        # the discounted FIM H = alpha H + phi^T phi, as fim_condition_trace
+        # accumulates it, against the direct sum, through its condition number
         traj = simulate(0.01, FIG3, 40)
         alpha = 0.94
-        fim = FisherInfo.zero(2, discount=alpha)
-        for k in range(traj.step_count):
-            fim.accumulate(sis_regressor(traj.states[k]))
-        direct = np.zeros((2, 2))
-        for i in range(traj.step_count):
-            phi = sis_regressor(traj.states[i])
-            direct += alpha ** (traj.step_count - 1 - i) * (phi.T @ phi)
-        assert np.allclose(fim.h, direct, atol=1e-14)
-
-    def test_exact_symmetry_and_psd(self):
-        rng = np.random.default_rng(11)
-        fim = FisherInfo.zero(2, discount=0.9)
-        for _ in range(300):
-            fim.accumulate(rng.standard_normal((1, 2)))
-            assert np.array_equal(fim.h, fim.h.T)
-            assert min_eigenvalue_sym(fim.h) >= -1e-12
-
-    def test_invalid_discount(self):
-        with pytest.raises(ValueError):
-            FisherInfo.zero(2, discount=0.0)
+        trace = fim_condition_trace(traj, SIS_REGRESSOR, alpha)
+        for k in range(1, traj.step_count):
+            direct = np.zeros((2, 2))
+            for i in range(k + 1):
+                phi = sis_regressor(traj.states[i])
+                direct += alpha ** (k - i) * (phi.T @ phi)
+            assert trace[k] == pytest.approx(condition_number(direct), rel=1e-9)
 
 
 class TestLossOfExcitation:
@@ -322,7 +285,13 @@ class TestAcceptanceTraceExport:
     def test_csv_round_trip(self, tmp_path):
         traj = simulate(0.01, FIG3, 50)
         path = tmp_path / "trace.csv"
-        rows = export_acceptance_trace(traj, SIS_REGRESSOR, path)
+        gset, rows = GreedySet(), []
+        for k in range(traj.step_count):
+            before = gset.cond
+            phi = sis_regressor(traj.states[k])
+            gset, accepted = greedy_offer(gset, phi, traj.observations[k], k)
+            rows.append((k, accepted, before, gset.cond))
+        write_acceptance_trace(path, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "# sisid-greedy-v1"
         assert lines[1] == "step,accepted,kappa_before,kappa_after"

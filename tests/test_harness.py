@@ -38,7 +38,6 @@ from sisid.harness import (
     METRICS_SCHEMA,
     MetricsRow,
     _write_metrics,
-    empirical_cost,
     fim_condition_trace,
     run_experiment,
 )
@@ -47,9 +46,8 @@ import sisid
 from sisid import cli
 from sisid.estimators import (
     GrlsState,
-    IeMmaiConfig,
-    IeMmaiState,
     ef_rls_step,
+    ie_mmai_init,
     ie_mmai_kernel,
     ie_mmai_selected,
     run_grls,
@@ -84,37 +82,6 @@ def constant_trajectory(states):
         observations=np.diff(states),
         process_noise=np.zeros(len(states) - 1),
     )
-
-
-class TestEmpiricalCost:
-    def test_true_parameters_cost_nothing(self):
-        traj = simulate(0.01, FIG3, 50)
-        assert empirical_cost(traj, SIS_REGRESSOR, FIG3.as_vector(), 0.94, 49) == pytest.approx(
-            0.0, abs=1e-20
-        )
-
-    def test_constant_residual_unit_alpha(self):
-        # constant state 0.5 with estimate [1, 0]: residual is -0.25 each step
-        traj = constant_trajectory(np.full(11, 0.5))
-        cost = empirical_cost(traj, SIS_REGRESSOR, np.array([1.0, 0.0]), 1.0, 9)
-        assert cost == pytest.approx(0.5 * 10 * 0.25 ** 2, abs=1e-15)
-
-    def test_matches_direct_resummation(self):
-        traj = simulate(0.01, SisParams(beta=0.12, gamma=0.04), 10)
-        theta = np.array([0.05, 0.07])
-        alpha, k = 0.94, 3
-        direct = 0.0
-        for i in range(k + 1):
-            r = traj.observations[i] - sis_regressor(traj.states[i]) @ theta
-            direct += 0.5 * alpha ** (k - i) * float(r @ r)
-        assert empirical_cost(traj, SIS_REGRESSOR, theta, alpha, k) == pytest.approx(
-            direct, abs=1e-12
-        )
-
-    def test_out_of_range(self):
-        traj = simulate(0.01, FIG3, 10)
-        with pytest.raises(ValueError):
-            empirical_cost(traj, SIS_REGRESSOR, FIG3.as_vector(), 0.94, 10)
 
 
 class TestFimConditionTrace:
@@ -545,6 +512,43 @@ class TestPinnedOutputs:
         assert all(results[name].status == 0 for name in BUNDLED if name != "fig3_noisefree")
 
 
+def _fig3_noisy_with(kind, **fields):
+    """fig3_noisy in memory with only estimator ``kind``, ``fields`` changed."""
+    config = load_config(bundled_config_path("fig3_noisy"))
+    est = next(e for e in config.estimators if e.kind == kind)
+    return run_experiment(replace(config, estimators=(replace(est, **fields),), emit=()))
+
+
+def _failures(result):
+    return [(e["estimator"], e["step"]) for e in result.manifest["errors"]]
+
+
+def _assert_estimates_finite(result):
+    for row in result.rows:
+        values = (row.beta_hat, row.gamma_hat, row.r0_hat, row.max_rel_err)
+        assert all(math.isfinite(v) for v in values if v is not None), row
+
+
+class TestOverflowingCovariance:
+    """A covariance update that overflows fails its estimator at that step,
+    and the frozen rows report the last finite estimate."""
+
+    def test_grls_fails_at_step_0_with_a_huge_prior(self):
+        # det(P0) = 1e320 overflows in the first refresh
+        result = _fig3_noisy_with("grls", p0_scale=1e160)
+        assert result.status == 1
+        assert _failures(result) == [("grls", 0)]
+        _assert_estimates_finite(result)
+        # one that squares to a finite det still runs to the end
+        assert _fig3_noisy_with("grls", p0_scale=1e150).status == 0
+
+    def test_ef_rls_fails_at_step_1_with_a_huge_prior(self):
+        result = _fig3_noisy_with("ef_rls", p0_scale=1e200)
+        assert result.status == 1
+        assert _failures(result) == [("ef_rls", 1)]
+        _assert_estimates_finite(result)
+
+
 # A slow epidemic keeps ~100 points in its excitation set over 400 steps.
 SLOW_GRLS = ExperimentConfig(
     sis=SisParams(beta=0.12, gamma=0.04), x0=0.01, steps=400, noise=None,
@@ -597,13 +601,11 @@ class TestHarnessLanes:
         result = run_experiment(config)
         est = next(e for e in config.estimators if e.kind == "ie_mmai")
         selected = [(r.beta_hat, r.gamma_hat) for r in result.rows if r.estimator == "ie_mmai"]
-        state = IeMmaiState.initialize(
-            est.theta0, est.models, spread=est.spread, seed=est.seed
-        ).floats()
+        state = ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
         traj = result.trajectory
         spreads = []
         for k, (x, y) in enumerate(zip(traj.states.tolist(), traj.observations.tolist())):
-            state = ie_mmai_kernel(state, IeMmaiConfig(), sis_regressor_pair(x), y)
+            state = ie_mmai_kernel(state, sis_regressor_pair(x), y)
             assert ie_mmai_selected(state[0]) == selected[k]
             if state[3]:
                 best = selected[k]

@@ -8,7 +8,6 @@ from sisid.linalg import (
     ConditioningError,
     condition_number,
     covariance_update,
-    min_eigenvalue_sym,
     solve_spd,
     sym2,
     sym2_array,
@@ -33,8 +32,10 @@ class TestConditionNumber:
     def test_zero_matrix_is_infinite(self):
         assert condition_number(np.zeros((2, 2))) == math.inf
 
-    def test_rectangular_ok(self):
-        assert np.isfinite(condition_number(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])))
+    def test_non_square_rejected(self):
+        for shape in ((3, 2), (2, 3), (3, 3), (2,)):
+            with pytest.raises(ValueError, match="2x2"):
+                condition_number(np.ones(shape))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -43,7 +44,8 @@ class TestConditionNumber:
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            m = rng.standard_normal((3, 3))
+            m = rng.standard_normal((2, 2))
+            m = m + m.T
             c = float(rng.uniform(1e-6, 1e6))
             k1, k2 = condition_number(m), condition_number(c * m)
             if math.isinf(k1):
@@ -54,13 +56,20 @@ class TestConditionNumber:
     def test_at_least_one_when_finite(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            k = condition_number(rng.standard_normal((2, 2)))
-            assert k >= 1.0
+            m = rng.standard_normal((2, 2))
+            assert condition_number(m + m.T) >= 1.0
 
-    def test_non_symmetric_input_uses_singular_values(self):
-        for m in ([[3.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]):
-            s = np.linalg.svd(np.array(m), compute_uv=False)
-            assert condition_number(np.array(m)) == pytest.approx(s[0] / s[-1], rel=1e-12)
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            condition_number(np.array([[3.0, 1.0], [0.0, 2.0]]))
+        # symmetric only to rounding is still asymmetric
+        with pytest.raises(ValueError, match="symmetric"):
+            condition_number(np.array([[1.0, 0.1], [0.1 + 2.0**-55, 1.0]]))
+
+
+def min_eigenvalue_sym(m):
+    """Smallest eigenvalue of a symmetric 2x2 array, through ``sym2_eigenvalues``."""
+    return sym2_eigenvalues(*sym2(m))[0]
 
 
 class TestMinEigenvalueSym:
@@ -87,17 +96,8 @@ class TestMinEigenvalueSym:
             lo, _ = eig2x2_sym(m)
             assert min_eigenvalue_sym(m) == pytest.approx(lo, abs=1e-12)
 
-    def test_larger_matrices_use_dense_solver(self):
-        rng = np.random.default_rng(3)
-        m = random_spd(rng, 5)
-        assert min_eigenvalue_sym(m) == pytest.approx(np.linalg.eigvalsh(m)[0])
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            min_eigenvalue_sym(np.zeros((2, 3)))
-
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric"):
             min_eigenvalue_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_sums_of_outer_products_are_psd(self):
