@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import ConfigError, EstimatorSettings, ExperimentConfig, bundled_config_path, load_config
-from .dynamics import NoiseSpec, SisParams, Trajectory, reproduction_number, simulate, sis_step
+from .dynamics import NoiseSpec, SisParams, Trajectory, simulate, sis_step
 from .estimators import (
     GrlsState,
     WeightedCostSpec,

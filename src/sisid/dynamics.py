@@ -47,11 +47,6 @@ class SisParams:
         return np.array([self.beta, self.gamma])
 
 
-def reproduction_number(params: SisParams) -> float:
-    """beta / gamma; raises when gamma == 0."""
-    return params.reproduction_number()
-
-
 # Smallest accepted probability that one process-noise draw lands inside
 # [-bound_nu, bound_nu]; below it the redraw loop would take more than
 # 1 / MIN_DRAW_ACCEPTANCE draws per step on average.

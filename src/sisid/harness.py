@@ -32,7 +32,6 @@ from . import __version__
 from .config import EstimatorSettings, ExperimentConfig, config_to_mapping
 from .dynamics import Trajectory, simulate
 from .estimators import (
-    GrlsState,
     ef_rls_kernel,
     grls_kernel,
     ie_mmai_init,
@@ -41,11 +40,9 @@ from .estimators import (
     pure_gd_kernel,
 )
 from .excitation import (
-    SIS_REGRESSOR,
     GreedySet,
     Regressor,
     finite_pair,
-    finite_scalar,
     sis_regressor_pair,
     write_acceptance_trace,
 )
@@ -53,18 +50,11 @@ from .linalg import (
     ConditioningError,
     Sym2,
     eigenvalue_condition,
-    sym2,
     sym2_condition,
     sym2_eigenvalues,
 )
 
 METRICS_SCHEMA = "sisid-metrics-v1"
-
-METRICS_COLUMNS = (
-    "step", "estimator", "beta_hat", "gamma_hat", "r0_hat",
-    "max_rel_err", "log10_max_rel_err", "fim_cond",
-    "p_cond", "p_max_eig", "accepted",
-)
 
 
 class MetricsRow(NamedTuple):
@@ -84,6 +74,9 @@ class MetricsRow(NamedTuple):
     p_cond: float | None
     p_max_eig: float | None
     accepted: bool | None
+
+
+METRICS_COLUMNS = MetricsRow._fields
 
 
 def fim_condition_trace(traj: Trajectory, reg: Regressor, alpha: float) -> list[float]:
@@ -113,7 +106,8 @@ _Offer = tuple[bool, float, float]
 class _Estimator(NamedTuple):
     """How the run loop drives one estimator kind on floats.
 
-    ``init(settings)`` builds the state. ``step(settings, state, phi, y)``
+    ``init(settings)`` builds the state from settings that passed
+    ``ExperimentConfig.validate``. ``step(settings, state, phi, y)``
     returns the next state and the outcome of its excitation-set offer,
     None for estimators without a set; it raises
     ``ConditioningError`` when the estimator fails. ``theta(state)`` is the
@@ -126,26 +120,10 @@ class _Estimator(NamedTuple):
     p: Callable[[Any], Sym2 | None]
 
 
-def _theta0(est: EstimatorSettings) -> tuple[float, float]:
-    return finite_pair(np.asarray(est.theta0, dtype=float), f"{est.kind}.theta0")
-
-
-def _ef_rls_init(est: EstimatorSettings) -> tuple[Sym2, tuple[float, float]]:
-    p0 = finite_scalar(est.p0_scale, f"{est.kind}.p0_scale")
-    return (p0, 0.0, p0), _theta0(est)
-
-
-# GRLS's state on floats: P's entries, theta, the excitation set, the step.
-_GrlsFloats = tuple[Sym2, tuple[float, float], GreedySet, int]
-
-
-def _grls_init(est: EstimatorSettings) -> _GrlsFloats:
-    state = GrlsState.initial(est.theta0, SIS_REGRESSOR, alpha=est.alpha, p0_scale=est.p0_scale)
-    return sym2(state.P), tuple(state.theta.tolist()), state.excitation, state.step
-
-
-def _ie_mmai_init(est: EstimatorSettings):
-    return ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
+def _rls_init(est: EstimatorSettings) -> tuple[Sym2, tuple[float, ...]]:
+    """EF-RLS's state, and GRLS's before its set and step: P0 = p0_scale * I and theta0."""
+    p0 = float(est.p0_scale)
+    return (p0, 0.0, p0), tuple(map(float, est.theta0))
 
 
 def _pure_gd_step(est, theta, phi, y):
@@ -166,15 +144,19 @@ def _ie_mmai_step(est, state, phi, y):
     return ie_mmai_kernel(state, phi, y), None
 
 
-def _no_p(state) -> None:
-    return None
-
-
 _ESTIMATORS = {
-    "pure_gd": _Estimator(_theta0, _pure_gd_step, lambda theta: theta, _no_p),
-    "ef_rls": _Estimator(_ef_rls_init, _ef_rls_step, lambda s: s[1], lambda s: s[0]),
-    "grls": _Estimator(_grls_init, _grls_step, lambda s: s[1], lambda s: s[0]),
-    "ie_mmai": _Estimator(_ie_mmai_init, _ie_mmai_step, lambda s: ie_mmai_selected(s[0]), _no_p),
+    "pure_gd": _Estimator(
+        lambda est: tuple(map(float, est.theta0)), _pure_gd_step, lambda t: t, lambda s: None
+    ),
+    "ef_rls": _Estimator(_rls_init, _ef_rls_step, lambda s: s[1], lambda s: s[0]),
+    # GRLS's state: P's entries, theta, the excitation set, the step
+    "grls": _Estimator(
+        lambda est: (*_rls_init(est), GreedySet(), 0), _grls_step, lambda s: s[1], lambda s: s[0]
+    ),
+    "ie_mmai": _Estimator(
+        lambda est: ie_mmai_init(est.theta0, est.models, est.spread, est.seed),
+        _ie_mmai_step, lambda s: ie_mmai_selected(s[0]), lambda s: None,
+    ),
 }
 
 

@@ -19,6 +19,8 @@ import numpy as np
 # Singular values below RANK_TOLERANCE * sigma_max count as zero.
 RANK_TOLERANCE = 1e-12
 
+_MIN_NORMAL = 2.0**-1022  # the smallest normal float; a square below it has lost bits
+
 # A symmetric 2x2 matrix [[a, b], [b, d]] as its entries (a, b, d).
 Sym2 = tuple[float, float, float]
 
@@ -47,12 +49,16 @@ def sym2_eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
 
     With a >= d the eigenvalues are d - t and a + t, t = b^2 / (r + (a - d)/2)
     and r = hypot((a - d)/2, b): the gap is added to the diagonal instead of
-    being recovered from (a + d)/2 +- r.
+    being recovered from (a + d)/2 +- r. Where b^2 overflows or leaves the
+    normal range, t is formed as b * (b / (r + (a - d)/2)), which scales.
     """
     if a < d:
         a, d = d, a
     half_gap = 0.5 * (a - d)
-    shift = b * b / (math.hypot(half_gap, b) + half_gap) if b else 0.0
+    shift = 0.0
+    if b:
+        denom = math.hypot(half_gap, b) + half_gap
+        shift = b * b / denom if _MIN_NORMAL <= b * b < math.inf else b * (b / denom)
     return d - shift, a + shift
 
 

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from sisid import cli
 from sisid.config import (
+    ESTIMATOR_FIELDS,
     ESTIMATOR_KINDS,
     TRACE_KINDS,
     ConfigError,
     EstimatorSettings,
     ExperimentConfig,
     config_from_mapping,
+    config_to_mapping,
     format_config_text,
     parse_config_text,
 )
@@ -83,6 +86,69 @@ class TestOutOfRangeFields:
         assert config.estimators[0].models == MAX_IE_MMAI_MODELS
 
 
+def _cli_config(tmp_path, lines: str) -> Path:
+    cfg = tmp_path / "cli.cfg"
+    cfg.write_text(
+        f"beta = 0.5\ngamma = 0.2\nx0 = 0.01\nsteps = 10\n{lines}\n"
+        f"outputs = {tmp_path / 'out'}\n"
+    )
+    return cfg
+
+
+class TestEstimatorFieldTable:
+    """ESTIMATOR_FIELDS is the one list of per-estimator keys."""
+
+    def test_mapping_emits_exactly_the_table_keys(self):
+        config = ExperimentConfig(
+            sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=NoiseSpec(seed=3),
+            estimators=tuple(EstimatorSettings(kind) for kind in ESTIMATOR_KINDS),
+        )
+        keys = [k for k in config_to_mapping(config) if k.split(".")[0] in ESTIMATOR_KINDS]
+        assert keys == [f"{kind}.{field}" for kind, fields in ESTIMATOR_FIELDS.items()
+                        for field in fields]
+        assert len(keys) == 13
+
+    @pytest.mark.parametrize("key", ["pure_gd.p0_scale", "ie_mmai.p0_scale"])
+    def test_p0_scale_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
+        kind = key.split(".")[0]
+        with pytest.raises(ConfigError, match=rf"unknown keys: {kind}\.p0_scale"):
+            config_from_mapping({**BASE, "estimators": kind, key: "100.0"})
+        cfg = _cli_config(tmp_path, f"estimators = {kind}\n{key} = 100.0")
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_validate_rejects_a_one_entry_theta0(self, kind):
+        config = ExperimentConfig(
+            sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
+            estimators=(EstimatorSettings(kind, theta0=(1.0,)),),
+        )
+        with pytest.raises(ConfigError, match=rf"{kind}\.theta0"):
+            config.validate()
+
+
+class TestIeMmaiSpread:
+    """A spread that draws a non-finite model fails validation, at its seed."""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_overflowing_draw_exits_2(self, tmp_path, capsys, command, seed):
+        cfg = _cli_config(
+            tmp_path, f"estimators = ie_mmai\nie_mmai.spread = 1e308\nie_mmai.seed = {seed}"
+        )
+        assert cli.main([command, str(cfg)]) == 2
+        assert "ie_mmai.spread" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_finite_draws_run(self, tmp_path, capsys, seed):
+        cfg = _cli_config(
+            tmp_path, f"estimators = ie_mmai\nie_mmai.spread = 1e308\nie_mmai.seed = {seed}"
+        )
+        assert cli.main(["run", str(cfg)]) == 0
+        assert (tmp_path / "out" / "metrics.csv").exists()
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
 
@@ -94,18 +160,22 @@ def _noise(process_std: float, observation_std: float, ratio: float, seed: int) 
 
 @st.composite
 def estimator_settings(draw, kind: str) -> EstimatorSettings:
+    # only the fields the kind reads: the text format holds no others; within
+    # 1e300, IE-MMAI's theta0 + spread * z is finite for any standard normal z
+    numbers = st.floats(-1e300, 1e300) if kind == "ie_mmai" else finite
     settings = EstimatorSettings(
         kind=kind,
         alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=kind == "grls")),
-        p0_scale=draw(st.floats(0.0, 1e300, exclude_min=True)),
-        theta0=(draw(finite), draw(finite)),
+        theta0=(draw(numbers), draw(numbers)),
     )
-    if kind != "ie_mmai":
-        return settings
-    return replace(
-        settings, models=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2**63)),
-        spread=draw(finite),
-    )
+    if kind in ("ef_rls", "grls"):
+        return replace(settings, p0_scale=draw(st.floats(0.0, 1e300, exclude_min=True)))
+    if kind == "ie_mmai":
+        return replace(
+            settings, models=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2**63)),
+            spread=draw(numbers),
+        )
+    return settings
 
 
 @st.composite

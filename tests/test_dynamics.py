@@ -9,7 +9,6 @@ from sisid.dynamics import (
     NoiseSpec,
     SisParams,
     Trajectory,
-    reproduction_number,
     simulate,
     sis_step,
 )
@@ -74,17 +73,17 @@ class TestSisParams:
             SisParams(beta=0.5, gamma=1.2)
 
     def test_reproduction_number_fig2(self):
-        assert reproduction_number(FIG2) == pytest.approx(3.0, abs=1e-4)
+        assert FIG2.reproduction_number() == pytest.approx(3.0, abs=1e-4)
 
     def test_reproduction_number_fig3(self):
-        assert reproduction_number(FIG3) == pytest.approx(3.0, abs=1e-4)
+        assert FIG3.reproduction_number() == pytest.approx(3.0, abs=1e-4)
 
     def test_equal_rates_give_unity(self):
-        assert reproduction_number(SisParams(beta=0.3, gamma=0.3)) == 1.0
+        assert SisParams(beta=0.3, gamma=0.3).reproduction_number() == 1.0
 
     def test_zero_gamma_rejected(self):
         with pytest.raises(ValueError):
-            reproduction_number(SisParams(beta=0.3, gamma=0.0))
+            SisParams(beta=0.3, gamma=0.0).reproduction_number()
 
 
 class TestSimulate:

@@ -547,6 +547,15 @@ class TestOverflowingCovariance:
         assert result.status == 1
         assert _failures(result) == [("ef_rls", 1)]
         _assert_estimates_finite(result)
+        # P's entries near 1e200 are finite, and so is its largest eigenvalue
+        assert math.isfinite(result.rows[0].p_max_eig)
+
+
+def test_rank_one_fim_below_the_normal_range_is_singular():
+    # at x0 = 1e-85 the first FIM has entries near 1e-170, whose squares underflow
+    config = replace(load_config(bundled_config_path("fig3_noisefree")), x0=1e-85, steps=3)
+    result = run_experiment(replace(config, emit=()))
+    assert [r.fim_cond for r in result.rows if r.step == 0] == [math.inf] * 4
 
 
 # A slow epidemic keeps ~100 points in its excitation set over 400 steps.

@@ -209,6 +209,34 @@ class TestSym2ClosedForms:
             with pytest.raises(ValueError):
                 condition_number(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("exponent", [500, -500])
+    def test_eigenvalues_scale_by_powers_of_two(self, exponent):
+        # scaled by 2^500, b^2 overflows for |b| above 2^12; by 2^-500 it
+        # leaves the normal range for |b| below 2^-11
+        rng = np.random.default_rng(15)
+        scale = 2.0**exponent
+        guarded = 0
+        for _ in range(500):
+            a, b, d = (float(rng.standard_normal()) * 10.0 ** rng.uniform(-6, 6) for _ in range(3))
+            lo, hi = sym2_eigenvalues(a, b, d)
+            # within 2 ulps of the scaled spectral norm, as cancellation in
+            # the smaller eigenvalue is the same at every scale
+            tol = 2 * math.ulp(max(abs(lo), abs(hi)) * scale)
+            got_lo, got_hi = sym2_eigenvalues(a * scale, b * scale, d * scale)
+            assert abs(got_lo - lo * scale) <= tol and abs(got_hi - hi * scale) <= tol
+            guarded += not 2.0**-1022 <= (b * scale) * (b * scale) < math.inf
+        assert guarded > 50
+
+    def test_huge_off_diagonal_keeps_finite_eigenvalues(self):
+        lo, hi = sym2_eigenvalues(1e200, 0.9e200, 1e200)
+        assert lo == pytest.approx(1e199, rel=1e-15)
+        assert hi == pytest.approx(1.9e200, rel=1e-15)
+
+    def test_tiny_rank_one_is_singular(self):
+        # b^2 = 1e-340 underflows; the shift must still cancel a exactly
+        assert sym2_eigenvalues(1e-170, -1e-170, 1e-170) == (0.0, 2e-170)
+        assert sym2_condition(1e-170, -1e-170, 1e-170) == math.inf
+
     def test_diagonal_is_exact(self):
         # no rounding through (a + d) / 2 +- r: the exact-tie rule depends on it
         a = 1.0 + math.sqrt(3.0) ** 2
