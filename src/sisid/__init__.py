@@ -19,7 +19,6 @@ from .estimators import (
 from .excitation import (
     SIS_REGRESSOR,
     GreedySet,
-    Regressor,
     build_greedy_set,
     greedy_offer,
     is_initially_exciting,

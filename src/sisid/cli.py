@@ -67,11 +67,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values: expected at least one value")
+    # every variant is checked before any runs, so a bad value writes nothing
+    configs = [config_from_mapping({**mapping, args.param: value}) for value in values]
     status = 0
-    for value in values:
-        variant = dict(mapping)
-        variant[args.param] = value
-        config = config_from_mapping(variant)
+    for value, config in zip(values, configs):
         out = _resolve_output_dir(config.outputs) / f"{args.param.replace('.', '_')}={value}"
         result = run_experiment(config, output_dir=out)
         print(f"{args.param}={value}: status {result.status} -> {out}")

@@ -204,8 +204,9 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     if noise_flag not in ("on", "off"):
         raise ConfigError(f"noise: expected on or off, got {noise_flag!r}")
     if noise_flag == "on":
+        fields = _take_fields(mapping, NoiseSpec, _NOISE_KEYS)
         try:
-            noise = NoiseSpec(**_take_fields(mapping, NoiseSpec, _NOISE_KEYS))
+            noise = NoiseSpec(**fields)
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from None
     else:
@@ -266,13 +267,23 @@ def format_config_text(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_config(path: str | Path) -> str:
+    """The text of a config file; ``ConfigError`` naming the path when unreadable."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot decode as {exc.encoding}: {exc.reason}") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(_read_config(path))
 
 
 def load_config_mapping(path: str | Path) -> dict[str, str]:
     """Raw key-value view of a config file (sweeps override keys here)."""
-    return _parse_lines(Path(path).read_text())
+    return _parse_lines(_read_config(path))
 
 
 def bundled_config_path(name: str) -> Path:

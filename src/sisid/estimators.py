@@ -1,4 +1,4 @@
-"""Online identifiers for linear-in-parameters dynamics.
+"""Online identifiers of the scalar SIS model's two rates (beta, gamma).
 
 Four identifiers are provided:
 
@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import GreedySet, Regressor, finite_pair, finite_scalar, greedy_offer
+from .excitation import GreedySet, finite_pair, finite_scalar, greedy_offer
 from .linalg import (
     ConditioningError,
     Sym2,
@@ -139,19 +139,22 @@ def ef_rls_step(
 class GrlsState:
     """Full state of the greedily-weighted RLS recursion.
 
-    ``P`` is the inverse Hessian of the weighted cost (symmetric positive
-    definite throughout), ``theta`` the current estimate, ``excitation`` the
-    greedy excitation set. ``alpha`` must be strictly below 1: the excitation
-    set's refresh weight is 1 - alpha. Setting ``greedy_enabled`` to False
-    makes every offer a rejection, which leaves the set empty and the
-    recursion EF-RLS.
+    ``P`` is the 2x2 inverse Hessian of the weighted cost (symmetric
+    positive definite throughout), ``theta`` the current estimate of
+    (beta, gamma), ``excitation`` the greedy excitation set. ``regressor``
+    maps a state to its two regressor entries (``SIS_REGRESSOR`` for the
+    SIS model); ``grls_step`` reads it once per step and rejects anything
+    but two finite entries. ``alpha`` must be strictly below 1: the
+    excitation set's refresh weight is 1 - alpha. Setting
+    ``greedy_enabled`` to False makes every offer a rejection, which leaves
+    the set empty and the recursion EF-RLS.
     """
 
     P: np.ndarray
     theta: np.ndarray
     excitation: GreedySet
     alpha: float
-    regressor: Regressor
+    regressor: Callable
     step: int = 0
     greedy_enabled: bool = True
 
@@ -159,18 +162,13 @@ class GrlsState:
     def initial(
         cls,
         theta0: Sequence[float],
-        regressor: Regressor,
+        regressor: Callable,
         alpha: float = 0.94,
         p0_scale: float = 100.0,
         greedy_enabled: bool = True,
     ) -> "GrlsState":
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if (regressor.n_outputs, regressor.n_params) != (1, 2):
-            raise ValueError(
-                "the RLS kernel needs a 1x2 regressor, got "
-                f"{regressor.n_outputs}x{regressor.n_params}"
-            )
         theta0 = np.asarray(theta0, dtype=float)
         if theta0.shape != (2,):
             raise ValueError(f"theta0 has shape {theta0.shape}, expected (2,)")
@@ -256,10 +254,9 @@ class WeightedCostSpec:
 
     @classmethod
     def from_grls(cls, state: GrlsState, p0_scale: float, theta0: Sequence[float]):
-        n = state.regressor.n_params
         return cls(
             alpha=state.alpha,
-            p0_inv=np.eye(n) / p0_scale,
+            p0_inv=np.eye(2) / p0_scale,
             theta0=np.asarray(theta0, dtype=float),
             greedy_indices=frozenset(state.excitation.indices),
         )
@@ -282,7 +279,7 @@ def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
 
 
 def batch_oracle(
-    traj: Trajectory, reg: Regressor, spec: WeightedCostSpec, k: int
+    traj: Trajectory, reg: Callable, spec: WeightedCostSpec, k: int
 ) -> np.ndarray:
     """Minimize the weighted cost over data 0..k directly via the normal equations.
 
@@ -304,7 +301,7 @@ def batch_oracle(
         weights[greedy] = (
             0.0 if spec.alpha == 1.0 else 1.0 - spec.alpha ** (ages[greedy] + 1.0)
         )
-    rows = np.empty((k + 1, reg.n_params))
+    rows = np.empty((k + 1, 2))
     for i in range(k + 1):
         rows[i] = reg(traj.states[i])
     ys = traj.observations[: k + 1]

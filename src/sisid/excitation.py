@@ -1,11 +1,14 @@
-"""Regressors, Fisher information accumulation, and excitation diagnostics.
+"""The SIS regressor, Fisher information accumulation, and excitation diagnostics.
 
 The identification problem is linear in the parameters: the observation
 satisfies y[k] = phi(x[k]) @ theta + noise, with the scalar SIS regressor
-phi(x) = [(1-x)x, -x]. Excitation is judged through the Fisher information
-matrix, the (possibly discounted) sum of regressor outer products; its
-smallest eigenvalue and condition number decide whether the parameters are
-practically identifiable from a window of data.
+phi(x) = [(1-x)x, -x]. A regressor is any callable from a state to two
+entries (a pair of floats, or an array with two entries, such as
+``sis_regressor``'s 1x2 row); the analysis reads it once per point, as two
+finite floats, and accumulates the Fisher information matrix, the
+(possibly discounted) sum of regressor outer products, as its entries
+(a, b, d). The FIM's smallest eigenvalue and condition number decide
+whether the parameters are practically identifiable from a window of data.
 """
 
 from __future__ import annotations
@@ -19,29 +22,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import Sym2, condition_number, sym2, sym2_condition, sym2_eigenvalues
+from .linalg import Sym2, sym2, sym2_array, sym2_condition, sym2_eigenvalues
 
-# Regressor rows with norm below this contribute nothing and are never
+# A regressor with norm below this contributes nothing and is never
 # admitted into an excitation set.
 ZERO_REGRESSOR_NORM = 1e-14
-
-
-@dataclass(frozen=True)
-class Regressor:
-    """State-to-regressor map producing an (n_outputs x n_params) matrix."""
-
-    fn: Callable[[float], np.ndarray]
-    n_outputs: int
-    n_params: int
-
-    def __call__(self, x: float) -> np.ndarray:
-        phi = np.atleast_2d(np.asarray(self.fn(x), dtype=float))
-        if phi.shape != (self.n_outputs, self.n_params):
-            raise ValueError(
-                f"regressor returned shape {phi.shape}, "
-                f"expected {(self.n_outputs, self.n_params)}"
-            )
-        return phi
 
 
 def sis_regressor_pair(x: float) -> tuple[float, float]:
@@ -54,24 +39,28 @@ def sis_regressor(x: float) -> np.ndarray:
     return np.array([sis_regressor_pair(x)])
 
 
-SIS_REGRESSOR = Regressor(fn=sis_regressor, n_outputs=1, n_params=2)
+SIS_REGRESSOR = sis_regressor
 
 
-def sliding_fim(traj: Trajectory, reg: Regressor, l: int, window: int) -> np.ndarray:
+def regressor_pairs(reg: Callable, states: Iterable[float]) -> list[tuple[float, float]]:
+    """``reg`` at each state as two finite floats; ``ValueError`` naming the regressor."""
+    return [finite_pair(reg(x), "regressor") for x in states]
+
+
+def sliding_fim(traj: Trajectory, reg: Callable, l: int, window: int) -> np.ndarray:
     """FIM of the window sum_{k=l}^{l+window} phi(x_k)^T phi(x_k) (inclusive)."""
     if l < 0 or window < 0 or l + window > traj.step_count:
         raise ValueError(
             f"window [{l}, {l + window}] out of range for {traj.step_count} steps"
         )
-    h = np.zeros((reg.n_params, reg.n_params))
-    for k in range(l, l + window + 1):
-        phi = reg(traj.states[k])
-        h += phi.T @ phi
-    return h
+    a = b = d = 0.0
+    for u1, u2 in regressor_pairs(reg, traj.states[l : l + window + 1].tolist()):
+        a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
+    return sym2_array((a, b, d))
 
 
 def is_initially_exciting(
-    traj: Trajectory, reg: Regressor, horizon: int, alpha_threshold: float
+    traj: Trajectory, reg: Callable, horizon: int, alpha_threshold: float
 ) -> bool:
     """Whether the undiscounted FIM over steps 0..horizon clears alpha_threshold."""
     if alpha_threshold <= 0:
@@ -159,12 +148,15 @@ def greedy_offer(gset: GreedySet, phi_k, y_k, k: int) -> tuple[GreedySet, bool]:
     return accepted, True
 
 
-def build_greedy_set(traj: Trajectory, reg: Regressor, upto: int | None = None) -> GreedySet:
+def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -> GreedySet:
     """Run the acceptance rule over steps 0..upto-1 of a trajectory."""
     upto = traj.step_count if upto is None else upto
+    if not 0 <= upto <= traj.step_count:
+        raise ValueError(f"upto {upto} out of range for {traj.step_count} steps")
     gset = GreedySet()
-    for k in range(upto):
-        gset, _ = greedy_offer(gset, reg(traj.states[k]), traj.observations[k], k)
+    pairs = regressor_pairs(reg, traj.states[:upto].tolist())
+    for k, (phi, y) in enumerate(zip(pairs, traj.observations[:upto].tolist())):
+        gset, _ = greedy_offer(gset, phi, y, k)
     return gset
 
 
@@ -173,7 +165,7 @@ EXHAUSTIVE_LIMIT = 20
 
 
 def optimal_excitation_set(
-    traj: Trajectory, reg: Regressor, limit: int = EXHAUSTIVE_LIMIT
+    traj: Trajectory, reg: Callable, limit: int = EXHAUSTIVE_LIMIT
 ) -> tuple[int, ...]:
     """Brute-force subset of step indices minimizing the FIM condition number.
 
@@ -186,17 +178,18 @@ def optimal_excitation_set(
     if n > limit:
         raise ValueError(f"trajectory has {n} steps, more than the limit {limit}")
 
-    outers = [None] * n
-    for k in range(n):
-        phi = reg(traj.states[k])
-        outers[k] = phi.T @ phi
+    # each point's FIM entries; a subset's FIM is their sum in index order
+    pairs = regressor_pairs(reg, traj.states[:n].tolist())
+    outers = [(u1 * u1, u1 * u2, u2 * u2) for u1, u2 in pairs]
 
     best: tuple[int, ...] | None = None
     best_cond = math.inf
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            h = sum(outers[k] for k in subset)
-            cond = condition_number(h)
+            fim = tuple(map(sum, zip(*(outers[k] for k in subset))))
+            if not all(map(math.isfinite, fim)):
+                raise ValueError(f"the FIM of steps {subset} is not finite: {fim}")
+            cond = sym2_condition(*fim)
             if best is None or cond < best_cond:
                 best = subset
                 best_cond = cond

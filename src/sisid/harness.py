@@ -39,13 +39,7 @@ from .estimators import (
     ie_mmai_selected,
     pure_gd_kernel,
 )
-from .excitation import (
-    GreedySet,
-    Regressor,
-    finite_pair,
-    sis_regressor_pair,
-    write_acceptance_trace,
-)
+from .excitation import GreedySet, regressor_pairs, sis_regressor_pair, write_acceptance_trace
 from .linalg import (
     ConditioningError,
     Sym2,
@@ -79,14 +73,13 @@ class MetricsRow(NamedTuple):
 METRICS_COLUMNS = MetricsRow._fields
 
 
-def fim_condition_trace(traj: Trajectory, reg: Regressor, alpha: float) -> list[float]:
+def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[float]:
     """Condition number of the discounted FIM after each step (may contain inf).
 
     The FIM H = alpha H + phi^T phi is accumulated as its entries, so its
     condition number is the same closed form the greedy offer uses.
     """
-    pairs = [finite_pair(reg(x), "regressor") for x in traj.states[:-1].tolist()]
-    return _fim_condition_trace(pairs, alpha)
+    return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)
 
 
 def _fim_condition_trace(pairs: list[tuple[float, float]], alpha: float) -> list[float]:

@@ -9,9 +9,13 @@ yardsticks the fast paths are measured against.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from sisid.linalg import condition_number
 
 
 def eig2x2_sym(m: np.ndarray) -> tuple[float, float]:
@@ -54,6 +58,31 @@ def min_window_eig_scan(states: np.ndarray, window: int) -> tuple[float, int]:
         if lmin < best:
             best, best_l = lmin, l
     return best, best_l
+
+
+def window_fim(phis: Iterable) -> np.ndarray:
+    """Sum of phi^T phi over regressors (each 1x2 or two entries), from zero in order."""
+    h = np.zeros((2, 2))
+    for phi in phis:
+        phi = np.atleast_2d(np.asarray(phi, dtype=float))
+        h += phi.T @ phi
+    return h
+
+
+def brute_force_excitation_set(phis: Sequence) -> tuple[int, ...]:
+    """Indices whose summed phi^T phi has the least ``condition_number``.
+
+    Every subset of every size is tried; ties go to the smaller subset,
+    then to the lexicographically smaller index tuple.
+    """
+    outers = [window_fim([phi]) for phi in phis]
+    best, best_cond = None, math.inf
+    for size in range(1, len(phis) + 1):
+        for subset in itertools.combinations(range(len(phis)), size):
+            cond = condition_number(sum(outers[k] for k in subset))
+            if best is None or cond < best_cond:
+                best, best_cond = subset, cond
+    return best
 
 
 def weighted_normal_solution(

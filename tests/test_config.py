@@ -51,6 +51,22 @@ class TestOutOfRangeFields:
         with pytest.raises(ConfigError, match="seed"):
             config_from_mapping({**BASE, "estimators": "grls", "noise": "on", "seed": "-1"})
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ({"noise.process_std": "abc"}, "noise.process_std: expected a number, got 'abc'"),
+            ({"seed": "x"}, "seed: expected an integer, got 'x'"),
+            # NoiseSpec's own errors keep their prefix
+            ({"noise.process_std": "1.0", "noise.bound_nu": "1e-9"},
+             "noise: bound_nu 1e-09 keeps only 7.98e-10 of process-noise draws (std 1.0); "
+             "it must keep at least 0.01"),
+        ],
+    )
+    def test_noise_error_names_the_key_once(self, keys, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_mapping({**BASE, "estimators": "grls", "noise": "on", **keys})
+        assert str(info.value) == message
+
     def test_validate_names_the_field(self):
         config = ExperimentConfig(
             sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,

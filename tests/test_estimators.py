@@ -23,7 +23,7 @@ from sisid.estimators import (
     pure_gd_kernel,
     run_grls,
 )
-from sisid.excitation import SIS_REGRESSOR, Regressor, sis_regressor, sis_regressor_pair
+from sisid.excitation import SIS_REGRESSOR, sis_regressor, sis_regressor_pair
 from sisid.linalg import sym2, sym2_eigenvalues
 
 from _oracles import sis_phi_rows, weighted_normal_solution
@@ -255,8 +255,7 @@ class TestNonFiniteInput:
             grls_step(state, x_k, x_next)
 
     def test_grls_step_custom_regressor(self):
-        reg = Regressor(fn=lambda x: np.array([[math.nan, -x]]), n_outputs=1, n_params=2)
-        state = GrlsState.initial(THETA0, reg)
+        state = GrlsState.initial(THETA0, lambda x: np.array([[math.nan, -x]]))
         with pytest.raises(ValueError, match="regressor"):
             grls_step(state, 0.1, 0.11)
 

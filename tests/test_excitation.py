@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sisid.dynamics import SisParams, Trajectory, simulate
+from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
+from sisid.estimators import GrlsState, grls_step
 from sisid.excitation import (
     SIS_REGRESSOR,
     GreedySet,
-    Regressor,
     build_greedy_set,
     greedy_offer,
     is_initially_exciting,
@@ -19,7 +21,13 @@ from sisid.excitation import (
 from sisid.harness import fim_condition_trace
 from sisid.linalg import condition_number
 
-from _oracles import eig2x2_sym, min_window_eig_scan, sis_phi_rows
+from _oracles import (
+    brute_force_excitation_set,
+    eig2x2_sym,
+    min_window_eig_scan,
+    sis_phi_rows,
+    window_fim,
+)
 
 FIG1 = SisParams(beta=0.12, gamma=0.04)
 FIG3 = SisParams(beta=0.8076, gamma=0.2692)
@@ -45,10 +53,10 @@ class TestSisRegressor:
         assert np.array_equal(sis_regressor(0.5), [[0.25, -0.5]])
 
     def test_wrapper_shape_check(self):
+        # a plain function; a regressor of another shape is rejected where
+        # it is read (TestRegressorContract)
+        assert SIS_REGRESSOR is sis_regressor
         assert SIS_REGRESSOR(0.3).shape == (1, 2)
-        bad = Regressor(fn=lambda x: np.zeros((2, 2)), n_outputs=1, n_params=2)
-        with pytest.raises(ValueError):
-            bad(0.3)
 
 
 class TestSlidingFim:
@@ -206,7 +214,9 @@ class TestGreedyOffer:
 class TestOptimalExcitationSet:
     def test_orthogonal_pair_reaches_unit_conditioning(self):
         # custom regressor whose two states produce complementary unit rows
-        reg = Regressor(fn=lambda x: np.array([[x, 1.0 - x]]), n_outputs=1, n_params=2)
+        def reg(x):
+            return np.array([[x, 1.0 - x]])
+
         traj = constant_trajectory([1.0, 0.0, 0.0])
         best = optimal_excitation_set(traj, reg)
         assert best == (0, 1)
@@ -300,3 +310,70 @@ class TestAcceptanceTraceExport:
         accepted_steps = [r[0] for r in rows if r[1]]
         final = build_greedy_set(traj, SIS_REGRESSOR)
         assert tuple(accepted_steps) == final.indices
+
+
+def _two_entry_regressor(x):
+    """A regressor other than the SIS one, given as a flat array of two."""
+    return np.array([math.cos(5.0 * x), x - 0.5])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    beta=st.floats(0.05, 0.95),
+    gamma=st.floats(0.02, 0.5),
+    x0=st.floats(1e-3, 0.99),
+    steps=st.integers(1, 10),
+    noise_seed=st.none() | st.integers(0, 1000),
+    custom=st.booleans(),
+    data=st.data(),
+)
+def test_fim_sums_match_numpy_reference(beta, gamma, x0, steps, noise_seed, custom, data):
+    # the float sums do the numpy reference's adds in its order: bitwise equal
+    noise = None if noise_seed is None else NoiseSpec(1e-3, 1e-3, 5e-3, seed=noise_seed)
+    traj = simulate(x0, SisParams(beta=beta, gamma=gamma), steps, noise)
+    reg = _two_entry_regressor if custom else SIS_REGRESSOR
+    phis = [reg(x) for x in traj.states]
+    l = data.draw(st.integers(0, steps), label="l")
+    window = data.draw(st.integers(0, steps - l), label="window")
+    h = sliding_fim(traj, reg, l, window)
+    assert h.tobytes() == window_fim(phis[l : l + window + 1]).tobytes()
+    assert optimal_excitation_set(traj, reg) == brute_force_excitation_set(phis[:steps])
+
+
+class TestRegressorContract:
+    """Every consumer reads a regressor as two finite entries or raises."""
+
+    CONSUMERS = {
+        "sliding_fim": lambda traj, reg: sliding_fim(traj, reg, 0, 3),
+        "build_greedy_set": build_greedy_set,
+        "optimal_excitation_set": optimal_excitation_set,
+        "fim_condition_trace": lambda traj, reg: fim_condition_trace(traj, reg, 0.94),
+        "grls_step": lambda traj, reg: grls_step(
+            GrlsState.initial((1.0, 1.0), reg), traj.states[0], traj.states[1]
+        ),
+    }
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize(
+        "reg,message",
+        [
+            (lambda x: (math.nan, -x), "regressor must be finite"),
+            (lambda x: np.zeros((2, 2)), "regressor must have 2 entries"),
+        ],
+        ids=["nan", "four_entries"],
+    )
+    def test_rejected(self, consumer, reg, message):
+        traj = simulate(0.01, FIG3, 5)
+        with pytest.raises(ValueError, match=message):
+            self.CONSUMERS[consumer](traj, reg)
+
+    def test_overflowing_fim_rejected(self):
+        traj = constant_trajectory([1.0, 2.0])
+        with pytest.raises(ValueError, match="not finite"):
+            optimal_excitation_set(traj, lambda x: (1e200 * x, 1.0))
+
+    def test_upto_out_of_range(self):
+        traj = simulate(0.01, FIG3, 5)
+        for upto in (-1, 6):
+            with pytest.raises(ValueError, match="upto"):
+                build_greedy_set(traj, SIS_REGRESSOR, upto)

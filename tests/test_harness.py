@@ -408,6 +408,33 @@ class TestCli:
         assert (tmp_path / "sweep_out" / "grls_alpha=0.9" / "metrics.csv").exists()
         assert (tmp_path / "sweep_out" / "grls_alpha=0.95" / "metrics.csv").exists()
 
+    def test_sweep_checks_every_value_before_running(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "beta = 0.8076\ngamma = 0.2692\nx0 = 0.01\nsteps = 30\n"
+            "estimators = grls\nemit = metrics, trajectory\n"
+            f"outputs = {tmp_path / 'sweep_out'}\n"
+        )
+        assert cli.main(["sweep", str(cfg), "--param", "steps", "--values", "3,abc"]) == 2
+        assert "steps: expected an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("kind", ["undecodable", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "bad.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff")
+        argv = [command, str(path)]
+        if command == "sweep":
+            argv += ["--param", "steps", "--values", "3"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: cannot ")
+        assert err.count("\n") == 1
+
     def test_run_reports_numerical_errors(self, tmp_path, capsys):
         cfg = tmp_path / "windup.cfg"
         cfg.write_text(
