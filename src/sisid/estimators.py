@@ -15,10 +15,10 @@ Four identifiers are provided:
   relied upon.
 
 Every identifier steps through a kernel on floats (``pure_gd_kernel``,
-``ef_rls_kernel``, ``grls_kernel``, ``ie_mmai_kernel``): two parameters
-and one scalar observation per step, which the caller has checked.
-``ef_rls_step`` and ``grls_step`` are array adapters over theirs that check
-their input.
+``grls_kernel``, ``ie_mmai_kernel``): two parameters and one scalar
+observation per step, which the caller has checked. EF-RLS is
+``grls_kernel`` with its excitation set disabled. ``ef_rls_step`` and
+``grls_step`` are array adapters over it that check their input.
 
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import GreedySet, finite_pair, finite_scalar, greedy_offer
+from .excitation import GreedySet, finite_pair, finite_scalar, greedy_offer, regressor_pairs
 from .linalg import (
     ConditioningError,
     Sym2,
@@ -102,16 +102,6 @@ def _finite_state(p: np.ndarray, theta: np.ndarray) -> tuple[Sym2, tuple[float, 
     return sym2(p, "state P"), finite_pair(theta, "state theta")
 
 
-_NO_SET = GreedySet()
-
-
-def ef_rls_kernel(
-    p: Sym2, theta: tuple[float, float], phi: tuple[float, float], y: float, alpha: float
-) -> tuple[Sym2, tuple[float, float]]:
-    """EF-RLS on floats: the RLS kernel with an excitation set that stays empty."""
-    return _rls_kernel(p, theta, alpha, _NO_SET, phi, y)
-
-
 def ef_rls_step(
     state: tuple[np.ndarray, np.ndarray],
     phi: np.ndarray,
@@ -120,7 +110,7 @@ def ef_rls_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One exponentially-forgetting RLS update on a (P, theta_hat) pair.
 
-    The GRLS kernel with an empty excitation set: P' = (alpha P^-1 +
+    The GRLS kernel with its excitation set disabled: P' = (alpha P^-1 +
     phi^T phi)^-1 by a Sherman-Morrison step and theta' = theta_hat +
     P' phi^T (y - phi theta_hat). The estimator fails with
     ``ConditioningError`` when alpha + phi P phi^T <= 0 or is not finite:
@@ -131,7 +121,8 @@ def ef_rls_step(
     """
     p, theta = _finite_state(*state)
     row = finite_pair(phi, "phi")
-    p_next, theta_next = ef_rls_kernel(p, theta, row, finite_scalar(y, "y"), alpha)
+    y = finite_scalar(y, "y")
+    p_next, theta_next, _, _ = grls_kernel(p, theta, GreedySet(), row, y, 0, alpha, False)
     return sym2_array(p_next), np.array(theta_next)
 
 
@@ -287,7 +278,7 @@ def batch_oracle(
     right-hand side, then solves. Independent of the recursive route on
     purpose: this is the ground truth the recursion is checked against.
     """
-    if k >= traj.step_count:
+    if not 0 <= k < traj.step_count:
         raise ValueError(f"step {k} out of range for {traj.step_count} observations")
     if any(i > k for i in spec.greedy_indices):
         raise ValueError("greedy_indices contains points beyond step k")
@@ -301,9 +292,7 @@ def batch_oracle(
         weights[greedy] = (
             0.0 if spec.alpha == 1.0 else 1.0 - spec.alpha ** (ages[greedy] + 1.0)
         )
-    rows = np.empty((k + 1, 2))
-    for i in range(k + 1):
-        rows[i] = reg(traj.states[i])
+    rows = np.array(regressor_pairs(reg, traj.states[: k + 1].tolist()))
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)
     a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv

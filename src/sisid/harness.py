@@ -9,11 +9,12 @@ in the manifest, and the exit status becomes nonzero. CSV content is
 bitwise reproducible for a fixed config; timings appear only in the
 manifest.
 
-The step loop works on floats. Each estimator kind is one entry of
-``_ESTIMATORS``: how to build its state, step it through its float kernel,
-and read its estimate and covariance. The regressor pairs are computed
-once per run and feed both the FIM condition trace and the steps. Metrics
-rows and CSV lines are formed from those floats.
+The step loop works on floats. Each estimator runs as one lane, a
+generator that steps its float kernel over the run's regressor pairs and
+observations and reports its estimate, covariance and greedy offer after
+each step; EF-RLS is the GRLS lane with its excitation set disabled. The
+regressor pairs are computed once per run and feed both the FIM condition
+trace and the lanes. Metrics rows and CSV lines are formed from those floats.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from . import __version__
 from .config import EstimatorSettings, ExperimentConfig, config_to_mapping
 from .dynamics import Trajectory, simulate
 from .estimators import (
-    ef_rls_kernel,
     grls_kernel,
     ie_mmai_init,
     ie_mmai_kernel,
@@ -92,74 +92,53 @@ def _fim_condition_trace(pairs: list[tuple[float, float]], alpha: float) -> list
     return trace
 
 
-# A greedy offer's outcome: (accepted, kappa before, kappa after).
-_Offer = tuple[bool, float, float]
+# What a lane yields before its first step and after each step: theta, P's
+# entries (None without a covariance), and its greedy offer's outcome
+# (accepted, kappa before, kappa after), None for estimators without an
+# excitation set. A step that fails raises ``ConditioningError`` out of it.
+_Report = tuple[tuple[float, float], Sym2 | None, tuple[bool, float, float] | None]
 
 
-class _Estimator(NamedTuple):
-    """How the run loop drives one estimator kind on floats.
-
-    ``init(settings)`` builds the state from settings that passed
-    ``ExperimentConfig.validate``. ``step(settings, state, phi, y)``
-    returns the next state and the outcome of its excitation-set offer,
-    None for estimators without a set; it raises
-    ``ConditioningError`` when the estimator fails. ``theta(state)`` is the
-    estimate, ``p(state)`` the covariance's entries (None without one).
-    """
-
-    init: Callable[[EstimatorSettings], Any]
-    step: Callable[..., tuple[Any, _Offer | None]]
-    theta: Callable[[Any], tuple[float, float]]
-    p: Callable[[Any], Sym2 | None]
+def _pure_gd_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
+    theta = tuple(map(float, est.theta0))
+    yield theta, None, None
+    for phi, y in zip(pairs, ys):
+        theta = pure_gd_kernel(theta, phi, y)
+        yield theta, None, None
 
 
-def _rls_init(est: EstimatorSettings) -> tuple[Sym2, tuple[float, ...]]:
-    """EF-RLS's state, and GRLS's before its set and step: P0 = p0_scale * I and theta0."""
+def _rls_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
+    """GRLS, or EF-RLS: the same kernel with its excitation set disabled."""
     p0 = float(est.p0_scale)
-    return (p0, 0.0, p0), tuple(map(float, est.theta0))
+    p, theta, gset = (p0, 0.0, p0), tuple(map(float, est.theta0)), GreedySet()
+    greedy = est.kind == "grls"
+    yield theta, p, None
+    for k, (phi, y) in enumerate(zip(pairs, ys)):
+        before = gset.cond
+        p, theta, gset, accepted = grls_kernel(p, theta, gset, phi, y, k, est.alpha, greedy)
+        yield theta, p, (accepted, before, gset.cond) if greedy else None
 
 
-def _pure_gd_step(est, theta, phi, y):
-    return pure_gd_kernel(theta, phi, y), None
+def _ie_mmai_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
+    state = ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
+    yield ie_mmai_selected(state[0]), None, None
+    for phi, y in zip(pairs, ys):
+        state = ie_mmai_kernel(state, phi, y)
+        yield ie_mmai_selected(state[0]), None, None
 
 
-def _ef_rls_step(est, state, phi, y):
-    return ef_rls_kernel(*state, phi, y, est.alpha), None
-
-
-def _grls_step(est, state, phi, y):
-    p, theta, before, k = state
-    p, theta, after, accepted = grls_kernel(p, theta, before, phi, y, k, est.alpha, True)
-    return (p, theta, after, k + 1), (accepted, before.cond, after.cond)
-
-
-def _ie_mmai_step(est, state, phi, y):
-    return ie_mmai_kernel(state, phi, y), None
-
-
-_ESTIMATORS = {
-    "pure_gd": _Estimator(
-        lambda est: tuple(map(float, est.theta0)), _pure_gd_step, lambda t: t, lambda s: None
-    ),
-    "ef_rls": _Estimator(_rls_init, _ef_rls_step, lambda s: s[1], lambda s: s[0]),
-    # GRLS's state: P's entries, theta, the excitation set, the step
-    "grls": _Estimator(
-        lambda est: (*_rls_init(est), GreedySet(), 0), _grls_step, lambda s: s[1], lambda s: s[0]
-    ),
-    "ie_mmai": _Estimator(
-        lambda est: ie_mmai_init(est.theta0, est.models, est.spread, est.seed),
-        _ie_mmai_step, lambda s: ie_mmai_selected(s[0]), lambda s: None,
-    ),
+_LANES = {
+    "pure_gd": _pure_gd_lane, "ef_rls": _rls_lane, "grls": _rls_lane, "ie_mmai": _ie_mmai_lane
 }
 
 
 @dataclass(slots=True)
 class _Lane:
-    """One estimator's run: its settings, table entry, state and failure."""
+    """One estimator's run: its settings, its steps, its last report and failure."""
 
     settings: EstimatorSettings
-    estimator: _Estimator
-    state: Any
+    steps: Iterator[_Report]
+    report: _Report
     fim_trace: list[float]
     failed_at: int | None = None
     error: str | None = None
@@ -235,33 +214,35 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
         if est.alpha not in fim_traces:
             fim_traces[est.alpha] = _fim_condition_trace(pairs, est.alpha)
     t2 = clock()
-    lanes = [
-        _Lane(est, _ESTIMATORS[est.kind], _ESTIMATORS[est.kind].init(est), fim_traces[est.alpha])
-        for est in config.estimators
-    ]
+    ys = traj.observations.tolist()
+    lanes = []
+    for est in config.estimators:
+        steps = _LANES[est.kind](est, pairs, ys)
+        lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
     clamp = config.clamp_estimates
 
     rows: list[MetricsRow] = []
     greedy_rows: list[tuple[int, bool, float, float]] = []
-    for k, (phi, y) in enumerate(zip(pairs, traj.observations.tolist())):
+    for k in range(len(ys)):
         for lane in lanes:
-            estimator = lane.estimator
-            offer = None
             if lane.failed_at is None:
                 t_step = clock()
                 try:
-                    lane.state, offer = estimator.step(lane.settings, lane.state, phi, y)
+                    lane.report = next(lane.steps)
                 except ConditioningError as exc:
+                    # frozen at its last estimate, with no offer from here on
                     lane.failed_at, lane.error = k, str(exc)
+                    lane.report = (*lane.report[:2], None)
                 lane.step_s += clock() - t_step
-                if offer is not None:
-                    greedy_rows.append((k, *offer))
+            theta, p, offer = lane.report
+            if offer is not None:
+                greedy_rows.append((k, *offer))
             rows.append(
                 _metrics_row(
-                    k, lane.settings.kind, estimator.theta(lane.state), estimator.p(lane.state),
-                    lane.fim_trace[k], None if offer is None else offer[0], truth, clamp,
+                    k, lane.settings.kind, theta, p, lane.fim_trace[k],
+                    None if offer is None else offer[0], truth, clamp,
                 )
             )
     t3 = clock()

@@ -41,6 +41,15 @@ class TestOutOfRangeFields:
             ("ie_mmai", "ie_mmai.spread", "inf"),
             ("ie_mmai", "ie_mmai.seed", "-3"),
             ("ie_mmai", "ie_mmai.models", str(MAX_IE_MMAI_MODELS + 1)),
+            ("pure_gd", "pure_gd.alpha", "0"),
+            ("ef_rls", "ef_rls.alpha", "1.5"),
+            ("grls", "grls.alpha", "1"),
+            ("grls", "grls.p0_scale", "0"),
+            ("ef_rls", "ef_rls.p0_scale", "-1"),
+            ("grls", "grls.theta0", "1.0, 2.0, 3.0"),
+            ("grls", "x0", "-0.1"),
+            ("grls", "x0", "1.5"),
+            ("grls", "estimators", " , "),
         ],
     )
     def test_estimator_field_rejected(self, kind, key, value):
@@ -60,6 +69,7 @@ class TestOutOfRangeFields:
             ({"noise.process_std": "1.0", "noise.bound_nu": "1e-9"},
              "noise: bound_nu 1e-09 keeps only 7.98e-10 of process-noise draws (std 1.0); "
              "it must keep at least 0.01"),
+            ({"noise": "maybe"}, "noise: expected on or off, got 'maybe'"),
         ],
     )
     def test_noise_error_names_the_key_once(self, keys, message):
@@ -83,6 +93,9 @@ class TestOutOfRangeFields:
             "grls.theta0 = nan, 1.0",
             "ie_mmai.spread = nan",
             f"ie_mmai.models = {MAX_IE_MMAI_MODELS + 1}",
+            "steps = 20",  # a duplicate key
+            "schema = sisid-config-v0",
+            "clamp_estimates = maybe",
         ],
     )
     def test_cli_exits_2(self, tmp_path, capsys, command, line):

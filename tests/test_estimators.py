@@ -383,8 +383,9 @@ class TestBatchOracle:
         spec = WeightedCostSpec(
             alpha=0.94, p0_inv=np.eye(2), theta0=THETA0, greedy_indices=frozenset()
         )
-        with pytest.raises(ValueError):
-            batch_oracle(traj, SIS_REGRESSOR, spec, 10)
+        for k in (-1, 10):
+            with pytest.raises(ValueError, match="out of range"):
+                batch_oracle(traj, SIS_REGRESSOR, spec, k)
         # greedy indices beyond k are rejected
         bad = WeightedCostSpec(
             alpha=0.94, p0_inv=np.eye(2), theta0=THETA0, greedy_indices=frozenset({9})

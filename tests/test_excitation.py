@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
-from sisid.estimators import GrlsState, grls_step
+from sisid.estimators import GrlsState, WeightedCostSpec, batch_oracle, grls_step
 from sisid.excitation import (
     SIS_REGRESSOR,
     GreedySet,
@@ -350,6 +350,9 @@ class TestRegressorContract:
         "fim_condition_trace": lambda traj, reg: fim_condition_trace(traj, reg, 0.94),
         "grls_step": lambda traj, reg: grls_step(
             GrlsState.initial((1.0, 1.0), reg), traj.states[0], traj.states[1]
+        ),
+        "batch_oracle": lambda traj, reg: batch_oracle(
+            traj, reg, WeightedCostSpec(0.94, np.eye(2), np.ones(2), frozenset()), 3
         ),
     }
 

@@ -41,7 +41,13 @@ from sisid.harness import (
     fim_condition_trace,
     run_experiment,
 )
-from sisid.linalg import condition_number, eigenvalue_condition, sym2, sym2_eigenvalues
+from sisid.linalg import (
+    ConditioningError,
+    condition_number,
+    eigenvalue_condition,
+    sym2,
+    sym2_eigenvalues,
+)
 import sisid
 from sisid import cli
 from sisid.estimators import (
@@ -49,7 +55,9 @@ from sisid.estimators import (
     ef_rls_step,
     ie_mmai_init,
     ie_mmai_kernel,
+    grls_kernel,
     ie_mmai_selected,
+    pure_gd_kernel,
     run_grls,
 )
 
@@ -419,6 +427,34 @@ class TestCli:
         assert "steps: expected an integer, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "sweep_out").exists()
 
+    @pytest.mark.parametrize("values", [",", " , "])
+    def test_sweep_without_values_exits_2(self, tmp_path, capsys, values):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "beta = 0.8076\ngamma = 0.2692\nx0 = 0.01\nsteps = 30\n"
+            f"estimators = grls\nemit = metrics\noutputs = {tmp_path / 'sweep_out'}\n"
+        )
+        assert cli.main(["sweep", str(cfg), "--param", "grls.alpha", "--values", values]) == 2
+        assert "--values: expected at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, command):
+        # the output directory lies under a regular file, so it cannot be made
+        (tmp_path / "afile").write_text("")
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "beta = 0.8076\ngamma = 0.2692\nx0 = 0.01\nsteps = 20\n"
+            f"estimators = grls\nemit = metrics\noutputs = {tmp_path / 'afile' / 'out'}\n"
+        )
+        argv = [command, str(cfg)]
+        if command == "sweep":
+            argv += ["--param", "grls.alpha", "--values", "0.9"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "afile" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     @pytest.mark.parametrize("kind", ["undecodable", "directory"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, command, kind):
@@ -619,6 +655,80 @@ class TestHarnessLanes:
         ]
         assert rows == expected
         assert result.manifest["excitation"]["indices"] == list(s.excitation.indices)
+
+    @pytest.mark.parametrize("name", ["fig3_noisefree", "fig3_noisy"])
+    @pytest.mark.parametrize("kind", ["pure_gd", "ef_rls"])
+    def test_rows_equal_the_public_stepper(self, name, kind):
+        config = _in_memory(name)
+        result = run_experiment(config)
+        est = next(e for e in config.estimators if e.kind == kind)
+        traj = result.trajectory
+        theta, p = tuple(est.theta0), est.p0_scale * np.eye(2)
+        expected = []
+        failed_at = None
+        for k, (x, y) in enumerate(zip(traj.states.tolist(), traj.observations.tolist())):
+            if failed_at is not None:
+                expected.append(expected[-1])  # frozen at its last report
+            elif kind == "pure_gd":
+                theta = pure_gd_kernel(theta, sis_regressor_pair(x), y)
+                expected.append((*theta, None, None, None))
+            else:
+                try:
+                    p, theta = ef_rls_step((p, np.array(theta)), sis_regressor(x), y, est.alpha)
+                except ConditioningError:
+                    failed_at = k
+                    expected.append(expected[-1])
+                    continue
+                lo, hi = sym2_eigenvalues(*sym2(p))
+                expected.append((*theta.tolist(), eigenvalue_condition(lo, hi), hi, None))
+        rows = [
+            (r.beta_hat, r.gamma_hat, r.p_cond, r.p_max_eig, r.accepted)
+            for r in result.rows
+            if r.estimator == kind
+        ]
+        assert rows == expected
+        assert [e["step"] for e in result.manifest["errors"] if e["estimator"] == kind] == (
+            [] if failed_at is None else [failed_at]
+        )
+        if name == "fig3_noisefree" and kind == "ef_rls":
+            assert failed_at == 570
+            assert rows[570:] == [rows[569]] * (config.steps - 570)
+
+    def test_a_failed_grls_step_freezes_its_lane(self, monkeypatch):
+        def failing_at_5(*args):
+            if args[5] == 5 and args[7]:  # step 5 of the lane with its set enabled
+                raise ConditioningError("injected")
+            return grls_kernel(*args)
+
+        monkeypatch.setattr(sisid.harness, "grls_kernel", failing_at_5)
+        config = _in_memory("fig3_noisy")
+        result = run_experiment(config)
+        rows = [r for r in result.rows if r.estimator == "grls"]
+        assert result.manifest["errors"] == [
+            {"estimator": "grls", "step": 5, "message": "injected"}
+        ]
+        frozen = [(r.beta_hat, r.gamma_hat, r.p_cond, r.accepted) for r in rows[5:]]
+        assert frozen == [(rows[4].beta_hat, rows[4].gamma_hat, rows[4].p_cond, None)] * (
+            config.steps - 5
+        )
+        assert result.manifest["excitation"]["indices"] == [r.step for r in rows if r.accepted]
+        assert all(r.accepted is not None for r in rows[:5])
+
+    def test_int_settings_are_reported_as_floats(self):
+        # frozen before its first step, the lane reports theta0 and P0 as floats
+        result = _fig3_noisy_with("grls", p0_scale=10**160, theta0=(1, 1))
+        assert _failures(result) == [("grls", 0)]
+        row = result.rows[0]
+        assert [type(v) for v in (row.beta_hat, row.gamma_hat, row.p_max_eig)] == [float] * 3
+
+    @pytest.mark.parametrize("name", ["fig3_noisefree", "fig3_noisy"])
+    def test_ef_rls_makes_no_greedy_rows(self, tmp_path, name):
+        config = load_config(bundled_config_path(name))
+        est = next(e for e in config.estimators if e.kind == "ef_rls")
+        result = run_experiment(replace(config, estimators=(est,)), tmp_path)
+        assert all(r.accepted is None for r in result.rows)
+        assert "excitation" not in result.manifest
+        assert not (tmp_path / "greedy.csv").exists()
 
     @pytest.mark.parametrize("name", ["fig1", "fig3_noisy", "slow"])
     def test_fim_cond_column_equals_fim_condition_trace(self, name):
