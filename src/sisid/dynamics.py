@@ -138,8 +138,6 @@ def sis_step(x: float, params: SisParams) -> float:
 
 
 def _truncated_normal(rng: np.random.Generator, std: float, bound: float) -> float:
-    if std == 0.0:
-        return 0.0
     while True:
         sample = rng.normal(0.0, std)
         if abs(sample) <= bound:

@@ -16,9 +16,10 @@ Four identifiers are provided:
 
 Every identifier steps through a kernel on floats (``pure_gd_kernel``,
 ``grls_kernel``, ``ie_mmai_kernel``): two parameters and one scalar
-observation per step, which the caller has checked. EF-RLS is
-``grls_kernel`` with its excitation set disabled. ``ef_rls_step`` and
-``grls_step`` are array adapters over it that check their input.
+observation per step, which the caller has checked. One RLS step is one
+``grls_kernel`` call, and EF-RLS is that kernel with its excitation set
+disabled. ``ef_rls_step`` and ``grls_step`` are array adapters over it
+that check their input.
 
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
@@ -43,7 +44,6 @@ from .linalg import (
     sym2,
     sym2_array,
     sym2_eigenvalues,
-    symmetrize,
 )
 
 
@@ -55,51 +55,6 @@ def pure_gd_kernel(
     u1, u2 = phi
     e = y - (u1 * t1 + u2 * t2)
     return t1 + u1 * e, t2 + u2 * e
-
-
-def _rls_kernel(
-    p: Sym2,
-    theta: tuple[float, float],
-    alpha: float,
-    gset: GreedySet,
-    phi: tuple[float, float] | None,
-    y: float,
-) -> tuple[Sym2, tuple[float, float]]:
-    """One step of the weighted RLS recursion shared by EF-RLS and GRLS.
-
-    Minimizes alpha * (old cost) + (1 - alpha) * (excitation-set cost) +
-    (datum cost): P' = (alpha P^-1 + (1 - alpha) F + phi^T phi)^-1 and
-    theta' = theta + P' ((1 - alpha) (r - F theta) + phi^T (y - phi theta)),
-    where F and r are the set's FIM and right-hand side. ``phi`` is None
-    when the datum has just joined the set, which then carries it. Raises
-    ``ConditioningError`` when the covariance update does, or when theta'
-    is not finite.
-    """
-    t1, t2 = theta
-    g1 = g2 = 0.0
-    refresh = None
-    if gset.indices:
-        w = 1.0 - alpha
-        f11, f12, f22 = gset.fim_entries
-        r1, r2 = gset.rhs_entries
-        refresh = (w * f11, w * f12, w * f22)
-        g1 = w * (r1 - (f11 * t1 + f12 * t2))
-        g2 = w * (r2 - (f12 * t1 + f22 * t2))
-    if phi is not None:
-        u1, u2 = phi
-        e = y - (u1 * t1 + u2 * t2)
-        g1 += u1 * e
-        g2 += u2 * e
-    a, b, d = covariance_update(p, alpha, refresh, phi)
-    t1, t2 = t1 + (a * g1 + b * g2), t2 + (b * g1 + d * g2)
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise ConditioningError(f"the RLS step gave non-finite theta' = {(t1, t2)!r}")
-    return (a, b, d), (t1, t2)
-
-
-def _finite_state(p: np.ndarray, theta: np.ndarray) -> tuple[Sym2, tuple[float, float]]:
-    """An estimator's (P, theta) as floats; ``ValueError`` when not finite."""
-    return sym2(p, "state P"), finite_pair(theta, "state theta")
 
 
 def ef_rls_step(
@@ -119,7 +74,7 @@ def ef_rls_step(
     Non-finite P, theta_hat, phi or y raise ``ValueError`` naming the
     argument.
     """
-    p, theta = _finite_state(*state)
+    p, theta = sym2(state[0], "state P"), finite_pair(state[1], "state theta")
     row = finite_pair(phi, "phi")
     y = finite_scalar(y, "y")
     p_next, theta_next, _, _ = grls_kernel(p, theta, GreedySet(), row, y, 0, alpha, False)
@@ -135,8 +90,8 @@ class GrlsState:
     (beta, gamma), ``excitation`` the greedy excitation set. ``regressor``
     maps a state to its two regressor entries (``SIS_REGRESSOR`` for the
     SIS model); ``grls_step`` reads it once per step and rejects anything
-    but two finite entries. ``alpha`` must be strictly below 1: the
-    excitation set's refresh weight is 1 - alpha. Setting
+    but two finite entries. ``alpha`` must be strictly below 1 while the set
+    is enabled: the excitation set's refresh weight is 1 - alpha. Setting
     ``greedy_enabled`` to False makes every offer a rejection, which leaves
     the set empty and the recursion EF-RLS.
     """
@@ -187,17 +142,42 @@ def grls_kernel(
     alpha: float,
     greedy_enabled: bool,
 ) -> tuple[Sym2, tuple[float, float], GreedySet, bool]:
-    """One GRLS step on floats; see ``grls_step``.
+    """One step of the weighted RLS recursion on floats, shared by GRLS and EF-RLS.
 
     Offers datum k (regressor ``phi``, observation ``y``) to the excitation
-    set, then runs the RLS kernel; returns (P, theta, set, accepted).
+    set when ``greedy_enabled``, then minimizes alpha * (old cost) +
+    (1 - alpha) * (excitation-set cost) + (datum cost):
+    P' = (alpha P^-1 + (1 - alpha) F + phi^T phi)^-1 and
+    theta' = theta + P' ((1 - alpha) (r - F theta) + phi^T (y - phi theta)),
+    where F and r are the set's FIM and right-hand side. A datum that has
+    just joined the set enters through it, so its phi terms drop. Returns
+    (P', theta', set, accepted). Raises ``ConditioningError`` when the
+    covariance update does, or when theta' is not finite.
     """
     if greedy_enabled:
         gset, accepted = greedy_offer(gset, phi, y, k)
     else:
         accepted = False
-    p, theta = _rls_kernel(p, theta, alpha, gset, None if accepted else phi, y)
-    return p, theta, gset, accepted
+    t1, t2 = theta
+    g1 = g2 = 0.0
+    refresh = None
+    if gset.indices:
+        w = 1.0 - alpha
+        f11, f12, f22 = gset.fim_entries
+        r1, r2 = gset.rhs_entries
+        refresh = (w * f11, w * f12, w * f22)
+        g1 = w * (r1 - (f11 * t1 + f12 * t2))
+        g2 = w * (r2 - (f12 * t1 + f22 * t2))
+    if not accepted:
+        u1, u2 = phi
+        e = y - (u1 * t1 + u2 * t2)
+        g1 += u1 * e
+        g2 += u2 * e
+    a, b, d = covariance_update(p, alpha, refresh, None if accepted else phi)
+    t1, t2 = t1 + (a * g1 + b * g2), t2 + (b * g1 + d * g2)
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ConditioningError(f"the RLS step gave non-finite theta' = {(t1, t2)!r}")
+    return (a, b, d), (t1, t2), gset, accepted
 
 
 def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
@@ -208,10 +188,14 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     weight 1 - alpha; a rejected point enters by a Sherman-Morrison step
     with unit weight, to be forgotten exponentially like ordinary RLS data.
     A non-finite ``x_k``, ``x_next``, regressor, ``state.P`` or
-    ``state.theta`` raises ``ValueError``; a covariance that loses positive
-    definiteness, or a non-finite new P or theta, raises ``ConditioningError``.
+    ``state.theta`` raises ``ValueError``, as does alpha >= 1 with the set
+    enabled, whose refresh weight 1 - alpha would drop the set; a covariance
+    that loses positive definiteness, or a non-finite new P or theta, raises
+    ``ConditioningError``.
     """
-    p, theta = _finite_state(state.P, state.theta)
+    if state.greedy_enabled and state.alpha >= 1.0:
+        raise ValueError(f"alpha must be below 1 with the set enabled, got {state.alpha}")
+    p, theta = sym2(state.P, "state P"), finite_pair(state.theta, "state theta")
     x_k = finite_scalar(x_k, "x_k")
     x_next = finite_scalar(x_next, "x_next")
     phi = finite_pair(state.regressor(x_k), "regressor")
@@ -236,12 +220,23 @@ def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:
 
 @dataclass(frozen=True)
 class WeightedCostSpec:
-    """Ingredients of the weighted least-squares cost the recursion minimizes."""
+    """Ingredients of the weighted least-squares cost the recursion minimizes.
+
+    ``ValueError`` naming the field unless alpha is in (0, 1] and
+    ``p0_inv`` and ``theta0`` are finite.
+    """
 
     alpha: float
     p0_inv: np.ndarray
     theta0: np.ndarray
     greedy_indices: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"spec.alpha must be in (0, 1], got {self.alpha!r}")
+        for name in ("p0_inv", "theta0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"spec.{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def from_grls(cls, state: GrlsState, p0_scale: float, theta0: Sequence[float]):
@@ -263,8 +258,6 @@ def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
     if i > k:
         raise ValueError(f"weight requested for future point i={i} > k={k}")
     if i in spec.greedy_indices:
-        if spec.alpha == 1.0:
-            return 0.0
         return 1.0 - spec.alpha ** (k - i + 1)
     return spec.alpha ** (k - i)
 
@@ -282,22 +275,17 @@ def batch_oracle(
         raise ValueError(f"step {k} out of range for {traj.step_count} observations")
     if any(i > k for i in spec.greedy_indices):
         raise ValueError("greedy_indices contains points beyond step k")
-    for name in ("p0_inv", "theta0"):
-        if not np.isfinite(getattr(spec, name)).all():
-            raise ValueError(f"spec.{name} must be finite, got {getattr(spec, name)!r}")
     ages = k - np.arange(k + 1)
     weights = spec.alpha ** ages.astype(float)
     if spec.greedy_indices:
         greedy = np.fromiter(spec.greedy_indices, dtype=int)
-        weights[greedy] = (
-            0.0 if spec.alpha == 1.0 else 1.0 - spec.alpha ** (ages[greedy] + 1.0)
-        )
+        weights[greedy] = 1.0 - spec.alpha ** (ages[greedy] + 1.0)
     rows = np.array(regressor_pairs(reg, traj.states[: k + 1].tolist()))
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)
     a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv
     rhs = rows.T @ (weights * ys) + prior_scale * (spec.p0_inv @ spec.theta0)
-    return solve_spd(symmetrize(a), rhs)
+    return solve_spd(0.5 * (a + a.T), rhs)
 
 
 # IE-MMAI's fixed settings. The one-shot correction fires once the smallest

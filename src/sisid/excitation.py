@@ -164,19 +164,16 @@ def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -
 EXHAUSTIVE_LIMIT = 20
 
 
-def optimal_excitation_set(
-    traj: Trajectory, reg: Callable, limit: int = EXHAUSTIVE_LIMIT
-) -> tuple[int, ...]:
+def optimal_excitation_set(traj: Trajectory, reg: Callable) -> tuple[int, ...]:
     """Brute-force subset of step indices minimizing the FIM condition number.
 
     Ties break toward smaller subsets, then lexicographically smaller index
-    tuples. Intended for verification at desk scale only.
+    tuples. Intended for verification at desk scale only: a trajectory of
+    more than ``EXHAUSTIVE_LIMIT`` steps raises ``ValueError``.
     """
     n = traj.step_count
-    if limit > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"limit {limit} exceeds exhaustive budget {EXHAUSTIVE_LIMIT}")
-    if n > limit:
-        raise ValueError(f"trajectory has {n} steps, more than the limit {limit}")
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"trajectory has {n} steps, more than the limit {EXHAUSTIVE_LIMIT}")
 
     # each point's FIM entries; a subset's FIM is their sum in index order
     pairs = regressor_pairs(reg, traj.states[:n].tolist())

@@ -78,7 +78,10 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
 
     The FIM H = alpha H + phi^T phi is accumulated as its entries, so its
     condition number is the same closed form the greedy offer uses.
+    ``ValueError`` naming alpha unless 0 < alpha <= 1.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)
 
 
@@ -197,9 +200,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
 
     ``manifest["timings"]`` holds seconds spent simulating, computing the
     FIM condition trace, stepping each estimator, forming metrics rows and
-    writing files. ``manifest["excitation"]``, present when GRLS ran, holds
-    its excitation set: size, step indices and final condition number
-    (null while the set is rank deficient).
+    writing files. ``manifest["excitation"]``, present when a GRLS lane is
+    configured, holds its excitation set: size, step indices and final
+    condition number (null while the set is rank deficient or empty, as
+    when GRLS fails at its first step).
     """
     config.validate()
     start = time.monotonic()
@@ -274,9 +278,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
             "write_s": 0.0,
         },
     }
-    if greedy_rows:
+    if any(est.kind == "grls" for est in config.estimators):
         indices = [k for k, accepted, _, _ in greedy_rows if accepted]
-        kappa = greedy_rows[-1][3]
+        kappa = greedy_rows[-1][3] if greedy_rows else math.inf
         manifest["excitation"] = {
             "size": len(indices),
             "indices": indices,

@@ -98,10 +98,6 @@ def condition_number(m: np.ndarray) -> float:
     return sym2_condition(*sym2(m))
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 def covariance_update(
     p: Sym2,
     alpha: float,

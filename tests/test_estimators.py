@@ -24,7 +24,7 @@ from sisid.estimators import (
     run_grls,
 )
 from sisid.excitation import SIS_REGRESSOR, sis_regressor, sis_regressor_pair
-from sisid.linalg import sym2, sym2_eigenvalues
+from sisid.linalg import ConditioningError, sym2, sym2_eigenvalues
 
 from _oracles import sis_phi_rows, weighted_normal_solution
 
@@ -136,6 +136,11 @@ class TestEfRls:
         for p, _ in drive_ef_rls(traj, THETA0, 0.94, 100.0):
             assert min_eigenvalue(p) > 0
 
+    def test_non_finite_theta_fails_the_step(self):
+        # P' is finite (1e300 - 1e200 rounds to 1e300), but theta'_1 = 1 + 1e300 * 1e100 is not
+        with pytest.raises(ConditioningError, match="theta'"):
+            ef_rls_step((1e300 * np.eye(2), THETA0), [[1e-200, 0.0]], 1e300, 1.0)
+
 
 class TestGrls:
     def test_first_datum_enters_excitation_set(self):
@@ -153,6 +158,21 @@ class TestGrls:
     def test_alpha_must_be_strictly_below_one(self):
         with pytest.raises(ValueError):
             GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=1.0)
+
+    def test_unit_alpha_with_the_set_enabled_is_rejected(self):
+        # the refresh weight 1 - alpha would be 0: accepted points would enter nowhere
+        state = dataclasses.replace(GrlsState.initial(THETA0, SIS_REGRESSOR), alpha=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            grls_step(state, 0.01, 0.0153)
+
+    def test_unit_alpha_with_the_set_disabled_is_ef_rls(self):
+        traj = simulate(0.01, FIG3, 300, NoiseSpec(seed=1))
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR, greedy_enabled=False)
+        grls_states = run_grls(dataclasses.replace(state, alpha=1.0), traj)
+        rls_history = drive_ef_rls(traj, THETA0, 1.0, 100.0)
+        for gs, (p, theta) in zip(grls_states, rls_history, strict=True):
+            assert np.array_equal(gs.theta, theta)
+            assert np.array_equal(gs.P, p)
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=8)])
     def test_matches_batch_oracle_at_every_step(self, noise):
@@ -338,6 +358,13 @@ class TestWeights:
 
 
 class TestBatchOracle:
+    @pytest.mark.parametrize("alpha", [math.nan, -0.5, 0.0, 1.5])
+    def test_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="spec.alpha"):
+            WeightedCostSpec(
+                alpha=alpha, p0_inv=np.eye(2), theta0=THETA0, greedy_indices=frozenset()
+            )
+
     def test_strong_prior_pins_initial_guess(self):
         traj = simulate(0.01, FIG3, 5)
         spec = WeightedCostSpec(

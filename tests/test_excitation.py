@@ -240,8 +240,6 @@ class TestOptimalExcitationSet:
         traj = simulate(0.01, FIG3, 25)
         with pytest.raises(ValueError):
             optimal_excitation_set(traj, SIS_REGRESSOR)
-        with pytest.raises(ValueError):
-            optimal_excitation_set(traj, SIS_REGRESSOR, limit=25)
 
 
 class TestFisherInfo:

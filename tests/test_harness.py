@@ -114,6 +114,11 @@ class TestFimConditionTrace:
         finite = [c for c in trace if math.isfinite(c)]
         assert max(finite) > 1e3
 
+    @pytest.mark.parametrize("alpha", [math.nan, -0.5, 0.0, 1.5])
+    def test_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            fim_condition_trace(simulate(0.01, FIG3, 10), SIS_REGRESSOR, alpha)
+
 
 class TestConfigParsing:
     def test_round_trip_through_text(self):
@@ -602,6 +607,8 @@ class TestOverflowingCovariance:
         assert result.status == 1
         assert _failures(result) == [("grls", 0)]
         _assert_estimates_finite(result)
+        # the configured GRLS lane still reports its (empty) excitation set
+        assert result.manifest["excitation"] == {"size": 0, "indices": [], "final_kappa": None}
         # one that squares to a finite det still runs to the end
         assert _fig3_noisy_with("grls", p0_scale=1e150).status == 0
 
@@ -610,6 +617,7 @@ class TestOverflowingCovariance:
         assert result.status == 1
         assert _failures(result) == [("ef_rls", 1)]
         _assert_estimates_finite(result)
+        assert "excitation" not in result.manifest  # no GRLS lane
         # P's entries near 1e200 are finite, and so is its largest eigenvalue
         assert math.isfinite(result.rows[0].p_max_eig)
 
