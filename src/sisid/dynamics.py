@@ -8,11 +8,17 @@ and the identifiers observe y[k] = x[k+1] - x[k]. Process noise is a
 truncated Gaussian added to the state before clamping to [0, 1];
 observation noise, when enabled, is added to the stored states before
 the observations are formed, so y inherits both.
+
+``simulate`` steps on floats through ``sis_step``, the one copy of the
+recursion. It draws process noise in blocks, bitwise equal to redrawing one
+sample at a time and leaving the generator where that would, so the
+observation noise drawn next is unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,11 +143,15 @@ def sis_step(x: float, params: SisParams) -> float:
     return x + (1.0 - x) * params.beta * x - params.gamma * x
 
 
-def _truncated_normal(rng: np.random.Generator, std: float, bound: float) -> float:
-    while True:
-        sample = rng.normal(0.0, std)
-        if abs(sample) <= bound:
-            return float(sample)
+def _process_noise(rng: np.random.Generator, std: float, bound: float, steps: int) -> list[float]:
+    """``steps`` draws of N(0, std^2) with |draw| <= bound, in draw order. No block
+    asks for more draws than are still missing, so none is taken past the last kept.
+    """
+    kept: list[float] = []
+    while len(kept) < steps:
+        block = rng.normal(0.0, std, size=steps - len(kept))
+        kept += block[np.abs(block) <= bound].tolist()
+    return kept
 
 
 def simulate(
@@ -150,29 +160,42 @@ def simulate(
     steps: int,
     noise: NoiseSpec | None = None,
 ) -> Trajectory:
-    """Simulate ``steps`` transitions from ``x0``; deterministic for a fixed seed."""
+    """Simulate ``steps`` transitions from ``x0``; deterministic for a fixed seed.
+
+    Bitwise equal to redrawing process noise one sample at a time, with the
+    generator left at the same position for the observation noise.
+    """
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
     rng = np.random.default_rng(noise.seed) if noise is not None else None
-    true_states = np.empty(steps + 1)
-    xi = np.zeros(steps)
-    true_states[0] = x0
-    for k in range(steps):
-        x_next = sis_step(true_states[k], params)
-        if noise is not None and noise.process_std > 0:
-            xi[k] = _truncated_normal(rng, noise.process_std, noise.bound_nu)
-            x_next = min(1.0, max(0.0, x_next + xi[k]))
-        true_states[k + 1] = x_next
+    x = float(x0)
+    states = [x]
+    if noise is not None and noise.process_std > 0:
+        xi = _process_noise(rng, noise.process_std, noise.bound_nu, steps)
+        for e in xi:
+            x = sis_step(x, params) + e
+            if not 0.0 < x < 1.0:  # = min(1.0, max(0.0, x)), minus two calls
+                x = 1.0 if x >= 1.0 else 0.0
+            states.append(x)
+    else:
+        xi = [0.0] * steps
+        for _ in range(steps):
+            x = sis_step(x, params)
+            states.append(x)
 
-    states = true_states
+    observed = np.array(states)
     if noise is not None and noise.observation_std > 0:
-        states = true_states + rng.normal(0.0, noise.observation_std, size=steps + 1)
+        observed += rng.normal(0.0, noise.observation_std, size=steps + 1)
 
     return Trajectory(
-        states=states,
-        observations=np.diff(states),
-        process_noise=xi,
+        states=observed,
+        observations=np.diff(observed),
+        process_noise=np.array(xi),
     )

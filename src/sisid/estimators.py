@@ -222,8 +222,8 @@ def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:
 class WeightedCostSpec:
     """Ingredients of the weighted least-squares cost the recursion minimizes.
 
-    ``ValueError`` naming the field unless alpha is in (0, 1] and
-    ``p0_inv`` and ``theta0`` are finite.
+    ``ValueError`` naming the field unless alpha is in (0, 1],
+    ``p0_inv`` and ``theta0`` are finite and no greedy index is negative.
     """
 
     alpha: float
@@ -237,6 +237,8 @@ class WeightedCostSpec:
         for name in ("p0_inv", "theta0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"spec.{name} must be finite, got {getattr(self, name)!r}")
+        if any(i < 0 for i in self.greedy_indices):
+            raise ValueError(f"spec.greedy_indices must be >= 0, got {min(self.greedy_indices)}")
 
     @classmethod
     def from_grls(cls, state: GrlsState, p0_scale: float, theta0: Sequence[float]):
@@ -255,8 +257,8 @@ def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
     alpha^(k-l) for l = i..k, which telescopes to 1 - alpha^(k-i+1); all
     other points keep the plain exponential discount alpha^(k-i).
     """
-    if i > k:
-        raise ValueError(f"weight requested for future point i={i} > k={k}")
+    if not 0 <= i <= k:
+        raise ValueError(f"weight requested for point i={i} outside 0..k={k}")
     if i in spec.greedy_indices:
         return 1.0 - spec.alpha ** (k - i + 1)
     return spec.alpha ** (k - i)

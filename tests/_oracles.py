@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own update recursions:
 eigenvalues come from the quadratic formula or numpy's dense solvers,
 inverses are formed explicitly, window scans accumulate outer products
-from scratch, and trace CSVs format every field anew. These are the
+from scratch, trace CSVs format every field anew, and trajectories are
+simulated one numpy scalar and one process-noise redraw at a time. These are the
 yardsticks the fast paths are measured against.
 """
 
@@ -15,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from sisid.dynamics import NoiseSpec, SisParams, Trajectory, sis_step
 from sisid.linalg import condition_number
 
 
@@ -116,3 +118,44 @@ def naive_trace_csv(schema: str, columns: Sequence[str], rows: Iterable[Sequence
     lines = [f"# {schema}\n", ",".join(columns) + "\r\n"]
     lines += [",".join(field(v) for v in row) + "\r\n" for row in rows]
     return "".join(lines).encode()
+
+
+def _truncated_normal(rng: np.random.Generator, std: float, bound: float) -> float:
+    while True:
+        sample = rng.normal(0.0, std)
+        if abs(sample) <= bound:
+            return float(sample)
+
+
+def naive_simulate(
+    x0: float,
+    params: SisParams,
+    steps: int,
+    noise: NoiseSpec | None = None,
+) -> Trajectory:
+    """Simulate ``steps`` transitions from ``x0``; deterministic for a fixed seed."""
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+
+    rng = np.random.default_rng(noise.seed) if noise is not None else None
+    true_states = np.empty(steps + 1)
+    xi = np.zeros(steps)
+    true_states[0] = x0
+    for k in range(steps):
+        x_next = sis_step(true_states[k], params)
+        if noise is not None and noise.process_std > 0:
+            xi[k] = _truncated_normal(rng, noise.process_std, noise.bound_nu)
+            x_next = min(1.0, max(0.0, x_next + xi[k]))
+        true_states[k + 1] = x_next
+
+    states = true_states
+    if noise is not None and noise.observation_std > 0:
+        states = true_states + rng.normal(0.0, noise.observation_std, size=steps + 1)
+
+    return Trajectory(
+        states=states,
+        observations=np.diff(states),
+        process_noise=xi,
+    )

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sisid.dynamics import (
     MIN_DRAW_ACCEPTANCE,
@@ -12,6 +14,8 @@ from sisid.dynamics import (
     simulate,
     sis_step,
 )
+
+from _oracles import naive_simulate
 
 FIG1 = SisParams(beta=0.12, gamma=0.04)
 FIG2 = SisParams(beta=0.62929, gamma=0.20976)
@@ -130,6 +134,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(0.1, FIG1, 0)
 
+    @pytest.mark.parametrize("steps", [2.5, math.nan, "3", 3.0, None])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            simulate(0.1, FIG1, steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        traj = simulate(0.1, FIG1, np.int64(3))
+        assert traj.step_count == 3
+        assert np.array_equal(traj.states, simulate(0.1, FIG1, 3).states)
+
 
 class TestNoise:
     def test_seed_determinism(self):
@@ -189,6 +203,53 @@ class TestNoise:
     def test_non_finite_magnitudes_rejected(self, field):
         with pytest.raises(ValueError, match="finite"):
             NoiseSpec(**{field: math.nan})
+
+
+_LOG_MAGNITUDE = st.floats(-6.0, 0.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _noise_specs(draw) -> NoiseSpec | None:
+    """None, observation noise only, or bounded process noise whose bound keeps
+    from just above the acceptance floor (z = 0.0126) up to ~4 sigma of draws."""
+    kind = draw(st.sampled_from(["off", "observation only", "process"]))
+    if kind == "off":
+        return None
+    observation_std = draw(st.one_of(st.just(0.0), _LOG_MAGNITUDE))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "observation only":
+        return NoiseSpec(0.0, observation_std, 0.0, seed)
+    std = draw(_LOG_MAGNITUDE)
+    return NoiseSpec(std, observation_std, draw(st.floats(0.0126, 4.0)) * std, seed)
+
+
+class TestBlockDraws:
+    """``simulate`` draws process noise in blocks; ``naive_simulate`` redraws
+    one numpy scalar at a time. Observation noise is drawn after the process
+    noise, so equal observations also mean equal generator positions."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        x0=st.floats(0.0, 1.0),
+        beta=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 1.0),
+        steps=st.integers(1, 400),
+        noise=_noise_specs(),
+    )
+    # test_acceptance_floor's z: ~100 draws per kept sample
+    @example(x0=0.01, beta=0.8076, gamma=0.2692, steps=400,
+             noise=NoiseSpec(1.0, 1e-3, 0.0126, seed=0))
+    # x0 = 0 and x0 = 1 at rates that keep the state there: clamped about every other step
+    @example(x0=0.0, beta=0.0, gamma=1.0, steps=200,
+             noise=NoiseSpec(1e-2, 1e-3, 2e-2, seed=1))
+    @example(x0=1.0, beta=1.0, gamma=0.0, steps=200,
+             noise=NoiseSpec(1e-2, 1e-3, 2e-2, seed=2))
+    def test_bitwise_equal_to_one_draw_at_a_time(self, x0, beta, gamma, steps, noise):
+        params = SisParams(beta, gamma)
+        fast = simulate(x0, params, steps, noise)
+        naive = naive_simulate(x0, params, steps, noise)
+        for name in ("states", "observations", "process_noise"):
+            assert getattr(fast, name).tobytes() == getattr(naive, name).tobytes(), name
 
 
 class TestTrajectory:

@@ -356,6 +356,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             cost_weight(spec, 5, 4)
 
+    def test_negative_point_rejected(self):
+        # alpha ** (k - i) would weigh the point as if it were k - i steps old
+        spec = self.make_spec()
+        with pytest.raises(ValueError, match="i=-3"):
+            cost_weight(spec, -3, 5)
+
 
 class TestBatchOracle:
     @pytest.mark.parametrize("alpha", [math.nan, -0.5, 0.0, 1.5])
@@ -419,6 +425,14 @@ class TestBatchOracle:
         )
         with pytest.raises(ValueError):
             batch_oracle(traj, SIS_REGRESSOR, bad, 5)
+
+    @pytest.mark.parametrize("indices", [{-1}, {0, 3, -2}])
+    def test_negative_greedy_index_rejected(self, indices):
+        # numpy would read -1 as the last point and reweight a real one
+        with pytest.raises(ValueError, match="spec.greedy_indices"):
+            WeightedCostSpec(
+                alpha=0.94, p0_inv=np.eye(2), theta0=THETA0, greedy_indices=frozenset(indices)
+            )
 
 
 def sis_data(traj):
