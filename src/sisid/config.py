@@ -29,6 +29,9 @@ parsing, the config echo in manifests and validation go by it, so any other
 ``<kind>.<field>`` key (``pure_gd.p0_scale``, ``ie_mmai.p0_scale``) is unknown.
 Defaults are the ``EstimatorSettings`` and ``NoiseSpec`` field defaults.
 
+An ``ExperimentConfig`` checks itself when built: ``ConfigError`` names the
+first field a run could not use.
+
 Values round-trip losslessly: floats are written with repr().
 """
 
@@ -86,6 +89,9 @@ class ExperimentConfig:
     emit: tuple[str, ...] = ("metrics",)
     # clamp reported estimates at zero; estimator state is never touched
     clamp_estimates: bool = False
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Raise ``ConfigError`` naming the first field a run could not use."""
@@ -233,8 +239,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         estimators=tuple(estimators), outputs=outputs, emit=emit,
         clamp_estimates=clamp_value == "on",
     )
-    # first, so that a key of an unknown estimator kind reports the kind
-    config.validate()
     if mapping:
         raise ConfigError(f"unknown keys: {', '.join(sorted(mapping))}")
     return config

@@ -6,20 +6,20 @@ The scalar model steps the infected proportion x according to
 
 and the identifiers observe y[k] = x[k+1] - x[k]. Process noise is a
 truncated Gaussian added to the state before clamping to [0, 1];
-observation noise, when enabled, is added to the stored states before
-the observations are formed, so y inherits both.
+observation noise, when enabled, is added to the stored states, from which
+a ``Trajectory`` forms its observations, so y inherits both.
 
-``simulate`` steps on floats through ``sis_step``, the one copy of the
-recursion. It draws process noise in blocks, bitwise equal to redrawing one
-sample at a time and leaving the generator where that would, so the
-observation noise drawn next is unchanged.
+``simulate`` steps one loop on floats through ``sis_step``, the one copy of
+the recursion, with zero noise when there is none. It draws process noise in
+blocks, bitwise equal to redrawing one sample at a time and leaving the
+generator where that would, so the observation noise drawn next is unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,18 +97,16 @@ TRAJECTORY_SCHEMA = "sisid-trajectory-v1"
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States x[0..K], observations y[k] = x[k+1] - x[k], and realized process noise."""
+    """States x[0..K], observations y[k] = x[k+1] - x[k] formed from them, and process noise."""
 
     states: np.ndarray
-    observations: np.ndarray
+    observations: np.ndarray = field(init=False)
     process_noise: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
-        object.__setattr__(self, "observations", np.asarray(self.observations, dtype=float))
+        object.__setattr__(self, "observations", np.diff(self.states))
         object.__setattr__(self, "process_noise", np.asarray(self.process_noise, dtype=float))
-        if len(self.observations) != len(self.states) - 1:
-            raise ValueError("observations must have one entry fewer than states")
         if len(self.process_noise) != len(self.observations):
             raise ValueError("process_noise must have one entry per observation")
         for name in ("states", "observations", "process_noise"):
@@ -175,27 +173,20 @@ def simulate(
         raise ValueError(f"steps must be >= 1, got {steps}")
 
     rng = np.random.default_rng(noise.seed) if noise is not None else None
-    x = float(x0)
-    states = [x]
     if noise is not None and noise.process_std > 0:
         xi = _process_noise(rng, noise.process_std, noise.bound_nu, steps)
-        for e in xi:
-            x = sis_step(x, params) + e
-            if not 0.0 < x < 1.0:  # = min(1.0, max(0.0, x)), minus two calls
-                x = 1.0 if x >= 1.0 else 0.0
-            states.append(x)
     else:
         xi = [0.0] * steps
-        for _ in range(steps):
-            x = sis_step(x, params)
-            states.append(x)
+    x = float(x0)
+    states = [x]
+    for e in xi:
+        x = sis_step(x, params) + e
+        if not 0.0 < x < 1.0:  # = min(1.0, max(0.0, x)), minus two calls
+            x = 1.0 if x >= 1.0 else 0.0
+        states.append(x)
 
     observed = np.array(states)
     if noise is not None and noise.observation_std > 0:
         observed += rng.normal(0.0, noise.observation_std, size=steps + 1)
 
-    return Trajectory(
-        states=observed,
-        observations=np.diff(observed),
-        process_noise=np.array(xi),
-    )
+    return Trajectory(states=observed, process_noise=np.array(xi))

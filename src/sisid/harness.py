@@ -205,7 +205,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     condition number (null while the set is rank deficient or empty, as
     when GRLS fails at its first step).
     """
-    config.validate()
     start = time.monotonic()
     clock = time.perf_counter
 

@@ -154,8 +154,4 @@ def naive_simulate(
     if noise is not None and noise.observation_std > 0:
         states = true_states + rng.normal(0.0, noise.observation_std, size=steps + 1)
 
-    return Trajectory(
-        states=states,
-        observations=np.diff(states),
-        process_noise=xi,
-    )
+    return Trajectory(states=states, process_noise=xi)

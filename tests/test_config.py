@@ -78,12 +78,11 @@ class TestOutOfRangeFields:
         assert str(info.value) == message
 
     def test_validate_names_the_field(self):
-        config = ExperimentConfig(
-            sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
-            estimators=(EstimatorSettings(kind="grls", p0_scale=float("nan")),),
-        )
         with pytest.raises(ConfigError, match=r"grls\.p0_scale"):
-            config.validate()
+            ExperimentConfig(
+                sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
+                estimators=(EstimatorSettings(kind="grls", p0_scale=float("nan")),),
+            )
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -148,12 +147,11 @@ class TestEstimatorFieldTable:
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_validate_rejects_a_one_entry_theta0(self, kind):
-        config = ExperimentConfig(
-            sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
-            estimators=(EstimatorSettings(kind, theta0=(1.0,)),),
-        )
         with pytest.raises(ConfigError, match=rf"{kind}\.theta0"):
-            config.validate()
+            ExperimentConfig(
+                sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
+                estimators=(EstimatorSettings(kind, theta0=(1.0,)),),
+            )
 
 
 class TestIeMmaiSpread:

@@ -254,16 +254,21 @@ class TestBlockDraws:
 
 class TestTrajectory:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(states=np.zeros(5), observations=np.zeros(5), process_noise=np.zeros(4))
+        with pytest.raises(ValueError, match="process_noise"):
+            Trajectory(states=np.zeros(5), process_noise=np.zeros(5))
 
     def test_non_finite_entries_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(
-                states=np.array([0.1, np.nan]),
-                observations=np.array([0.0]),
-                process_noise=np.array([0.0]),
-            )
+        with pytest.raises(ValueError, match="states"):
+            Trajectory(states=np.array([0.1, np.nan]), process_noise=np.array([0.0]))
+        # finite states whose difference overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="observations"):
+            Trajectory(states=np.array([-1e308, 1e308]), process_noise=np.array([0.0]))
+
+    def test_observations_are_derived_from_the_states(self):
+        traj = Trajectory(states=[0.1, 0.25, 0.2], process_noise=[0.0, 0.0])
+        assert traj.observations.tobytes() == np.diff([0.1, 0.25, 0.2]).tobytes()
+        with pytest.raises(TypeError):
+            Trajectory(states=[0.1, 0.2], observations=[0.1], process_noise=[0.0])
 
     def test_csv_export(self, tmp_path):
         traj = simulate(0.01, FIG3, 10)

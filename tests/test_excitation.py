@@ -35,11 +35,7 @@ FIG3 = SisParams(beta=0.8076, gamma=0.2692)
 
 def constant_trajectory(states):
     states = np.asarray(states, dtype=float)
-    return Trajectory(
-        states=states,
-        observations=np.diff(states),
-        process_noise=np.zeros(len(states) - 1),
-    )
+    return Trajectory(states=states, process_noise=np.zeros(len(states) - 1))
 
 
 class TestSisRegressor:

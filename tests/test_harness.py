@@ -85,11 +85,7 @@ def small_config(**overrides):
 
 def constant_trajectory(states):
     states = np.asarray(states, dtype=float)
-    return Trajectory(
-        states=states,
-        observations=np.diff(states),
-        process_noise=np.zeros(len(states) - 1),
-    )
+    return Trajectory(states=states, process_noise=np.zeros(len(states) - 1))
 
 
 class TestFimConditionTrace:
