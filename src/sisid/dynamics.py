@@ -18,6 +18,7 @@ generator where that would, so the observation noise drawn next is unchanged.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,8 +164,8 @@ def simulate(
     Bitwise equal to redrawing process noise one sample at a time, with the
     generator left at the same position for the observation noise.
     """
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+    if not isinstance(x0, numbers.Real) or not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0 must be a number in [0, 1], got {x0!r}")
     try:
         steps = operator.index(steps)
     except TypeError:

@@ -50,11 +50,17 @@ from .linalg import (
 def pure_gd_kernel(
     theta: tuple[float, float], phi: tuple[float, float], y: float
 ) -> tuple[float, float]:
-    """Unit-gain gradient step on floats: theta + phi^T (y - phi theta)."""
+    """Unit-gain gradient step on floats: theta + phi^T (y - phi theta).
+
+    Raises ``ConditioningError`` when the new estimate is not finite.
+    """
     t1, t2 = theta
     u1, u2 = phi
     e = y - (u1 * t1 + u2 * t2)
-    return t1 + u1 * e, t2 + u2 * e
+    t1, t2 = t1 + u1 * e, t2 + u2 * e
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ConditioningError(f"the gradient step gave non-finite theta' = {(t1, t2)!r}")
+    return t1, t2
 
 
 def ef_rls_step(
@@ -113,8 +119,8 @@ class GrlsState:
         p0_scale: float = 100.0,
         greedy_enabled: bool = True,
     ) -> "GrlsState":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        if not (0.0 < alpha < 1.0 or alpha == 1.0 and not greedy_enabled):
+            raise ValueError(f"alpha must be in (0, 1), or 1 with the set disabled, got {alpha}")
         theta0 = np.asarray(theta0, dtype=float)
         if theta0.shape != (2,):
             raise ValueError(f"theta0 has shape {theta0.shape}, expected (2,)")
@@ -340,7 +346,8 @@ def ie_mmai_kernel(state: IeFloats, phi: tuple[float, float], y: float) -> IeFlo
     undiscounted FIM over all data so far passes the initial-excitation
     threshold, each model jumps to the proximally-regularized least squares
     solution over that window; afterwards the models keep descending as
-    before. ``ie_mmai_selected`` reads the estimate.
+    before. ``ie_mmai_selected`` reads the estimate. Raises
+    ``ConditioningError`` when a model's new estimate is not finite.
     """
     models, (a, b, d), (r1, r2), corrected = state
     u1, u2 = phi
@@ -359,6 +366,9 @@ def ie_mmai_kernel(state: IeFloats, phi: tuple[float, float], y: float) -> IeFlo
             for t1, t2, cost in stepped
         ]
         corrected = True
+    for t1, t2, _ in stepped:
+        if not (math.isfinite(t1) and math.isfinite(t2)):
+            raise ConditioningError(f"IE-MMAI gave a non-finite model theta' = {(t1, t2)!r}")
     return tuple(stepped), (a, b, d), (r1, r2), corrected
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import EstimatorSettings, ExperimentConfig, config_to_mapping
+from .config import ConfigError, EstimatorSettings, ExperimentConfig, config_to_mapping
 from .dynamics import Trajectory, simulate
 from .estimators import (
     grls_kernel,
@@ -78,7 +78,8 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
 
     The FIM H = alpha H + phi^T phi is accumulated as its entries, so its
     condition number is the same closed form the greedy offer uses.
-    ``ValueError`` naming alpha unless 0 < alpha <= 1.
+    ``ValueError`` naming alpha unless 0 < alpha <= 1, and naming the first
+    step whose FIM entries are not finite, as when the regressor overflows.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
@@ -92,7 +93,15 @@ def _fim_condition_trace(pairs: list[tuple[float, float]], alpha: float) -> list
     for u1, u2 in pairs:
         a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
         trace.append(sym2_condition(a, b, d))
-    return trace
+    if math.isfinite(a) and math.isfinite(b) and math.isfinite(d):
+        return trace
+    # an entry that is not finite stays so: replay the sums to the step it became so
+    a = b = d = 0.0
+    for k, (u1, u2) in enumerate(pairs):
+        a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+            break
+    raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
 
 
 # What a lane yields before its first step and after each step: theta, P's
@@ -196,7 +205,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     ``config.outputs``); nothing touches the disk when the config's emit
     list is empty and no directory is forced. The exit status is nonzero
     when any estimator hit a numerical error mid-run; such estimators stay
-    frozen at their last state for the remaining steps.
+    frozen at their last state for the remaining steps. Observation noise so
+    large that the FIM entries overflow raises ``ConfigError`` naming
+    ``noise.observation_std`` and the step, before any lane steps or file is
+    written.
 
     ``manifest["timings"]`` holds seconds spent simulating, computing the
     FIM condition trace, stepping each estimator, forming metrics rows and
@@ -212,10 +224,16 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
     t1 = clock()
     pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
-    fim_traces: dict[float, list[float]] = {}
-    for est in config.estimators:
-        if est.alpha not in fim_traces:
-            fim_traces[est.alpha] = _fim_condition_trace(pairs, est.alpha)
+    try:
+        # the largest alpha's entries are the largest, so it names the first failing step
+        fim_traces = {
+            alpha: _fim_condition_trace(pairs, alpha)
+            for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
+        }
+    except ValueError as exc:
+        # only observation noise takes states, and so the regressor, out of [0, 1]
+        std = config.noise.observation_std
+        raise ConfigError(f"noise.observation_std: {std!r} is too large: {exc}") from None
     t2 = clock()
     ys = traj.observations.tolist()
     lanes = []

@@ -31,7 +31,10 @@ class ConditioningError(ArithmeticError):
 
 def sym2(m: np.ndarray, name: str = "matrix") -> Sym2:
     """Entries (a, b, d) of a finite, exactly symmetric 2x2 array."""
-    (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError(f"{name} must be a 2x2 array, got shape {m.shape}")
+    (a, b), (c, d) = m.tolist()
     if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError(f"{name} must be finite, got {[[a, b], [c, d]]}")
     if b != c:
@@ -92,9 +95,6 @@ def condition_number(m: np.ndarray) -> float:
     ``math.inf`` for rank-deficient input, by ``sym2_condition``. Raises
     ``ValueError`` unless ``m`` is a finite, exactly symmetric 2x2 array.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a symmetric 2x2 matrix, got shape {m.shape}")
     return sym2_condition(*sym2(m))
 
 

@@ -237,6 +237,5 @@ SUBSETS = [
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_config_text_round_trip(kinds, noisy, data):
-    config = data.draw(configs(kinds, noisy))
-    config.validate()
+    config = data.draw(configs(kinds, noisy))  # built, so validated
     assert parse_config_text(format_config_text(config)) == config

@@ -89,6 +89,10 @@ class TestSisParams:
         with pytest.raises(ValueError):
             SisParams(beta=0.3, gamma=0.0).reproduction_number()
 
+    def test_zero_beta_has_no_endemic_level(self):
+        with pytest.raises(ValueError, match="beta == 0"):
+            SisParams(beta=0.0, gamma=0.3).endemic_level()
+
 
 class TestSimulate:
     def test_converges_to_endemic_level(self):
@@ -138,6 +142,11 @@ class TestSimulate:
     def test_non_integer_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps"):
             simulate(0.1, FIG1, steps)
+
+    @pytest.mark.parametrize("x0", ["0.1", None, np.array([0.5])], ids=["str", "None", "array"])
+    def test_non_number_x0_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0"):
+            simulate(x0, FIG1, 3)
 
     def test_numpy_integer_steps_accepted(self):
         traj = simulate(0.1, FIG1, np.int64(3))

@@ -142,6 +142,20 @@ class TestEfRls:
             ef_rls_step((1e300 * np.eye(2), THETA0), [[1e-200, 0.0]], 1e300, 1.0)
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda phi, y: pure_gd_kernel((1.0, 1.0), phi, y),
+        lambda phi, y: ie_mmai_kernel(ie_mmai_init((1.0, 1.0), 3), phi, y),
+    ],
+    ids=["pure_gd", "ie_mmai"],
+)
+def test_gradient_kernels_fail_on_a_non_finite_estimate(kernel):
+    # theta'_1 = 1 + 1e200 * (1e300 - 1e200) overflows, as grls_kernel's theta' would
+    with pytest.raises(ConditioningError, match="theta'"):
+        kernel((1e200, 0.0), 1e300)
+
+
 class TestGrls:
     def test_first_datum_enters_excitation_set(self):
         state = GrlsState.initial(THETA0, SIS_REGRESSOR)
@@ -167,8 +181,8 @@ class TestGrls:
 
     def test_unit_alpha_with_the_set_disabled_is_ef_rls(self):
         traj = simulate(0.01, FIG3, 300, NoiseSpec(seed=1))
-        state = GrlsState.initial(THETA0, SIS_REGRESSOR, greedy_enabled=False)
-        grls_states = run_grls(dataclasses.replace(state, alpha=1.0), traj)
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=1.0, greedy_enabled=False)
+        grls_states = run_grls(state, traj)
         rls_history = drive_ef_rls(traj, THETA0, 1.0, 100.0)
         for gs, (p, theta) in zip(grls_states, rls_history, strict=True):
             assert np.array_equal(gs.theta, theta)
@@ -291,6 +305,17 @@ class TestNonFiniteInput:
             GrlsState.initial([math.nan, 1.0], SIS_REGRESSOR)
         with pytest.raises(ValueError, match="p0_scale"):
             GrlsState.initial(THETA0, SIS_REGRESSOR, p0_scale=math.inf)
+        with pytest.raises(ValueError, match=r"theta0 has shape \(3,\)"):
+            GrlsState.initial([1.0, 1.0, 1.0], SIS_REGRESSOR)
+        for p0_scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="p0_scale must be positive"):
+                GrlsState.initial(THETA0, SIS_REGRESSOR, p0_scale=p0_scale)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 2)])
+    def test_grls_step_wrong_shape_p(self, shape):
+        state = dataclasses.replace(GrlsState.initial(THETA0, SIS_REGRESSOR), P=np.ones(shape))
+        with pytest.raises(ValueError, match=r"state P must be a 2x2 array"):
+            grls_step(state, 0.1, 0.11)
 
     @pytest.mark.parametrize(
         "p,theta,phi,y,name",
@@ -299,6 +324,9 @@ class TestNonFiniteInput:
             (np.eye(2), [1.0, math.inf], [[0.1, -0.1]], [0.01], "theta"),
             (np.eye(2), THETA0, [[math.nan, -0.1]], [0.01], "phi"),
             (np.eye(2), THETA0, [[0.1, -0.1]], [math.nan], "y"),
+            (np.ones(2), THETA0, [[0.1, -0.1]], [0.01], "state P must be a 2x2 array"),
+            (np.eye(3), THETA0, [[0.1, -0.1]], [0.01], "state P must be a 2x2 array"),
+            (np.eye(2), THETA0, [[0.1, -0.1]], [0.01, 0.02], "y must be a scalar"),
         ],
     )
     def test_ef_rls_step(self, p, theta, phi, y, name):

@@ -115,6 +115,12 @@ class TestFimConditionTrace:
         with pytest.raises(ValueError, match="alpha"):
             fim_condition_trace(simulate(0.01, FIG3, 10), SIS_REGRESSOR, alpha)
 
+    def test_overflowing_entries_name_the_first_step(self):
+        # 1e308 at step 0 is finite; 0.94 * 1e308 + 4e308 at step 1 is not
+        traj = constant_trajectory([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="not finite from step 1"):
+            fim_condition_trace(traj, lambda x: (1e154 * x, 1.0), 0.94)
+
 
 class TestConfigParsing:
     def test_round_trip_through_text(self):
@@ -616,6 +622,62 @@ class TestOverflowingCovariance:
         assert "excitation" not in result.manifest  # no GRLS lane
         # P's entries near 1e200 are finite, and so is its largest eigenvalue
         assert math.isfinite(result.rows[0].p_max_eig)
+
+
+def _fig3_noisy_config(estimators, steps, observation_std):
+    """fig3_noisy in memory with ``steps``, ``observation_std`` and the named estimators."""
+    config = load_config(bundled_config_path("fig3_noisy"))
+    return replace(
+        config, steps=steps, noise=replace(config.noise, observation_std=observation_std),
+        estimators=tuple(e for e in config.estimators if e.kind in estimators), emit=(),
+    )
+
+
+class TestOverflowingObservationNoise:
+    """Observation noise that overflows the regressor's FIM entries is a config
+    error, raised before any lane steps or any file is written."""
+
+    @pytest.mark.parametrize("std", [1e100, 1e200])
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_run_raises_a_config_error(self, tmp_path, kind, std):
+        config = _fig3_noisy_config((kind,), 20, std)
+        with pytest.raises(ConfigError, match=r"^noise\.observation_std: .* from step 0$"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_run_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        config = replace(_fig3_noisy_config(ESTIMATOR_KINDS, 20, 1e200),
+                         outputs=str(tmp_path / "out"), emit=("metrics", "trajectory"))
+        cfg = tmp_path / "huge_noise.cfg"
+        cfg.write_text(format_config_text(config))
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise.observation_std: 1e+200 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_gradient_lanes_fail_where_their_estimate_stops_being_finite():
+    # at fig3_noisy's noise seed 2, pure GD and IE-MMAI overflow; EF-RLS and GRLS stay finite
+    result = run_experiment(_fig3_noisy_config(ESTIMATOR_KINDS, 200, 10.0))
+    assert result.status == 1
+    assert _failures(result) == [("pure_gd", 91), ("ie_mmai", 93)]
+    _assert_estimates_finite(result)
+    for kind, step in _failures(result):
+        rows = [r for r in result.rows if r.estimator == kind]
+        assert len({(r.beta_hat, r.gamma_hat) for r in rows[step - 1:]}) == 1
+
+
+@pytest.mark.parametrize("beta, gamma", [(0.0, 0.2692), (0.8076, 0.0)])
+def test_a_zero_true_rate_leaves_the_relative_error_empty(tmp_path, beta, gamma):
+    config = small_config(sis=SisParams(beta, gamma))
+    result = run_experiment(config, tmp_path)
+    assert result.status == 0
+    assert all(r.max_rel_err is None and r.log10_max_rel_err is None for r in result.rows)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        lines = fh.read().splitlines()[2:]
+    assert len(lines) == len(result.rows)
+    assert all(line.split(",")[5:7] == ["", ""] for line in lines)
 
 
 def test_rank_one_fim_below_the_normal_range_is_singular():
