@@ -67,7 +67,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values: expected at least one value")
-    # every variant is checked before any runs, so a bad value writes nothing
+    # every variant's config is built, and so checked, before any runs, so a bad
+    # value writes nothing (observation noise that overflows shows only in its run)
     configs = [config_from_mapping({**mapping, args.param: value}) for value in values]
     status = 0
     for value, config in zip(values, configs):
