@@ -71,10 +71,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # value writes nothing (observation noise that overflows shows only in its run)
     configs = [config_from_mapping({**mapping, args.param: value}) for value in values]
     status = 0
-    for value, config in zip(values, configs):
+    for done, (value, config) in enumerate(zip(values, configs)):
+        variant = f"{args.param}={value}"
         out = _resolve_output_dir(config.outputs) / f"{args.param.replace('.', '_')}={value}"
-        result = run_experiment(config, output_dir=out)
-        print(f"{args.param}={value}: status {result.status} -> {out}")
+        try:
+            result = run_experiment(config, output_dir=out)
+        except (ConfigError, OSError) as exc:  # the variants already written stay on disk
+            raise type(exc)(f"{variant}: {exc} ({done} of {len(values)} written)") from exc
+        print(f"{variant}: status {result.status} -> {out}")
         status = max(status, result.status)
     return status
 

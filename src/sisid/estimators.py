@@ -18,8 +18,8 @@ Every identifier steps through a kernel on floats (``pure_gd_kernel``,
 ``grls_kernel``, ``ie_mmai_kernel``): two parameters and one scalar
 observation per step, which the caller has checked. One RLS step is one
 ``grls_kernel`` call, and EF-RLS is that kernel with its excitation set
-disabled. ``ef_rls_step`` and ``grls_step`` are array adapters over it
-that check their input.
+disabled. ``ef_rls_step`` is an array adapter over it that checks its
+input; ``grls_step`` steps a ``GrlsState`` checked when it was built.
 
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import GreedySet, finite_pair, finite_scalar, greedy_offer, regressor_pairs
+from .excitation import GreedySet, _offer_floats, finite_pair, finite_scalar
 from .linalg import (
     ConditioningError,
     Sym2,
@@ -87,7 +87,7 @@ def ef_rls_step(
     return sym2_array(p_next), np.array(theta_next)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GrlsState:
     """Full state of the greedily-weighted RLS recursion.
 
@@ -96,57 +96,53 @@ class GrlsState:
     (beta, gamma), ``excitation`` the greedy excitation set. ``regressor``
     maps a state to its two regressor entries (``SIS_REGRESSOR`` for the
     SIS model); ``grls_step`` reads it once per step and rejects anything
-    but two finite entries. ``alpha`` must be strictly below 1 while the set
-    is enabled: the excitation set's refresh weight is 1 - alpha. Setting
-    ``greedy_enabled`` to False makes every offer a rejection, which leaves
-    the set empty and the recursion EF-RLS.
+    but two finite entries. Setting ``greedy_enabled`` to False makes every
+    offer a rejection, which leaves the set empty and the recursion EF-RLS.
+
+    P is kept as its entries (a, b, d), theta as two floats; ``P`` and
+    ``theta`` read as new arrays. A state is checked once, when built:
+    ``ValueError`` names ``state P`` (a 2x2 array or its entries) or ``state
+    theta`` unless finite, or alpha unless in (0, 1) or 1 with the set off.
     """
 
-    P: np.ndarray
-    theta: np.ndarray
+    P: np.ndarray = property(lambda self: sym2_array(self._P))
+    theta: np.ndarray = property(lambda self: np.array(self._theta))
     excitation: GreedySet
     alpha: float
     regressor: Callable
     step: int = 0
     greedy_enabled: bool = True
 
-    @classmethod
-    def initial(
-        cls,
-        theta0: Sequence[float],
-        regressor: Callable,
-        alpha: float = 0.94,
-        p0_scale: float = 100.0,
-        greedy_enabled: bool = True,
-    ) -> "GrlsState":
+    def __init__(self, P, theta, excitation, alpha, regressor, step=0, greedy_enabled=True):
+        if type(P) is tuple and len(P) == 3:  # the entries, as grls_step passes them
+            if not all(map(math.isfinite, P)):
+                raise ValueError(f"state P must be finite, got {P}")
+        else:
+            P = sym2(P, "state P")
         if not (0.0 < alpha < 1.0 or alpha == 1.0 and not greedy_enabled):
             raise ValueError(f"alpha must be in (0, 1), or 1 with the set disabled, got {alpha}")
+        theta = finite_pair(theta, "state theta")
+        self.__dict__.update(_P=P, _theta=theta, excitation=excitation, alpha=alpha,
+                             regressor=regressor, step=step, greedy_enabled=greedy_enabled)
+
+    @classmethod
+    def initial(
+        cls, theta0: Sequence[float], regressor: Callable, alpha: float = 0.94,
+        p0_scale: float = 100.0, greedy_enabled: bool = True,
+    ) -> "GrlsState":
         theta0 = np.asarray(theta0, dtype=float)
         if theta0.shape != (2,):
             raise ValueError(f"theta0 has shape {theta0.shape}, expected (2,)")
-        finite_pair(theta0, "theta0")
-        p0_scale = finite_scalar(p0_scale, "p0_scale")
-        if p0_scale <= 0.0:
-            raise ValueError(f"p0_scale must be positive, got {p0_scale}")
-        return cls(
-            P=p0_scale * np.eye(2),
-            theta=theta0,
-            excitation=GreedySet(),
-            alpha=alpha,
-            regressor=regressor,
-            greedy_enabled=greedy_enabled,
-        )
+        theta0 = finite_pair(theta0, "theta0")
+        p0 = finite_scalar(p0_scale, "p0_scale")
+        if p0 <= 0.0:
+            raise ValueError(f"p0_scale must be positive, got {p0}")
+        return cls((p0, 0.0, p0), theta0, GreedySet(), alpha, regressor, 0, greedy_enabled)
 
 
 def grls_kernel(
-    p: Sym2,
-    theta: tuple[float, float],
-    gset: GreedySet,
-    phi: tuple[float, float],
-    y: float,
-    k: int,
-    alpha: float,
-    greedy_enabled: bool,
+    p: Sym2, theta: tuple[float, float], gset: GreedySet, phi: tuple[float, float], y: float,
+    k: int, alpha: float, greedy_enabled: bool,
 ) -> tuple[Sym2, tuple[float, float], GreedySet, bool]:
     """One step of the weighted RLS recursion on floats, shared by GRLS and EF-RLS.
 
@@ -161,7 +157,7 @@ def grls_kernel(
     covariance update does, or when theta' is not finite.
     """
     if greedy_enabled:
-        gset, accepted = greedy_offer(gset, phi, y, k)
+        gset, accepted = _offer_floats(gset, phi, y, k)
     else:
         accepted = False
     t1, t2 = theta
@@ -193,25 +189,20 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     point included on acceptance, is refreshed into the covariance with
     weight 1 - alpha; a rejected point enters by a Sherman-Morrison step
     with unit weight, to be forgotten exponentially like ordinary RLS data.
-    A non-finite ``x_k``, ``x_next``, regressor, ``state.P`` or
-    ``state.theta`` raises ``ValueError``, as does alpha >= 1 with the set
-    enabled, whose refresh weight 1 - alpha would drop the set; a covariance
-    that loses positive definiteness, or a non-finite new P or theta, raises
-    ``ConditioningError``.
+    The state's floats were checked when it was built, so only a non-finite
+    ``x_k``, ``x_next`` or regressor raises ``ValueError`` here; a
+    covariance that loses positive definiteness, or a non-finite new P or
+    theta, raises ``ConditioningError``.
     """
-    if state.greedy_enabled and state.alpha >= 1.0:
-        raise ValueError(f"alpha must be below 1 with the set enabled, got {state.alpha}")
-    p, theta = sym2(state.P, "state P"), finite_pair(state.theta, "state theta")
     x_k = finite_scalar(x_k, "x_k")
     x_next = finite_scalar(x_next, "x_next")
     phi = finite_pair(state.regressor(x_k), "regressor")
     p, theta, excitation, _ = grls_kernel(
-        p, theta, state.excitation, phi, x_next - x_k, state.step, state.alpha,
-        state.greedy_enabled,
+        state._P, state._theta, state.excitation, phi, x_next - x_k, state.step,
+        state.alpha, state.greedy_enabled,
     )
     return GrlsState(
-        sym2_array(p), np.array(theta), excitation, state.alpha, state.regressor,
-        state.step + 1, state.greedy_enabled,
+        p, theta, excitation, state.alpha, state.regressor, state.step + 1, state.greedy_enabled
     )
 
 
@@ -288,7 +279,8 @@ def batch_oracle(
     if spec.greedy_indices:
         greedy = np.fromiter(spec.greedy_indices, dtype=int)
         weights[greedy] = 1.0 - spec.alpha ** (ages[greedy] + 1.0)
-    rows = np.array(regressor_pairs(reg, traj.states[: k + 1].tolist()))
+    pairs = (finite_pair(reg(x), "regressor") for x in traj.states[: k + 1].tolist())
+    rows = np.fromiter(pairs, dtype=np.dtype((float, 2)), count=k + 1)  # filled in place
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)
     a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv

@@ -127,8 +127,12 @@ def greedy_offer(gset: GreedySet, phi_k, y_k, k: int) -> tuple[GreedySet, bool]:
     finite. Exact-zero regressors are rejected outright: they cannot change
     the FIM or the right-hand side.
     """
-    u1, u2 = finite_pair(phi_k, "phi_k")
-    y = finite_scalar(y_k, "y_k")
+    return _offer_floats(gset, finite_pair(phi_k, "phi_k"), finite_scalar(y_k, "y_k"), k)
+
+
+def _offer_floats(gset: GreedySet, phi, y: float, k: int) -> tuple[GreedySet, bool]:
+    """``greedy_offer`` on a regressor pair and an observation the caller has checked."""
+    u1, u2 = phi
     if math.hypot(u1, u2) < ZERO_REGRESSOR_NORM:
         return gset, False
 

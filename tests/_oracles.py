@@ -17,7 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from sisid.dynamics import NoiseSpec, SisParams, Trajectory, sis_step
-from sisid.linalg import condition_number
+from sisid.estimators import WeightedCostSpec
+from sisid.excitation import regressor_pairs
+from sisid.linalg import condition_number, solve_spd
 
 
 def eig2x2_sym(m: np.ndarray) -> tuple[float, float]:
@@ -98,6 +100,23 @@ def weighted_normal_solution(
     a = (phi_rows * weights[:, None]).T @ phi_rows + prior_precision
     rhs = phi_rows.T @ (weights * ys) + prior_precision @ prior_mean
     return np.linalg.solve(a, rhs)
+
+
+def listed_batch_oracle(
+    traj: Trajectory, reg, spec: WeightedCostSpec, k: int
+) -> np.ndarray:
+    """The batch oracle with its regressor rows built as a list of pairs first."""
+    ages = k - np.arange(k + 1)
+    weights = spec.alpha ** ages.astype(float)
+    if spec.greedy_indices:
+        greedy = np.fromiter(spec.greedy_indices, dtype=int)
+        weights[greedy] = 1.0 - spec.alpha ** (ages[greedy] + 1.0)
+    rows = np.array(regressor_pairs(reg, traj.states[: k + 1].tolist()))
+    ys = traj.observations[: k + 1]
+    prior_scale = spec.alpha ** (k + 1)
+    a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv
+    rhs = rows.T @ (weights * ys) + prior_scale * (spec.p0_inv @ spec.theta0)
+    return solve_spd(0.5 * (a + a.T), rhs)
 
 
 def naive_trace_csv(schema: str, columns: Sequence[str], rows: Iterable[Sequence]) -> bytes:

@@ -26,7 +26,7 @@ from sisid.estimators import (
 from sisid.excitation import SIS_REGRESSOR, sis_regressor, sis_regressor_pair
 from sisid.linalg import ConditioningError, sym2, sym2_eigenvalues
 
-from _oracles import sis_phi_rows, weighted_normal_solution
+from _oracles import listed_batch_oracle, sis_phi_rows, weighted_normal_solution
 
 FIG1 = SisParams(beta=0.12, gamma=0.04)
 FIG3 = SisParams(beta=0.8076, gamma=0.2692)
@@ -175,9 +175,9 @@ class TestGrls:
 
     def test_unit_alpha_with_the_set_enabled_is_rejected(self):
         # the refresh weight 1 - alpha would be 0: accepted points would enter nowhere
-        state = dataclasses.replace(GrlsState.initial(THETA0, SIS_REGRESSOR), alpha=1.0)
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
         with pytest.raises(ValueError, match="alpha"):
-            grls_step(state, 0.01, 0.0153)
+            dataclasses.replace(state, alpha=1.0)
 
     def test_unit_alpha_with_the_set_disabled_is_ef_rls(self):
         traj = simulate(0.01, FIG3, 300, NoiseSpec(seed=1))
@@ -223,6 +223,17 @@ class TestGrls:
             assert np.linalg.norm(gs.theta - theta) < 1e-10
             assert np.linalg.norm(gs.P - p) < 1e-10
         assert grls_states[-1].excitation.size == 0
+
+    @pytest.mark.parametrize("field", ["P", "theta"])
+    def test_writing_into_a_read_array_leaves_the_state_unchanged(self, field):
+        traj = simulate(0.01, FIG3, 30, NoiseSpec(seed=5))
+        state = run_grls(GrlsState.initial(THETA0, SIS_REGRESSOR), traj)[-1]
+        before = grls_step(state, 0.5, 0.52)
+        getattr(state, field)[...] = 1e3
+        after = grls_step(state, 0.5, 0.52)
+        assert after.P.tobytes() == before.P.tobytes()
+        assert after.theta.tobytes() == before.theta.tobytes()
+        assert after.excitation == before.excitation
 
     def test_deterministic_given_seed(self):
         noise = NoiseSpec(seed=4)
@@ -295,10 +306,10 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("field", ["P", "theta"])
     def test_grls_step_non_finite_state(self, field):
+        # the state is checked when it is built, so the step never sees it
         state = GrlsState.initial(THETA0, SIS_REGRESSOR)
-        bad = dataclasses.replace(state, **{field: np.full_like(getattr(state, field), math.nan)})
         with pytest.raises(ValueError, match=f"state {field}"):
-            grls_step(bad, 0.1, 0.11)
+            dataclasses.replace(state, **{field: np.full_like(getattr(state, field), math.nan)})
 
     def test_grls_initial_state(self):
         with pytest.raises(ValueError, match="theta0"):
@@ -313,9 +324,9 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 2)])
     def test_grls_step_wrong_shape_p(self, shape):
-        state = dataclasses.replace(GrlsState.initial(THETA0, SIS_REGRESSOR), P=np.ones(shape))
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
         with pytest.raises(ValueError, match=r"state P must be a 2x2 array"):
-            grls_step(state, 0.1, 0.11)
+            dataclasses.replace(state, P=np.ones(shape))
 
     @pytest.mark.parametrize(
         "p,theta,phi,y,name",
@@ -453,6 +464,28 @@ class TestBatchOracle:
         )
         with pytest.raises(ValueError):
             batch_oracle(traj, SIS_REGRESSOR, bad, 5)
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["plain", "greedy"])
+    @pytest.mark.parametrize("name", ["fig3_noisefree", "fig3_noisy"])
+    def test_streamed_rows_equal_a_listed_solve(self, name, greedy):
+        # the rows are filled in place, not stacked from a list: every bit stays
+        config = load_config(bundled_config_path(name))
+        grls = next(e for e in config.estimators if e.kind == "grls")
+        traj = simulate(config.x0, config.sis, config.steps, config.noise)
+        for k in (0, 1, 249, 1999):
+            spec = WeightedCostSpec(
+                alpha=grls.alpha,
+                p0_inv=np.eye(2) / grls.p0_scale,
+                theta0=np.asarray(grls.theta0),
+                greedy_indices=frozenset(i for i in FIG3_ACCEPTED if greedy and i <= k),
+            )
+            outcomes = []
+            for solve in (batch_oracle, listed_batch_oracle):
+                try:
+                    outcomes.append(solve(traj, SIS_REGRESSOR, spec, k).tobytes())
+                except ConditioningError as exc:  # noise-free at k = 1999 without the set
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("indices", [{-1}, {0, 3, -2}])
     def test_negative_greedy_index_rejected(self, indices):

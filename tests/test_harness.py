@@ -656,6 +656,20 @@ class TestOverflowingObservationNoise:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_cli_sweep_names_the_failed_variant_and_keeps_the_earlier_ones(self, tmp_path, capsys):
+        config = replace(_fig3_noisy_config(("grls",), 20, 1e-3),
+                         outputs=str(tmp_path / "out"), emit=("metrics",))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(format_config_text(config))
+        argv = ["sweep", str(cfg), "--param", "noise.observation_std", "--values", "0.001,1e200"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise.observation_std=1e200: noise.observation_std: ")
+        assert err.endswith(" (1 of 2 written)\n")
+        assert err.count("\n") == 1
+        assert (tmp_path / "out" / "noise_observation_std=0.001" / "metrics.csv").exists()
+        assert not (tmp_path / "out" / "noise_observation_std=1e200").exists()
+
 
 def test_gradient_lanes_fail_where_their_estimate_stops_being_finite():
     # at fig3_noisy's noise seed 2, pure GD and IE-MMAI overflow; EF-RLS and GRLS stay finite
