@@ -29,7 +29,7 @@ recursive and batch routes can be checked against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -201,9 +201,7 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
         state._P, state._theta, state.excitation, phi, x_next - x_k, state.step,
         state.alpha, state.greedy_enabled,
     )
-    return GrlsState(
-        p, theta, excitation, state.alpha, state.regressor, state.step + 1, state.greedy_enabled
-    )
+    return replace(state, P=p, theta=theta, excitation=excitation, step=state.step + 1)
 
 
 def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:

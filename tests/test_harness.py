@@ -461,6 +461,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "afile" in err
         assert err.count("\n") == 1
+        if command == "sweep":
+            assert err.startswith("error: grls.alpha=0.9: ") and err.endswith(" (0 of 1 written)\n")
 
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     @pytest.mark.parametrize("kind", ["undecodable", "directory"])
