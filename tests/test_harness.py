@@ -462,7 +462,8 @@ class TestCli:
         assert err.startswith("error: ") and "afile" in err
         assert err.count("\n") == 1
         if command == "sweep":
-            assert err.startswith("error: grls.alpha=0.9: ") and err.endswith(" (0 of 1 written)\n")
+            assert err.startswith("error: grls.alpha=0.9: ")
+            assert err.endswith(" (0 of 1 written)\n")
 
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     @pytest.mark.parametrize("kind", ["undecodable", "directory"])
@@ -658,7 +659,7 @@ class TestOverflowingObservationNoise:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_cli_sweep_names_the_failed_variant_and_keeps_the_earlier_ones(self, tmp_path, capsys):
+    def test_cli_sweep_names_the_variant_and_keeps_earlier_ones(self, tmp_path, capsys):
         config = replace(_fig3_noisy_config(("grls",), 20, 1e-3),
                          outputs=str(tmp_path / "out"), emit=("metrics",))
         cfg = tmp_path / "sweep.cfg"
