@@ -142,14 +142,16 @@ def sis_step(x: float, params: SisParams) -> float:
     return x + (1.0 - x) * params.beta * x - params.gamma * x
 
 
-def _process_noise(rng: np.random.Generator, std: float, bound: float, steps: int) -> list[float]:
+def _process_noise(rng: np.random.Generator, std: float, bound: float, steps: int) -> np.ndarray:
     """``steps`` draws of N(0, std^2) with |draw| <= bound, in draw order. No block
     asks for more draws than are still missing, so none is taken past the last kept.
     """
-    kept: list[float] = []
-    while len(kept) < steps:
-        block = rng.normal(0.0, std, size=steps - len(kept))
-        kept += block[np.abs(block) <= bound].tolist()
+    kept, n = np.empty(steps), 0
+    while n < steps:
+        block = rng.normal(0.0, std, size=steps - n)
+        block = block[np.abs(block) <= bound]
+        kept[n:n + len(block)] = block
+        n += len(block)
     return kept
 
 
@@ -177,17 +179,19 @@ def simulate(
     if noise is not None and noise.process_std > 0:
         xi = _process_noise(rng, noise.process_std, noise.bound_nu, steps)
     else:
-        xi = [0.0] * steps
-    x = float(x0)
-    states = [x]
-    for e in xi:
+        xi = np.zeros(steps)
+    # read and filled through memoryviews, one float at a time: per-step lists
+    # of floats would leave their memory behind
+    states = np.empty(steps + 1)
+    out = memoryview(states)
+    out[0] = x = float(x0)
+    for k, e in enumerate(memoryview(xi), 1):
         x = sis_step(x, params) + e
         if not 0.0 < x < 1.0:  # = min(1.0, max(0.0, x)), minus two calls
             x = 1.0 if x >= 1.0 else 0.0
-        states.append(x)
+        out[k] = x
 
-    observed = np.array(states)
     if noise is not None and noise.observation_std > 0:
-        observed += rng.normal(0.0, noise.observation_std, size=steps + 1)
+        states += rng.normal(0.0, noise.observation_std, size=steps + 1)
 
-    return Trajectory(states=observed, process_noise=np.array(xi))
+    return Trajectory(states=states, process_noise=xi)

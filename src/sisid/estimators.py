@@ -29,6 +29,7 @@ recursive and batch routes can be checked against each other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -87,7 +88,7 @@ def ef_rls_step(
     return sym2_array(p_next), np.array(theta_next)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GrlsState:
     """Full state of the greedily-weighted RLS recursion.
 
@@ -103,6 +104,7 @@ class GrlsState:
     ``theta`` read as new arrays. A state is checked once, when built:
     ``ValueError`` names ``state P`` (a 2x2 array or its entries) or ``state
     theta`` unless finite, or alpha unless in (0, 1) or 1 with the set off.
+    States compare and hash by those floats and the other fields.
     """
 
     P: np.ndarray = property(lambda self: sym2_array(self._P))
@@ -124,6 +126,12 @@ class GrlsState:
         theta = finite_pair(theta, "state theta")
         self.__dict__.update(_P=P, _theta=theta, excitation=excitation, alpha=alpha,
                              regressor=regressor, step=step, greedy_enabled=greedy_enabled)
+
+    def __eq__(self, other):  # __dict__ holds the floats and the other fields, set in __init__
+        return self.__dict__ == other.__dict__ if type(other) is GrlsState else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
 
     @classmethod
     def initial(
@@ -303,6 +311,7 @@ MAX_IE_MMAI_MODELS = 1000
 # IE-MMAI's state on floats: (theta1, theta2, cost) per model, the FIM's
 # entries, the right-hand side, and whether the correction has fired.
 IeFloats = tuple[tuple[tuple[float, float, float], ...], Sym2, tuple[float, float], bool]
+_COST = operator.itemgetter(2)  # a model's cost
 
 
 def ie_mmai_init(
@@ -370,5 +379,5 @@ def ie_mmai_selected(models: tuple[tuple[float, float, float], ...]) -> tuple[fl
     (below the cost of a two-ulp residual), so the model picked there, and
     the last digits of the reported estimate, are decided by rounding.
     """
-    t1, t2, _ = min(models, key=lambda m: m[2])
+    t1, t2, _ = min(models, key=_COST)
     return t1, t2

@@ -1,4 +1,4 @@
-"""Experiment runner: simulate, drive the identifiers in lockstep, emit traces.
+"""Experiment runner: simulate, run each identifier to the end in turn, emit traces.
 
 A run produces one CSV per requested trace kind plus a ``manifest.json``
 echoing the config, the library, Python and numpy versions, wall time and
@@ -14,7 +14,9 @@ generator that steps its float kernel over the run's regressor pairs and
 observations and reports its estimate, covariance and greedy offer after
 each step; EF-RLS is the GRLS lane with its excitation set disabled. The
 regressor pairs are computed once per run and feed both the FIM condition
-trace and the lanes. Metrics rows and CSV lines are formed from those floats.
+trace and the lanes. Lane by lane, a lane is stepped to the end and its
+metrics rows are formed from its reports; the rows are then interleaved
+step by step, and CSV lines are formed from their floats.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -144,49 +147,57 @@ _LANES = {
 }
 
 
-@dataclass(slots=True)
-class _Lane:
-    """One estimator's run: its settings, its steps, its last report and failure."""
+def _run_lane(
+    est: EstimatorSettings, pairs, ys, fim_trace: list[float], truth, clamp: bool, greedy_rows
+) -> tuple[list[MetricsRow], float, dict | None]:
+    """One lane's metrics rows, one per step, its stepping seconds and its error entry.
 
-    settings: EstimatorSettings
-    steps: Iterator[_Report]
-    report: _Report
-    fim_trace: list[float]
-    failed_at: int | None = None
-    error: str | None = None
-    step_s: float = 0.0
+    The lane is stepped to the end first. A step that raises ``ConditioningError``
+    freezes it at its last report, with no offer from that step on, and makes the
+    error entry (None otherwise). The lane's greedy offers go to ``greedy_rows``.
+    A frozen or converged lane repeats theta and P, so a row's derived values are
+    formed anew only when those change, or follow a zero, as 0.0 == -0.0.
+    """
+    reports, error = [], None
+    t0 = time.perf_counter()
+    try:
+        reports.extend(_LANES[est.kind](est, pairs, ys))  # keeps what came before a raise
+    except ConditioningError as exc:
+        failed_at = len(reports) - 1  # the first report precedes step 0
+        error = {"estimator": est.kind, "step": failed_at, "message": str(exc)}
+        reports += [(*reports[-1][:2], None)] * (len(ys) - failed_at)
+    step_s = time.perf_counter() - t0
 
-
-def _metrics_row(
-    k: int,
-    kind: str,
-    theta: tuple[float, float],
-    p: Sym2 | None,
-    fim_cond: float,
-    accepted: bool | None,
-    truth: tuple[float, float] | None,
-    clamp: bool,
-) -> MetricsRow:
-    beta_hat, gamma_hat = theta
-    if clamp:
-        beta_hat = beta_hat if beta_hat > 0.0 else 0.0
-        gamma_hat = gamma_hat if gamma_hat > 0.0 else 0.0
-    r0_hat = beta_hat / gamma_hat if gamma_hat != 0.0 else None
-    if truth is None:
-        max_rel = log_rel = None
-    else:
-        beta, gamma = truth
-        max_rel = max(abs(beta_hat - beta) / beta, abs(gamma_hat - gamma) / gamma)
-        log_rel = math.log10(max_rel) if max_rel > 0 else None
-    if p is None:
-        p_cond = p_max_eig = None
-    else:
-        p_min_eig, p_max_eig = sym2_eigenvalues(*p)
-        p_cond = eigenvalue_condition(p_min_eig, p_max_eig)
-    return MetricsRow(
-        k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel,
-        fim_cond, p_cond, p_max_eig, accepted,
-    )
+    kind, new, rows = est.kind, tuple.__new__, []
+    append = rows.append
+    last = None  # the (theta, P) whose derived values are current, None after a zero
+    for k, (theta, p, offer), fim in zip(range(len(ys)), islice(reports, 1, None), fim_trace):
+        if last is None or theta != last[0] or p != last[1]:
+            beta_hat, gamma_hat = theta
+            if clamp:
+                beta_hat = beta_hat if beta_hat > 0.0 else 0.0
+                gamma_hat = gamma_hat if gamma_hat > 0.0 else 0.0
+            r0_hat = beta_hat / gamma_hat if gamma_hat != 0.0 else None
+            if truth is None:
+                max_rel = log_rel = None
+            else:
+                beta, gamma = truth
+                max_rel = max(abs(beta_hat - beta) / beta, abs(gamma_hat - gamma) / gamma)
+                log_rel = math.log10(max_rel) if max_rel > 0 else None
+            if p is None:
+                p_cond = p_max_eig = None
+            else:
+                p_min_eig, p_max_eig = sym2_eigenvalues(*p)
+                p_cond = eigenvalue_condition(p_min_eig, p_max_eig)
+            last = None if 0.0 in theta or p is not None and 0.0 in p else (theta, p)
+        if offer is None:
+            accepted = None
+        else:
+            accepted = offer[0]
+            greedy_rows.append((k, *offer))
+        append(new(MetricsRow, (k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel, fim,
+                                p_cond, p_max_eig, accepted)))
+    return rows, step_s, error
 
 
 @dataclass
@@ -236,45 +247,21 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
         raise ConfigError(f"noise.observation_std: {std!r} is too large: {exc}") from None
     t2 = clock()
     ys = traj.observations.tolist()
-    lanes = []
-    for est in config.estimators:
-        steps = _LANES[est.kind](est, pairs, ys)
-        lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
-    clamp = config.clamp_estimates
 
-    rows: list[MetricsRow] = []
-    greedy_rows: list[tuple[int, bool, float, float]] = []
-    for k in range(len(ys)):
-        for lane in lanes:
-            if lane.failed_at is None:
-                t_step = clock()
-                try:
-                    lane.report = next(lane.steps)
-                except ConditioningError as exc:
-                    # frozen at its last estimate, with no offer from here on
-                    lane.failed_at, lane.error = k, str(exc)
-                    lane.report = (*lane.report[:2], None)
-                lane.step_s += clock() - t_step
-            theta, p, offer = lane.report
-            if offer is not None:
-                greedy_rows.append((k, *offer))
-            rows.append(
-                _metrics_row(
-                    k, lane.settings.kind, theta, p, lane.fim_trace[k],
-                    None if offer is None else offer[0], truth, clamp,
-                )
-            )
+    # lane by lane, so that only one lane's reports are held at a time
+    lane_rows, errors, step_s, greedy_rows = [], [], {}, []
+    for est in config.estimators:
+        est_rows, step_s[est.kind], error = _run_lane(
+            est, pairs, ys, fim_traces[est.alpha], truth, config.clamp_estimates, greedy_rows
+        )
+        lane_rows.append(est_rows)
+        if error is not None:
+            errors.append(error)
+    rows: list[MetricsRow] = list(chain.from_iterable(zip(*lane_rows)))  # step by step
     t3 = clock()
-
-    errors = [
-        {"estimator": lane.settings.kind, "step": lane.failed_at, "message": lane.error}
-        for lane in lanes
-        if lane.failed_at is not None
-    ]
     status = 1 if errors else 0
-    step_s = {lane.settings.kind: lane.step_s for lane in lanes}
 
     manifest = {
         "schema": "sisid-manifest-v1",

@@ -4,22 +4,35 @@ Everything here deliberately avoids the library's own update recursions:
 eigenvalues come from the quadratic formula or numpy's dense solvers,
 inverses are formed explicitly, window scans accumulate outer products
 from scratch, trace CSVs format every field anew, and trajectories are
-simulated one numpy scalar and one process-noise redraw at a time. These are the
-yardsticks the fast paths are measured against.
+simulated one numpy scalar and one process-noise redraw at a time, and
+``lockstep_run`` steps every estimator's lane one step at a time, forming
+each metrics row on its own. These are the yardsticks the fast paths are
+measured against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from sisid.dynamics import NoiseSpec, SisParams, Trajectory, sis_step
+from sisid import harness
+from sisid.config import EstimatorSettings, ExperimentConfig
+from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate, sis_step
 from sisid.estimators import WeightedCostSpec
-from sisid.excitation import regressor_pairs
-from sisid.linalg import condition_number, solve_spd
+from sisid.excitation import regressor_pairs, sis_regressor_pair
+from sisid.harness import MetricsRow
+from sisid.linalg import (
+    ConditioningError,
+    Sym2,
+    condition_number,
+    eigenvalue_condition,
+    solve_spd,
+    sym2_eigenvalues,
+)
 
 
 def eig2x2_sym(m: np.ndarray) -> tuple[float, float]:
@@ -174,3 +187,100 @@ def naive_simulate(
         states = true_states + rng.normal(0.0, noise.observation_std, size=steps + 1)
 
     return Trajectory(states=states, process_noise=xi)
+
+
+@dataclass(slots=True)
+class _Lane:
+    """One estimator's run: its settings, its steps, its last report and failure."""
+
+    settings: EstimatorSettings
+    steps: Iterator
+    report: tuple
+    fim_trace: list[float]
+    failed_at: int | None = None
+    error: str | None = None
+
+
+def _metrics_row(
+    k: int,
+    kind: str,
+    theta: tuple[float, float],
+    p: Sym2 | None,
+    fim_cond: float,
+    accepted: bool | None,
+    truth: tuple[float, float] | None,
+    clamp: bool,
+) -> MetricsRow:
+    beta_hat, gamma_hat = theta
+    if clamp:
+        beta_hat = beta_hat if beta_hat > 0.0 else 0.0
+        gamma_hat = gamma_hat if gamma_hat > 0.0 else 0.0
+    r0_hat = beta_hat / gamma_hat if gamma_hat != 0.0 else None
+    if truth is None:
+        max_rel = log_rel = None
+    else:
+        beta, gamma = truth
+        max_rel = max(abs(beta_hat - beta) / beta, abs(gamma_hat - gamma) / gamma)
+        log_rel = math.log10(max_rel) if max_rel > 0 else None
+    if p is None:
+        p_cond = p_max_eig = None
+    else:
+        p_min_eig, p_max_eig = sym2_eigenvalues(*p)
+        p_cond = eigenvalue_condition(p_min_eig, p_max_eig)
+    return MetricsRow(
+        k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel,
+        fim_cond, p_cond, p_max_eig, accepted,
+    )
+
+
+def lockstep_run(config: ExperimentConfig):
+    """(rows, greedy rows, errors, status) of ``run_experiment``, stepped in lockstep.
+
+    Steps every estimator's lane (``harness._LANES``) one step at a time, all
+    lanes at step k before any at step k + 1, and forms each metrics row on
+    its own from that lane's latest report. A lane whose step raises
+    ``ConditioningError`` is frozen at its last report, with no offer from
+    that step on.
+    """
+    traj = simulate(config.x0, config.sis, config.steps, config.noise)
+    pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
+    fim_traces = {
+        alpha: harness._fim_condition_trace(pairs, alpha)
+        for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
+    }
+    ys = traj.observations.tolist()
+    lanes = []
+    for est in config.estimators:
+        steps = harness._LANES[est.kind](est, pairs, ys)
+        lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
+    beta, gamma = config.sis.beta, config.sis.gamma
+    truth = (beta, gamma) if beta > 0 and gamma > 0 else None
+    clamp = config.clamp_estimates
+
+    rows: list[MetricsRow] = []
+    greedy_rows: list[tuple[int, bool, float, float]] = []
+    for k in range(len(ys)):
+        for lane in lanes:
+            if lane.failed_at is None:
+                try:
+                    lane.report = next(lane.steps)
+                except ConditioningError as exc:
+                    # frozen at its last estimate, with no offer from here on
+                    lane.failed_at, lane.error = k, str(exc)
+                    lane.report = (*lane.report[:2], None)
+            theta, p, offer = lane.report
+            if offer is not None:
+                greedy_rows.append((k, *offer))
+            rows.append(
+                _metrics_row(
+                    k, lane.settings.kind, theta, p, lane.fim_trace[k],
+                    None if offer is None else offer[0], truth, clamp,
+                )
+            )
+
+    errors = [
+        {"estimator": lane.settings.kind, "step": lane.failed_at, "message": lane.error}
+        for lane in lanes
+        if lane.failed_at is not None
+    ]
+    return rows, greedy_rows, errors, 1 if errors else 0

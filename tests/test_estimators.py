@@ -235,6 +235,20 @@ class TestGrls:
         assert after.theta.tobytes() == before.theta.tobytes()
         assert after.excitation == before.excitation
 
+    def test_states_compare_and_hash_by_value(self):
+        traj = simulate(0.01, FIG3, 30, NoiseSpec(seed=5))
+        a = run_grls(GrlsState.initial(THETA0, SIS_REGRESSOR), traj)[-1]
+        b = run_grls(GrlsState.initial(THETA0, SIS_REGRESSOR), traj)[-1]
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert dataclasses.replace(a) == a
+        assert grls_step(a, 0.5, 0.52) != a  # one step on
+        p = a.P
+        p[0, 0] = np.nextafter(p[0, 0], np.inf)
+        assert dataclasses.replace(a, P=p) != a  # one P entry apart
+        assert len({a, dataclasses.replace(a, P=p)}) == 2
+        assert a != (a._P, a._theta)
+
     def test_deterministic_given_seed(self):
         noise = NoiseSpec(seed=4)
         a = run_grls(GrlsState.initial(THETA0, SIS_REGRESSOR), simulate(0.01, FIG3, 100, noise))

@@ -61,7 +61,7 @@ from sisid.estimators import (
     run_grls,
 )
 
-from _oracles import naive_trace_csv
+from _oracles import lockstep_run, naive_trace_csv
 
 FIG3 = SisParams(beta=0.8076, gamma=0.2692)
 
@@ -843,6 +843,84 @@ class TestHarnessLanes:
                 )
         assert len(spreads) > 2 * est.models * (config.steps - 20)
         assert max(spreads) <= 1e-4
+
+
+def _reseeded(name, seed):
+    """Bundled config ``name`` in memory, with ``seed`` added to its noise and IE-MMAI seeds."""
+    config = _in_memory(name)
+    estimators = tuple(
+        replace(est, seed=est.seed + seed) if est.kind == "ie_mmai" else est
+        for est in config.estimators
+    )
+    noise = config.noise and replace(config.noise, seed=config.noise.seed + seed)
+    return replace(config, noise=noise, estimators=estimators)
+
+
+class TestLaneByLaneRun:
+    """``run_experiment`` steps each lane to its end, then forms its rows; it
+    reports what ``lockstep_run``, which steps every lane one step at a time and
+    forms every row on its own, reports. Reprs are compared, so that -0.0 and
+    0.0, or 1 and 1.0, differ."""
+
+    @staticmethod
+    def assert_equals_lockstep(config, monkeypatch, tmp_path):
+        greedy = []
+
+        def keep_greedy_rows(out, config, traj, rows, greedy_rows):
+            greedy.extend(greedy_rows)
+            return []  # nothing written
+
+        monkeypatch.setattr(sisid.harness, "_write_traces", keep_greedy_rows)
+        result = run_experiment(config, tmp_path)
+        rows, greedy_rows, errors, status = lockstep_run(config)
+        assert list(map(repr, result.rows)) == list(map(repr, rows))
+        assert list(map(repr, greedy)) == list(map(repr, greedy_rows))
+        assert result.manifest["errors"] == errors
+        assert result.status == status
+        return result
+
+    @pytest.mark.parametrize("seed", [0, 101])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_configs(self, monkeypatch, tmp_path, name, seed):
+        result = self.assert_equals_lockstep(_reseeded(name, seed), monkeypatch, tmp_path)
+        if name == "fig3_noisefree":
+            assert _failures(result) == [("ef_rls", 570)]
+
+    @pytest.mark.parametrize("name", ["fig1", "fig3_noisy"])
+    def test_clamped_estimates(self, monkeypatch, tmp_path, name):
+        config = _in_memory(name)
+        # from zero, the first gradient steps drive estimates negative
+        estimators = tuple(replace(est, theta0=(0.0, 0.0)) for est in config.estimators)
+        config = replace(config, estimators=estimators, clamp_estimates=True)
+        result = self.assert_equals_lockstep(config, monkeypatch, tmp_path)
+        assert any(r.gamma_hat == 0.0 for r in result.rows)
+
+    def test_no_truth(self, monkeypatch, tmp_path):
+        config = replace(_in_memory("fig3_noisy"), sis=SisParams(0.0, 0.2692))
+        result = self.assert_equals_lockstep(config, monkeypatch, tmp_path)
+        assert all(r.max_rel_err is None for r in result.rows)
+
+    def test_an_injected_grls_failure(self, monkeypatch, tmp_path):
+        def failing_at_5(*args):
+            if args[5] == 5 and args[7]:
+                raise ConditioningError("injected")
+            return grls_kernel(*args)
+
+        monkeypatch.setattr(sisid.harness, "grls_kernel", failing_at_5)
+        result = self.assert_equals_lockstep(_in_memory("fig3_noisy"), monkeypatch, tmp_path)
+        assert _failures(result) == [("grls", 5)]
+
+    def test_a_zero_changing_sign(self, monkeypatch, tmp_path):
+        # equal to the last report's theta and P, but not the same row
+        def signed_zeros(est, pairs, ys):
+            for k in range(len(ys) + 1):
+                zero = -0.0 if k % 3 else 0.0
+                yield (zero, 1.0), (1.0, zero, 2.0), None
+
+        monkeypatch.setitem(sisid.harness._LANES, "ef_rls", signed_zeros)
+        config = replace(_in_memory("fig3_noisy"), steps=30)
+        result = self.assert_equals_lockstep(config, monkeypatch, tmp_path)
+        assert len({repr(r.beta_hat) for r in result.rows if r.estimator == "ef_rls"}) == 2
 
 
 # Values a trace float takes, weighted toward those whose text must not be
