@@ -19,7 +19,8 @@ Every identifier steps through a kernel on floats (``pure_gd_kernel``,
 observation per step, which the caller has checked. One RLS step is one
 ``grls_kernel`` call, and EF-RLS is that kernel with its excitation set
 disabled. ``ef_rls_step`` is an array adapter over it that checks its
-input; ``grls_step`` steps a ``GrlsState`` checked when it was built.
+input; ``grls_step`` steps a ``GrlsState`` checked when it was built, and
+reads ``SIS_REGRESSOR`` as ``sis_regressor_pair``'s two floats, no array.
 
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
@@ -36,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import GreedySet, _offer_floats, finite_pair, finite_scalar
+from .excitation import GreedySet, _offer_floats, _pair_reader, finite_pair, finite_scalar
 from .linalg import (
     ConditioningError,
     Sym2,
@@ -96,14 +97,16 @@ class GrlsState:
     positive definite throughout), ``theta`` the current estimate of
     (beta, gamma), ``excitation`` the greedy excitation set. ``regressor``
     maps a state to its two regressor entries (``SIS_REGRESSOR`` for the
-    SIS model); ``grls_step`` reads it once per step and rejects anything
-    but two finite entries. Setting ``greedy_enabled`` to False makes every
-    offer a rejection, which leaves the set empty and the recursion EF-RLS.
+    SIS model); ``grls_step`` reads it once per step as two finite floats,
+    ``SIS_REGRESSOR`` as ``sis_regressor_pair``. Setting ``greedy_enabled``
+    to False makes every offer a rejection, which leaves the set empty and
+    the recursion EF-RLS.
 
     P is kept as its entries (a, b, d), theta as two floats; ``P`` and
     ``theta`` read as new arrays. A state is checked once, when built:
     ``ValueError`` names ``state P`` (a 2x2 array or its entries) or ``state
-    theta`` unless finite, or alpha unless in (0, 1) or 1 with the set off.
+    theta`` unless finite, ``regressor`` unless callable, or alpha unless in
+    (0, 1) or 1 with the set off.
     States compare and hash by those floats and the other fields.
     """
 
@@ -124,6 +127,7 @@ class GrlsState:
         if not (0.0 < alpha < 1.0 or alpha == 1.0 and not greedy_enabled):
             raise ValueError(f"alpha must be in (0, 1), or 1 with the set disabled, got {alpha}")
         theta = finite_pair(theta, "state theta")
+        _pair_reader(regressor)  # ValueError naming the regressor unless callable
         self.__dict__.update(_P=P, _theta=theta, excitation=excitation, alpha=alpha,
                              regressor=regressor, step=step, greedy_enabled=greedy_enabled)
 
@@ -204,7 +208,7 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     """
     x_k = finite_scalar(x_k, "x_k")
     x_next = finite_scalar(x_next, "x_next")
-    phi = finite_pair(state.regressor(x_k), "regressor")
+    phi = finite_pair(_pair_reader(state.regressor)(x_k), "regressor")
     p, theta, excitation, _ = grls_kernel(
         state._P, state._theta, state.excitation, phi, x_next - x_k, state.step,
         state.alpha, state.greedy_enabled,
@@ -285,7 +289,8 @@ def batch_oracle(
     if spec.greedy_indices:
         greedy = np.fromiter(spec.greedy_indices, dtype=int)
         weights[greedy] = 1.0 - spec.alpha ** (ages[greedy] + 1.0)
-    pairs = (finite_pair(reg(x), "regressor") for x in traj.states[: k + 1].tolist())
+    read = _pair_reader(reg)
+    pairs = (finite_pair(read(x), "regressor") for x in traj.states[: k + 1].tolist())
     rows = np.fromiter(pairs, dtype=np.dtype((float, 2)), count=k + 1)  # filled in place
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)

@@ -3,11 +3,12 @@
 The identification problem is linear in the parameters: the observation
 satisfies y[k] = phi(x[k]) @ theta + noise, with the scalar SIS regressor
 phi(x) = [(1-x)x, -x]. A regressor is any callable from a state to two
-entries (a pair of floats, or an array with two entries, such as
+entries (a pair of numbers, or an array with two entries, such as
 ``sis_regressor``'s 1x2 row); the analysis reads it once per point, as two
 finite floats, and accumulates the Fisher information matrix, the
 (possibly discounted) sum of regressor outer products, as its entries
-(a, b, d). The FIM's smallest eigenvalue and condition number decide
+(a, b, d). ``sis_regressor`` is read as ``sis_regressor_pair``, its two
+floats without the 1x2 array. The FIM's smallest eigenvalue and condition number decide
 whether the parameters are practically identifiable from a window of data.
 """
 
@@ -42,9 +43,17 @@ def sis_regressor(x: float) -> np.ndarray:
 SIS_REGRESSOR = sis_regressor
 
 
+def _pair_reader(reg: Callable) -> Callable:
+    """What reads ``reg`` as two floats; ``ValueError`` unless ``reg`` is callable."""
+    if not callable(reg):
+        raise ValueError(f"regressor must be callable, got {reg!r}")
+    return sis_regressor_pair if reg is sis_regressor else reg
+
+
 def regressor_pairs(reg: Callable, states: Iterable[float]) -> list[tuple[float, float]]:
     """``reg`` at each state as two finite floats; ``ValueError`` naming the regressor."""
-    return [finite_pair(reg(x), "regressor") for x in states]
+    read = _pair_reader(reg)
+    return [finite_pair(read(x), "regressor") for x in states]
 
 
 def sliding_fim(traj: Trajectory, reg: Callable, l: int, window: int) -> np.ndarray:
@@ -93,15 +102,19 @@ class GreedySet:
 
 
 def finite_pair(value, name: str) -> tuple[float, float]:
-    """Two finite floats from a pair of floats or any array with two entries."""
-    if type(value) is not tuple:
-        arr = np.asarray(value, dtype=float)
-        if arr.size != 2:
-            raise ValueError(f"{name} must have 2 entries, got shape {arr.shape}")
-        value = tuple(arr.ravel().tolist())
-    u1, u2 = value
+    """Two finite Python floats from a pair of numbers or any array with two
+    entries; ``ValueError`` naming the argument for any other value."""
+    u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
+    if type(u1) is not float or type(u2) is not float:
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged sequence
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "biuf" or arr.size != 2:
+            raise ValueError(f"{name} must have 2 entries, both numbers, got {value!r}")
+        u1, u2 = arr.astype(float).ravel().tolist()
     if not (math.isfinite(u1) and math.isfinite(u2)):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {(u1, u2)}")
     return u1, u2
 
 

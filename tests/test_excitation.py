@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from sisid.excitation import (
     SIS_REGRESSOR,
     GreedySet,
     build_greedy_set,
+    finite_pair,
     greedy_offer,
     is_initially_exciting,
     optimal_excitation_set,
     sis_regressor,
+    sis_regressor_pair,
     sliding_fim,
     write_acceptance_trace,
 )
@@ -356,13 +359,44 @@ class TestRegressorContract:
         [
             (lambda x: (math.nan, -x), "regressor must be finite"),
             (lambda x: np.zeros((2, 2)), "regressor must have 2 entries"),
+            (lambda x: (x, -x, x), "regressor must have 2 entries"),
+            (lambda x: ("a", -x), "regressor must have 2 entries, both numbers"),
+            (3, "regressor must be callable"),
         ],
-        ids=["nan", "four_entries"],
+        ids=["nan", "four_entries", "three_entries", "not_a_number", "not_callable"],
     )
     def test_rejected(self, consumer, reg, message):
         traj = simulate(0.01, FIG3, 5)
         with pytest.raises(ValueError, match=message):
             self.CONSUMERS[consumer](traj, reg)
+
+    @pytest.mark.parametrize(
+        "value",
+        [(1.0, None), ("a", 1.0), ((1.0, 2.0), 3.0), (1.0, 2.0, 3.0), "ab", (1j, 2.0), None],
+    )
+    def test_finite_pair_names_what_is_not_two_numbers(self, value):
+        with pytest.raises(ValueError, match="^phi must have 2 entries"):
+            finite_pair(value, "phi")
+
+    @pytest.mark.parametrize(
+        "value", [(np.float64(0.25), np.float64(-0.5)), (0.25, np.float32(-0.5)), [0.25, -0.5]]
+    )
+    def test_finite_pair_gives_python_floats(self, value):
+        u1, u2 = finite_pair(value, "phi")
+        assert (u1, u2) == (0.25, -0.5)
+        assert type(u1) is float and type(u2) is float
+
+    def test_numpy_scalar_regressor_gives_a_state_of_floats(self):
+        traj = simulate(0.01, FIG3, 300, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2))
+        a = GrlsState.initial((1.0, 1.0), lambda x: tuple(map(np.float64, sis_regressor_pair(x))))
+        b = GrlsState.initial((1.0, 1.0), sis_regressor_pair)
+        for x_k, x_next in zip(traj.states[:-1], traj.states[1:]):
+            a, b = grls_step(a, x_k, x_next), grls_step(b, x_k, x_next)
+        gset = a.excitation
+        assert gset.size > 0
+        floats = (*a._P, *a._theta, *gset.fim_entries, *gset.rhs_entries, gset.cond)
+        assert all(type(v) is float for v in floats)
+        assert replace(a, regressor=sis_regressor_pair) == b
 
     def test_overflowing_fim_rejected(self):
         traj = constant_trajectory([1.0, 2.0])
@@ -374,3 +408,31 @@ class TestRegressorContract:
         for upto in (-1, 6):
             with pytest.raises(ValueError, match="upto"):
                 build_greedy_set(traj, SIS_REGRESSOR, upto)
+
+
+class TestSisRegressorFastPath:
+    """``SIS_REGRESSOR`` read as ``sis_regressor_pair`` gives what its 1x2 row gives."""
+
+    def test_bitwise_equal_to_the_general_path(self):
+        traj = simulate(0.01, FIG3, 2000, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2))
+        def general(x):  # the 1x2 row, read as any regressor is
+            return sis_regressor(x)
+
+        fast = GrlsState.initial((1.0, 1.0), SIS_REGRESSOR)
+        slow = GrlsState.initial((1.0, 1.0), general)
+        states = []
+        for x_k, x_next in zip(traj.states[:-1], traj.states[1:]):
+            fast, slow = grls_step(fast, x_k, x_next), grls_step(slow, x_k, x_next)
+            assert replace(slow, regressor=SIS_REGRESSOR) == fast
+            states.append(fast)
+        assert fast.excitation.size > 0
+        for k in (249, 999, 1999):
+            spec = WeightedCostSpec.from_grls(states[k], 100.0, (1.0, 1.0))
+            a = batch_oracle(traj, SIS_REGRESSOR, spec, k)
+            assert a.tobytes() == batch_oracle(traj, general, spec, k).tobytes()
+        for l, window in ((0, 2000), (0, 40), (1500, 300)):
+            a = sliding_fim(traj, SIS_REGRESSOR, l, window)
+            assert a.tobytes() == sliding_fim(traj, general, l, window).tobytes()
+        a = np.array(fim_condition_trace(traj, SIS_REGRESSOR, 0.94))
+        assert a.tobytes() == np.array(fim_condition_trace(traj, general, 0.94)).tobytes()
+        assert build_greedy_set(traj, SIS_REGRESSOR) == build_greedy_set(traj, general)
