@@ -112,7 +112,7 @@ def finite_pair(value, name: str) -> tuple[float, float]:
             arr = np.asarray(None)
         if arr.dtype.kind not in "biuf" or arr.size != 2:
             raise ValueError(f"{name} must have 2 entries, both numbers, got {value!r}")
-        u1, u2 = arr.astype(float).ravel().tolist()
+        u1, u2 = arr.astype(float, copy=False).ravel().tolist()
     if not (math.isfinite(u1) and math.isfinite(u2)):
         raise ValueError(f"{name} must be finite, got {(u1, u2)}")
     return u1, u2
