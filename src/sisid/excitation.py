@@ -7,9 +7,9 @@ entries (a pair of numbers, or an array with two entries, such as
 ``sis_regressor``'s 1x2 row); the analysis reads it once per point, as two
 finite floats, and accumulates the Fisher information matrix, the
 (possibly discounted) sum of regressor outer products, as its entries
-(a, b, d). ``sis_regressor`` is read as ``sis_regressor_pair``, its two
-floats without the 1x2 array. The FIM's smallest eigenvalue and condition number decide
-whether the parameters are practically identifiable from a window of data.
+(a, b, d); ``sis_regressor`` is read as ``sis_regressor_pair``, no array.
+The FIM's smallest eigenvalue and condition number decide whether the
+parameters are practically identifiable from a window of data.
 """
 
 from __future__ import annotations

@@ -410,14 +410,17 @@ class TestRegressorContract:
                 build_greedy_set(traj, SIS_REGRESSOR, upto)
 
 
+def _sis_row_as_any_regressor(x):
+    """``sis_regressor``'s 1x2 row, read as any regressor other than it is."""
+    return sis_regressor(x)
+
+
 class TestSisRegressorFastPath:
     """``SIS_REGRESSOR`` read as ``sis_regressor_pair`` gives what its 1x2 row gives."""
 
     def test_bitwise_equal_to_the_general_path(self):
         traj = simulate(0.01, FIG3, 2000, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2))
-        def general(x):  # the 1x2 row, read as any regressor is
-            return sis_regressor(x)
-
+        general = _sis_row_as_any_regressor
         fast = GrlsState.initial((1.0, 1.0), SIS_REGRESSOR)
         slow = GrlsState.initial((1.0, 1.0), general)
         states = []
