@@ -26,7 +26,8 @@ comment and blank lines are ignored. Keys:
 
 ``ESTIMATOR_FIELDS`` lists the ``EstimatorSettings`` fields each kind reads;
 parsing, the config echo in manifests and validation go by it, so any other
-``<kind>.<field>`` key (``pure_gd.p0_scale``, ``ie_mmai.p0_scale``) is unknown.
+``<kind>.<field>`` key (``pure_gd.p0_scale``, ``ie_mmai.p0_scale``) is unknown,
+and an ``EstimatorSettings`` field its kind does not read must keep its default.
 Defaults are the ``EstimatorSettings`` and ``NoiseSpec`` field defaults.
 
 An ``ExperimentConfig`` checks itself when built: ``ConfigError`` names the
@@ -38,7 +39,7 @@ Values round-trip losslessly: floats are written with repr().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dynamics import NoiseSpec, SisParams
@@ -113,15 +114,19 @@ class ExperimentConfig:
             if est.kind in seen:
                 raise ConfigError(f"estimators: duplicate kind {est.kind!r}")
             seen.add(est.kind)
+            for f in fields(EstimatorSettings)[1:]:  # every field but kind
+                value = getattr(est, f.name)
+                if f.name not in ESTIMATOR_FIELDS[est.kind] and value != f.default:
+                    raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {value!r}")
             if not 0.0 < est.alpha <= 1.0:
                 raise ConfigError(f"{est.kind}.alpha: must be in (0, 1], got {est.alpha}")
             if est.kind == "grls" and est.alpha == 1.0:
                 raise ConfigError("grls.alpha: must be strictly below 1")
-            if "p0_scale" in ESTIMATOR_FIELDS[est.kind]:
-                if not math.isfinite(est.p0_scale):
-                    raise ConfigError(f"{est.kind}.p0_scale: must be finite, got {est.p0_scale}")
-                if est.p0_scale <= 0:
-                    raise ConfigError(f"{est.kind}.p0_scale: must be positive")
+            # a kind that does not read p0_scale has its default, which passes
+            if not math.isfinite(est.p0_scale):
+                raise ConfigError(f"{est.kind}.p0_scale: must be finite, got {est.p0_scale}")
+            if est.p0_scale <= 0:
+                raise ConfigError(f"{est.kind}.p0_scale: must be positive")
             if len(est.theta0) != 2 or not all(map(math.isfinite, est.theta0)):
                 raise ConfigError(f"{est.kind}.theta0: need two finite numbers, got {est.theta0}")
             if est.kind == "ie_mmai":

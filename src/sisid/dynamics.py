@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import _read_floats
+
 
 @dataclass(frozen=True)
 class SisParams:
@@ -98,16 +100,20 @@ TRAJECTORY_SCHEMA = "sisid-trajectory-v1"
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States x[0..K], observations y[k] = x[k+1] - x[k] formed from them, and process noise."""
+    """States x[0..K], observations y[k] = x[k+1] - x[k] formed from them, and process noise.
+
+    ``states`` and ``process_noise`` are read as float arrays by the library's
+    one number rule: anything else raises ``ValueError`` naming the field.
+    """
 
     states: np.ndarray
     observations: np.ndarray = field(init=False)
     process_noise: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
+        for name in ("states", "process_noise"):
+            object.__setattr__(self, name, _read_floats(getattr(self, name), name))
         object.__setattr__(self, "observations", np.diff(self.states))
-        object.__setattr__(self, "process_noise", np.asarray(self.process_noise, dtype=float))
         if len(self.process_noise) != len(self.observations):
             raise ValueError("process_noise must have one entry per observation")
         for name in ("states", "observations", "process_noise"):

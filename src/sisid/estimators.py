@@ -37,10 +37,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import GreedySet, _offer_floats, _pair_reader, finite_pair, finite_scalar
+from .excitation import (
+    GreedySet, _offer_floats, _pair_reader, finite_pair, finite_scalar, regressor_pairs,
+)
 from .linalg import (
     ConditioningError,
     Sym2,
+    _read_floats,
     covariance_update,
     solve_spd,
     sym2,
@@ -142,7 +145,7 @@ class GrlsState:
         cls, theta0: Sequence[float], regressor: Callable, alpha: float = 0.94,
         p0_scale: float = 100.0, greedy_enabled: bool = True,
     ) -> "GrlsState":
-        theta0 = np.asarray(theta0, dtype=float)
+        theta0 = _read_floats(theta0, "theta0")
         if theta0.shape != (2,):
             raise ValueError(f"theta0 has shape {theta0.shape}, expected (2,)")
         theta0 = finite_pair(theta0, "theta0")
@@ -229,8 +232,10 @@ def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:
 class WeightedCostSpec:
     """Ingredients of the weighted least-squares cost the recursion minimizes.
 
-    ``ValueError`` naming the field unless alpha is in (0, 1],
-    ``p0_inv`` and ``theta0`` are finite and no greedy index is negative.
+    ``p0_inv`` and ``theta0`` are read as a float 2x2 array and a float pair.
+    ``ValueError`` naming the field unless alpha is in (0, 1], ``p0_inv`` is
+    a finite, exactly symmetric 2x2 array, ``theta0`` two finite numbers and
+    no greedy index is negative.
     """
 
     alpha: float
@@ -241,9 +246,8 @@ class WeightedCostSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"spec.alpha must be in (0, 1], got {self.alpha!r}")
-        for name in ("p0_inv", "theta0"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"spec.{name} must be finite, got {getattr(self, name)!r}")
+        object.__setattr__(self, "p0_inv", sym2_array(sym2(self.p0_inv, "spec.p0_inv")))
+        object.__setattr__(self, "theta0", np.array(finite_pair(self.theta0, "spec.theta0")))
         if any(i < 0 for i in self.greedy_indices):
             raise ValueError(f"spec.greedy_indices must be >= 0, got {min(self.greedy_indices)}")
 
@@ -251,8 +255,8 @@ class WeightedCostSpec:
     def from_grls(cls, state: GrlsState, p0_scale: float, theta0: Sequence[float]):
         return cls(
             alpha=state.alpha,
-            p0_inv=np.eye(2) / p0_scale,
-            theta0=np.asarray(theta0, dtype=float),
+            p0_inv=np.eye(2) / finite_scalar(p0_scale, "p0_scale"),
+            theta0=theta0,
             greedy_indices=frozenset(state.excitation.indices),
         )
 
@@ -289,8 +293,7 @@ def batch_oracle(
     if spec.greedy_indices:
         greedy = np.fromiter(spec.greedy_indices, dtype=int)
         weights[greedy] = 1.0 - spec.alpha ** (ages[greedy] + 1.0)
-    read = _pair_reader(reg)
-    pairs = (finite_pair(read(x), "regressor") for x in traj.states[: k + 1].tolist())
+    pairs = regressor_pairs(reg, traj.states[: k + 1].tolist())
     rows = np.fromiter(pairs, dtype=np.dtype((float, 2)), count=k + 1)  # filled in place
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)
@@ -325,22 +328,23 @@ def ie_mmai_init(
     """IE-MMAI's initial state: ``n_models`` models drawn around ``theta0``.
 
     Model i is theta0 + spread * z_i, with z_i the i-th pair of standard
-    normals from ``numpy.random.default_rng(seed)``; every cost, the FIM and
-    the right-hand side start at zero. ``ValueError`` for a model count
-    outside 1..``MAX_IE_MMAI_MODELS`` (raised before any draw) or a
-    non-finite model.
+    normals from ``numpy.random.default_rng(seed)``, all drawn by one call;
+    every cost, the FIM and the right-hand side start at zero. ``ValueError``
+    for a model count outside 1..``MAX_IE_MMAI_MODELS`` (raised before any
+    draw), a non-finite ``theta0`` or ``spread``, or a non-finite model, the
+    first of which is named.
     """
-    if n_models < 1:
-        raise ValueError("need at least one model")
-    if n_models > MAX_IE_MMAI_MODELS:
-        raise ValueError(f"n_models: at most {MAX_IE_MMAI_MODELS} models, got {n_models}")
-    t1, t2 = finite_pair(theta0, "theta0")
-    rng = np.random.default_rng(seed)
-    models = []
-    for _ in range(n_models):
-        z1, z2 = rng.standard_normal(2).tolist()
-        models.append((*finite_pair((t1 + spread * z1, t2 + spread * z2), "model theta"), 0.0))
-    return tuple(models), (0.0, 0.0, 0.0), (0.0, 0.0), False
+    if not 1 <= n_models <= MAX_IE_MMAI_MODELS:
+        raise ValueError(f"n_models must be in 1..{MAX_IE_MMAI_MODELS}, got {n_models}")
+    theta0, spread = finite_pair(theta0, "theta0"), finite_scalar(spread, "spread")
+    z = np.random.default_rng(seed).standard_normal((n_models, 2))
+    with np.errstate(over="ignore"):  # a model that overflows is named below
+        drawn = np.array(theta0) + spread * z
+    finite = np.isfinite(drawn).all(axis=1)
+    if not finite.all():
+        bad = tuple(drawn[finite.argmin()].tolist())
+        raise ValueError(f"model theta must be finite, got {bad}")
+    return tuple((t1, t2, 0.0) for t1, t2 in drawn.tolist()), (0.0, 0.0, 0.0), (0.0, 0.0), False
 
 
 def ie_mmai_kernel(state: IeFloats, phi: tuple[float, float], y: float) -> IeFloats:

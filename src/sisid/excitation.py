@@ -4,12 +4,20 @@ The identification problem is linear in the parameters: the observation
 satisfies y[k] = phi(x[k]) @ theta + noise, with the scalar SIS regressor
 phi(x) = [(1-x)x, -x]. A regressor is any callable from a state to two
 entries (a pair of numbers, or an array with two entries, such as
-``sis_regressor``'s 1x2 row); the analysis reads it once per point, as two
-finite floats, and accumulates the Fisher information matrix, the
-(possibly discounted) sum of regressor outer products, as its entries
-(a, b, d); ``sis_regressor`` is read as ``sis_regressor_pair``, no array.
-The FIM's smallest eigenvalue and condition number decide whether the
-parameters are practically identifiable from a window of data.
+``sis_regressor``'s 1x2 row); ``sis_regressor`` is read as
+``sis_regressor_pair``, no array. ``regressor_pairs`` is the one loop that
+reads a regressor over a trajectory: it yields each point as two finite
+floats when it is consumed, so ``sliding_fim``, ``build_greedy_set``,
+``optimal_excitation_set``, ``fim_condition_trace`` and ``batch_oracle``
+read every point once, in the pass that uses it. The analysis accumulates
+the Fisher information matrix, the (possibly discounted) sum of regressor
+outer products, as its entries (a, b, d). The FIM's smallest eigenvalue
+and condition number decide whether the parameters are practically
+identifiable from a window of data.
+
+``finite_pair`` and ``finite_scalar`` read a value from outside by the
+library's one number rule (``linalg._read_floats``), with a float fast path
+for what the library passes itself.
 """
 
 from __future__ import annotations
@@ -18,12 +26,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import Sym2, sym2, sym2_array, sym2_condition, sym2_eigenvalues
+from .linalg import Sym2, _read_floats, sym2, sym2_array, sym2_condition, sym2_eigenvalues
 
 # A regressor with norm below this contributes nothing and is never
 # admitted into an excitation set.
@@ -50,10 +58,11 @@ def _pair_reader(reg: Callable) -> Callable:
     return sis_regressor_pair if reg is sis_regressor else reg
 
 
-def regressor_pairs(reg: Callable, states: Iterable[float]) -> list[tuple[float, float]]:
-    """``reg`` at each state as two finite floats; ``ValueError`` naming the regressor."""
+def regressor_pairs(reg: Callable, states: Iterable[float]) -> Iterator[tuple[float, float]]:
+    """``reg`` at each state as two finite floats, read as they are consumed;
+    ``ValueError`` naming the regressor, at once unless it is callable."""
     read = _pair_reader(reg)
-    return [finite_pair(read(x), "regressor") for x in states]
+    return (finite_pair(read(x), "regressor") for x in states)
 
 
 def sliding_fim(traj: Trajectory, reg: Callable, l: int, window: int) -> np.ndarray:
@@ -106,13 +115,7 @@ def finite_pair(value, name: str) -> tuple[float, float]:
     entries; ``ValueError`` naming the argument for any other value."""
     u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
     if type(u1) is not float or type(u2) is not float:
-        try:
-            arr = np.asarray(value)
-        except ValueError:  # a ragged sequence
-            arr = np.asarray(None)
-        if arr.dtype.kind not in "biuf" or arr.size != 2:
-            raise ValueError(f"{name} must have 2 entries, both numbers, got {value!r}")
-        u1, u2 = arr.astype(float, copy=False).ravel().tolist()
+        u1, u2 = _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
     if not (math.isfinite(u1) and math.isfinite(u2)):
         raise ValueError(f"{name} must be finite, got {(u1, u2)}")
     return u1, u2
@@ -123,10 +126,7 @@ def finite_scalar(value, name: str) -> float:
     if isinstance(value, (int, float)):
         value = float(value)
     else:
-        arr = np.asarray(value, dtype=float)
-        if arr.size != 1:
-            raise ValueError(f"{name} must be a scalar, got shape {arr.shape}")
-        value = arr.item()
+        value = _read_floats(value, name, "be a scalar number", 1).item()
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -173,7 +173,7 @@ def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -
     gset = GreedySet()
     pairs = regressor_pairs(reg, traj.states[:upto].tolist())
     for k, (phi, y) in enumerate(zip(pairs, traj.observations[:upto].tolist())):
-        gset, _ = greedy_offer(gset, phi, y, k)
+        gset, _ = _offer_floats(gset, phi, y, k)  # pairs and observations are checked
     return gset
 
 

@@ -14,9 +14,11 @@ generator that steps its float kernel over the run's regressor pairs and
 observations and reports its estimate, covariance and greedy offer after
 each step; EF-RLS is the GRLS lane with its excitation set disabled. The
 regressor pairs are computed once per run and feed both the FIM condition
-trace and the lanes. Lane by lane, a lane is stepped to the end and its
-metrics rows are formed from its reports; the rows are then interleaved
-step by step, and CSV lines are formed from their floats.
+trace and the lanes. The trace is one pass per distinct alpha, largest
+first, that checks the FIM entries at every step and names the first step
+where they are not finite. Lane by lane, a lane is stepped to the end and
+its metrics rows are formed from its reports; the rows are then
+interleaved step by step, and CSV lines are formed from their floats.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -89,22 +91,16 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
     return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)
 
 
-def _fim_condition_trace(pairs: list[tuple[float, float]], alpha: float) -> list[float]:
+def _fim_condition_trace(pairs: Iterable[tuple[float, float]], alpha: float) -> list[float]:
     """``fim_condition_trace`` over regressor pairs (u1, u2), one per step."""
     a = b = d = 0.0
     trace = []
-    for u1, u2 in pairs:
-        a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
-        trace.append(sym2_condition(a, b, d))
-    if math.isfinite(a) and math.isfinite(b) and math.isfinite(d):
-        return trace
-    # an entry that is not finite stays so: replay the sums to the step it became so
-    a = b = d = 0.0
     for k, (u1, u2) in enumerate(pairs):
         a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
-            break
-    raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
+        if a * 0.0 + b * 0.0 + d * 0.0:  # 0.0 for finite entries, NaN otherwise
+            raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
+        trace.append(sym2_condition(a, b, d))
+    return trace
 
 
 # What a lane yields before its first step and after each step: theta, P's

@@ -8,6 +8,11 @@ over those floats, with no SVD or factorization. ``condition_number``
 reads a 2x2 array and rejects any other shape or an asymmetric matrix.
 ``solve_spd`` (numpy's Cholesky) serves the batch oracle and the IE-MMAI
 correction, which solve from scratch rather than step.
+
+Every number or array the library takes from outside is read by one rule,
+``_read_floats``: a value counts as numbers only when numpy reads it with
+dtype kind b, i, u or f (bool, integer or real), so strings, ``None``,
+complex, object and ragged values raise ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -29,9 +34,24 @@ class ConditioningError(ArithmeticError):
     """An update or solve failed because a matrix is numerically singular."""
 
 
+def _read_floats(
+    value, name: str, expected: str = "be numbers", size: int | None = None
+) -> np.ndarray:
+    """``value`` as a float array, if numpy reads it as bool, integer or real
+    numbers, and with ``size`` entries if given; else ``ValueError``:
+    "<name> must <expected>, got <value>"."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf" or size is not None and arr.size != size:
+        raise ValueError(f"{name} must {expected}, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
 def sym2(m: np.ndarray, name: str = "matrix") -> Sym2:
     """Entries (a, b, d) of a finite, exactly symmetric 2x2 array."""
-    m = np.asarray(m, dtype=float)
+    m = _read_floats(m, name)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be a 2x2 array, got shape {m.shape}")
     (a, b), (c, d) = m.tolist()
@@ -151,8 +171,7 @@ def covariance_update(
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a via its Cholesky factor."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _read_floats(a, "a"), _read_floats(b, "b")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

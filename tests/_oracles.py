@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's own update recursions:
 eigenvalues come from the quadratic formula or numpy's dense solvers,
 inverses are formed explicitly, window scans accumulate outer products
 from scratch, trace CSVs format every field anew, and trajectories are
-simulated one numpy scalar and one process-noise redraw at a time, and
-``lockstep_run`` steps every estimator's lane one step at a time, forming
-each metrics row on its own. These are the yardsticks the fast paths are
-measured against.
+simulated one numpy scalar and one process-noise redraw at a time,
+IE-MMAI's models are drawn one pair at a time, the FIM condition trace
+checks its entries at every step, and ``lockstep_run`` steps every
+estimator's lane one step at a time, forming each metrics row on its own.
+These are the yardsticks the fast paths are measured against.
 """
 
 from __future__ import annotations
@@ -124,12 +125,43 @@ def listed_batch_oracle(
     if spec.greedy_indices:
         greedy = np.fromiter(spec.greedy_indices, dtype=int)
         weights[greedy] = 1.0 - spec.alpha ** (ages[greedy] + 1.0)
-    rows = np.array(regressor_pairs(reg, traj.states[: k + 1].tolist()))
+    rows = np.array(list(regressor_pairs(reg, traj.states[: k + 1].tolist())))
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)
     a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv
     rhs = rows.T @ (weights * ys) + prior_scale * (spec.p0_inv @ spec.theta0)
     return solve_spd(0.5 * (a + a.T), rhs)
+
+
+def naive_fim_condition_trace(pairs: Iterable[tuple[float, float]], alpha: float) -> list[float]:
+    """The discounted FIM's condition number after each step, its entries
+    accumulated one by one and each checked by ``math.isfinite`` at every
+    step; ``ValueError`` naming the first step whose entries are not finite."""
+    a = b = d = 0.0
+    trace = []
+    for k, (u1, u2) in enumerate(pairs):
+        a = alpha * a + u1 * u1
+        b = alpha * b + u1 * u2
+        d = alpha * d + u2 * u2
+        if not all(math.isfinite(v) for v in (a, b, d)):
+            raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
+        trace.append(condition_number(np.array([[a, b], [b, d]])))
+    return trace
+
+
+def per_model_ie_mmai_init(theta0: Sequence[float], n_models: int, spread: float, seed: int):
+    """IE-MMAI's initial state with its models drawn one pair at a time, each
+    checked on its own; ``ValueError`` naming the first non-finite model."""
+    t1, t2 = map(float, theta0)
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(n_models):
+        z1, z2 = rng.standard_normal(2).tolist()
+        m1, m2 = t1 + spread * z1, t2 + spread * z2
+        if not (math.isfinite(m1) and math.isfinite(m2)):
+            raise ValueError(f"model theta must be finite, got {(m1, m2)}")
+        models.append((m1, m2, 0.0))
+    return tuple(models), (0.0, 0.0, 0.0), (0.0, 0.0), False
 
 
 def naive_trace_csv(schema: str, columns: Sequence[str], rows: Iterable[Sequence]) -> bytes:

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,25 @@ from sisid.dynamics import NoiseSpec, SisParams
 from sisid.estimators import MAX_IE_MMAI_MODELS
 
 BASE = {"beta": "0.5", "gamma": "0.2", "x0": "0.01", "steps": "10"}
+
+
+# (kind, field) for every EstimatorSettings field a kind does not read
+UNREAD = [
+    (kind, f.name)
+    for kind in ESTIMATOR_KINDS
+    for f in fields(EstimatorSettings)[1:]
+    if f.name not in ESTIMATOR_FIELDS[kind]
+]
+NON_DEFAULT = {"p0_scale": 5.0, "models": 7, "seed": 3, "spread": 0.5}
+
+
+@pytest.mark.parametrize("kind, field", UNREAD, ids=[f"{k}.{f}" for k, f in UNREAD])
+def test_a_field_its_kind_does_not_read_must_keep_its_default(kind, field):
+    # a set value would be silently ignored, and lost by the config text
+    estimators = (replace(EstimatorSettings(kind), **{field: NON_DEFAULT[field]}),)
+    with pytest.raises(ConfigError, match=rf"^{kind}\.{field}: ignored by {kind}, got "):
+        ExperimentConfig(sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
+                         estimators=estimators)
 
 
 class TestOutOfRangeFields:

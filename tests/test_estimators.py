@@ -26,7 +26,12 @@ from sisid.estimators import (
 from sisid.excitation import SIS_REGRESSOR, sis_regressor, sis_regressor_pair
 from sisid.linalg import ConditioningError, sym2, sym2_eigenvalues
 
-from _oracles import listed_batch_oracle, sis_phi_rows, weighted_normal_solution
+from _oracles import (
+    listed_batch_oracle,
+    per_model_ie_mmai_init,
+    sis_phi_rows,
+    weighted_normal_solution,
+)
 
 FIG1 = SisParams(beta=0.12, gamma=0.04)
 FIG3 = SisParams(beta=0.8076, gamma=0.2692)
@@ -602,3 +607,20 @@ class TestIeMmai:
         # seed 0 draws 0.126 first: 1.7e308 + 1.26e307 overflows
         with pytest.raises(ValueError, match="model theta"):
             ie_mmai_init([1.7e308, 1.0], n_models=1, spread=1e308, seed=0)
+
+    @pytest.mark.parametrize("n_models", [1, 2, 3, 7, 1000])
+    def test_one_draw_equals_drawing_model_by_model(self, n_models):
+        for seed in range(50):
+            state = ie_mmai_init((0.3, -2.0), n_models, 0.25, seed)
+            assert state == per_model_ie_mmai_init((0.3, -2.0), n_models, 0.25, seed)
+            assert all(type(v) is float for model in state[0] for v in model)
+
+    @pytest.mark.parametrize("theta0,spread", [((1.0, 1.0), 1e308), ((-1e308, 1e308), 1e308)])
+    def test_first_non_finite_model_is_named_without_a_warning(self, theta0, spread):
+        # pytest turns warnings into errors here, so an overflow warning would fail this
+        messages = []
+        for init in (ie_mmai_init, per_model_ie_mmai_init):
+            with pytest.raises(ValueError, match="^model theta must be finite") as info:
+                init(theta0, 1000, spread, 5)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]

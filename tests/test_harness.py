@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sisid import harness
 from sisid.config import (
     ESTIMATOR_KINDS,
     ConfigError,
@@ -61,7 +62,7 @@ from sisid.estimators import (
     run_grls,
 )
 
-from _oracles import lockstep_run, naive_trace_csv
+from _oracles import lockstep_run, naive_fim_condition_trace, naive_trace_csv
 
 FIG3 = SisParams(beta=0.8076, gamma=0.2692)
 
@@ -120,6 +121,39 @@ class TestFimConditionTrace:
         traj = constant_trajectory([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="not finite from step 1"):
             fim_condition_trace(traj, lambda x: (1e154 * x, 1.0), 0.94)
+
+    @staticmethod
+    def _outcome(trace, *args):
+        try:
+            return repr(trace(*args))
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        scale=st.floats(150.0, 160.0).map(lambda e: 10.0**e),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        signs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1,
+                       max_size=40),
+    )
+    def test_single_pass_equals_a_per_step_check(self, scale, alpha, signs):
+        # regressors straddle overflow: entries up to 1e320 before discounting
+        pairs = [(scale * s1, scale * s2) for s1, s2 in signs]
+        traj = constant_trajectory(range(len(pairs) + 1))
+        reg = lambda x: pairs[int(x)]  # noqa: E731
+        assert self._outcome(fim_condition_trace, traj, reg, alpha) == self._outcome(
+            naive_fim_condition_trace, pairs, alpha
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_a_non_finite_entry_is_named_at_its_step(self, bad, step):
+        # NaN included: the check must not read NaN entries as finite
+        pairs = [(0.1 * k, -0.2) for k in range(6)]
+        pairs[step] = (0.1, bad)
+        outcome = self._outcome(harness._fim_condition_trace, pairs, 0.94)
+        assert outcome.endswith(f"not finite from step {step}")
+        assert outcome == self._outcome(naive_fim_condition_trace, pairs, 0.94)
 
 
 class TestConfigParsing:
