@@ -42,8 +42,11 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .dynamics import NoiseSpec, SisParams
 from .estimators import MAX_IE_MMAI_MODELS, ie_mmai_init
+from .linalg import finite_pair
 
 TRACE_KINDS = ("metrics", "trajectory", "greedy")
 CONFIG_SCHEMA = "sisid-config-v1"
@@ -96,11 +99,11 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ``ConfigError`` naming the first field a run could not use."""
-        if self.steps < 1:
+        if _number(self.steps, "steps", integer=True) < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if not 0.0 <= self.x0 <= 1.0:
+        if not 0.0 <= _number(self.x0, "x0") <= 1.0:
             raise ConfigError(f"x0: must lie in [0, 1], got {self.x0}")
-        if self.noise is not None and self.noise.seed < 0:
+        if self.noise is not None and _number(self.noise.seed, "seed", integer=True) < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.noise.seed}")
         if not self.estimators:
             raise ConfigError("estimators: at least one estimator is required")
@@ -118,24 +121,27 @@ class ExperimentConfig:
                 value = getattr(est, f.name)
                 if f.name not in ESTIMATOR_FIELDS[est.kind] and value != f.default:
                     raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {value!r}")
-            if not 0.0 < est.alpha <= 1.0:
+            alpha = _number(est.alpha, f"{est.kind}.alpha")
+            if not 0.0 < alpha <= 1.0:
                 raise ConfigError(f"{est.kind}.alpha: must be in (0, 1], got {est.alpha}")
-            if est.kind == "grls" and est.alpha == 1.0:
+            if est.kind == "grls" and alpha == 1.0:
                 raise ConfigError("grls.alpha: must be strictly below 1")
             # a kind that does not read p0_scale has its default, which passes
-            if not math.isfinite(est.p0_scale):
+            p0_scale = _number(est.p0_scale, f"{est.kind}.p0_scale")
+            if not math.isfinite(p0_scale):
                 raise ConfigError(f"{est.kind}.p0_scale: must be finite, got {est.p0_scale}")
-            if est.p0_scale <= 0:
+            if p0_scale <= 0:
                 raise ConfigError(f"{est.kind}.p0_scale: must be positive")
-            if len(est.theta0) != 2 or not all(map(math.isfinite, est.theta0)):
-                raise ConfigError(f"{est.kind}.theta0: need two finite numbers, got {est.theta0}")
+            _pair(est.theta0, f"{est.kind}.theta0")
             if est.kind == "ie_mmai":
-                if not 1 <= est.models <= MAX_IE_MMAI_MODELS:
+                models = _number(est.models, "ie_mmai.models", integer=True)
+                if not 1 <= models <= MAX_IE_MMAI_MODELS:
                     raise ConfigError(
                         f"ie_mmai.models: must be in 1..{MAX_IE_MMAI_MODELS}, got {est.models}"
                     )
-                if est.seed < 0:
+                if _number(est.seed, "ie_mmai.seed", integer=True) < 0:
                     raise ConfigError(f"ie_mmai.seed: must be >= 0, got {est.seed}")
+                _number(est.spread, "ie_mmai.spread")
                 try:
                     ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
                 except ValueError:
@@ -147,6 +153,34 @@ class ExperimentConfig:
                     f"emit: unknown trace kind {kind!r}, "
                     f"expected one of {', '.join(TRACE_KINDS)}"
                 )
+
+
+def _number(value, key: str, integer: bool = False):
+    """``value``, if the library's number rule reads it as one number, else
+    ``ConfigError`` naming ``key``. With ``integer`` the number must be an
+    integer (not a bool: a seed or a count of True means nothing). An int, or a
+    float unless ``integer``, is returned as it is, with no numpy read."""
+    if type(value) is int or type(value) is float and not integer:
+        return value
+    try:
+        number = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        number = np.asarray(None)
+    if number.ndim or number.dtype.kind not in ("iu" if integer else "biuf"):
+        raise ConfigError(
+            f"{key}: must be {'an integer' if integer else 'a number'}, got {value!r}"
+        )
+    return number.item()
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    """``value`` as two finite floats, if it is a pair of numbers, else ``ConfigError``."""
+    try:
+        if np.shape(value) == (2,):
+            return finite_pair(value, key)
+    except ValueError:
+        pass
+    raise ConfigError(f"{key}: must be two finite numbers, got {value!r}")
 
 
 def _parse_lines(text: str) -> dict[str, str]:

@@ -25,17 +25,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _read_floats
+from .linalg import _read_floats, finite_scalar
 
 
 @dataclass(frozen=True)
 class SisParams:
-    """True infection rate ``beta`` and recovery rate ``gamma``, both per step."""
+    """True infection rate ``beta`` and recovery rate ``gamma``, both per step.
+
+    Both are read as floats by the library's number rule; ``ValueError``
+    names the field unless it is a number in [0, 1].
+    """
 
     beta: float
     gamma: float
 
     def __post_init__(self) -> None:
+        for name in ("beta", "gamma"):
+            object.__setattr__(self, name, finite_scalar(getattr(self, name), name))
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1] for simulation, got {self.beta}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -69,7 +75,9 @@ class NoiseSpec:
     Process noise samples are redrawn until |xi| <= bound_nu, so the realized
     perturbation is bounded while staying zero mean. A draw is accepted with
     probability erf(bound_nu / (process_std * sqrt(2))), which must be at
-    least ``MIN_DRAW_ACCEPTANCE``.
+    least ``MIN_DRAW_ACCEPTANCE``. The three magnitudes are read as floats by
+    the library's number rule; ``ValueError`` names the first that is not a
+    finite number.
     """
 
     process_std: float = 1e-3
@@ -78,9 +86,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("process_std", "observation_std", "bound_nu"):
+            object.__setattr__(self, name, finite_scalar(getattr(self, name), name))
         magnitudes = (self.process_std, self.observation_std, self.bound_nu)
-        if not all(math.isfinite(m) for m in magnitudes):
-            raise ValueError("noise magnitudes must be finite")
         if min(magnitudes) < 0:
             raise ValueError("noise magnitudes must be nonnegative")
         if self.process_std > 0 and self.bound_nu <= 0:

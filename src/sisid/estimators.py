@@ -31,20 +31,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import (
-    GreedySet, _offer_floats, _pair_reader, finite_pair, finite_scalar, regressor_pairs,
-)
+from .excitation import GreedySet, _offer_floats, _pair_reader, regressor_pairs
 from .linalg import (
     ConditioningError,
     Sym2,
     _read_floats,
     covariance_update,
+    finite_pair,
+    finite_scalar,
     solve_spd,
     sym2,
     sym2_array,
@@ -82,12 +82,13 @@ def ef_rls_step(
     ``ConditioningError`` when alpha + phi P phi^T <= 0 or is not finite:
     its covariance has wound up until round-off destroyed its positive
     definiteness. It also fails when the new P or theta_hat is not finite.
-    Non-finite P, theta_hat, phi or y raise ``ValueError`` naming the
-    argument.
+    Non-finite P, theta_hat, phi, y or alpha raise ``ValueError`` naming the
+    argument, as does an alpha outside (0, 1].
     """
     p, theta = sym2(state[0], "state P"), finite_pair(state[1], "state theta")
     row = finite_pair(phi, "phi")
     y = finite_scalar(y, "y")
+    alpha = finite_scalar(alpha, "alpha")
     p_next, theta_next, _, _ = grls_kernel(p, theta, GreedySet(), row, y, 0, alpha, False)
     return sym2_array(p_next), np.array(theta_next)
 
@@ -107,10 +108,12 @@ class GrlsState:
 
     P is kept as its entries (a, b, d), theta as two floats; ``P`` and
     ``theta`` read as new arrays. A state is checked once, when built:
-    ``ValueError`` names ``state P`` (a 2x2 array or its entries) or ``state
-    theta`` unless finite, ``regressor`` unless callable, or alpha unless in
-    (0, 1) or 1 with the set off.
-    States compare and hash by those floats and the other fields.
+    ``ValueError`` names ``state P`` unless a finite, exactly symmetric 2x2
+    array, ``state theta`` unless two finite numbers, ``regressor`` unless
+    callable, or alpha unless a number in (0, 1), or 1 with the set off.
+    ``grls_step`` builds its successor from the kernel's checked floats with
+    no second check. States compare and hash by those floats and the other
+    fields.
     """
 
     P: np.ndarray = property(lambda self: sym2_array(self._P))
@@ -122,19 +125,25 @@ class GrlsState:
     greedy_enabled: bool = True
 
     def __init__(self, P, theta, excitation, alpha, regressor, step=0, greedy_enabled=True):
-        if type(P) is tuple and len(P) == 3:  # the entries, as grls_step passes them
-            if not all(map(math.isfinite, P)):
-                raise ValueError(f"state P must be finite, got {P}")
-        else:
-            P = sym2(P, "state P")
-        if not (0.0 < alpha < 1.0 or alpha == 1.0 and not greedy_enabled):
-            raise ValueError(f"alpha must be in (0, 1), or 1 with the set disabled, got {alpha}")
+        P = sym2(P, "state P")
+        alpha = _grls_alpha(alpha, greedy_enabled)
         theta = finite_pair(theta, "state theta")
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
+        self._set(P, theta, excitation, alpha, regressor, step, greedy_enabled)
+
+    def _set(self, P, theta, excitation, alpha, regressor, step, greedy_enabled) -> "GrlsState":
+        # the one place that orders __dict__, whose values __eq__ and __hash__ read
         self.__dict__.update(_P=P, _theta=theta, excitation=excitation, alpha=alpha,
                              regressor=regressor, step=step, greedy_enabled=greedy_enabled)
+        return self
 
-    def __eq__(self, other):  # __dict__ holds the floats and the other fields, set in __init__
+    @classmethod
+    def _checked(cls, P: Sym2, theta, excitation, alpha, regressor, step, greedy_enabled):
+        """A state of fields already checked, built without checking them again."""
+        return object.__new__(cls)._set(P, theta, excitation, alpha, regressor, step,
+                                        greedy_enabled)
+
+    def __eq__(self, other):  # __dict__ holds the floats and the other fields
         return self.__dict__ == other.__dict__ if type(other) is GrlsState else NotImplemented
 
     def __hash__(self) -> int:
@@ -152,7 +161,18 @@ class GrlsState:
         p0 = finite_scalar(p0_scale, "p0_scale")
         if p0 <= 0.0:
             raise ValueError(f"p0_scale must be positive, got {p0}")
-        return cls((p0, 0.0, p0), theta0, GreedySet(), alpha, regressor, 0, greedy_enabled)
+        alpha = _grls_alpha(alpha, greedy_enabled)
+        _pair_reader(regressor)  # ValueError naming the regressor unless callable
+        return cls._checked((p0, 0.0, p0), theta0, GreedySet(), alpha, regressor, 0,
+                            greedy_enabled)
+
+
+def _grls_alpha(alpha, greedy_enabled: bool) -> float:
+    """alpha as a float in (0, 1), or 1 with the set disabled; else ``ValueError``."""
+    alpha = finite_scalar(alpha, "alpha")
+    if not (0.0 < alpha < 1.0 or alpha == 1.0 and not greedy_enabled):
+        raise ValueError(f"alpha must be in (0, 1), or 1 with the set disabled, got {alpha}")
+    return alpha
 
 
 def grls_kernel(
@@ -207,7 +227,9 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     The state's floats were checked when it was built, so only a non-finite
     ``x_k``, ``x_next`` or regressor raises ``ValueError`` here; a
     covariance that loses positive definiteness, or a non-finite new P or
-    theta, raises ``ConditioningError``.
+    theta, raises ``ConditioningError``. The next state is built from the
+    kernel's floats, finite since it did not raise, and the rest of
+    ``state``, with no second check.
     """
     x_k = finite_scalar(x_k, "x_k")
     x_next = finite_scalar(x_next, "x_next")
@@ -216,7 +238,8 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
         state._P, state._theta, state.excitation, phi, x_next - x_k, state.step,
         state.alpha, state.greedy_enabled,
     )
-    return replace(state, P=p, theta=theta, excitation=excitation, step=state.step + 1)
+    return GrlsState._checked(p, theta, excitation, state.alpha, state.regressor,
+                              state.step + 1, state.greedy_enabled)
 
 
 def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:
@@ -232,10 +255,10 @@ def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:
 class WeightedCostSpec:
     """Ingredients of the weighted least-squares cost the recursion minimizes.
 
-    ``p0_inv`` and ``theta0`` are read as a float 2x2 array and a float pair.
-    ``ValueError`` naming the field unless alpha is in (0, 1], ``p0_inv`` is
-    a finite, exactly symmetric 2x2 array, ``theta0`` two finite numbers and
-    no greedy index is negative.
+    ``alpha``, ``p0_inv`` and ``theta0`` are read as a float, a float 2x2
+    array and a float pair. ``ValueError`` naming the field unless alpha is a
+    number in (0, 1], ``p0_inv`` a finite, exactly symmetric 2x2 array,
+    ``theta0`` two finite numbers and no greedy index is negative.
     """
 
     alpha: float
@@ -244,6 +267,7 @@ class WeightedCostSpec:
     greedy_indices: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", finite_scalar(self.alpha, "spec.alpha"))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"spec.alpha must be in (0, 1], got {self.alpha!r}")
         object.__setattr__(self, "p0_inv", sym2_array(sym2(self.p0_inv, "spec.p0_inv")))
@@ -293,7 +317,7 @@ def batch_oracle(
     if spec.greedy_indices:
         greedy = np.fromiter(spec.greedy_indices, dtype=int)
         weights[greedy] = 1.0 - spec.alpha ** (ages[greedy] + 1.0)
-    pairs = regressor_pairs(reg, traj.states[: k + 1].tolist())
+    pairs = regressor_pairs(reg, memoryview(traj.states[: k + 1]))  # a float at a time
     rows = np.fromiter(pairs, dtype=np.dtype((float, 2)), count=k + 1)  # filled in place
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)

@@ -15,9 +15,8 @@ outer products, as its entries (a, b, d). The FIM's smallest eigenvalue
 and condition number decide whether the parameters are practically
 identifiable from a window of data.
 
-``finite_pair`` and ``finite_scalar`` read a value from outside by the
-library's one number rule (``linalg._read_floats``), with a float fast path
-for what the library passes itself.
+Every value from outside is read by the library's one number rule
+(``linalg.finite_pair``, ``linalg.finite_scalar``; importable from here too).
 """
 
 from __future__ import annotations
@@ -31,7 +30,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import Sym2, _read_floats, sym2, sym2_array, sym2_condition, sym2_eigenvalues
+from .linalg import (
+    Sym2, finite_pair, finite_scalar, sym2, sym2_array, sym2_condition, sym2_eigenvalues,
+)
 
 # A regressor with norm below this contributes nothing and is never
 # admitted into an excitation set.
@@ -108,28 +109,6 @@ class GreedySet:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-
-def finite_pair(value, name: str) -> tuple[float, float]:
-    """Two finite Python floats from a pair of numbers or any array with two
-    entries; ``ValueError`` naming the argument for any other value."""
-    u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
-    if type(u1) is not float or type(u2) is not float:
-        u1, u2 = _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
-    if not (math.isfinite(u1) and math.isfinite(u2)):
-        raise ValueError(f"{name} must be finite, got {(u1, u2)}")
-    return u1, u2
-
-
-def finite_scalar(value, name: str) -> float:
-    """A finite float from a number or a one-entry array."""
-    if isinstance(value, (int, float)):
-        value = float(value)
-    else:
-        value = _read_floats(value, name, "be a scalar number", 1).item()
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 def greedy_offer(gset: GreedySet, phi_k, y_k, k: int) -> tuple[GreedySet, bool]:

@@ -49,6 +49,7 @@ from .linalg import (
     ConditioningError,
     Sym2,
     eigenvalue_condition,
+    finite_scalar,
     sym2_condition,
     sym2_eigenvalues,
 )
@@ -83,9 +84,11 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
 
     The FIM H = alpha H + phi^T phi is accumulated as its entries, so its
     condition number is the same closed form the greedy offer uses.
-    ``ValueError`` naming alpha unless 0 < alpha <= 1, and naming the first
-    step whose FIM entries are not finite, as when the regressor overflows.
+    ``ValueError`` naming alpha unless it is a number in (0, 1], and naming
+    the first step whose FIM entries are not finite, as when the regressor
+    overflows.
     """
+    alpha = finite_scalar(alpha, "alpha")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)

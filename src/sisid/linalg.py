@@ -13,6 +13,8 @@ Every number or array the library takes from outside is read by one rule,
 ``_read_floats``: a value counts as numbers only when numpy reads it with
 dtype kind b, i, u or f (bool, integer or real), so strings, ``None``,
 complex, object and ragged values raise ``ValueError`` naming the argument.
+``finite_scalar`` and ``finite_pair`` read one number or a pair by it, with
+a float fast path for what the library passes itself.
 """
 
 from __future__ import annotations
@@ -47,6 +49,28 @@ def _read_floats(
     if arr.dtype.kind not in "biuf" or size is not None and arr.size != size:
         raise ValueError(f"{name} must {expected}, got {value!r}")
     return arr.astype(float, copy=False)
+
+
+def finite_pair(value, name: str) -> tuple[float, float]:
+    """Two finite Python floats from a pair of numbers or any array with two
+    entries; ``ValueError`` naming the argument for any other value."""
+    u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
+    if type(u1) is not float or type(u2) is not float:
+        u1, u2 = _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
+    if not (math.isfinite(u1) and math.isfinite(u2)):
+        raise ValueError(f"{name} must be finite, got {(u1, u2)}")
+    return u1, u2
+
+
+def finite_scalar(value, name: str) -> float:
+    """A finite float from a number or a one-entry array."""
+    if isinstance(value, (int, float)):
+        value = float(value)
+    else:
+        value = _read_floats(value, name, "be a scalar number", 1).item()
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def sym2(m: np.ndarray, name: str = "matrix") -> Sym2:

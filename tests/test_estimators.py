@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,6 +254,28 @@ class TestGrls:
         assert dataclasses.replace(a, P=p) != a  # one P entry apart
         assert len({a, dataclasses.replace(a, P=p)}) == 2
         assert a != (a._P, a._theta)
+
+    def test_stepped_states_equal_their_checked_copies(self):
+        # grls_step builds each state from the kernel's floats without __init__'s
+        # checks; dataclasses.replace runs them, and its copy must match bitwise
+        traj = simulate(0.01, FIG3, 2000, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2))
+        for state in run_grls(GrlsState.initial(THETA0, SIS_REGRESSOR), traj):
+            copy = dataclasses.replace(state)
+            assert state == copy and hash(state) == hash(copy)
+            assert list(state.__dict__) == list(copy.__dict__)
+            types = [type(v) for v in state.__dict__.values()]
+            assert types == [type(v) for v in copy.__dict__.values()]
+            assert state.P.tobytes() == copy.P.tobytes()
+            assert state.theta.tobytes() == copy.theta.tobytes()
+
+    @pytest.mark.parametrize(
+        "p", [(1.0, 0.0, 1.0), (1, 0, Fraction(1, 2)), ("1", "0", "1")],
+        ids=["entries", "fraction", "strings"],
+    )
+    def test_p_enters_only_as_a_2x2_array(self, p):
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
+        with pytest.raises(ValueError, match="^state P must "):
+            dataclasses.replace(state, P=p)
 
     def test_deterministic_given_seed(self):
         noise = NoiseSpec(seed=4)

@@ -1,6 +1,8 @@
 """The one number rule: every public entry that reads a number or an array
 takes bool, integer and real values (numpy dtype kinds b, i, u and f) and
-raises ``ValueError`` naming the argument for anything else."""
+raises ``ValueError`` naming the argument for anything else. A config field
+raises ``ConfigError`` (a ``ValueError``) "<field>: must ...", whose name
+here ends in the colon."""
 
 import re
 from dataclasses import replace
@@ -9,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sisid.dynamics import Trajectory
+from sisid.config import ConfigError, EstimatorSettings, ExperimentConfig
+from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
 from sisid.estimators import (
     GrlsState,
     WeightedCostSpec,
@@ -18,16 +21,26 @@ from sisid.estimators import (
     ie_mmai_init,
 )
 from sisid.excitation import SIS_REGRESSOR, GreedySet, finite_pair, finite_scalar, greedy_offer
+from sisid.harness import fim_condition_trace
 from sisid.linalg import condition_number, solve_spd
 
 STATE = GrlsState.initial((1.0, 1.0), SIS_REGRESSOR)
 SPEC = dict(alpha=0.94, p0_inv=np.eye(2), theta0=(1.0, 1.0), greedy_indices=frozenset())
-EF_RLS = dict(p=np.eye(2), theta=(1.0, 1.0), phi=(0.1, -0.1), y=0.01)
+EF_RLS = dict(p=np.eye(2), theta=(1.0, 1.0), phi=(0.1, -0.1), y=0.01, alpha=0.94)
+TRAJ = simulate(0.01, SisParams(0.8, 0.3), 5)
 
 
 def _ef_rls(**value):
     args = {**EF_RLS, **value}
-    return ef_rls_step((args["p"], args["theta"]), args["phi"], args["y"], 0.94)
+    return ef_rls_step((args["p"], args["theta"]), args["phi"], args["y"], args["alpha"])
+
+
+def _config(kind="grls", *, noise_seed=0, steps=5, x0=0.01, **settings):
+    """An ExperimentConfig with one estimator of ``kind``, built from ``settings``."""
+    return ExperimentConfig(
+        sis=SisParams(0.8, 0.3), x0=x0, steps=steps, noise=NoiseSpec(seed=noise_seed),
+        estimators=(EstimatorSettings(kind, **settings),),
+    )
 
 
 # entry -> (a call reading the value as one argument, the name its error gives)
@@ -65,6 +78,35 @@ ENTRIES = {
     ),
     "ie_mmai_init.theta0": (lambda v: ie_mmai_init(v, 3), "theta0"),
     "ie_mmai_init.spread": (lambda v: ie_mmai_init((1.0, 1.0), 3, v), "spread"),
+    "GrlsState.initial.alpha": (
+        lambda v: GrlsState.initial((1.0, 1.0), SIS_REGRESSOR, v), "alpha"
+    ),
+    "replace.alpha": (lambda v: replace(STATE, alpha=v), "alpha"),
+    "ef_rls_step.alpha": (lambda v: _ef_rls(alpha=v), "alpha"),
+    "fim_condition_trace.alpha": (lambda v: fim_condition_trace(TRAJ, SIS_REGRESSOR, v), "alpha"),
+    "WeightedCostSpec.alpha": (lambda v: WeightedCostSpec(**{**SPEC, "alpha": v}), "spec.alpha"),
+    "SisParams.beta": (lambda v: SisParams(v, 0.3), "beta"),
+    "SisParams.gamma": (lambda v: SisParams(0.8, v), "gamma"),
+    "NoiseSpec.process_std": (lambda v: NoiseSpec(process_std=v), "process_std"),
+    "NoiseSpec.observation_std": (lambda v: NoiseSpec(observation_std=v), "observation_std"),
+    "NoiseSpec.bound_nu": (lambda v: NoiseSpec(bound_nu=v), "bound_nu"),
+    "ExperimentConfig.steps": (lambda v: _config(steps=v), "steps:"),
+    "ExperimentConfig.x0": (lambda v: _config(x0=v), "x0:"),
+    "ExperimentConfig.seed": (lambda v: _config(noise_seed=v), "seed:"),
+    "ExperimentConfig.grls.alpha": (lambda v: _config(alpha=v), "grls.alpha:"),
+    "ExperimentConfig.grls.p0_scale": (lambda v: _config(p0_scale=v), "grls.p0_scale:"),
+    "ExperimentConfig.grls.theta0": (lambda v: _config(theta0=v), "grls.theta0:"),
+    "ExperimentConfig.ie_mmai.alpha": (lambda v: _config("ie_mmai", alpha=v), "ie_mmai.alpha:"),
+    "ExperimentConfig.ie_mmai.theta0": (
+        lambda v: _config("ie_mmai", theta0=v), "ie_mmai.theta0:"
+    ),
+    "ExperimentConfig.ie_mmai.models": (
+        lambda v: _config("ie_mmai", models=v), "ie_mmai.models:"
+    ),
+    "ExperimentConfig.ie_mmai.seed": (lambda v: _config("ie_mmai", seed=v), "ie_mmai.seed:"),
+    "ExperimentConfig.ie_mmai.spread": (
+        lambda v: _config("ie_mmai", spread=v), "ie_mmai.spread:"
+    ),
 }
 
 NOT_NUMBERS = {
@@ -88,7 +130,14 @@ def test_not_a_number_is_a_value_error_naming_the_argument(entry, value):
 SCALAR_ENTRIES = [
     "finite_scalar", "grls_step.x_k", "grls_step.x_next", "GrlsState.initial.p0_scale",
     "ef_rls_step.y", "greedy_offer.y_k", "WeightedCostSpec.from_grls.p0_scale",
-    "ie_mmai_init.spread",
+    "ie_mmai_init.spread", "ef_rls_step.alpha", "fim_condition_trace.alpha",
+    "WeightedCostSpec.alpha", "SisParams.beta", "SisParams.gamma", "NoiseSpec.observation_std",
+    "NoiseSpec.bound_nu", "ExperimentConfig.x0", "ExperimentConfig.ie_mmai.alpha",
+    "ExperimentConfig.grls.p0_scale", "ExperimentConfig.ie_mmai.spread",
+]
+INTEGER_ENTRIES = [
+    "ExperimentConfig.steps", "ExperimentConfig.seed", "ExperimentConfig.ie_mmai.models",
+    "ExperimentConfig.ie_mmai.seed",
 ]
 
 
@@ -102,3 +151,37 @@ def test_numpy_bool_int_and_float_scalars_are_numbers(entry, value):
 def test_numpy_pairs_are_two_floats(value):
     assert finite_pair(value, "phi") == (1.0, 2.0)
     assert type(finite_pair(value, "phi")[0]) is float
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), 1], ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+def test_config_integer_fields_take_integers(entry, value):
+    ENTRIES[entry][0](value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, 2.5, np.float64(1.0)], ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+def test_config_integer_fields_refuse_bools_and_reals(entry, value):
+    call, name = ENTRIES[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.array([0.5]), [0.5]], ids=repr)
+@pytest.mark.parametrize("entry", ["ExperimentConfig.x0", "ExperimentConfig.grls.alpha"])
+def test_config_number_fields_refuse_one_entry_arrays(entry, value):
+    call, name = ENTRIES[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a number, got "):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [(lambda: SisParams(np.float32(0.5), True), ("beta", "gamma")),
+     (lambda: NoiseSpec(1, np.float32(0.5), np.int64(1)),
+      ("process_std", "observation_std", "bound_nu")),
+     (lambda: WeightedCostSpec(**{**SPEC, "alpha": np.float32(0.5)}), ("alpha",))],
+)
+def test_numbers_read_are_stored_as_floats(build, field):
+    built = build()
+    assert all(type(getattr(built, f)) is float for f in field)
