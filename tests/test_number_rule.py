@@ -2,7 +2,8 @@
 takes bool, integer and real values (numpy dtype kinds b, i, u and f) and
 raises ``ValueError`` naming the argument for anything else. A config field
 raises ``ConfigError`` (a ``ValueError``) "<field>: must ...", whose name
-here ends in the colon."""
+here ends in the colon; its integer fields (steps, seeds, model count) take
+integers only, no bool."""
 
 import re
 from dataclasses import replace
@@ -176,12 +177,12 @@ def test_config_number_fields_refuse_one_entry_arrays(entry, value):
 
 
 @pytest.mark.parametrize(
-    "build, field",
+    "build, names",
     [(lambda: SisParams(np.float32(0.5), True), ("beta", "gamma")),
      (lambda: NoiseSpec(1, np.float32(0.5), np.int64(1)),
       ("process_std", "observation_std", "bound_nu")),
      (lambda: WeightedCostSpec(**{**SPEC, "alpha": np.float32(0.5)}), ("alpha",))],
 )
-def test_numbers_read_are_stored_as_floats(build, field):
+def test_numbers_read_are_stored_as_floats(build, names):
     built = build()
-    assert all(type(getattr(built, f)) is float for f in field)
+    assert all(type(getattr(built, name)) is float for name in names)
