@@ -31,22 +31,23 @@ and an ``EstimatorSettings`` field its kind does not read must keep its default.
 Defaults are the ``EstimatorSettings`` and ``NoiseSpec`` field defaults.
 
 An ``ExperimentConfig`` checks itself when built: ``ConfigError`` names the
-first field a run could not use.
+first field a run could not use. It reads each setting through the reader
+the library applies to it (``read_x0``, ``read_steps``, ``read_alpha``,
+``read_p0_scale``, ``read_theta0``, ``read_count``), named ``"<key>:"``,
+and keeps what they return, so a config holds Python floats, ints and float
+pairs whatever numbers it was built from, and its text reads back equal.
 
 Values round-trip losslessly: floats are written with repr().
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .dynamics import NoiseSpec, SisParams
-from .estimators import MAX_IE_MMAI_MODELS, ie_mmai_init
-from .linalg import finite_pair
+from .dynamics import NoiseSpec, SisParams, read_steps, read_x0
+from .estimators import MAX_IE_MMAI_MODELS, ie_mmai_init, read_alpha, read_p0_scale, read_theta0
+from .linalg import read_count, read_number
 
 TRACE_KINDS = ("metrics", "trajectory", "greedy")
 CONFIG_SCHEMA = "sisid-config-v1"
@@ -98,89 +99,56 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ``ConfigError`` naming the first field a run could not use."""
-        if _number(self.steps, "steps", integer=True) < 1:
-            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if not 0.0 <= _number(self.x0, "x0") <= 1.0:
-            raise ConfigError(f"x0: must lie in [0, 1], got {self.x0}")
-        if self.noise is not None and _number(self.noise.seed, "seed", integer=True) < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.noise.seed}")
-        if not self.estimators:
-            raise ConfigError("estimators: at least one estimator is required")
-        seen = set()
-        for est in self.estimators:
-            if est.kind not in ESTIMATOR_FIELDS:
-                raise ConfigError(
-                    f"estimators: unknown kind {est.kind!r}, "
-                    f"expected one of {', '.join(ESTIMATOR_KINDS)}"
-                )
-            if est.kind in seen:
-                raise ConfigError(f"estimators: duplicate kind {est.kind!r}")
-            seen.add(est.kind)
-            for f in fields(EstimatorSettings)[1:]:  # every field but kind
-                value = getattr(est, f.name)
-                if f.name not in ESTIMATOR_FIELDS[est.kind] and value != f.default:
-                    raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {value!r}")
-            alpha = _number(est.alpha, f"{est.kind}.alpha")
-            if not 0.0 < alpha <= 1.0:
-                raise ConfigError(f"{est.kind}.alpha: must be in (0, 1], got {est.alpha}")
-            if est.kind == "grls" and alpha == 1.0:
-                raise ConfigError("grls.alpha: must be strictly below 1")
-            # a kind that does not read p0_scale has its default, which passes
-            p0_scale = _number(est.p0_scale, f"{est.kind}.p0_scale")
-            if not math.isfinite(p0_scale):
-                raise ConfigError(f"{est.kind}.p0_scale: must be finite, got {est.p0_scale}")
-            if p0_scale <= 0:
-                raise ConfigError(f"{est.kind}.p0_scale: must be positive")
-            _pair(est.theta0, f"{est.kind}.theta0")
-            if est.kind == "ie_mmai":
-                models = _number(est.models, "ie_mmai.models", integer=True)
-                if not 1 <= models <= MAX_IE_MMAI_MODELS:
-                    raise ConfigError(
-                        f"ie_mmai.models: must be in 1..{MAX_IE_MMAI_MODELS}, got {est.models}"
-                    )
-                if _number(est.seed, "ie_mmai.seed", integer=True) < 0:
-                    raise ConfigError(f"ie_mmai.seed: must be >= 0, got {est.seed}")
-                _number(est.spread, "ie_mmai.spread")
-                try:
-                    ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
-                except ValueError:
-                    msg = f"{est.spread!r} draws a non-finite model at ie_mmai.seed = {est.seed}"
-                    raise ConfigError(f"ie_mmai.spread: {msg}") from None
+        """Raise ``ConfigError`` naming the first field a run could not use, and
+        keep each setting as its reader returns it."""
+        try:
+            read = {"steps": read_steps(self.steps, "steps:"), "x0": read_x0(self.x0, "x0:")}
+            if self.noise is not None:
+                read["noise"] = replace(self.noise, seed=read_count(self.noise.seed, "seed:", 0))
+            if not self.estimators:
+                raise ConfigError("estimators: at least one estimator is required")
+            read["estimators"] = ()
+            for est in self.estimators:
+                if any(e.kind == est.kind for e in read["estimators"]):
+                    raise ConfigError(f"estimators: duplicate kind {est.kind!r}")
+                read["estimators"] += (_read_estimator(est),)
+        except ValueError as exc:  # each reader names its field "<key>:"
+            raise ConfigError(str(exc)) from None
         for kind in self.emit:
             if kind not in TRACE_KINDS:
-                raise ConfigError(
-                    f"emit: unknown trace kind {kind!r}, "
-                    f"expected one of {', '.join(TRACE_KINDS)}"
-                )
+                expected = ", ".join(TRACE_KINDS)
+                raise ConfigError(f"emit: unknown trace kind {kind!r}, expected one of {expected}")
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
 
-def _number(value, key: str, integer: bool = False):
-    """``value``, if the library's number rule reads it as one number, else
-    ``ConfigError`` naming ``key``. With ``integer`` the number must be an
-    integer (not a bool: a seed or a count of True means nothing). An int, or a
-    float unless ``integer``, is returned as it is, with no numpy read."""
-    if type(value) is int or type(value) is float and not integer:
-        return value
-    try:
-        number = np.asarray(value)
-    except ValueError:  # a ragged sequence
-        number = np.asarray(None)
-    if number.ndim or number.dtype.kind not in ("iu" if integer else "biuf"):
-        raise ConfigError(
-            f"{key}: must be {'an integer' if integer else 'a number'}, got {value!r}"
-        )
-    return number.item()
-
-
-def _pair(value, key: str) -> tuple[float, float]:
-    """``value`` as two finite floats, if it is a pair of numbers, else ``ConfigError``."""
-    try:
-        if np.shape(value) == (2,):
-            return finite_pair(value, key)
-    except ValueError:
-        pass
-    raise ConfigError(f"{key}: must be two finite numbers, got {value!r}")
+def _read_estimator(est: EstimatorSettings) -> EstimatorSettings:
+    """``est`` with each field as its reader returns it, and each field its kind
+    does not read, which must keep its default, as that default."""
+    if est.kind not in ESTIMATOR_FIELDS:
+        expected = ", ".join(ESTIMATOR_KINDS)
+        raise ConfigError(f"estimators: unknown kind {est.kind!r}, expected one of {expected}")
+    read = {}
+    for f in fields(EstimatorSettings)[1:]:  # every field but kind
+        value = getattr(est, f.name)
+        if f.name not in ESTIMATOR_FIELDS[est.kind]:
+            if value != f.default:
+                raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {value!r}")
+            read[f.name] = f.default
+    key = f"{est.kind}."
+    read["alpha"] = read_alpha(est.alpha, key + "alpha:", below_one=est.kind == "grls")
+    read["p0_scale"] = read_p0_scale(est.p0_scale, key + "p0_scale:")  # the default if unread
+    read["theta0"] = read_theta0(est.theta0, key + "theta0:")
+    if est.kind == "ie_mmai":
+        read["models"] = read_count(est.models, "ie_mmai.models:", 1, MAX_IE_MMAI_MODELS)
+        read["seed"] = read_count(est.seed, "ie_mmai.seed:", 0)
+        read["spread"] = read_number(est.spread, "ie_mmai.spread:")
+        try:
+            ie_mmai_init(read["theta0"], read["models"], read["spread"], read["seed"])
+        except ValueError:
+            msg = f"{read['spread']!r} draws a non-finite model at ie_mmai.seed = {read['seed']}"
+            raise ConfigError(f"ie_mmai.spread: {msg}") from None
+    return replace(est, **read)
 
 
 def _parse_lines(text: str) -> dict[str, str]:

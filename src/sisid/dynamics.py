@@ -13,19 +13,36 @@ a ``Trajectory`` forms its observations, so y inherits both.
 the recursion, with zero noise when there is none. It draws process noise in
 blocks, bitwise equal to redrawing one sample at a time and leaving the
 generator where that would, so the observation noise drawn next is unchanged.
+
+A run's settings are read by one reader each, which the config also calls
+with its key as the name: ``read_x0`` (a number in [0, 1]) and
+``read_steps`` (an integer >= 1), both by the one-number rule of
+``sisid.linalg``; ``simulate`` reads the noise seed as an integer >= 0.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import _read_floats, finite_scalar
+from .linalg import _read_floats, finite_scalar, read_count, read_number
+
+
+def read_x0(value, name: str = "x0") -> float:
+    """An initial infected proportion: one number in [0, 1], as a float;
+    else ``ValueError`` naming it."""
+    x0 = read_number(value, name)
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x0!r}")
+    return x0
+
+
+def read_steps(value, name: str = "steps") -> int:
+    """A number of simulated transitions: an integer >= 1; else ``ValueError``."""
+    return read_count(value, name, 1)
 
 
 @dataclass(frozen=True)
@@ -179,17 +196,12 @@ def simulate(
 
     Bitwise equal to redrawing process noise one sample at a time, with the
     generator left at the same position for the observation noise.
+    ``ValueError`` names ``x0``, ``steps`` or ``noise.seed`` (an integer
+    >= 0) unless ``read_x0``, ``read_steps`` or ``read_count`` reads it.
     """
-    if not isinstance(x0, numbers.Real) or not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0 must be a number in [0, 1], got {x0!r}")
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-
-    rng = np.random.default_rng(noise.seed) if noise is not None else None
+    x0, steps = read_x0(x0), read_steps(steps)
+    if noise is not None:
+        rng = np.random.default_rng(read_count(noise.seed, "noise.seed", 0))
     if noise is not None and noise.process_std > 0:
         xi = _process_noise(rng, noise.process_std, noise.bound_nu, steps)
     else:
@@ -198,7 +210,7 @@ def simulate(
     # of floats would leave their memory behind
     states = np.empty(steps + 1)
     out = memoryview(states)
-    out[0] = x = float(x0)
+    out[0] = x = x0
     for k, e in enumerate(memoryview(xi), 1):
         x = sis_step(x, params) + e
         if not 0.0 < x < 1.0:  # = min(1.0, max(0.0, x)), minus two calls

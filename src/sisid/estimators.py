@@ -25,6 +25,14 @@ reads ``SIS_REGRESSOR`` as ``sis_regressor_pair``'s two floats, no array.
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
 recursive and batch routes can be checked against each other.
+
+An identifier's settings are read by one reader each, placed here and
+called by every entry that takes the setting and by the config, each with
+the name its ``ValueError`` reports: ``read_alpha`` (a forgetting factor),
+``read_p0_scale`` (the prior covariance scale) and ``read_theta0`` (the
+initial estimate); a count goes through ``linalg.read_count``. Each reads
+by the one-number rule of ``sisid.linalg``: a setting is one number, not a
+one-entry array. The per-step kernels read nothing.
 """
 
 from __future__ import annotations
@@ -45,11 +53,42 @@ from .linalg import (
     covariance_update,
     finite_pair,
     finite_scalar,
+    read_count,
+    read_number,
     solve_spd,
     sym2,
     sym2_array,
     sym2_eigenvalues,
 )
+
+
+def read_alpha(value, name: str = "alpha", below_one: bool = False) -> float:
+    """A forgetting factor: one number in (0, 1], or in (0, 1) with ``below_one``
+    (an enabled excitation set refreshes with weight 1 - alpha, which must be
+    positive); else ``ValueError`` naming it."""
+    alpha = read_number(value, name)
+    if not (0.0 < alpha < 1.0 or alpha == 1.0 and not below_one):
+        interval = "(0, 1)" if below_one else "(0, 1]"
+        raise ValueError(f"{name} must be in {interval}, got {alpha!r}")
+    return alpha
+
+
+def read_p0_scale(value, name: str = "p0_scale") -> float:
+    """The prior covariance scale p0 of P0 = p0 I: one positive finite number;
+    else ``ValueError`` naming it."""
+    p0 = read_number(value, name)
+    if not 0.0 < p0 < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {p0!r}")
+    return p0
+
+
+def read_theta0(value, name: str = "theta0") -> tuple[float, float]:
+    """An initial estimate: two finite numbers, as a pair or an array of shape
+    (2,); else ``ValueError`` naming it."""
+    theta0 = _read_floats(value, name)
+    if theta0.shape != (2,):
+        raise ValueError(f"{name} has shape {theta0.shape}, expected (2,)")
+    return finite_pair(tuple(theta0.tolist()), name)
 
 
 def pure_gd_kernel(
@@ -82,13 +121,13 @@ def ef_rls_step(
     ``ConditioningError`` when alpha + phi P phi^T <= 0 or is not finite:
     its covariance has wound up until round-off destroyed its positive
     definiteness. It also fails when the new P or theta_hat is not finite.
-    Non-finite P, theta_hat, phi, y or alpha raise ``ValueError`` naming the
-    argument, as does an alpha outside (0, 1].
+    Non-finite P, theta_hat, phi or y raise ``ValueError`` naming the
+    argument, as does an alpha that ``read_alpha`` refuses.
     """
     p, theta = sym2(state[0], "state P"), finite_pair(state[1], "state theta")
     row = finite_pair(phi, "phi")
     y = finite_scalar(y, "y")
-    alpha = finite_scalar(alpha, "alpha")
+    alpha = read_alpha(alpha)
     p_next, theta_next, _, _ = grls_kernel(p, theta, GreedySet(), row, y, 0, alpha, False)
     return sym2_array(p_next), np.array(theta_next)
 
@@ -110,7 +149,8 @@ class GrlsState:
     ``theta`` read as new arrays. A state is checked once, when built:
     ``ValueError`` names ``state P`` unless a finite, exactly symmetric 2x2
     array, ``state theta`` unless two finite numbers, ``regressor`` unless
-    callable, or alpha unless a number in (0, 1), or 1 with the set off.
+    callable, or alpha unless ``read_alpha`` reads it (in (0, 1), or 1 with
+    the set off); ``initial`` reads its settings by their readers.
     ``grls_step`` builds its successor from the kernel's checked floats with
     no second check. States compare and hash by those floats and the other
     fields.
@@ -126,7 +166,7 @@ class GrlsState:
 
     def __init__(self, P, theta, excitation, alpha, regressor, step=0, greedy_enabled=True):
         P = sym2(P, "state P")
-        alpha = _grls_alpha(alpha, greedy_enabled)
+        alpha = read_alpha(alpha, below_one=greedy_enabled)
         theta = finite_pair(theta, "state theta")
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
         self._set(P, theta, excitation, alpha, regressor, step, greedy_enabled)
@@ -154,25 +194,11 @@ class GrlsState:
         cls, theta0: Sequence[float], regressor: Callable, alpha: float = 0.94,
         p0_scale: float = 100.0, greedy_enabled: bool = True,
     ) -> "GrlsState":
-        theta0 = _read_floats(theta0, "theta0")
-        if theta0.shape != (2,):
-            raise ValueError(f"theta0 has shape {theta0.shape}, expected (2,)")
-        theta0 = finite_pair(theta0, "theta0")
-        p0 = finite_scalar(p0_scale, "p0_scale")
-        if p0 <= 0.0:
-            raise ValueError(f"p0_scale must be positive, got {p0}")
-        alpha = _grls_alpha(alpha, greedy_enabled)
+        theta0, p0 = read_theta0(theta0), read_p0_scale(p0_scale)
+        alpha = read_alpha(alpha, below_one=greedy_enabled)
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
         return cls._checked((p0, 0.0, p0), theta0, GreedySet(), alpha, regressor, 0,
                             greedy_enabled)
-
-
-def _grls_alpha(alpha, greedy_enabled: bool) -> float:
-    """alpha as a float in (0, 1), or 1 with the set disabled; else ``ValueError``."""
-    alpha = finite_scalar(alpha, "alpha")
-    if not (0.0 < alpha < 1.0 or alpha == 1.0 and not greedy_enabled):
-        raise ValueError(f"alpha must be in (0, 1), or 1 with the set disabled, got {alpha}")
-    return alpha
 
 
 def grls_kernel(
@@ -256,9 +282,10 @@ class WeightedCostSpec:
     """Ingredients of the weighted least-squares cost the recursion minimizes.
 
     ``alpha``, ``p0_inv`` and ``theta0`` are read as a float, a float 2x2
-    array and a float pair. ``ValueError`` naming the field unless alpha is a
-    number in (0, 1], ``p0_inv`` a finite, exactly symmetric 2x2 array,
-    ``theta0`` two finite numbers and no greedy index is negative.
+    array and a float pair. ``ValueError`` naming the field unless
+    ``read_alpha`` and ``read_theta0`` read alpha and theta0, ``p0_inv`` is
+    a finite, exactly symmetric, positive definite 2x2 array and no greedy
+    index is negative. ``from_grls`` reads ``p0_scale`` by ``read_p0_scale``.
     """
 
     alpha: float
@@ -267,22 +294,20 @@ class WeightedCostSpec:
     greedy_indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", finite_scalar(self.alpha, "spec.alpha"))
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"spec.alpha must be in (0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "p0_inv", sym2_array(sym2(self.p0_inv, "spec.p0_inv")))
-        object.__setattr__(self, "theta0", np.array(finite_pair(self.theta0, "spec.theta0")))
+        object.__setattr__(self, "alpha", read_alpha(self.alpha, "spec.alpha"))
+        a, b, d = sym2(self.p0_inv, "spec.p0_inv")
+        if not sym2_eigenvalues(a, b, d)[0] > 0.0:
+            raise ValueError(f"spec.p0_inv must be positive definite, got {[[a, b], [b, d]]}")
+        object.__setattr__(self, "p0_inv", sym2_array((a, b, d)))
+        object.__setattr__(self, "theta0", np.array(read_theta0(self.theta0, "spec.theta0")))
         if any(i < 0 for i in self.greedy_indices):
             raise ValueError(f"spec.greedy_indices must be >= 0, got {min(self.greedy_indices)}")
 
     @classmethod
     def from_grls(cls, state: GrlsState, p0_scale: float, theta0: Sequence[float]):
-        return cls(
-            alpha=state.alpha,
-            p0_inv=np.eye(2) / finite_scalar(p0_scale, "p0_scale"),
-            theta0=theta0,
-            greedy_indices=frozenset(state.excitation.indices),
-        )
+        inv = 1.0 / read_p0_scale(p0_scale)
+        return cls(alpha=state.alpha, p0_inv=sym2_array((inv, 0.0, inv)), theta0=theta0,
+                   greedy_indices=frozenset(state.excitation.indices))
 
 
 def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
@@ -308,6 +333,7 @@ def batch_oracle(
     right-hand side, then solves. Independent of the recursive route on
     purpose: this is the ground truth the recursion is checked against.
     """
+    k = read_count(k, "k")
     if not 0 <= k < traj.step_count:
         raise ValueError(f"step {k} out of range for {traj.step_count} observations")
     if any(i > k for i in spec.greedy_indices):
@@ -353,14 +379,17 @@ def ie_mmai_init(
 
     Model i is theta0 + spread * z_i, with z_i the i-th pair of standard
     normals from ``numpy.random.default_rng(seed)``, all drawn by one call;
-    every cost, the FIM and the right-hand side start at zero. ``ValueError``
-    for a model count outside 1..``MAX_IE_MMAI_MODELS`` (raised before any
-    draw), a non-finite ``theta0`` or ``spread``, or a non-finite model, the
-    first of which is named.
+    every cost, the FIM and the right-hand side start at zero. ``ValueError``,
+    raised before any draw, names ``n_models`` unless an integer in
+    1..``MAX_IE_MMAI_MODELS``, ``seed`` unless an integer >= 0, ``theta0``
+    unless ``read_theta0`` reads it and ``spread`` unless one finite number;
+    it names the first model that is not finite.
     """
-    if not 1 <= n_models <= MAX_IE_MMAI_MODELS:
-        raise ValueError(f"n_models must be in 1..{MAX_IE_MMAI_MODELS}, got {n_models}")
-    theta0, spread = finite_pair(theta0, "theta0"), finite_scalar(spread, "spread")
+    n_models = read_count(n_models, "n_models", 1, MAX_IE_MMAI_MODELS)
+    seed = read_count(seed, "seed", 0)
+    theta0, spread = read_theta0(theta0), read_number(spread, "spread")
+    if not math.isfinite(spread):
+        raise ValueError(f"spread must be finite, got {spread}")
     z = np.random.default_rng(seed).standard_normal((n_models, 2))
     with np.errstate(over="ignore"):  # a model that overflows is named below
         drawn = np.array(theta0) + spread * z

@@ -16,7 +16,10 @@ and condition number decide whether the parameters are practically
 identifiable from a window of data.
 
 Every value from outside is read by the library's one number rule
-(``linalg.finite_pair``, ``linalg.finite_scalar``; importable from here too).
+(``linalg.finite_pair``, ``linalg.finite_scalar``; importable from here too);
+a step index or window length is read as an integer by ``linalg.read_count``
+(no bool, no real), and the IE threshold as one number by
+``linalg.read_number``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .linalg import (
-    Sym2, finite_pair, finite_scalar, sym2, sym2_array, sym2_condition, sym2_eigenvalues,
+    Sym2, finite_pair, finite_scalar, read_count, read_number, sym2, sym2_array, sym2_condition,
+    sym2_eigenvalues,
 )
 
 # A regressor with norm below this contributes nothing and is never
@@ -68,6 +72,7 @@ def regressor_pairs(reg: Callable, states: Iterable[float]) -> Iterator[tuple[fl
 
 def sliding_fim(traj: Trajectory, reg: Callable, l: int, window: int) -> np.ndarray:
     """FIM of the window sum_{k=l}^{l+window} phi(x_k)^T phi(x_k) (inclusive)."""
+    l, window = read_count(l, "l"), read_count(window, "window")
     if l < 0 or window < 0 or l + window > traj.step_count:
         raise ValueError(
             f"window [{l}, {l + window}] out of range for {traj.step_count} steps"
@@ -81,9 +86,12 @@ def sliding_fim(traj: Trajectory, reg: Callable, l: int, window: int) -> np.ndar
 def is_initially_exciting(
     traj: Trajectory, reg: Callable, horizon: int, alpha_threshold: float
 ) -> bool:
-    """Whether the undiscounted FIM over steps 0..horizon clears alpha_threshold."""
-    if alpha_threshold <= 0:
-        raise ValueError("alpha_threshold must be positive")
+    """Whether the undiscounted FIM over steps 0..horizon clears alpha_threshold,
+    a positive number."""
+    horizon = read_count(horizon, "horizon")
+    alpha_threshold = read_number(alpha_threshold, "alpha_threshold")
+    if not alpha_threshold > 0.0:
+        raise ValueError(f"alpha_threshold must be positive, got {alpha_threshold!r}")
     h = sliding_fim(traj, reg, 0, horizon)
     return sym2_eigenvalues(*sym2(h))[0] >= alpha_threshold
 
@@ -146,7 +154,7 @@ def _offer_floats(gset: GreedySet, phi, y: float, k: int) -> tuple[GreedySet, bo
 
 def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -> GreedySet:
     """Run the acceptance rule over steps 0..upto-1 of a trajectory."""
-    upto = traj.step_count if upto is None else upto
+    upto = traj.step_count if upto is None else read_count(upto, "upto")
     if not 0 <= upto <= traj.step_count:
         raise ValueError(f"upto {upto} out of range for {traj.step_count} steps")
     gset = GreedySet()

@@ -43,13 +43,13 @@ from .estimators import (
     ie_mmai_kernel,
     ie_mmai_selected,
     pure_gd_kernel,
+    read_alpha,
 )
 from .excitation import GreedySet, regressor_pairs, sis_regressor_pair, write_acceptance_trace
 from .linalg import (
     ConditioningError,
     Sym2,
     eigenvalue_condition,
-    finite_scalar,
     sym2_condition,
     sym2_eigenvalues,
 )
@@ -84,13 +84,11 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
 
     The FIM H = alpha H + phi^T phi is accumulated as its entries, so its
     condition number is the same closed form the greedy offer uses.
-    ``ValueError`` naming alpha unless it is a number in (0, 1], and naming
+    ``ValueError`` naming alpha unless ``read_alpha`` reads it, and naming
     the first step whose FIM entries are not finite, as when the regressor
     overflows.
     """
-    alpha = finite_scalar(alpha, "alpha")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    alpha = read_alpha(alpha)
     return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)
 
 
@@ -110,11 +108,12 @@ def _fim_condition_trace(pairs: Iterable[tuple[float, float]], alpha: float) -> 
 # entries (None without a covariance), and its greedy offer's outcome
 # (accepted, kappa before, kappa after), None for estimators without an
 # excitation set. A step that fails raises ``ConditioningError`` out of it.
+# A lane starts from settings a config has read: floats, theta0 a float pair.
 _Report = tuple[tuple[float, float], Sym2 | None, tuple[bool, float, float] | None]
 
 
 def _pure_gd_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
-    theta = tuple(map(float, est.theta0))
+    theta = est.theta0
     yield theta, None, None
     for phi, y in zip(pairs, ys):
         theta = pure_gd_kernel(theta, phi, y)
@@ -123,8 +122,7 @@ def _pure_gd_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
 
 def _rls_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
     """GRLS, or EF-RLS: the same kernel with its excitation set disabled."""
-    p0 = float(est.p0_scale)
-    p, theta, gset = (p0, 0.0, p0), tuple(map(float, est.theta0)), GreedySet()
+    p, theta, gset = (est.p0_scale, 0.0, est.p0_scale), est.theta0, GreedySet()
     greedy = est.kind == "grls"
     yield theta, p, None
     for k, (phi, y) in enumerate(zip(pairs, ys)):

@@ -13,13 +13,21 @@ Every number or array the library takes from outside is read by one rule,
 ``_read_floats``: a value counts as numbers only when numpy reads it with
 dtype kind b, i, u or f (bool, integer or real), so strings, ``None``,
 complex, object and ragged values raise ``ValueError`` naming the argument.
-``finite_scalar`` and ``finite_pair`` read one number or a pair by it, with
-a float fast path for what the library passes itself.
+``finite_scalar`` and ``finite_pair`` read a data value (one number, which
+may be a one-entry array, or a pair) by it, with a float fast path for what
+the library passes itself. A setting is one number: ``read_number`` reads
+it, refusing a one-entry array, and with ``integer`` takes integers only, no
+bool and no real; ``read_count`` reads an integer in a range by it. Each
+setting's reader (alpha, p0_scale and theta0 in ``sisid.estimators``, x0
+and steps in ``sisid.dynamics``) builds on these, and takes the name its
+``ValueError`` reports, so the config reads its fields through the same
+functions as the library entries.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -49,6 +57,37 @@ def _read_floats(
     if arr.dtype.kind not in "biuf" or size is not None and arr.size != size:
         raise ValueError(f"{name} must {expected}, got {value!r}")
     return arr.astype(float, copy=False)
+
+
+def read_number(value, name: str, integer: bool = False) -> float | int:
+    """One number, a setting: a Python float, or an int, bool or 0-d array that
+    numpy reads with dtype kind b, i, u or f, as a Python float; with
+    ``integer``, an int or a 0-d array of kind i or u, as a Python int (not a
+    bool: a count or a seed of True means nothing). A one-entry array is not
+    one number. Else ``ValueError``: "<name> must be a number" ("an integer"),
+    "got <value>".
+    """
+    if type(value) is int and not integer:  # one beyond the float range is an infinity
+        inf = math.inf if value > 0 else -math.inf
+        value = float(value) if abs(value) <= sys.float_info.max else inf
+    if type(value) is (int if integer else float):
+        return value
+    try:
+        number = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        number = np.asarray(None)
+    if number.ndim or number.dtype.kind not in ("iu" if integer else "biuf"):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return number.item() if integer else float(number)
+
+
+def read_count(value, name: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """An integer in low..high by ``read_number``; else ``ValueError`` naming it."""
+    count = read_number(value, name, integer=True)
+    if not low <= count <= high:
+        bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {count}")
+    return count
 
 
 def finite_pair(value, name: str) -> tuple[float, float]:

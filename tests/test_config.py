@@ -2,6 +2,7 @@ import itertools
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from sisid.config import (
 )
 from sisid.dynamics import NoiseSpec, SisParams
 from sisid.estimators import MAX_IE_MMAI_MODELS
+from sisid.harness import run_experiment
 
 BASE = {"beta": "0.5", "gamma": "0.2", "x0": "0.01", "steps": "10"}
 
@@ -258,3 +260,57 @@ SUBSETS = [
 def test_config_text_round_trip(kinds, noisy, data):
     config = data.draw(configs(kinds, noisy))  # built, so validated
     assert parse_config_text(format_config_text(config)) == config
+
+
+def _four_lane_config(real, integer, p0, pair, outputs="out") -> ExperimentConfig:
+    """A noisy fig3 config with every estimator, its numbers built by ``real``,
+    ``integer``, ``p0`` (each p0_scale) and ``pair`` (each theta0)."""
+    return ExperimentConfig(
+        sis=SisParams(0.8076, 0.2692), x0=real(0.01), steps=integer(300),
+        noise=NoiseSpec(1e-3, 1e-3, 5e-3, seed=integer(4)),
+        estimators=(
+            EstimatorSettings("pure_gd", alpha=real(0.94), theta0=pair((1.0, 1.0))),
+            EstimatorSettings("ef_rls", alpha=real(0.98), p0_scale=p0(50.0),
+                              theta0=pair((0.5, 2.0))),
+            EstimatorSettings("ie_mmai", alpha=real(0.9), theta0=pair((1.0, 0.5)),
+                              models=integer(4), seed=integer(2), spread=real(0.25)),
+            EstimatorSettings("grls", alpha=real(0.94), p0_scale=p0(100.0),
+                              theta0=pair((1.0, 1.0))),
+        ),
+        outputs=outputs, emit=("metrics", "greedy"),
+    )
+
+
+class TestNumpyScalarConfig:
+    """A config built from numpy scalars and arrays keeps the Python numbers
+    its readers return, so its text and its run equal those of the same
+    config built from Python numbers."""
+
+    NUMPY = dict(real=np.float64, integer=np.int64, p0=np.float32, pair=np.array)
+    PYTHON = dict(real=float, integer=int, p0=float, pair=tuple)
+
+    def test_stores_python_floats_ints_and_float_pairs(self):
+        config = _four_lane_config(**self.NUMPY)
+        assert type(config.x0) is float and type(config.steps) is int
+        assert type(config.noise.seed) is int
+        for est in config.estimators:
+            assert type(est.alpha) is float and type(est.p0_scale) is float
+            assert type(est.theta0) is tuple and all(type(v) is float for v in est.theta0)
+            assert (type(est.models), type(est.seed), type(est.spread)) == (int, int, float)
+        assert config == _four_lane_config(**self.PYTHON)
+
+    def test_text_reads_back_equal(self):
+        config = _four_lane_config(**self.NUMPY)
+        text = format_config_text(config)
+        assert "np." not in text and "array" not in text
+        assert parse_config_text(text) == config
+
+    def test_run_writes_the_bytes_of_python_numbers(self, tmp_path):
+        written = []
+        for label, build in (("numpy", self.NUMPY), ("python", self.PYTHON)):
+            config = _four_lane_config(**build, outputs=str(tmp_path / label))
+            assert run_experiment(config).status == 0
+            written.append([(tmp_path / label / name).read_bytes()
+                            for name in ("metrics.csv", "greedy.csv")])
+        assert b"np." not in written[0][0]
+        assert written[0] == written[1]

@@ -647,3 +647,41 @@ class TestIeMmai:
                 init(theta0, 1000, spread, 5)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+class TestPriorPositiveDefinite:
+    """The cost's prior weight P0^-1 must be positive definite: a negative one
+    made batch_oracle fail at some steps and minimize a different cost at
+    others. pytest turns warnings into errors here, so none may be emitted."""
+
+    @pytest.mark.parametrize(
+        "p0_inv",
+        [-0.01 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]), [[1.0, 2.0], [2.0, 1.0]]],
+        ids=["negative", "zero", "indefinite", "indefinite_off_diagonal"],
+    )
+    def test_spec_refuses_a_prior_that_is_not_positive_definite(self, p0_inv):
+        with pytest.raises(ValueError, match="^spec.p0_inv must be positive definite, got "):
+            WeightedCostSpec(alpha=0.94, p0_inv=p0_inv, theta0=THETA0, greedy_indices=frozenset())
+
+    def test_a_tiny_positive_definite_prior_is_kept(self):
+        spec = WeightedCostSpec(
+            alpha=0.94, p0_inv=1e-200 * np.eye(2), theta0=THETA0, greedy_indices=frozenset()
+        )
+        assert spec.p0_inv.tolist() == [[1e-200, 0.0], [0.0, 1e-200]]
+
+    @pytest.mark.parametrize("p0_scale", [-100.0, 0.0, -0.0, math.inf, math.nan])
+    def test_from_grls_reads_p0_scale_by_its_reader(self, p0_scale):
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
+        with pytest.raises(ValueError, match="^p0_scale must be positive and finite, got "):
+            WeightedCostSpec.from_grls(state, p0_scale, THETA0)
+
+    def test_from_grls_names_an_infinite_prior_weight(self):
+        # 1 / 1e-320 overflows: no numpy warning, a ValueError naming spec.p0_inv
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
+        with pytest.raises(ValueError, match="^spec.p0_inv must be finite"):
+            WeightedCostSpec.from_grls(state, 1e-320, THETA0)
+
+    def test_from_grls_prior_is_the_inverse_scale(self):
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
+        spec = WeightedCostSpec.from_grls(state, 100.0, THETA0)
+        assert spec.p0_inv.tobytes() == (np.eye(2) / 100.0).tobytes()

@@ -439,3 +439,25 @@ class TestSisRegressorFastPath:
         a = np.array(fim_condition_trace(traj, SIS_REGRESSOR, 0.94))
         assert a.tobytes() == np.array(fim_condition_trace(traj, general, 0.94)).tobytes()
         assert build_greedy_set(traj, SIS_REGRESSOR) == build_greedy_set(traj, general)
+
+
+class TestStepIndices:
+    """Step indices are read as integers (``linalg.read_count``), then checked
+    against the trajectory with the messages they always had."""
+
+    @pytest.mark.parametrize("l, window", [(-1, 2), (2, -1), (8, 3), (np.int64(8), np.uint8(3))])
+    def test_window_out_of_range(self, l, window):
+        traj = simulate(0.01, FIG1, 10)
+        with pytest.raises(ValueError, match=r"^window \[-?\d+, \d+\] out of range for 10 steps$"):
+            sliding_fim(traj, SIS_REGRESSOR, l, window)
+
+    def test_numpy_integer_indices_equal_ints(self):
+        traj = simulate(0.01, FIG3, 20)
+        h = sliding_fim(traj, SIS_REGRESSOR, np.int64(2), np.uint8(3))
+        assert h.tobytes() == sliding_fim(traj, SIS_REGRESSOR, 2, 3).tobytes()
+        assert build_greedy_set(traj, SIS_REGRESSOR, np.int64(7)) == build_greedy_set(
+            traj, SIS_REGRESSOR, 7
+        )
+        assert is_initially_exciting(traj, SIS_REGRESSOR, np.int32(19), np.float32(1e-4)) == (
+            is_initially_exciting(traj, SIS_REGRESSOR, 19, 1e-4)
+        )

@@ -3,7 +3,9 @@ takes bool, integer and real values (numpy dtype kinds b, i, u and f) and
 raises ``ValueError`` naming the argument for anything else. A config field
 raises ``ConfigError`` (a ``ValueError``) "<field>: must ...", whose name
 here ends in the colon; its integer fields (steps, seeds, model count) take
-integers only, no bool."""
+integers only, no bool, as do the library's integer arguments (steps, seeds,
+model counts and step indices). A setting is one number, not a one-entry
+array, whether the config or a library entry reads it."""
 
 import re
 from dataclasses import replace
@@ -17,11 +19,21 @@ from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
 from sisid.estimators import (
     GrlsState,
     WeightedCostSpec,
+    batch_oracle,
     ef_rls_step,
     grls_step,
     ie_mmai_init,
 )
-from sisid.excitation import SIS_REGRESSOR, GreedySet, finite_pair, finite_scalar, greedy_offer
+from sisid.excitation import (
+    SIS_REGRESSOR,
+    GreedySet,
+    build_greedy_set,
+    finite_pair,
+    finite_scalar,
+    greedy_offer,
+    is_initially_exciting,
+    sliding_fim,
+)
 from sisid.harness import fim_condition_trace
 from sisid.linalg import condition_number, solve_spd
 
@@ -108,6 +120,24 @@ ENTRIES = {
     "ExperimentConfig.ie_mmai.spread": (
         lambda v: _config("ie_mmai", spread=v), "ie_mmai.spread:"
     ),
+    "simulate.x0": (lambda v: simulate(v, SisParams(0.8, 0.3), 3), "x0"),
+    "simulate.steps": (lambda v: simulate(0.01, SisParams(0.8, 0.3), v), "steps"),
+    "simulate.noise.seed": (
+        lambda v: simulate(0.01, SisParams(0.8, 0.3), 3, NoiseSpec(seed=v)), "noise.seed"
+    ),
+    "ie_mmai_init.n_models": (lambda v: ie_mmai_init((1.0, 1.0), v), "n_models"),
+    "ie_mmai_init.seed": (lambda v: ie_mmai_init((1.0, 1.0), 3, seed=v), "seed"),
+    "sliding_fim.l": (lambda v: sliding_fim(TRAJ, SIS_REGRESSOR, v, 2), "l"),
+    "sliding_fim.window": (lambda v: sliding_fim(TRAJ, SIS_REGRESSOR, 1, v), "window"),
+    "is_initially_exciting.horizon": (
+        lambda v: is_initially_exciting(TRAJ, SIS_REGRESSOR, v, 1e-4), "horizon"
+    ),
+    "is_initially_exciting.alpha_threshold": (
+        lambda v: is_initially_exciting(TRAJ, SIS_REGRESSOR, 4, v), "alpha_threshold"
+    ),
+    "batch_oracle.k": (
+        lambda v: batch_oracle(TRAJ, SIS_REGRESSOR, WeightedCostSpec(**SPEC), v), "k"
+    ),
 }
 
 NOT_NUMBERS = {
@@ -134,7 +164,8 @@ SCALAR_ENTRIES = [
     "ie_mmai_init.spread", "ef_rls_step.alpha", "fim_condition_trace.alpha",
     "WeightedCostSpec.alpha", "SisParams.beta", "SisParams.gamma", "NoiseSpec.observation_std",
     "NoiseSpec.bound_nu", "ExperimentConfig.x0", "ExperimentConfig.ie_mmai.alpha",
-    "ExperimentConfig.grls.p0_scale", "ExperimentConfig.ie_mmai.spread",
+    "ExperimentConfig.grls.p0_scale", "ExperimentConfig.ie_mmai.spread", "simulate.x0",
+    "is_initially_exciting.alpha_threshold",
 ]
 INTEGER_ENTRIES = [
     "ExperimentConfig.steps", "ExperimentConfig.seed", "ExperimentConfig.ie_mmai.models",
@@ -186,3 +217,79 @@ def test_config_number_fields_refuse_one_entry_arrays(entry, value):
 def test_numbers_read_are_stored_as_floats(build, names):
     built = build()
     assert all(type(getattr(built, name)) is float for name in names)
+
+
+# The library's integer arguments: settings (steps, seeds, the model count)
+# and step indices. ``build_greedy_set``'s ``upto`` is one too, but None is
+# its default, so it is not in ENTRIES.
+LIBRARY_INTEGER_ENTRIES = [
+    "simulate.steps", "simulate.noise.seed", "ie_mmai_init.n_models", "ie_mmai_init.seed",
+    "sliding_fim.l", "sliding_fim.window", "is_initially_exciting.horizon", "batch_oracle.k",
+]
+
+
+def _upto(value):
+    return build_greedy_set(TRAJ, SIS_REGRESSOR, upto=value)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), 1], ids=repr)
+@pytest.mark.parametrize("call", [ENTRIES[e][0] for e in LIBRARY_INTEGER_ENTRIES] + [_upto],
+                         ids=LIBRARY_INTEGER_ENTRIES + ["build_greedy_set.upto"])
+def test_library_integer_arguments_take_integers(call, value):
+    call(value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, 2.5, np.float64(1.0)], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [ENTRIES[e] for e in LIBRARY_INTEGER_ENTRIES] + [(_upto, "upto")],
+    ids=LIBRARY_INTEGER_ENTRIES + ["build_greedy_set.upto"],
+)
+def test_library_integer_arguments_refuse_bools_and_reals(call, name, value):
+    # a bool index or count would be read as 0 or 1
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "value", [v for k, v in NOT_NUMBERS.items() if k != "none"],
+    ids=[k for k in NOT_NUMBERS if k != "none"],
+)
+def test_upto_not_a_number_is_a_value_error(value):
+    with pytest.raises(ValueError, match="^upto must "):
+        _upto(value)
+
+
+def test_upto_none_is_every_step():
+    assert _upto(None) == _upto(TRAJ.step_count)
+
+
+# Settings read as one number: a one-entry array is data, not a setting.
+SETTING_ENTRIES = [
+    "GrlsState.initial.alpha", "GrlsState.initial.p0_scale", "replace.alpha",
+    "ef_rls_step.alpha", "fim_condition_trace.alpha", "WeightedCostSpec.alpha",
+    "WeightedCostSpec.from_grls.p0_scale", "ie_mmai_init.spread", "simulate.x0",
+    "is_initially_exciting.alpha_threshold",
+]
+
+
+@pytest.mark.parametrize("value", [np.array([0.5]), [0.5]], ids=repr)
+@pytest.mark.parametrize("entry", SETTING_ENTRIES)
+def test_library_settings_refuse_one_entry_arrays(entry, value):
+    call, name = ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("x0", [np.True_, np.int64(1), np.float32(0.5), 0.5], ids=repr)
+def test_x0_is_read_alike_by_the_config_and_simulate(x0):
+    config = _config(x0=x0)
+    assert type(config.x0) is float
+    params = SisParams(0.8, 0.3)
+    assert simulate(x0, params, 3).states.tolist() == simulate(config.x0, params, 3).states.tolist()
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1e-4], ids=repr)
+def test_ie_threshold_must_be_positive(threshold):
+    with pytest.raises(ValueError, match="^alpha_threshold must be positive, got "):
+        is_initially_exciting(TRAJ, SIS_REGRESSOR, 4, threshold)
