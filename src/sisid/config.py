@@ -132,7 +132,11 @@ def _read_estimator(est: EstimatorSettings) -> EstimatorSettings:
     for f in fields(EstimatorSettings)[1:]:  # every field but kind
         value = getattr(est, f.name)
         if f.name not in ESTIMATOR_FIELDS[est.kind]:
-            if value != f.default:
+            try:  # compared as one number: an array's comparison has no truth value
+                kept = read_number(value, f.name) == f.default
+            except ValueError:
+                kept = False
+            if not kept:
                 raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {value!r}")
             read[f.name] = f.default
     key = f"{est.kind}."

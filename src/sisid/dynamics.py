@@ -18,17 +18,22 @@ A run's settings are read by one reader each, which the config also calls
 with its key as the name: ``read_x0`` (a number in [0, 1]) and
 ``read_steps`` (an integer >= 1), both by the one-number rule of
 ``sisid.linalg``; ``simulate`` reads the noise seed as an integer >= 0.
+``SisParams`` and ``NoiseSpec`` read their rates and magnitudes as settings
+too, by ``read_number``. ``write_trace`` writes and hashes every trace CSV;
+each trace's writer, such as ``Trajectory.to_csv``, only forms its lines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .linalg import _read_floats, finite_scalar, read_count, read_number
+from .linalg import _read_floats, read_count, read_number
 
 
 def read_x0(value, name: str = "x0") -> float:
@@ -49,8 +54,8 @@ def read_steps(value, name: str = "steps") -> int:
 class SisParams:
     """True infection rate ``beta`` and recovery rate ``gamma``, both per step.
 
-    Both are read as floats by the library's number rule; ``ValueError``
-    names the field unless it is a number in [0, 1].
+    Both are settings, read as floats by ``read_number``; ``ValueError``
+    names the field unless it is one number in [0, 1].
     """
 
     beta: float
@@ -58,11 +63,10 @@ class SisParams:
 
     def __post_init__(self) -> None:
         for name in ("beta", "gamma"):
-            object.__setattr__(self, name, finite_scalar(getattr(self, name), name))
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1] for simulation, got {self.beta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1] for simulation, got {self.gamma}")
+            value = read_number(getattr(self, name), name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1] for simulation, got {value}")
+            object.__setattr__(self, name, value)
 
     def reproduction_number(self) -> float:
         if self.gamma == 0.0:
@@ -92,9 +96,9 @@ class NoiseSpec:
     Process noise samples are redrawn until |xi| <= bound_nu, so the realized
     perturbation is bounded while staying zero mean. A draw is accepted with
     probability erf(bound_nu / (process_std * sqrt(2))), which must be at
-    least ``MIN_DRAW_ACCEPTANCE``. The three magnitudes are read as floats by
-    the library's number rule; ``ValueError`` names the first that is not a
-    finite number.
+    least ``MIN_DRAW_ACCEPTANCE``. The three magnitudes are settings, read as
+    floats by ``read_number``; ``ValueError`` names the first that is not one
+    nonnegative, finite number.
     """
 
     process_std: float = 1e-3
@@ -104,13 +108,11 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("process_std", "observation_std", "bound_nu"):
-            object.__setattr__(self, name, finite_scalar(getattr(self, name), name))
-        magnitudes = (self.process_std, self.observation_std, self.bound_nu)
-        if min(magnitudes) < 0:
-            raise ValueError("noise magnitudes must be nonnegative")
-        if self.process_std > 0 and self.bound_nu <= 0:
-            raise ValueError("bound_nu must be positive when process_std > 0")
-        if self.process_std > 0:
+            value = read_number(getattr(self, name), name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+            object.__setattr__(self, name, value)
+        if self.process_std > 0:  # a zero bound_nu keeps no draw
             accept = math.erf(self.bound_nu / (self.process_std * math.sqrt(2.0)))
             if accept < MIN_DRAW_ACCEPTANCE:
                 raise ValueError(
@@ -149,21 +151,36 @@ class Trajectory:
     def step_count(self) -> int:
         return len(self.states) - 1
 
-    def to_csv(self, path: str | Path) -> None:
-        """Write the trajectory CSV: a schema line, then a header and one
-        (step, state, observation, noise_applied) row per step; the last row
-        has the final state only.
-
-        Rows end in \\r\\n, as the csv module's default dialect writes them.
-        """
+    def to_csv(self, path: str | Path) -> str:
+        """Write the trajectory CSV by ``write_trace`` and return its sha256:
+        one (step, state, observation, noise_applied) row per step; the last
+        row has the final state only."""
         states = self.states.tolist()
         rows = zip(states, self.observations.tolist(), self.process_noise.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {TRAJECTORY_SCHEMA}\n")
-            fh.write("step,state,observation,noise_applied\r\n")
-            for k, (x, y, xi) in enumerate(rows):
-                fh.write(f"{k},{x!r},{y!r},{xi!r}\r\n")
-            fh.write(f"{self.step_count},{states[-1]!r},,\r\n")
+        lines = chain((f"{k},{x!r},{y!r},{xi!r}" for k, (x, y, xi) in enumerate(rows)),
+                      [f"{self.step_count},{states[-1]!r},,"])
+        columns = ("step", "state", "observation", "noise_applied")
+        return write_trace(path, TRAJECTORY_SCHEMA, columns, lines)
+
+
+def write_trace(path: str | Path, schema: str, columns: Iterable[str], lines: Iterable[str]) -> str:
+    """Write a trace CSV and return the sha256 hex digest of the bytes written.
+
+    A ``# schema`` line ending in \\n, then the header and each of ``lines``
+    ending in \\r\\n, as the csv module's default dialect ends rows. Lines
+    are joined, encoded, written and hashed 256 at a time, so the whole text
+    is never held, and the file is never read back.
+    """
+    import hashlib  # only written traces need it; it costs megabytes on import
+
+    digest = hashlib.sha256()
+    lines = chain([f"# {schema}\n" + ",".join(columns)], lines)  # the schema line ends in \n
+    with open(path, "wb") as fh:
+        while chunk := list(islice(lines, 256)):
+            data = ("\r\n".join(chunk) + "\r\n").encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def sis_step(x: float, params: SisParams) -> float:

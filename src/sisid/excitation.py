@@ -19,7 +19,7 @@ Every value from outside is read by the library's one number rule
 (``linalg.finite_pair``, ``linalg.finite_scalar``; importable from here too);
 a step index or window length is read as an integer by ``linalg.read_count``
 (no bool, no real), and the IE threshold as one number by
-``linalg.read_number``.
+``linalg.read_number``. ``write_acceptance_trace`` writes by ``write_trace``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, write_trace
 from .linalg import (
     Sym2, finite_pair, finite_scalar, read_count, read_number, sym2, sym2_array, sym2_condition,
     sym2_eigenvalues,
@@ -202,24 +202,24 @@ GREEDY_SCHEMA = "sisid-greedy-v1"
 
 def write_acceptance_trace(
     path: str | Path, rows: Iterable[tuple[int, bool, float, float]]
-) -> None:
-    """Write the acceptance-trace CSV: a schema line, then a header and one
-    (step, accepted, kappa before, kappa after) row per offer.
+) -> str:
+    """Write the acceptance-trace CSV by ``write_trace`` and return its sha256:
+    one (step, accepted, kappa before, kappa after) row per offer.
 
-    Rows end in \\r\\n, as the csv module's default dialect writes them.
     A row whose (kappa before, kappa after) equals the previous row's reuses
     that row's text, unless a value is zero (0.0 == -0.0, but their reprs
     differ). NaN equals no value, so it is formatted anew unless the very
     same object repeats.
     """
-    last, text = None, ""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {GREEDY_SCHEMA}\n")
-        fh.write("step,accepted,kappa_before,kappa_after\r\n")
+
+    def lines() -> Iterator[str]:
+        last, text = None, ""
         for step, accepted, before, after in rows:
             kappas = (before, after)
             if kappas != last:
                 text = f"{before!r},{after!r}"
                 last = None if 0.0 in kappas else kappas
-            fh.write(f"{step},{int(accepted)},{text}\r\n")
+            yield f"{step},{int(accepted)},{text}"
 
+    columns = ("step", "accepted", "kappa_before", "kappa_after")
+    return write_trace(path, GREEDY_SCHEMA, columns, lines())

@@ -2,12 +2,12 @@
 
 A run produces one CSV per requested trace kind plus a ``manifest.json``
 echoing the config, the library, Python and numpy versions, wall time and
-per-phase timings, the GRLS excitation set, and a sha256 hash of every
-written file. Numerical failures inside an estimator do not abort the run:
-the estimator is frozen at its last state, the offending step is recorded
-in the manifest, and the exit status becomes nonzero. CSV content is
-bitwise reproducible for a fixed config; timings appear only in the
-manifest.
+per-phase timings, the GRLS excitation set, and the sha256 of every
+written file, hashed from its bytes as they are written. Numerical
+failures inside an estimator do not abort the run: the estimator is
+frozen at its last state, the offending step is recorded in the manifest,
+and the exit status becomes nonzero. CSV content is bitwise reproducible
+for a fixed config; timings appear only in the manifest.
 
 The step loop works on floats. Each estimator runs as one lane, a
 generator that steps its float kernel over the run's regressor pairs and
@@ -18,7 +18,8 @@ trace and the lanes. The trace is one pass per distinct alpha, largest
 first, that checks the FIM entries at every step and names the first step
 where they are not finite. Lane by lane, a lane is stepped to the end and
 its metrics rows are formed from its reports; the rows are then
-interleaved step by step, and CSV lines are formed from their floats.
+interleaved step by step, and CSV lines are formed from their floats and
+written and hashed by ``dynamics.write_trace``; no file is read back.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, EstimatorSettings, ExperimentConfig, config_to_mapping
-from .dynamics import Trajectory, simulate
+from .dynamics import Trajectory, simulate, write_trace
 from .estimators import (
     grls_kernel,
     ie_mmai_init,
@@ -293,11 +294,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     else:
         out = Path(output_dir) if output_dir is not None else Path(config.outputs)
         out.mkdir(parents=True, exist_ok=True)
-        written = _write_traces(out, config, traj, rows, greedy_rows)
-        manifest["files"] = [
-            {"name": name, "kind": kind, "sha256": _sha256(out / name)}
-            for name, kind in written
-        ]
+        manifest["files"] = _write_traces(out, config, traj, rows, greedy_rows)
         manifest["timings"]["write_s"] = clock() - t3
         manifest["wall_time_s"] = time.monotonic() - start
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -305,46 +302,23 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     return RunResult(rows=rows, status=status, trajectory=traj, output_dir=out, manifest=manifest)
 
 
-def _sha256(path: Path) -> str:
-    import hashlib  # only manifests need it; it costs megabytes on import
-
-    # in chunks: a whole trace file in memory would set the run's peak RSS
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_traces(
-    out: Path,
-    config: ExperimentConfig,
-    traj: Trajectory,
-    rows: list[MetricsRow],
-    greedy_rows: list[tuple[int, bool, float, float]],
-) -> list[tuple[str, str]]:
+def _write_traces(out: Path, config: ExperimentConfig, traj: Trajectory,
+                  rows: list[MetricsRow], greedy_rows: list[tuple]) -> list[dict]:
+    """Write each emitted trace CSV; returns the manifest's ``files`` entries,
+    each with the sha256 of the bytes its writer wrote."""
     written = []
     if "metrics" in config.emit:
-        _write_metrics(out / "metrics.csv", rows)
-        written.append(("metrics.csv", "metrics"))
+        written.append(("metrics", _write_metrics(out / "metrics.csv", rows)))
     if "trajectory" in config.emit:
-        traj.to_csv(out / "trajectory.csv")
-        written.append(("trajectory.csv", "trajectory"))
+        written.append(("trajectory", traj.to_csv(out / "trajectory.csv")))
     if "greedy" in config.emit and greedy_rows:
-        write_acceptance_trace(out / "greedy.csv", greedy_rows)
-        written.append(("greedy.csv", "greedy"))
-    return written
+        written.append(("greedy", write_acceptance_trace(out / "greedy.csv", greedy_rows)))
+    return [{"name": f"{kind}.csv", "kind": kind, "sha256": digest} for kind, digest in written]
 
 
-def _opt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def _write_metrics(path: Path, rows: list[MetricsRow]) -> None:
-    """Write the metrics CSV: a schema line, then a header and one line per row.
-
-    Floats are written by ``repr`` and None as an empty field; rows end in
-    \\r\\n, as the csv module's default dialect writes them.
+def _write_metrics(path: Path, rows: list[MetricsRow]) -> str:
+    """Write the metrics CSV by ``write_trace`` and return its sha256: one line
+    per row, floats written by ``repr`` and None as an empty field.
 
     A converged or stalled estimator repeats its values, and lanes that
     share an alpha share ``fim_cond``, so each float is formatted once per
@@ -355,24 +329,28 @@ def _write_metrics(path: Path, rows: list[MetricsRow]) -> None:
     NaN equals no value, so it is formatted anew unless the very same
     object repeats.
     """
-    # estimator -> its previous row's floats (None if one was zero) and their text
-    last: dict[str, tuple[tuple | None, str, str]] = {}
-    last_fim, fim_text = None, ""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {METRICS_SCHEMA}\n")
-        fh.write(",".join(METRICS_COLUMNS) + "\r\n")
+
+    def lines() -> Iterator[str]:
+        # estimator -> its previous row's floats (None if one was zero) and their text
+        last: dict[str, tuple[tuple | None, str, str]] = {}
+        last_fim, fim_text = None, ""
         for step, estimator, beta, gamma, r0, rel, log_rel, fim, p_cond, p_max, accepted in rows:
             values = (beta, gamma, r0, rel, log_rel, p_cond, p_max)
             prev = last.get(estimator)
             if prev is None or prev[0] != values:
                 prev = last[estimator] = (
                     None if 0.0 in values else values,
-                    f"{beta!r},{gamma!r},{_opt(r0)},{_opt(rel)},{_opt(log_rel)}",
-                    f"{_opt(p_cond)},{_opt(p_max)}",
+                    f"{beta!r},{gamma!r},{'' if r0 is None else repr(r0)},"
+                    f"{'' if rel is None else repr(rel)},"
+                    f"{'' if log_rel is None else repr(log_rel)}",
+                    f"{'' if p_cond is None else repr(p_cond)},"
+                    f"{'' if p_max is None else repr(p_max)}",
                 )
             if fim != last_fim:
                 fim_text = repr(fim)
                 last_fim = None if fim == 0.0 else fim
             _, head, tail = prev
             flag = "" if accepted is None else "1" if accepted else "0"
-            fh.write(f"{step},{estimator},{head},{fim_text},{tail},{flag}\r\n")
+            yield f"{step},{estimator},{head},{fim_text},{tail},{flag}"
+
+    return write_trace(path, METRICS_SCHEMA, METRICS_COLUMNS, lines())

@@ -35,15 +35,31 @@ UNREAD = [
     if f.name not in ESTIMATOR_FIELDS[kind]
 ]
 NON_DEFAULT = {"p0_scale": 5.0, "models": 7, "seed": 3, "spread": 0.5}
+# an array is not compared as one value: its truth is ambiguous
+UNREAD_CASES = [(kind, field, NON_DEFAULT[field]) for kind, field in UNREAD] + [
+    ("pure_gd", "p0_scale", np.array([100.0, 1.0]))
+]
 
 
-@pytest.mark.parametrize("kind, field", UNREAD, ids=[f"{k}.{f}" for k, f in UNREAD])
-def test_a_field_its_kind_does_not_read_must_keep_its_default(kind, field):
+@pytest.mark.parametrize(
+    "kind, field, value", UNREAD_CASES,
+    ids=[f"{k}.{f}" for k, f in UNREAD] + ["pure_gd.p0_scale-array"],
+)
+def test_a_field_its_kind_does_not_read_must_keep_its_default(kind, field, value):
     # a set value would be silently ignored, and lost by the config text
-    estimators = (replace(EstimatorSettings(kind), **{field: NON_DEFAULT[field]}),)
+    estimators = (replace(EstimatorSettings(kind), **{field: value}),)
     with pytest.raises(ConfigError, match=rf"^{kind}\.{field}: ignored by {kind}, got "):
         ExperimentConfig(sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
                          estimators=estimators)
+
+
+@pytest.mark.parametrize("value", [100, 100.0, np.float64(100.0)], ids=repr)
+def test_an_unread_field_equal_to_its_default_is_kept(value):
+    estimators = (EstimatorSettings("pure_gd", p0_scale=value),)
+    config = ExperimentConfig(sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
+                              estimators=estimators)
+    assert type(config.estimators[0].p0_scale) is float
+    assert config.estimators[0].p0_scale == 100.0
 
 
 class TestOutOfRangeFields:

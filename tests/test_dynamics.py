@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -13,9 +14,10 @@ from sisid.dynamics import (
     Trajectory,
     simulate,
     sis_step,
+    write_trace,
 )
 
-from _oracles import naive_simulate
+from _oracles import naive_simulate, naive_trace_csv
 
 FIG1 = SisParams(beta=0.12, gamma=0.04)
 FIG2 = SisParams(beta=0.62929, gamma=0.20976)
@@ -288,3 +290,23 @@ class TestTrajectory:
         assert lines[1] == "step,state,observation,noise_applied"
         assert len(lines) == 13  # schema + header + 10 observation rows + final state row
         assert lines[2].startswith("0,0.01,")
+
+    def test_csv_export_returns_the_digest_of_the_file(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        digest = simulate(0.01, FIG3, 600).to_csv(path)  # 603 lines: three chunks
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestWriteTrace:
+    """``write_trace`` writes the schema line, the header and the lines, and
+    returns the sha256 of exactly the bytes on disk, across chunk boundaries."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
+    def test_writes_and_hashes_the_bytes_on_disk(self, tmp_path, n):
+        rows = [(k, k / 7.0, None if k % 3 else -0.0) for k in range(n)]
+        lines = (f"{k},{x!r},{'' if z is None else repr(z)}" for k, x, z in rows)
+        path = tmp_path / "trace.csv"
+        digest = write_trace(path, "test-v1", ("k", "x", "z"), lines)
+        written = path.read_bytes()
+        assert written == naive_trace_csv("test-v1", ("k", "x", "z"), rows)
+        assert digest == hashlib.sha256(written).hexdigest()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -307,6 +308,12 @@ class TestAcceptanceTraceExport:
         accepted_steps = [r[0] for r in rows if r[1]]
         final = build_greedy_set(traj, SIS_REGRESSOR)
         assert tuple(accepted_steps) == final.indices
+
+    def test_returns_the_digest_of_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        rows = [(k, k % 5 == 0, float(k), k + 0.5) for k in range(300)]  # two chunks
+        digest = write_acceptance_trace(path, rows)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _two_entry_regressor(x):

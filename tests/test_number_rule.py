@@ -269,7 +269,8 @@ SETTING_ENTRIES = [
     "GrlsState.initial.alpha", "GrlsState.initial.p0_scale", "replace.alpha",
     "ef_rls_step.alpha", "fim_condition_trace.alpha", "WeightedCostSpec.alpha",
     "WeightedCostSpec.from_grls.p0_scale", "ie_mmai_init.spread", "simulate.x0",
-    "is_initially_exciting.alpha_threshold",
+    "is_initially_exciting.alpha_threshold", "SisParams.beta", "SisParams.gamma",
+    "NoiseSpec.process_std", "NoiseSpec.observation_std", "NoiseSpec.bound_nu",
 ]
 
 
