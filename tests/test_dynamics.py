@@ -202,6 +202,10 @@ class TestNoise:
             NoiseSpec(process_std=1.0, bound_nu=1e-9)
         assert time.perf_counter() - start < 1.0
 
+    def test_a_zero_bound_keeps_no_draw(self):
+        with pytest.raises(ValueError, match=r"^bound_nu 0\.0 keeps only 0 of process-noise draws"):
+            NoiseSpec(process_std=1e-3, bound_nu=0.0)
+
     def test_acceptance_floor(self):
         # bound_nu = z * std keeps erf(z / sqrt(2)) of the draws
         z = 0.0126  # erf(z / sqrt(2)) = 0.01005, just above the floor
