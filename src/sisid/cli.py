@@ -67,6 +67,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values: expected at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:  # its run would rewrite the earlier one's directory
+            raise ConfigError(f"--values: duplicate value {value!r}")
     # every variant's config is built, and so checked, before any runs, so a bad
     # value writes nothing (observation noise that overflows shows only in its run)
     configs = [config_from_mapping({**mapping, args.param: value}) for value in values]

@@ -15,11 +15,12 @@ observations and reports its estimate, covariance and greedy offer after
 each step; EF-RLS is the GRLS lane with its excitation set disabled. The
 regressor pairs are computed once per run and feed both the FIM condition
 trace and the lanes. The trace is one pass per distinct alpha, largest
-first, that checks the FIM entries at every step and names the first step
-where they are not finite. Lane by lane, a lane is stepped to the end and
-its metrics rows are formed from its reports; the rows are then
-interleaved step by step, and CSV lines are formed from their floats and
-written and hashed by ``dynamics.write_trace``; no file is read back.
+first, that checks the FIM entries at every step, names the first step
+where they are not finite, and forms a condition number only when they
+change. Lane by lane, a lane is stepped to the end and its metrics rows,
+and their CSV lines for a metrics trace, are formed from its reports; both
+are interleaved step by step, and ``dynamics.write_trace`` writes and
+hashes the lines; no file is read back.
 """
 
 from __future__ import annotations
@@ -94,15 +95,30 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
 
 
 def _fim_condition_trace(pairs: Iterable[tuple[float, float]], alpha: float) -> list[float]:
-    """``fim_condition_trace`` over regressor pairs (u1, u2), one per step."""
+    """``fim_condition_trace`` over regressor pairs (u1, u2), one per step. A step
+    whose entries equal the previous step's repeats its condition number object:
+    the entries are finite, and the sign of a zero entry does not change it."""
     a = b = d = 0.0
+    last_a = last_b = last_d = math.nan
     trace = []
     for k, (u1, u2) in enumerate(pairs):
         a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
         if a * 0.0 + b * 0.0 + d * 0.0:  # 0.0 for finite entries, NaN otherwise
             raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
-        trace.append(sym2_condition(a, b, d))
+        if a != last_a or b != last_b or d != last_d:
+            kappa, last_a, last_b, last_d = sym2_condition(a, b, d), a, b, d
+        trace.append(kappa)
     return trace
+
+
+def _kappa_texts(trace: list[float]) -> list[str]:
+    """The text of each condition number in ``trace``, formed once per object."""
+    texts, last = [], None
+    for kappa in trace:
+        if kappa is not last:
+            last, text = kappa, repr(kappa)
+        texts.append(text)
+    return texts
 
 
 # What a lane yields before its first step and after each step: theta, P's
@@ -146,15 +162,18 @@ _LANES = {
 
 
 def _run_lane(
-    est: EstimatorSettings, pairs, ys, fim_trace: list[float], truth, clamp: bool, greedy_rows
-) -> tuple[list[MetricsRow], float, dict | None]:
-    """One lane's metrics rows, one per step, its stepping seconds and its error entry.
+    est: EstimatorSettings, pairs, ys, fim_trace: list[float], truth, clamp: bool, greedy_rows,
+    fim_texts: list[str] | None,
+) -> tuple[list[MetricsRow], list[str], float, dict | None]:
+    """One lane's metrics rows, their CSV lines, its stepping seconds and its error entry.
 
     The lane is stepped to the end first. A step that raises ``ConditioningError``
     freezes it at its last report, with no offer from that step on, and makes the
     error entry (None otherwise). The lane's greedy offers go to ``greedy_rows``.
-    A frozen or converged lane repeats theta and P, so a row's derived values are
-    formed anew only when those change, or follow a zero, as 0.0 == -0.0.
+    A frozen or converged lane repeats theta and P, so a row's derived values and
+    their text are formed anew only when those change, or follow a zero, as
+    0.0 == -0.0 but their reprs differ. A line takes its ``fim_cond`` text from
+    ``fim_texts``; without them no line is formed.
     """
     reports, error = [], None
     t0 = time.perf_counter()
@@ -166,8 +185,8 @@ def _run_lane(
         reports += [(*reports[-1][:2], None)] * (len(ys) - failed_at)
     step_s = time.perf_counter() - t0
 
-    kind, new, rows = est.kind, tuple.__new__, []
-    append = rows.append
+    kind, new, rows, lines = est.kind, tuple.__new__, [], []
+    append, add_line = rows.append, lines.append
     last = None  # the (theta, P) whose derived values are current, None after a zero
     for k, (theta, p, offer), fim in zip(range(len(ys)), islice(reports, 1, None), fim_trace):
         if last is None or theta != last[0] or p != last[1]:
@@ -188,14 +207,23 @@ def _run_lane(
                 p_min_eig, p_max_eig = sym2_eigenvalues(*p)
                 p_cond = eigenvalue_condition(p_min_eig, p_max_eig)
             last = None if 0.0 in theta or p is not None and 0.0 in p else (theta, p)
+            if fim_texts is not None:  # None is an empty field
+                head = (f"{kind},{beta_hat!r},{gamma_hat!r},"
+                        f"{'' if r0_hat is None else repr(r0_hat)},"
+                        f"{'' if max_rel is None else repr(max_rel)},"
+                        f"{'' if log_rel is None else repr(log_rel)},")
+                tail = ",,," if p is None else f",{p_cond!r},{p_max_eig!r},"
         if offer is None:
-            accepted = None
+            accepted, flag = None, ""
         else:
             accepted = offer[0]
+            flag = "1" if accepted else "0"
             greedy_rows.append((k, *offer))
         append(new(MetricsRow, (k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel, fim,
                                 p_cond, p_max_eig, accepted)))
-    return rows, step_s, error
+        if fim_texts is not None:
+            add_line(f"{k},{head}{fim_texts[k]}{tail}{flag}")
+    return rows, lines, step_s, error
 
 
 @dataclass
@@ -220,11 +248,11 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     written.
 
     ``manifest["timings"]`` holds seconds spent simulating, computing the
-    FIM condition trace, stepping each estimator, forming metrics rows and
-    writing files. ``manifest["excitation"]``, present when a GRLS lane is
-    configured, holds its excitation set: size, step indices and final
-    condition number (null while the set is rank deficient or empty, as
-    when GRLS fails at its first step).
+    FIM condition trace, stepping each estimator, forming metrics rows (and
+    their CSV lines) and writing and hashing files. ``manifest["excitation"]``,
+    present when a GRLS lane is configured, holds its excitation set: size,
+    step indices and final condition number (null while the set is rank
+    deficient or empty, as when GRLS fails at its first step).
     """
     start = time.monotonic()
     clock = time.perf_counter
@@ -248,16 +276,22 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
 
+    # lines only for a metrics trace, with each alpha's fim_cond text formed once
+    fim_texts = ({alpha: _kappa_texts(trace) for alpha, trace in fim_traces.items()}
+                 if "metrics" in config.emit else {})
     # lane by lane, so that only one lane's reports are held at a time
-    lane_rows, errors, step_s, greedy_rows = [], [], {}, []
+    lane_rows, lane_lines, errors, step_s, greedy_rows = [], [], [], {}, []
     for est in config.estimators:
-        est_rows, step_s[est.kind], error = _run_lane(
-            est, pairs, ys, fim_traces[est.alpha], truth, config.clamp_estimates, greedy_rows
+        est_rows, est_lines, step_s[est.kind], error = _run_lane(
+            est, pairs, ys, fim_traces[est.alpha], truth, config.clamp_estimates, greedy_rows,
+            fim_texts.get(est.alpha),
         )
         lane_rows.append(est_rows)
+        lane_lines.append(est_lines)
         if error is not None:
             errors.append(error)
     rows: list[MetricsRow] = list(chain.from_iterable(zip(*lane_rows)))  # step by step
+    lines = chain.from_iterable(zip(*lane_lines))
     t3 = clock()
     status = 1 if errors else 0
 
@@ -294,7 +328,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     else:
         out = Path(output_dir) if output_dir is not None else Path(config.outputs)
         out.mkdir(parents=True, exist_ok=True)
-        manifest["files"] = _write_traces(out, config, traj, rows, greedy_rows)
+        manifest["files"] = _write_traces(out, config, traj, lines, greedy_rows)
         manifest["timings"]["write_s"] = clock() - t3
         manifest["wall_time_s"] = time.monotonic() - start
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -303,54 +337,15 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
 
 
 def _write_traces(out: Path, config: ExperimentConfig, traj: Trajectory,
-                  rows: list[MetricsRow], greedy_rows: list[tuple]) -> list[dict]:
+                  metrics_lines: Iterable[str], greedy_rows: list[tuple]) -> list[dict]:
     """Write each emitted trace CSV; returns the manifest's ``files`` entries,
     each with the sha256 of the bytes its writer wrote."""
     written = []
     if "metrics" in config.emit:
-        written.append(("metrics", _write_metrics(out / "metrics.csv", rows)))
+        digest = write_trace(out / "metrics.csv", METRICS_SCHEMA, METRICS_COLUMNS, metrics_lines)
+        written.append(("metrics", digest))
     if "trajectory" in config.emit:
         written.append(("trajectory", traj.to_csv(out / "trajectory.csv")))
     if "greedy" in config.emit and greedy_rows:
         written.append(("greedy", write_acceptance_trace(out / "greedy.csv", greedy_rows)))
     return [{"name": f"{kind}.csv", "kind": kind, "sha256": digest} for kind, digest in written]
-
-
-def _write_metrics(path: Path, rows: list[MetricsRow]) -> str:
-    """Write the metrics CSV by ``write_trace`` and return its sha256: one line
-    per row, floats written by ``repr`` and None as an empty field.
-
-    A converged or stalled estimator repeats its values, and lanes that
-    share an alpha share ``fim_cond``, so each float is formatted once per
-    run of equal values: a row reuses the text of its estimator's previous
-    row when its seven floats besides ``fim_cond`` equal that row's, and
-    the text of the previous row's ``fim_cond`` when that value is equal.
-    Text is never reused for a zero, as 0.0 == -0.0 but their reprs differ.
-    NaN equals no value, so it is formatted anew unless the very same
-    object repeats.
-    """
-
-    def lines() -> Iterator[str]:
-        # estimator -> its previous row's floats (None if one was zero) and their text
-        last: dict[str, tuple[tuple | None, str, str]] = {}
-        last_fim, fim_text = None, ""
-        for step, estimator, beta, gamma, r0, rel, log_rel, fim, p_cond, p_max, accepted in rows:
-            values = (beta, gamma, r0, rel, log_rel, p_cond, p_max)
-            prev = last.get(estimator)
-            if prev is None or prev[0] != values:
-                prev = last[estimator] = (
-                    None if 0.0 in values else values,
-                    f"{beta!r},{gamma!r},{'' if r0 is None else repr(r0)},"
-                    f"{'' if rel is None else repr(rel)},"
-                    f"{'' if log_rel is None else repr(log_rel)}",
-                    f"{'' if p_cond is None else repr(p_cond)},"
-                    f"{'' if p_max is None else repr(p_max)}",
-                )
-            if fim != last_fim:
-                fim_text = repr(fim)
-                last_fim = None if fim == 0.0 else fim
-            _, head, tail = prev
-            flag = "" if accepted is None else "1" if accepted else "0"
-            yield f"{step},{estimator},{head},{fim_text},{tail},{flag}"
-
-    return write_trace(path, METRICS_SCHEMA, METRICS_COLUMNS, lines())

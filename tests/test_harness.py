@@ -38,7 +38,6 @@ from sisid.harness import (
     METRICS_COLUMNS,
     METRICS_SCHEMA,
     MetricsRow,
-    _write_metrics,
     fim_condition_trace,
     run_experiment,
 )
@@ -154,6 +153,24 @@ class TestFimConditionTrace:
         outcome = self._outcome(harness._fim_condition_trace, pairs, 0.94)
         assert outcome.endswith(f"not finite from step {step}")
         assert outcome == self._outcome(naive_fim_condition_trace, pairs, 0.94)
+
+    @pytest.mark.parametrize("pairs, alpha", [
+        # one pair throughout: the entries reach their fixed point, as on fig1
+        ([(0.0891, -0.099)] * 2000, 0.94),
+        # all-zero pairs, of either sign: the FIM is zero and its condition inf
+        ([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)] * 50, 0.94),
+        # alpha * a underflows at once, so each step's entries are its pair's
+        ([(0.3, -0.2)] * 5 + [(0.1, 0.4)] * 5 + [(0.3, -0.2)] * 5, 5e-324),
+        # a and b decay to 0.0 and -0.0 by step 12 while d settles at 2.0
+        ([(1e-160, -1e-160)] + [(0.0, -1.0)] * 2000, 0.5),
+        # a and d settle at 2.0 while b keeps changing with the pairs' signs
+        ([(1.0, 1.0), (1.0, 1.0), (1.0, -1.0)] * 700, 0.5),
+    ], ids=["fixed-point", "zero", "underflowing-alpha", "signed-zero-entries",
+            "b-alone-changes"])
+    def test_repeated_entries_equal_a_per_step_check(self, pairs, alpha):
+        assert repr(harness._fim_condition_trace(pairs, alpha)) == repr(
+            naive_fim_condition_trace(pairs, alpha)
+        )
 
 
 class TestConfigParsing:
@@ -477,6 +494,17 @@ class TestCli:
         )
         assert cli.main(["sweep", str(cfg), "--param", "grls.alpha", "--values", values]) == 2
         assert "--values: expected at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_out").exists()
+
+    @pytest.mark.parametrize("values", ["0.1,0.1", "0.9, 0.1 ,0.1", "0.1,0.2,0.1 "])
+    def test_sweep_with_a_duplicate_value_exits_2(self, tmp_path, capsys, values):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "beta = 0.8076\ngamma = 0.2692\nx0 = 0.01\nsteps = 30\n"
+            f"estimators = grls\nemit = metrics\noutputs = {tmp_path / 'sweep_out'}\n"
+        )
+        assert cli.main(["sweep", str(cfg), "--param", "grls.alpha", "--values", values]) == 2
+        assert "--values: duplicate value '0.1'" in capsys.readouterr().err
         assert not (tmp_path / "sweep_out").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -979,25 +1007,66 @@ def _runs(draw, fields, n):
     return out[:n]
 
 
+# A covariance entry: a lane's P is never NaN, as a step whose P' is not
+# finite fails; any other float, zeros of either sign included.
+P_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), st.floats(allow_nan=False))
+
+
 @st.composite
-def _metrics_rows(draw):
-    """Rows of two to four interleaved estimators, step by step. Each
-    estimator's fim_cond is either its own or shared with the others, as
-    lanes with one alpha share it."""
+def _covariances(draw, n):
+    """n covariances in runs: a run of None, or of entries whose zeros may change sign."""
+    out = []
+    while len(out) < n:
+        size = draw(st.integers(1, 12))
+        out += [None] * size if draw(st.booleans()) else draw(_runs((P_ENTRY,) * 3, size))
+    return out[:n]
+
+
+@st.composite
+def _fake_lanes(draw):
+    """Two to four lanes, each with an alpha shared with the others or not and
+    its reports (theta, P, offer) over ``steps`` steps, plus the run's truth and
+    clamp setting. Theta and P come in runs of their own, so that either can
+    repeat while the other changes; a lane may fail at a drawn step."""
     kinds = draw(st.lists(st.sampled_from(ESTIMATOR_KINDS), min_size=2, max_size=4, unique=True))
-    n = draw(st.integers(1, 30))
-    shared = draw(_runs((NUMBER,), n))
+    steps = draw(st.integers(1, 30))
     lanes = []
     for kind in kinds:
-        values = draw(_runs((NUMBER, NUMBER) + (OPTIONAL,) * 5, n))
-        fims = draw(_runs((NUMBER,), n)) if draw(st.booleans()) else shared
-        accepted = draw(st.lists(st.sampled_from([None, True, False]), min_size=n, max_size=n))
-        lanes.append((kind, values, fims, accepted))
-    return [
-        _metrics_row(k, kind, values[k], fims[k][0], accepted[k])
-        for k in range(n)
-        for kind, values, fims, accepted in lanes
-    ]
+        thetas = draw(_runs((NUMBER, NUMBER), steps + 1))
+        offers = draw(st.lists(st.sampled_from([None, True, False]), min_size=steps + 1,
+                               max_size=steps + 1))
+        reports = [
+            (theta, p, None if accepted is None else (accepted, math.inf, 2.0))
+            for theta, p, accepted in zip(thetas, draw(_covariances(steps + 1)), offers)
+        ]
+        fails_at = draw(st.one_of(st.none(), st.integers(0, steps - 1)))
+        lanes.append((kind, draw(st.sampled_from([0.5, 0.94])), reports, fails_at))
+    return lanes, steps, draw(st.booleans()), draw(st.booleans())
+
+
+def _fake_lane(reports, fails_at):
+    def lane(est, pairs, ys):
+        assert len(reports) == len(ys) + 1
+        if fails_at is None:
+            yield from reports
+        else:
+            yield from reports[:fails_at + 1]  # the first report precedes step 0
+            raise ConditioningError("injected")
+    return lane
+
+
+# Two lanes with one alpha repeat one report, except for the sign of its
+# zeros, and then NaN.
+_ZERO_FLIP_LANES = (
+    [
+        (kind, 0.94, [
+            ((1.5, zero), p and (1.0, zero, -zero), None if p is None else (k % 2 == 0, 1.0, 2.0))
+            for k, zero in enumerate([0.0, -0.0, -0.0, 0.0, 0.0])
+        ] + [((math.nan, 2.0), p, None)] * 2, None)
+        for kind, p in (("pure_gd", None), ("grls", (1.0, 0.0, 2.0)))
+    ],
+    6, False, True,
+)
 
 
 def _metrics_row(k, kind, values, fim, accepted):
@@ -1046,11 +1115,20 @@ class TestWriterTextReuse:
     bytes as formatting every field anew."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(rows=_metrics_rows())
-    @example(rows=_ZERO_FLIPS)
-    def test_metrics_writer_equals_the_naive_writer(self, rows):
-        expected = naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, rows)
-        assert _written(_write_metrics, rows) == expected
+    @given(case=_fake_lanes())
+    @example(case=_ZERO_FLIP_LANES)
+    def test_metrics_lines_of_the_lanes_equal_the_naive_writer(self, case):
+        lanes, steps, clamp, truth = case
+        config = small_config(
+            sis=FIG3 if truth else SisParams(0.0, 0.2692), steps=steps, clamp_estimates=clamp,
+            estimators=tuple(EstimatorSettings(kind, alpha=alpha) for kind, alpha, *_ in lanes),
+        )
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            for kind, _, reports, fails_at in lanes:
+                mp.setitem(harness._LANES, kind, _fake_lane(reports, fails_at))
+            result = run_experiment(config, tmp)
+            written = (Path(tmp) / "metrics.csv").read_bytes()
+        assert written == naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, result.rows)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(rows=_greedy_rows())
