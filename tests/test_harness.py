@@ -988,7 +988,6 @@ class TestLaneByLaneRun:
 # Values a trace float takes, weighted toward those whose text must not be
 # reused from an equal value: zeros of either sign, NaN, infinities.
 NUMBER = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.floats())
-OPTIONAL = st.one_of(st.none(), NUMBER)
 GREEDY_COLUMNS = ("step", "accepted", "kappa_before", "kappa_after")
 
 
