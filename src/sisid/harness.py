@@ -21,10 +21,20 @@ change. Lane by lane, a lane is stepped to the end and its metrics rows,
 and their CSV lines for a metrics trace, are formed from its reports; both
 are interleaved step by step, and ``dynamics.write_trace`` writes and
 hashes the lines; no file is read back.
+
+A run pauses Python's cyclic garbage collector and restores the caller's
+setting when it returns or raises. A run holds each lane's reports until its
+rows are formed, and the rows until it returns: GC-tracked tuples (a
+``MetricsRow``, a tuple subclass, is never untracked) that form no cycles,
+so each automatic collection their allocation would trigger walks them and
+frees nothing, and the longer the run, the more of those collections reach
+the older generations. The collector's setting is process-wide, so under
+threads the pause holds for every thread while a run is in progress.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -253,7 +263,26 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     present when a GRLS lane is configured, holds its excitation set: size,
     step indices and final condition number (null while the set is rank
     deficient or empty, as when GRLS fails at its first step).
+
+    The cyclic garbage collector is paused for the run, which makes no
+    reference cycles, so that collections do not walk its live reports and
+    rows over and over to free nothing. When the run returns or raises, the
+    collector is switched back on only if it was on when the run began. The
+    pause is process-wide: while a run is in progress no thread gets
+    automatic collections, and of runs overlapping in several threads, the
+    one that paused the collector switches it back on when it returns.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_experiment(config, output_dir)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> RunResult:
+    """``run_experiment`` with the collector's setting left to the caller."""
     start = time.monotonic()
     clock = time.perf_counter
 

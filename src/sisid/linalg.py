@@ -163,13 +163,14 @@ def eigenvalue_condition(lo: float, hi: float) -> float:
 
     The condition number of a symmetric matrix whose extreme eigenvalues
     are lo and hi, or of any matrix whose extreme singular values they are.
+    NaN when either is NaN.
     """
     smax, smin = abs(hi), abs(lo)
     if smin > smax:
         smax, smin = smin, smax
-    if smin <= RANK_TOLERANCE * smax:
-        return math.inf
-    return smax / smin
+    if smin > RANK_TOLERANCE * smax:  # false for a NaN, which must not divide
+        return smax / smin
+    return math.inf + smin + smax  # inf, or NaN from a NaN
 
 
 def condition_number(m: np.ndarray) -> float:

@@ -214,6 +214,29 @@ def test_criterion_06_covariance_windup_contrast(fig3_noisefree_run):
     )
 
 
+@pytest.mark.parametrize("sis", [FIG3, FIG1], ids=["fig3", "fig1"])
+def test_windup_step_follows_the_forgetting_law(sis):
+    """Criterion 06's failure step is one point of a law in alpha: once the
+    noise-free trajectory settles, the unexcited direction of EF-RLS's P grows
+    as alpha^-k, and the update fails when kappa(P) has spent the 52 bits of
+    the mantissa, so the failure step is linear in ln(2^52) / ln(1/alpha)."""
+    alphas = (0.8, 0.9, 0.94, 0.97, 0.98)
+    failures = []
+    for alpha in alphas:
+        ef_rls = EstimatorSettings(kind="ef_rls", alpha=alpha, p0_scale=P0_SCALE, theta0=THETA0)
+        config = ExperimentConfig(sis=sis, x0=0.01, steps=4000, noise=None,
+                                  estimators=(ef_rls,), emit=())
+        errors = run_experiment(config).manifest["errors"]
+        assert len(errors) == 1, f"alpha {alpha}: {errors}"
+        failures.append(errors[0]["step"])
+    law = np.log(2.0**52) / np.log(1.0 / np.asarray(alphas))
+    slope, intercept = np.polyfit(law, failures, 1)
+    residuals = np.asarray(failures) - (slope * law + intercept)
+    detail = f"failure steps {failures}, slope {slope:.3f}, intercept {intercept:.0f}"
+    assert 0.85 <= slope <= 0.95, detail
+    assert np.abs(residuals).max() <= 50.0, f"{detail}, residuals {residuals.round(1)}"
+
+
 def test_criterion_07_accepted_points_sit_in_the_transient(fig3_noisefree_run):
     traj = fig3_noisefree_run.trajectory
     crossing = next(

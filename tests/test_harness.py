@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -734,6 +736,66 @@ class TestOverflowingObservationNoise:
         assert err.count("\n") == 1
         assert (tmp_path / "out" / "noise_observation_std=0.001" / "metrics.csv").exists()
         assert not (tmp_path / "out" / "noise_observation_std=1e200").exists()
+
+
+@contextmanager
+def _collector(enabled):
+    """The cyclic garbage collector switched on or off, restored on exit."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """A run pauses the cyclic garbage collector and leaves the caller's
+    setting as it found it, whether the run returns or raises."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_run_keeps_the_setting(self, enabled):
+        with _collector(enabled):
+            assert run_experiment(small_config(emit=())).status == 0
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_config_error_keeps_the_setting(self, enabled):
+        config = _fig3_noisy_config(ESTIMATOR_KINDS, 20, 1e200)
+        with _collector(enabled):
+            with pytest.raises(ConfigError):
+                run_experiment(config)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_failed_lane_keeps_the_setting(self, enabled):
+        with _collector(enabled):
+            result = run_experiment(_in_memory("fig3_noisefree"))
+            assert gc.isenabled() is enabled
+        assert _failures(result) == [("ef_rls", 570)]
+
+    def test_a_run_starts_no_automatic_collection(self, tmp_path):
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        config = load_config(bundled_config_path("fig3_noisy"))
+        with _collector(True):
+            gc.callbacks.append(count)
+            try:
+                run_experiment(config, tmp_path)
+            finally:
+                gc.callbacks.remove(count)
+        assert starts == []
+
+    def test_a_run_makes_no_cyclic_garbage(self):
+        config = _in_memory("fig3_noisefree")  # every lane, and a failure
+        gc.collect()
+        result = run_experiment(config)
+        assert gc.collect() == 0
+        assert result.status == 1
 
 
 def test_gradient_lanes_fail_where_their_estimate_stops_being_finite():

@@ -8,6 +8,7 @@ from sisid.linalg import (
     ConditioningError,
     condition_number,
     covariance_update,
+    eigenvalue_condition,
     solve_spd,
     sym2,
     sym2_array,
@@ -203,6 +204,17 @@ class TestSym2ClosedForms:
 
     def test_indefinite_uses_absolute_eigenvalues(self):
         assert sym2_condition(1.0, 0.0, -4.0) == pytest.approx(4.0)
+
+    def test_a_nan_gives_nan(self):
+        # a NaN beside a zero must not reach the division
+        assert math.isnan(sym2_condition(math.nan, 0.0, 0.0))
+        assert math.isnan(eigenvalue_condition(0.0, math.nan))
+        assert math.isnan(eigenvalue_condition(math.nan, 0.0))
+
+    def test_rank_deficient_and_infinite_eigenvalues_are_infinite(self):
+        for lo, hi in ((0.0, 0.0), (0.0, 1.0), (1e-13, 1.0), (1.0, math.inf),
+                       (math.inf, math.inf), (-math.inf, 1.0)):
+            assert eigenvalue_condition(lo, hi) == math.inf
 
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf):
