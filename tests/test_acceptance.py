@@ -4,7 +4,8 @@ Each test evaluates one numbered claim at its stated tolerance and prints a
 single PASS/FAIL line; run with ``pytest tests/test_acceptance.py -s`` to see
 them all. The fast-epidemic comparison runs (2000 steps, all traces) are
 shared across the covariance and excitation-set checks through module-scoped
-fixtures.
+fixtures. Beside criterion 06, an unnumbered test checks its failure step
+against the windup law in alpha.
 """
 
 import math
