@@ -30,6 +30,5 @@ from .harness import MetricsRow, RunResult, fim_condition_trace, run_experiment
 from .linalg import (
     ConditioningError,
     condition_number,
-    covariance_update,
     solve_spd,
 )

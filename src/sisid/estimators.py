@@ -17,10 +17,12 @@ Four identifiers are provided:
 Every identifier steps through a kernel on floats (``pure_gd_kernel``,
 ``grls_kernel``, ``ie_mmai_kernel``): two parameters and one scalar
 observation per step, which the caller has checked. One RLS step is one
-``grls_kernel`` call, and EF-RLS is that kernel with its excitation set
-disabled. ``ef_rls_step`` is an array adapter over it that checks its
-input; ``grls_step`` steps a ``GrlsState`` checked when it was built, and
-reads ``SIS_REGRESSOR`` as ``sis_regressor_pair``'s two floats, no array.
+``grls_kernel`` call, the greedy offer, the covariance update and the
+estimate update in one function, and EF-RLS is that kernel with its
+excitation set disabled. ``ef_rls_step`` is an array adapter over it that
+checks its input; ``grls_step`` steps a ``GrlsState`` checked when it was
+built, checks only the transition, and reads ``SIS_REGRESSOR`` as
+``sis_regressor_pair``'s two floats, no array.
 
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
@@ -50,7 +52,6 @@ from .linalg import (
     ConditioningError,
     Sym2,
     _read_floats,
-    covariance_update,
     finite_pair,
     finite_scalar,
     read_count,
@@ -58,7 +59,7 @@ from .linalg import (
     solve_spd,
     sym2,
     sym2_array,
-    sym2_eigenvalues,
+    sym2_spectrum,
 )
 
 
@@ -171,17 +172,18 @@ class GrlsState:
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
         self._set(P, theta, excitation, alpha, regressor, step, greedy_enabled)
 
-    def _set(self, P, theta, excitation, alpha, regressor, step, greedy_enabled) -> "GrlsState":
+    def _set(self, P: Sym2, theta, excitation, alpha, regressor, step, greedy_enabled):
+        """``self`` holding these fields, already checked, with no check of its own."""
         # the one place that orders __dict__, whose values __eq__ and __hash__ read
-        self.__dict__.update(_P=P, _theta=theta, excitation=excitation, alpha=alpha,
-                             regressor=regressor, step=step, greedy_enabled=greedy_enabled)
+        fields = self.__dict__
+        fields["_P"] = P
+        fields["_theta"] = theta
+        fields["excitation"] = excitation
+        fields["alpha"] = alpha
+        fields["regressor"] = regressor
+        fields["step"] = step
+        fields["greedy_enabled"] = greedy_enabled
         return self
-
-    @classmethod
-    def _checked(cls, P: Sym2, theta, excitation, alpha, regressor, step, greedy_enabled):
-        """A state of fields already checked, built without checking them again."""
-        return object.__new__(cls)._set(P, theta, excitation, alpha, regressor, step,
-                                        greedy_enabled)
 
     def __eq__(self, other):  # __dict__ holds the floats and the other fields
         return self.__dict__ == other.__dict__ if type(other) is GrlsState else NotImplemented
@@ -197,8 +199,8 @@ class GrlsState:
         theta0, p0 = read_theta0(theta0), read_p0_scale(p0_scale)
         alpha = read_alpha(alpha, below_one=greedy_enabled)
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
-        return cls._checked((p0, 0.0, p0), theta0, GreedySet(), alpha, regressor, 0,
-                            greedy_enabled)
+        return object.__new__(cls)._set((p0, 0.0, p0), theta0, GreedySet(), alpha, regressor,
+                                        0, greedy_enabled)
 
 
 def grls_kernel(
@@ -210,33 +212,60 @@ def grls_kernel(
     Offers datum k (regressor ``phi``, observation ``y``) to the excitation
     set when ``greedy_enabled``, then minimizes alpha * (old cost) +
     (1 - alpha) * (excitation-set cost) + (datum cost):
-    P' = (alpha P^-1 + (1 - alpha) F + phi^T phi)^-1 and
+    P' = (alpha P^-1 + G + phi^T phi)^-1 and
     theta' = theta + P' ((1 - alpha) (r - F theta) + phi^T (y - phi theta)),
-    where F and r are the set's FIM and right-hand side. A datum that has
-    just joined the set enters through it, so its phi terms drop. Returns
-    (P', theta', set, accepted). Raises ``ConditioningError`` when the
-    covariance update does, or when theta' is not finite.
+    where F and r are the set's FIM and right-hand side and G = (1 - alpha) F.
+    A datum that has just joined the set enters through it, so its phi terms
+    drop. Returns (P', theta', set, accepted), for alpha in (0, 1] (below 1
+    with a set), which the caller has read.
+
+    P stays in covariance form, never inverted. The rank-two refresh
+    Q = (P^-1 + G/alpha)^-1 is the 2x2 identity
+    (P + det(P) adj(G)/alpha) / (1 + tr(P G)/alpha + det(P) det(G)/alpha^2);
+    the datum is a Sherman-Morrison step Q - Q phi^T phi Q / g with
+    g = alpha + phi Q phi^T; and P' = Q / alpha. Raises ``ConditioningError``
+    when g <= 0 or g is not finite: P has lost positive definiteness to
+    round-off, which is how forgetting RLS dies once its covariance has wound
+    up. It also raises when an entry of P' is not finite, as when det(P)
+    overflows in the refresh of a huge P, so that no caller carries a NaN
+    covariance on, and when theta' is not finite.
     """
     if greedy_enabled:
         gset, accepted = _offer_floats(gset, phi, y, k)
     else:
         accepted = False
+    a, b, d = p
     t1, t2 = theta
     g1 = g2 = 0.0
-    refresh = None
     if gset.indices:
         w = 1.0 - alpha
         f11, f12, f22 = gset.fim_entries
         r1, r2 = gset.rhs_entries
-        refresh = (w * f11, w * f12, w * f22)
         g1 = w * (r1 - (f11 * t1 + f12 * t2))
         g2 = w * (r2 - (f12 * t1 + f22 * t2))
+        e, f, h = w * f11, w * f12, w * f22
+        s = (a * d - b * b) / alpha
+        trace_pg = a * e + 2.0 * b * f + d * h
+        scale = 1.0 / (1.0 + trace_pg / alpha + s * (e * h - f * f) / alpha)
+        a, b, d = (a + s * h) * scale, (b - s * f) * scale, (d + s * e) * scale
     if not accepted:
         u1, u2 = phi
-        e = y - (u1 * t1 + u2 * t2)
-        g1 += u1 * e
-        g2 += u2 * e
-    a, b, d = covariance_update(p, alpha, refresh, None if accepted else phi)
+        err = y - (u1 * t1 + u2 * t2)
+        g1 += u1 * err
+        g2 += u2 * err
+        v1 = a * u1 + b * u2
+        v2 = b * u1 + d * u2
+        g = alpha + u1 * v1 + u2 * v2
+        if not 0.0 < g < math.inf:
+            raise ConditioningError(
+                f"alpha + phi P phi^T = {g!r} is not a positive number; the "
+                "covariance has wound up beyond working precision"
+            )
+        k1, k2 = v1 / g, v2 / g
+        a, b, d = a - v1 * k1, b - v1 * k2, d - v2 * k2
+    a, b, d = a / alpha, b / alpha, d / alpha
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        raise ConditioningError(f"the covariance update gave non-finite P' = {(a, b, d)!r}")
     t1, t2 = t1 + (a * g1 + b * g2), t2 + (b * g1 + d * g2)
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ConditioningError(f"the RLS step gave non-finite theta' = {(t1, t2)!r}")
@@ -250,22 +279,29 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     point included on acceptance, is refreshed into the covariance with
     weight 1 - alpha; a rejected point enters by a Sherman-Morrison step
     with unit weight, to be forgotten exponentially like ordinary RLS data.
-    The state's floats were checked when it was built, so only a non-finite
-    ``x_k``, ``x_next`` or regressor raises ``ValueError`` here; a
-    covariance that loses positive definiteness, or a non-finite new P or
-    theta, raises ``ConditioningError``. The next state is built from the
-    kernel's floats, finite since it did not raise, and the rest of
-    ``state``, with no second check.
+    The state's floats were checked when it was built, so only the
+    transition raises ``ValueError`` here: naming ``x_k`` or ``x_next`` when
+    it is not finite, naming ``x_next`` when the observation x_next - x_k
+    has no finite square (|x_next - x_k| beyond about 1.3e154, where the
+    squared residual of the cost overflows), and naming the regressor when
+    its entries at x_k are not finite. A covariance that loses positive
+    definiteness, or a non-finite new P or theta, raises
+    ``ConditioningError``. The next state is built from the kernel's floats,
+    finite since it did not raise, and the rest of ``state``, with no second
+    check.
     """
     x_k = finite_scalar(x_k, "x_k")
     x_next = finite_scalar(x_next, "x_next")
+    y = x_next - x_k
+    if not math.isfinite(y * y):
+        raise ValueError(f"x_next - x_k must have a finite square, got {x_next!r} - {x_k!r}")
     phi = finite_pair(_pair_reader(state.regressor)(x_k), "regressor")
     p, theta, excitation, _ = grls_kernel(
-        state._P, state._theta, state.excitation, phi, x_next - x_k, state.step,
-        state.alpha, state.greedy_enabled,
+        state._P, state._theta, state.excitation, phi, y, state.step, state.alpha,
+        state.greedy_enabled,
     )
-    return GrlsState._checked(p, theta, excitation, state.alpha, state.regressor,
-                              state.step + 1, state.greedy_enabled)
+    return object.__new__(GrlsState)._set(p, theta, excitation, state.alpha, state.regressor,
+                                          state.step + 1, state.greedy_enabled)
 
 
 def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:
@@ -296,7 +332,7 @@ class WeightedCostSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", read_alpha(self.alpha, "spec.alpha"))
         a, b, d = sym2(self.p0_inv, "spec.p0_inv")
-        if not sym2_eigenvalues(a, b, d)[0] > 0.0:
+        if not sym2_spectrum(a, b, d)[0] > 0.0:
             raise ValueError(f"spec.p0_inv must be positive definite, got {[[a, b], [b, d]]}")
         object.__setattr__(self, "p0_inv", sym2_array((a, b, d)))
         object.__setattr__(self, "theta0", np.array(read_theta0(self.theta0, "spec.theta0")))
@@ -419,7 +455,7 @@ def ie_mmai_kernel(state: IeFloats, phi: tuple[float, float], y: float) -> IeFlo
         stepped.append((t1 + u1 * e, t2 + u2 * e, IE_COST_ALPHA * cost + 0.5 * (e * e)))
     a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
     r1, r2 = r1 + u1 * y, r2 + u2 * y
-    if not corrected and sym2_eigenvalues(a, b, d)[0] >= IE_THRESHOLD:
+    if not corrected and sym2_spectrum(a, b, d)[0] >= IE_THRESHOLD:
         w = IE_PROX_WEIGHT
         regularized = sym2_array((a + w, b, d + w))
         stepped = [

@@ -34,8 +34,7 @@ import numpy as np
 
 from .dynamics import Trajectory, write_trace
 from .linalg import (
-    Sym2, finite_pair, finite_scalar, read_count, read_number, sym2, sym2_array, sym2_condition,
-    sym2_eigenvalues,
+    Sym2, finite_pair, finite_scalar, read_count, read_number, sym2, sym2_array, sym2_spectrum,
 )
 
 # A regressor with norm below this contributes nothing and is never
@@ -93,7 +92,7 @@ def is_initially_exciting(
     if not alpha_threshold > 0.0:
         raise ValueError(f"alpha_threshold must be positive, got {alpha_threshold!r}")
     h = sliding_fim(traj, reg, 0, horizon)
-    return sym2_eigenvalues(*sym2(h))[0] >= alpha_threshold
+    return sym2_spectrum(*sym2(h))[0] >= alpha_threshold
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def _offer_floats(gset: GreedySet, phi, y: float, k: int) -> tuple[GreedySet, bo
 
     a, b, d = gset.fim_entries
     a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
-    cond_test = sym2_condition(a, b, d)
+    cond_test = sym2_spectrum(a, b, d)[2]
     if not cond_test <= gset.cond:
         return gset, False
 
@@ -190,7 +189,7 @@ def optimal_excitation_set(traj: Trajectory, reg: Callable) -> tuple[int, ...]:
             fim = tuple(map(sum, zip(*(outers[k] for k in subset))))
             if not all(map(math.isfinite, fim)):
                 raise ValueError(f"the FIM of steps {subset} is not finite: {fim}")
-            cond = sym2_condition(*fim)
+            cond = sym2_spectrum(*fim)[2]
             if best is None or cond < best_cond:
                 best = subset
                 best_cond = cond

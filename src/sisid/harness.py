@@ -20,7 +20,9 @@ where they are not finite, and forms a condition number only when they
 change. Lane by lane, a lane is stepped to the end and its metrics rows,
 and their CSV lines for a metrics trace, are formed from its reports; both
 are interleaved step by step, and ``dynamics.write_trace`` writes and
-hashes the lines; no file is read back.
+hashes the lines; no file is read back. Each FIM condition number, and each
+row's ``p_cond`` and ``p_max_eig`` together, come from one
+``linalg.sym2_spectrum`` call.
 
 A run pauses Python's cyclic garbage collector and restores the caller's
 setting when it returns or raises. A run holds each lane's reports until its
@@ -58,13 +60,7 @@ from .estimators import (
     read_alpha,
 )
 from .excitation import GreedySet, regressor_pairs, sis_regressor_pair, write_acceptance_trace
-from .linalg import (
-    ConditioningError,
-    Sym2,
-    eigenvalue_condition,
-    sym2_condition,
-    sym2_eigenvalues,
-)
+from .linalg import ConditioningError, Sym2, sym2_spectrum
 
 METRICS_SCHEMA = "sisid-metrics-v1"
 
@@ -116,7 +112,7 @@ def _fim_condition_trace(pairs: Iterable[tuple[float, float]], alpha: float) -> 
         if a * 0.0 + b * 0.0 + d * 0.0:  # 0.0 for finite entries, NaN otherwise
             raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
         if a != last_a or b != last_b or d != last_d:
-            kappa, last_a, last_b, last_d = sym2_condition(a, b, d), a, b, d
+            kappa, last_a, last_b, last_d = sym2_spectrum(a, b, d)[2], a, b, d
         trace.append(kappa)
     return trace
 
@@ -214,8 +210,7 @@ def _run_lane(
             if p is None:
                 p_cond = p_max_eig = None
             else:
-                p_min_eig, p_max_eig = sym2_eigenvalues(*p)
-                p_cond = eigenvalue_condition(p_min_eig, p_max_eig)
+                _, p_max_eig, p_cond = sym2_spectrum(*p)
             last = None if 0.0 in theta or p is not None and 0.0 in p else (theta, p)
             if fim_texts is not None:  # None is an empty field
                 head = (f"{kind},{beta_hat!r},{gamma_hat!r},"

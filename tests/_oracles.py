@@ -8,6 +8,8 @@ simulated one numpy scalar and one process-noise redraw at a time,
 IE-MMAI's models are drawn one pair at a time, the FIM condition trace
 checks its entries at every step, and ``lockstep_run`` steps every
 estimator's lane one step at a time, forming each metrics row on its own.
+``reference_sym2_spectrum`` keeps the two-step eigenvalue-then-condition
+composition that the library's one closed form replaced.
 These are the yardsticks the fast paths are measured against.
 """
 
@@ -26,14 +28,7 @@ from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate, sis_step
 from sisid.estimators import WeightedCostSpec
 from sisid.excitation import regressor_pairs, sis_regressor_pair
 from sisid.harness import MetricsRow
-from sisid.linalg import (
-    ConditioningError,
-    Sym2,
-    condition_number,
-    eigenvalue_condition,
-    solve_spd,
-    sym2_eigenvalues,
-)
+from sisid.linalg import RANK_TOLERANCE, ConditioningError, Sym2, condition_number, solve_spd
 
 
 def eig2x2_sym(m: np.ndarray) -> tuple[float, float]:
@@ -42,6 +37,39 @@ def eig2x2_sym(m: np.ndarray) -> tuple[float, float]:
     mean = 0.5 * (a + d)
     radius = np.hypot(0.5 * (a - d), b)
     return mean - radius, mean + radius
+
+
+def reference_sym2_spectrum(a: float, b: float, d: float) -> tuple[float, float, float]:
+    """(lo, hi, kappa) of [[a, b], [b, d]] composed as two steps: the two
+    eigenvalues, then the condition rule applied to them. The composition
+    ``sisid.linalg`` used before one closed form gave all three; kept to
+    check that the closed form changed no result."""
+    lo, hi = _sym2_eigenvalues(a, b, d)
+    return lo, hi, _eigenvalue_condition(lo, hi)
+
+
+def _sym2_eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue: d - t and a + t for a >= d, with
+    t = b^2 / (hypot((a - d)/2, b) + (a - d)/2), formed as b * (b / ...) where
+    b^2 overflows or leaves the normal range."""
+    if a < d:
+        a, d = d, a
+    half_gap = 0.5 * (a - d)
+    shift = 0.0
+    if b:
+        denom = math.hypot(half_gap, b) + half_gap
+        shift = b * b / denom if 2.0**-1022 <= b * b < math.inf else b * (b / denom)
+    return d - shift, a + shift
+
+
+def _eigenvalue_condition(lo: float, hi: float) -> float:
+    """Larger over smaller of |lo| and |hi|; inf at ``RANK_TOLERANCE``, NaN from a NaN."""
+    smax, smin = abs(hi), abs(lo)
+    if smin > smax:
+        smax, smin = smin, smax
+    if smin > RANK_TOLERANCE * smax:
+        return smax / smin
+    return math.inf + smin + smax
 
 
 def dense_inverse(m: np.ndarray) -> np.ndarray:
@@ -257,8 +285,7 @@ def _metrics_row(
     if p is None:
         p_cond = p_max_eig = None
     else:
-        p_min_eig, p_max_eig = sym2_eigenvalues(*p)
-        p_cond = eigenvalue_condition(p_min_eig, p_max_eig)
+        _, p_max_eig, p_cond = reference_sym2_spectrum(*p)
     return MetricsRow(
         k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel,
         fim_cond, p_cond, p_max_eig, accepted,

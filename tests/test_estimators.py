@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from sisid.estimators import (
     batch_oracle,
     cost_weight,
     ef_rls_step,
+    grls_kernel,
     grls_step,
     ie_mmai_init,
     ie_mmai_kernel,
@@ -24,12 +26,14 @@ from sisid.estimators import (
     pure_gd_kernel,
     run_grls,
 )
-from sisid.excitation import SIS_REGRESSOR, sis_regressor, sis_regressor_pair
-from sisid.linalg import ConditioningError, sym2, sym2_eigenvalues
+from sisid.excitation import SIS_REGRESSOR, GreedySet, sis_regressor, sis_regressor_pair
+from sisid.linalg import ConditioningError, sym2, sym2_array, sym2_spectrum
 
 from _oracles import (
+    dense_inverse,
     listed_batch_oracle,
     per_model_ie_mmai_init,
+    random_spd,
     sis_phi_rows,
     weighted_normal_solution,
 )
@@ -52,7 +56,92 @@ def drive_ef_rls(traj, theta0, alpha, p0_scale):
 
 
 def min_eigenvalue(p):
-    return sym2_eigenvalues(*sym2(p))[0]
+    return sym2_spectrum(*sym2(p))[0]
+
+
+def covariance_step(p, alpha, fim=None, phi=(0.0, 0.0)):
+    """P' of one ``grls_kernel`` step from P's entries ``p``: the refresh goes
+    through a set holding the FIM entries ``fim`` (none without them), and the
+    datum ``phi`` (a zero regressor, which leaves Q as it is, by default)
+    enters by the Sherman-Morrison step."""
+    gset = GreedySet() if fim is None else GreedySet((0,), fim, (0.0, 0.0), 1.0)
+    p_next, _, _, accepted = grls_kernel(p, (0.0, 0.0), gset, phi, 0.0, 1, alpha, False)
+    assert not accepted
+    return sym2_array(p_next)
+
+
+def dense_covariance(p, alpha, fim, phi):
+    """inv(alpha P^-1 + (1 - alpha) F + phi^T phi) through explicit inverses."""
+    phi = np.reshape(phi, (1, 2))
+    return dense_inverse(alpha * dense_inverse(p) + (1.0 - alpha) * fim + phi.T @ phi)
+
+
+class TestCovarianceUpdate:
+    """The covariance part of ``grls_kernel``, which gives
+    (alpha P^-1 + (1 - alpha) F + phi^T phi)^-1 without inverting P, against
+    explicit inverses for updates of rank 0, 1 and 2."""
+
+    def test_no_data_reduces_to_scaling(self):
+        # rank 0: no set, a zero regressor
+        out = covariance_step((1.0, 0.0, 1.0), 0.5)
+        assert np.array_equal(out, 2.0 * np.eye(2))
+
+    def test_single_row_against_direct_inverse(self):
+        # rank 1, alpha = 1: the result must equal inv(I + e1 e1^T)
+        out = covariance_step((1.0, 0.0, 1.0), 1.0, phi=(1.0, 0.0))
+        expected = dense_inverse(np.eye(2) + np.outer([1.0, 0.0], [1.0, 0.0]))
+        assert np.allclose(out, expected, atol=1e-14)
+        assert np.allclose(out, np.diag([0.5, 1.0]))
+
+    def test_set_refresh_against_dense_inverse(self):
+        # rank 2 refresh by a three-row set, then with one more datum on top
+        rng = np.random.default_rng(5)
+        p = random_spd(rng, 2)
+        block = rng.standard_normal((3, 2))
+        fim = block.T @ block
+        alpha = 0.9
+        for phi in (np.zeros(2), rng.standard_normal(2)):
+            out = covariance_step(sym2(p), alpha, sym2(fim), tuple(phi.tolist()))
+            expected = dense_covariance(p, alpha, fim, phi)
+            assert np.linalg.norm(out - expected) / np.linalg.norm(expected) < 1e-10
+
+    def test_inverse_identity_property(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            p = random_spd(rng, 2)
+            block = rng.standard_normal((int(rng.integers(0, 11)), 2))
+            fim = block.T @ block
+            phi = rng.standard_normal(2) if rng.random() < 0.5 else np.zeros(2)
+            alpha = float(rng.uniform(0.2, 0.99))
+            out = covariance_step(
+                sym2(p), alpha, sym2(fim) if len(block) else None, tuple(phi.tolist())
+            )
+            prod = out @ (alpha * dense_inverse(p) + (1.0 - alpha) * fim + np.outer(phi, phi))
+            assert np.linalg.norm(prod - np.eye(2)) < 1e-8
+
+    def test_result_is_symmetric(self):
+        rng = np.random.default_rng(7)
+        p = random_spd(rng, 2)
+        out, _ = ef_rls_step((p, np.zeros(2)), rng.standard_normal((1, 2)), [0.3], 0.7)
+        assert np.array_equal(out, out.T)
+
+    def test_alpha_out_of_range_rejected(self):
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                ef_rls_step((np.eye(2), np.zeros(2)), [[1.0, 0.0]], [0.0], alpha)
+
+    def test_indefinite_inner_matrix_raises_conditioning_error(self):
+        p = (1.0, 2.0, 1.0)  # indefinite on purpose: alpha + phi P phi^T = -1
+        with pytest.raises(ConditioningError, match="wound up"):
+            covariance_step(p, 1.0, phi=(1.0, -1.0))
+        with pytest.raises(ConditioningError, match="wound up"):
+            ef_rls_step((sym2_array(p), np.zeros(2)), [[1.0, -1.0]], [0.0], 1.0)
+
+    def test_overflowing_refresh_raises_conditioning_error(self):
+        # det(P) = 1e400 overflows in the refresh of the datum that joins the set
+        p, gset = (1e200, 0.0, 1e200), GreedySet()
+        with pytest.raises(ConditioningError, match="non-finite P'"):
+            grls_kernel(p, (0.0, 0.0), gset, (1.0, 0.0), 0.0, 0, 0.5, True)
 
 
 class TestPureGd:
@@ -285,6 +374,24 @@ class TestGrls:
         assert a[-1].excitation.indices == b[-1].excitation.indices
 
 
+# sha256 of the final P, theta and excitation set after 20,000 grls_step calls
+# on a noisy fig3 trajectory, recorded before the eigenvalue form, the condition
+# rule and the covariance step were folded into one function each.
+LONG_RUN_SHA256 = "048074dec8c30280a4106de2b290c7efd7abd09ee298c70751fac2e7d7eac699"
+
+
+def test_twenty_thousand_steps_are_pinned_bitwise():
+    traj = simulate(0.01, FIG3, 20_000, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2))
+    state = GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=0.94, p0_scale=100.0)
+    xs = traj.states
+    for k in range(traj.step_count):
+        state = grls_step(state, xs[k], xs[k + 1])
+    ex = state.excitation
+    text = repr((state.P.tolist(), state.theta.tolist(), ex.indices, ex.fim_entries,
+                 ex.rhs_entries, ex.cond))
+    assert hashlib.sha256(text.encode()).hexdigest() == LONG_RUN_SHA256
+
+
 # Accepted indices of GRLS on the bundled fig3 configs, as recorded when
 # condition numbers still came from an SVD and P from a Cholesky-based
 # inversion lemma. The closed-form kernel must not move a single one.
@@ -334,7 +441,11 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize(
         "x_k,x_next,name",
-        [(math.nan, 0.1, "x_k"), (0.1, math.inf, "x_next"), (-math.inf, 0.1, "x_k")],
+        [
+            (math.nan, 0.1, "x_k"), (0.1, math.inf, "x_next"), (-math.inf, 0.1, "x_k"),
+            # finite inputs whose observation x_next - x_k has no finite square
+            (-1.3e154, 1.7e308, "x_next"), (0.5, 1.7e308, "x_next"), (-1.7e308, 1.7e308, "x_next"),
+        ],
     )
     def test_grls_step(self, x_k, x_next, name):
         state = GrlsState.initial(THETA0, SIS_REGRESSOR)

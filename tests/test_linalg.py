@@ -2,21 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sisid.estimators import ef_rls_step
 from sisid.linalg import (
     ConditioningError,
     condition_number,
-    covariance_update,
-    eigenvalue_condition,
     solve_spd,
     sym2,
-    sym2_array,
-    sym2_condition,
-    sym2_eigenvalues,
+    sym2_spectrum,
 )
 
-from _oracles import dense_inverse, eig2x2_sym, random_spd
+from _oracles import dense_inverse, eig2x2_sym, random_spd, reference_sym2_spectrum
 
 
 class TestConditionNumber:
@@ -69,8 +66,8 @@ class TestConditionNumber:
 
 
 def min_eigenvalue_sym(m):
-    """Smallest eigenvalue of a symmetric 2x2 array, through ``sym2_eigenvalues``."""
-    return sym2_eigenvalues(*sym2(m))[0]
+    """Smallest eigenvalue of a symmetric 2x2 array, through ``sym2_spectrum``."""
+    return sym2_spectrum(*sym2(m))[0]
 
 
 class TestMinEigenvalueSym:
@@ -109,112 +106,56 @@ class TestMinEigenvalueSym:
             assert min_eigenvalue_sym(h) >= -1e-12
 
 
-def dense_update(p, alpha, rows):
-    """(alpha P^-1 + rows^T rows)^-1 through explicit inverses."""
-    rows = np.reshape(rows, (-1, 2))
-    return dense_inverse(alpha * dense_inverse(p) + rows.T @ rows)
+# Entries where the closed form's branches and guards act: signed zeros,
+# subnormals, the ends of the normal range, and non-finite values.
+_EDGES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-300, -1e-300, 1e-170, 1e300, -1e300,
+    1e200, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, -1.0,
+])
+_ENTRIES = st.one_of(_EDGES, st.floats(allow_nan=True, allow_infinity=True))
 
 
-class TestInversionLemmaUpdate:
-    """``covariance_update``, the closed-form 2x2 kernel that gives
-    (alpha P^-1 + G + phi^T phi)^-1 without inverting P, against explicit
-    inverses for updates of rank 0, 1 and 2."""
-
-    def test_no_data_reduces_to_scaling(self):
-        # rank 0: no refresh, no datum
-        out = sym2_array(covariance_update((1.0, 0.0, 1.0), 0.5))
-        assert np.allclose(out, 2.0 * np.eye(2))
-        assert np.allclose(out, dense_update(np.eye(2), 0.5, np.zeros((0, 2))))
-
-    def test_single_row_against_direct_inverse(self):
-        # rank 1, alpha = 1: result must equal inv(I + e1 e1^T)
-        out = sym2_array(covariance_update((1.0, 0.0, 1.0), 1.0, phi=(1.0, 0.0)))
-        expected = dense_inverse(np.eye(2) + np.outer([1.0, 0.0], [1.0, 0.0]))
-        assert np.allclose(out, expected, atol=1e-14)
-        assert np.allclose(out, np.diag([0.5, 1.0]))
-
-    def test_block_update_against_dense_inverse(self):
-        # rank 2 refresh by a three-row block, then with one more datum on top
-        rng = np.random.default_rng(5)
-        p = random_spd(rng, 2)
-        block = rng.standard_normal((3, 2))
-        alpha = 0.9
-        out = sym2_array(covariance_update(sym2(p), alpha, refresh=sym2(block.T @ block)))
-        expected = dense_update(p, alpha, block)
-        assert np.linalg.norm(out - expected) / np.linalg.norm(expected) < 1e-10
-        phi = rng.standard_normal(2)
-        out = sym2_array(
-            covariance_update(sym2(p), alpha, refresh=sym2(block.T @ block), phi=tuple(phi))
-        )
-        expected = dense_update(p, alpha, np.vstack([block, phi]))
-        assert np.linalg.norm(out - expected) / np.linalg.norm(expected) < 1e-10
-
-    def test_inverse_identity_property(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            p = random_spd(rng, 2)
-            block = rng.standard_normal((int(rng.integers(0, 11)), 2))
-            refresh = sym2(block.T @ block) if len(block) else None
-            phi = tuple(rng.standard_normal(2)) if rng.random() < 0.5 else None
-            alpha = float(rng.uniform(0.2, 1.0))
-            out = sym2_array(covariance_update(sym2(p), alpha, refresh=refresh, phi=phi))
-            rows = np.vstack([block, np.reshape(phi or (), (-1, 2))])
-            prod = out @ (alpha * dense_inverse(p) + rows.T @ rows)
-            assert np.linalg.norm(prod - np.eye(2)) < 1e-8
-
-    def test_result_is_symmetric(self):
-        rng = np.random.default_rng(7)
-        p = random_spd(rng, 2)
-        out, _ = ef_rls_step((p, np.zeros(2)), rng.standard_normal((1, 2)), [0.3], 0.7)
-        assert np.array_equal(out, out.T)
-
-    def test_alpha_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            covariance_update((1.0, 0.0, 1.0), 0.0)
-        with pytest.raises(ValueError):
-            covariance_update((1.0, 0.0, 1.0), 1.5)
-        with pytest.raises(ValueError):
-            ef_rls_step((np.eye(2), np.zeros(2)), [[1.0, 0.0]], [0.0], 1.5)
-
-    def test_indefinite_inner_matrix_raises_conditioning_error(self):
-        p = (1.0, 2.0, 1.0)  # indefinite on purpose: alpha + phi P phi^T = -1
-        with pytest.raises(ConditioningError):
-            covariance_update(p, 1.0, phi=(1.0, -1.0))
-        with pytest.raises(ConditioningError):
-            ef_rls_step((sym2_array(p), np.zeros(2)), [[1.0, -1.0]], [0.0], 1.0)
+def spectrum(m):
+    """``sym2_spectrum`` of a symmetric 2x2 array."""
+    return sym2_spectrum(*sym2(m))
 
 
 class TestSym2ClosedForms:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(a=_ENTRIES, b=_ENTRIES, d=_ENTRIES)
+    def test_equals_the_two_step_composition(self, a, b, d):
+        # the same operations in the same order: equal to the last bit and sign
+        assert repr(sym2_spectrum(a, b, d)) == repr(reference_sym2_spectrum(a, b, d))
+
     def test_eigenvalues_match_dense_solver(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             m = rng.standard_normal((2, 2))
             m = m + m.T
-            assert np.allclose(sym2_eigenvalues(*sym2(m)), np.linalg.eigvalsh(m), atol=1e-12)
+            assert np.allclose(spectrum(m)[:2], np.linalg.eigvalsh(m), atol=1e-12)
 
     def test_condition_matches_svd(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             rows = rng.standard_normal((int(rng.integers(2, 6)), 2))
             h = rows.T @ rows
-            kappa = sym2_condition(*sym2(h))
+            kappa = spectrum(h)[2]
             s = np.linalg.svd(h, compute_uv=False)
             assert kappa == pytest.approx(s[0] / s[-1], rel=1e-9)
             assert condition_number(h) == kappa
 
     def test_indefinite_uses_absolute_eigenvalues(self):
-        assert sym2_condition(1.0, 0.0, -4.0) == pytest.approx(4.0)
+        assert sym2_spectrum(1.0, 0.0, -4.0) == (-4.0, 1.0, 4.0)
 
     def test_a_nan_gives_nan(self):
         # a NaN beside a zero must not reach the division
-        assert math.isnan(sym2_condition(math.nan, 0.0, 0.0))
-        assert math.isnan(eigenvalue_condition(0.0, math.nan))
-        assert math.isnan(eigenvalue_condition(math.nan, 0.0))
+        for entries in ((math.nan, 0.0, 0.0), (0.0, 0.0, math.nan), (0.0, math.nan, 0.0)):
+            assert math.isnan(sym2_spectrum(*entries)[2])
 
     def test_rank_deficient_and_infinite_eigenvalues_are_infinite(self):
-        for lo, hi in ((0.0, 0.0), (0.0, 1.0), (1e-13, 1.0), (1.0, math.inf),
-                       (math.inf, math.inf), (-math.inf, 1.0)):
-            assert eigenvalue_condition(lo, hi) == math.inf
+        for entries in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1e-13, 0.0, 1.0), (1.0, 0.0, math.inf),
+                        (math.inf, 0.0, math.inf), (-math.inf, 0.0, 1.0)):
+            assert sym2_spectrum(*entries)[2] == math.inf
 
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf):
@@ -230,30 +171,28 @@ class TestSym2ClosedForms:
         guarded = 0
         for _ in range(500):
             a, b, d = (float(rng.standard_normal()) * 10.0 ** rng.uniform(-6, 6) for _ in range(3))
-            lo, hi = sym2_eigenvalues(a, b, d)
+            lo, hi, _ = sym2_spectrum(a, b, d)
             # within 2 ulps of the scaled spectral norm, as cancellation in
             # the smaller eigenvalue is the same at every scale
             tol = 2 * math.ulp(max(abs(lo), abs(hi)) * scale)
-            got_lo, got_hi = sym2_eigenvalues(a * scale, b * scale, d * scale)
+            got_lo, got_hi, _ = sym2_spectrum(a * scale, b * scale, d * scale)
             assert abs(got_lo - lo * scale) <= tol and abs(got_hi - hi * scale) <= tol
             guarded += not 2.0**-1022 <= (b * scale) * (b * scale) < math.inf
         assert guarded > 50
 
     def test_huge_off_diagonal_keeps_finite_eigenvalues(self):
-        lo, hi = sym2_eigenvalues(1e200, 0.9e200, 1e200)
+        lo, hi, _ = sym2_spectrum(1e200, 0.9e200, 1e200)
         assert lo == pytest.approx(1e199, rel=1e-15)
         assert hi == pytest.approx(1.9e200, rel=1e-15)
 
     def test_tiny_rank_one_is_singular(self):
         # b^2 = 1e-340 underflows; the shift must still cancel a exactly
-        assert sym2_eigenvalues(1e-170, -1e-170, 1e-170) == (0.0, 2e-170)
-        assert sym2_condition(1e-170, -1e-170, 1e-170) == math.inf
+        assert sym2_spectrum(1e-170, -1e-170, 1e-170) == (0.0, 2e-170, math.inf)
 
     def test_diagonal_is_exact(self):
         # no rounding through (a + d) / 2 +- r: the exact-tie rule depends on it
         a = 1.0 + math.sqrt(3.0) ** 2
-        assert sym2_eigenvalues(a, 0.0, 2.0) == (2.0, a)
-        assert sym2_condition(a, 0.0, 2.0) == a / 2.0
+        assert sym2_spectrum(a, 0.0, 2.0) == (2.0, a, a / 2.0)
 
 
 class TestSolveSpd:
