@@ -1,7 +1,7 @@
 """The summary arithmetic of ``tools/bench_pairs.py``, on canned result lines.
 
-No benchmark runs and no subprocess starts: the runs below are records in
-the shape the script writes.
+No benchmark runs and no subprocess starts: the runs are records in the
+shape the script writes, made up below or read from ``BENCH_21.json``.
 """
 
 import importlib.util
@@ -98,6 +98,15 @@ def test_keys_follow_workload_and_seed_and_need_two_pairs():
     runs = canned_runs() + [run("parent", 0, 1.0, workload="figs", seed=101),
                             run("change", 0, 1.0, workload="figs", seed=101)]
     assert list(bench_pairs.summarize(runs)) == ["grls_long/seed0"]
+
+
+def test_summary_reproduces_a_record_assembled_by_hand():
+    # BENCH_21.json was assembled without the script, with the same summary
+    # fields; its grls_long entry covers one of its two batches only
+    record = json.loads((_PATH.parent.parent / "BENCH_21.json").read_text())
+    summary = bench_pairs.summarize(record["runs"])
+    for key in ("figs/seed0", "sweep/seed0", "figs/seed101"):
+        assert summary[key] == record["summary"][key]
 
 
 def test_spec_parsing():

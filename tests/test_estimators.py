@@ -374,20 +374,24 @@ class TestGrls:
         assert a[-1].excitation.indices == b[-1].excitation.indices
 
 
-# sha256 of the final P, theta and excitation set after 20,000 grls_step calls
-# on a noisy fig3 trajectory, recorded before the eigenvalue form, the condition
-# rule and the covariance step were folded into one function each.
-LONG_RUN_SHA256 = "048074dec8c30280a4106de2b290c7efd7abd09ee298c70751fac2e7d7eac699"
+# sha256 of theta after each of 20,000 grls_step calls on a noisy fig3
+# trajectory, then the final P, theta and excitation set, recorded before the
+# eigenvalue form, the condition rule and the covariance step were folded into
+# one function each. The final state alone would miss a change in the last
+# bit of the refresh, which the recursion forgets again within the run.
+LONG_RUN_SHA256 = "5b8a5be2c4fbdb48a2a38ac29bd3726f27e8b7510621f8a1926bc416abd4e912"
 
 
 def test_twenty_thousand_steps_are_pinned_bitwise():
     traj = simulate(0.01, FIG3, 20_000, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2))
     state = GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=0.94, p0_scale=100.0)
     xs = traj.states
+    thetas = []
     for k in range(traj.step_count):
         state = grls_step(state, xs[k], xs[k + 1])
+        thetas.append(state._theta)
     ex = state.excitation
-    text = repr((state.P.tolist(), state.theta.tolist(), ex.indices, ex.fim_entries,
+    text = repr((thetas, state.P.tolist(), state.theta.tolist(), ex.indices, ex.fim_entries,
                  ex.rhs_entries, ex.cond))
     assert hashlib.sha256(text.encode()).hexdigest() == LONG_RUN_SHA256
 

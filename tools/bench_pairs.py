@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and record them.
 
     python3 tools/bench_pairs.py --pr N --parent REV --change REV \\
-        --claim TEXT [--note TEXT] [--append] [--out PATH] WORKLOAD:SEED:PAIRS ...
+        --claim TEXT [--note TEXT] [--out PATH] WORKLOAD:SEED:PAIRS ...
 
 Each side is a ``git archive`` of its commit, extracted into a temporary
 directory, so both run from committed files only. For each
@@ -15,9 +15,9 @@ the report line and the result line.
 The record, ``BENCH_<N>.json`` by default, is rewritten after every run, so
 an interrupted session keeps what it measured. Its fields: ``pr``,
 ``claim``, ``sides`` (the two full commit hashes), ``method``, ``summary``
-and ``runs``. With ``--append`` the runs of an existing record are kept and
-the new ones form the next batch; the summary covers every run. Only the
-standard library is used.
+and ``runs``. Each run is batch 1; records that merge several batches, as
+``BENCH_21.json`` does, pair runs within a batch. Only the standard library
+is used.
 """
 
 from __future__ import annotations
@@ -152,21 +152,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="the commit that changes the code")
     parser.add_argument("--claim", required=True, help="the claimed metric and why")
     parser.add_argument("--note", default="", help="appended to the method text")
-    parser.add_argument("--append", action="store_true",
-                        help="keep the runs of an existing record; the new runs are a new batch")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the checkout root")
     args = parser.parse_args(argv)
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
 
     runs: list[dict] = []
-    if args.append and out.exists():
-        old = json.loads(out.read_text())
-        if old["sides"] != commits:
-            raise SystemExit(f"{out} records other commits: {old['sides']}")
-        runs = old["runs"]
-    batch = max((r["batch"] for r in runs), default=0) + 1
-
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         benchmarks = []
@@ -184,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                     record = run_once(trees[side], command, seconds, workload, seed)
                     runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
                                  "commit": commits[side], "ran": len(runs) + 1, **record,
-                                 "batch": batch})
+                                 "batch": 1})
                     out.write_text(json.dumps({
                         "pr": args.pr, "claim": args.claim, "sides": commits,
                         "method": f"{METHOD} {args.note}".strip(),
