@@ -92,6 +92,16 @@ def read_theta0(value, name: str = "theta0") -> tuple[float, float]:
     return finite_pair(tuple(theta0.tolist()), name)
 
 
+def _finite_row(value, name: str) -> tuple[float, float]:
+    """A regressor row (u1, u2) as ``finite_pair`` reads it, whose u1^2 + u2^2 is
+    finite, since phi P phi^T and the greedy offer's phi^T phi square it; else
+    ``ValueError`` naming it."""
+    u1, u2 = finite_pair(value, name)
+    if not math.isfinite(u1 * u1 + u2 * u2):
+        raise ValueError(f"{name} must have a finite u1^2 + u2^2, got {(u1, u2)!r}")
+    return u1, u2
+
+
 def pure_gd_kernel(
     theta: tuple[float, float], phi: tuple[float, float], y: float
 ) -> tuple[float, float]:
@@ -123,10 +133,11 @@ def ef_rls_step(
     its covariance has wound up until round-off destroyed its positive
     definiteness. It also fails when the new P or theta_hat is not finite.
     Non-finite P, theta_hat, phi or y raise ``ValueError`` naming the
-    argument, as does an alpha that ``read_alpha`` refuses.
+    argument, as do a phi whose u1^2 + u2^2 overflows and an alpha that
+    ``read_alpha`` refuses.
     """
     p, theta = sym2(state[0], "state P"), finite_pair(state[1], "state theta")
-    row = finite_pair(phi, "phi")
+    row = _finite_row(phi, "phi")
     y = finite_scalar(y, "y")
     alpha = read_alpha(alpha)
     p_next, theta_next, _, _ = grls_kernel(p, theta, GreedySet(), row, y, 0, alpha, False)
@@ -151,10 +162,10 @@ class GrlsState:
     ``ValueError`` names ``state P`` unless a finite, exactly symmetric 2x2
     array, ``state theta`` unless two finite numbers, ``regressor`` unless
     callable, or alpha unless ``read_alpha`` reads it (in (0, 1), or 1 with
-    the set off); ``initial`` reads its settings by their readers.
-    ``grls_step`` builds its successor from the kernel's checked floats with
-    no second check. States compare and hash by those floats and the other
-    fields.
+    the set off); ``initial`` reads theta0 and p0_scale by their readers and
+    builds the state through these checks. Only ``grls_step`` builds a state
+    without them, from the kernel's checked floats. States compare and hash
+    by those floats and the other fields.
     """
 
     P: np.ndarray = property(lambda self: sym2_array(self._P))
@@ -197,10 +208,8 @@ class GrlsState:
         p0_scale: float = 100.0, greedy_enabled: bool = True,
     ) -> "GrlsState":
         theta0, p0 = read_theta0(theta0), read_p0_scale(p0_scale)
-        alpha = read_alpha(alpha, below_one=greedy_enabled)
-        _pair_reader(regressor)  # ValueError naming the regressor unless callable
-        return object.__new__(cls)._set((p0, 0.0, p0), theta0, GreedySet(), alpha, regressor,
-                                        0, greedy_enabled)
+        return cls(sym2_array((p0, 0.0, p0)), theta0, GreedySet(), alpha, regressor, 0,
+                   greedy_enabled)
 
 
 def grls_kernel(
@@ -284,18 +293,19 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     it is not finite, naming ``x_next`` when the observation x_next - x_k
     has no finite square (|x_next - x_k| beyond about 1.3e154, where the
     squared residual of the cost overflows), and naming the regressor when
-    its entries at x_k are not finite. A covariance that loses positive
-    definiteness, or a non-finite new P or theta, raises
-    ``ConditioningError``. The next state is built from the kernel's floats,
-    finite since it did not raise, and the rest of ``state``, with no second
-    check.
+    its entries (u1, u2) at x_k, or u1^2 + u2^2, are not finite (with
+    ``SIS_REGRESSOR``, |x_k| beyond about 1.16e77), all before the step. A
+    covariance that loses positive definiteness, or a non-finite new P or
+    theta, raises ``ConditioningError``. The next state is built from the
+    kernel's floats, finite since it did not raise, and the rest of
+    ``state``, with no second check.
     """
     x_k = finite_scalar(x_k, "x_k")
     x_next = finite_scalar(x_next, "x_next")
     y = x_next - x_k
     if not math.isfinite(y * y):
         raise ValueError(f"x_next - x_k must have a finite square, got {x_next!r} - {x_k!r}")
-    phi = finite_pair(_pair_reader(state.regressor)(x_k), "regressor")
+    phi = _finite_row(_pair_reader(state.regressor)(x_k), "regressor")
     p, theta, excitation, _ = grls_kernel(
         state._P, state._theta, state.excitation, phi, y, state.step, state.alpha,
         state.greedy_enabled,

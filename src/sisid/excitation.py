@@ -5,15 +5,17 @@ satisfies y[k] = phi(x[k]) @ theta + noise, with the scalar SIS regressor
 phi(x) = [(1-x)x, -x]. A regressor is any callable from a state to two
 entries (a pair of numbers, or an array with two entries, such as
 ``sis_regressor``'s 1x2 row); ``sis_regressor`` is read as
-``sis_regressor_pair``, no array. ``regressor_pairs`` is the one loop that
-reads a regressor over a trajectory: it yields each point as two finite
+``sis_regressor_pair``, no array. ``regressor_pairs`` reads a regressor
+given by the caller over a trajectory: it yields each point as two finite
 floats when it is consumed, so ``sliding_fim``, ``build_greedy_set``,
 ``optimal_excitation_set``, ``fim_condition_trace`` and ``batch_oracle``
-read every point once, in the pass that uses it. The analysis accumulates
-the Fisher information matrix, the (possibly discounted) sum of regressor
-outer products, as its entries (a, b, d). The FIM's smallest eigenvalue
-and condition number decide whether the parameters are practically
-identifiable from a window of data.
+read every point once, in the pass that uses it. It is not the only
+reader: ``run_experiment`` calls ``sis_regressor_pair`` on each state
+itself, and ``grls_step`` reads its state's regressor at one state per
+step. The analysis accumulates the Fisher information matrix, the
+(possibly discounted) sum of regressor outer products, as its entries
+(a, b, d). The FIM's smallest eigenvalue and condition number decide
+whether the parameters are practically identifiable from a window of data.
 
 Every value from outside is read by the library's one number rule
 (``linalg.finite_pair``, ``linalg.finite_scalar``; importable from here too);

@@ -16,13 +16,15 @@ each step; EF-RLS is the GRLS lane with its excitation set disabled. The
 regressor pairs are computed once per run and feed both the FIM condition
 trace and the lanes. The trace is one pass per distinct alpha, largest
 first, that checks the FIM entries at every step, names the first step
-where they are not finite, and forms a condition number only when they
-change. Lane by lane, a lane is stepped to the end and its metrics rows,
-and their CSV lines for a metrics trace, are formed from its reports; both
-are interleaved step by step, and ``dynamics.write_trace`` writes and
-hashes the lines; no file is read back. Each FIM condition number, and each
-row's ``p_cond`` and ``p_max_eig`` together, come from one
-``linalg.sym2_spectrum`` call.
+where they are not finite, and forms a condition number, and its text for
+the metrics lines, only when they change. Lane by lane, a lane is stepped
+to the end and its metrics rows, and their CSV lines for a metrics trace,
+are formed from its reports; the lane returns them with its greedy offers.
+Rows and lines are interleaved step by step, and ``dynamics.write_trace``
+writes and hashes the lines; no file is read back. Each FIM condition
+number, and each row's ``p_cond`` and ``p_max_eig`` together, come from one
+``linalg.sym2_spectrum`` call. The phases and the whole run are timed by
+one ``time.perf_counter`` clock.
 
 A run pauses Python's cyclic garbage collector and restores the caller's
 setting when it returns or raises. A run holds each lane's reports until its
@@ -97,34 +99,29 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
     overflows.
     """
     alpha = read_alpha(alpha)
-    return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)
+    return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)[0]
 
 
-def _fim_condition_trace(pairs: Iterable[tuple[float, float]], alpha: float) -> list[float]:
-    """``fim_condition_trace`` over regressor pairs (u1, u2), one per step. A step
-    whose entries equal the previous step's repeats its condition number object:
-    the entries are finite, and the sign of a zero entry does not change it."""
+def _fim_condition_trace(
+    pairs: Iterable[tuple[float, float]], alpha: float
+) -> tuple[list[float], list[str]]:
+    """``fim_condition_trace`` over regressor pairs (u1, u2), one per step, and the
+    text of each condition number, formed with it. A step whose entries equal the
+    previous step's repeats its condition number and text objects: the entries
+    are finite, and the sign of a zero entry does not change them."""
     a = b = d = 0.0
     last_a = last_b = last_d = math.nan
-    trace = []
+    trace, texts = [], []
     for k, (u1, u2) in enumerate(pairs):
         a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
         if a * 0.0 + b * 0.0 + d * 0.0:  # 0.0 for finite entries, NaN otherwise
             raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
         if a != last_a or b != last_b or d != last_d:
             kappa, last_a, last_b, last_d = sym2_spectrum(a, b, d)[2], a, b, d
+            text = repr(kappa)
         trace.append(kappa)
-    return trace
-
-
-def _kappa_texts(trace: list[float]) -> list[str]:
-    """The text of each condition number in ``trace``, formed once per object."""
-    texts, last = [], None
-    for kappa in trace:
-        if kappa is not last:
-            last, text = kappa, repr(kappa)
         texts.append(text)
-    return texts
+    return trace, texts
 
 
 # What a lane yields before its first step and after each step: theta, P's
@@ -168,18 +165,18 @@ _LANES = {
 
 
 def _run_lane(
-    est: EstimatorSettings, pairs, ys, fim_trace: list[float], truth, clamp: bool, greedy_rows,
+    est: EstimatorSettings, pairs, ys, fim_trace: list[float], truth, clamp: bool,
     fim_texts: list[str] | None,
-) -> tuple[list[MetricsRow], list[str], float, dict | None]:
-    """One lane's metrics rows, their CSV lines, its stepping seconds and its error entry.
+) -> tuple[list[MetricsRow], list[str], float, dict | None, list[tuple]]:
+    """One lane's metrics rows, their CSV lines, its stepping seconds, its error
+    entry and its greedy offers, each as (step, accepted, kappa before, after).
 
     The lane is stepped to the end first. A step that raises ``ConditioningError``
     freezes it at its last report, with no offer from that step on, and makes the
-    error entry (None otherwise). The lane's greedy offers go to ``greedy_rows``.
-    A frozen or converged lane repeats theta and P, so a row's derived values and
-    their text are formed anew only when those change, or follow a zero, as
-    0.0 == -0.0 but their reprs differ. A line takes its ``fim_cond`` text from
-    ``fim_texts``; without them no line is formed.
+    error entry (None otherwise). A frozen or converged lane repeats theta and P,
+    so a row's derived values and their text are formed anew only when those
+    change, or follow a zero, as 0.0 == -0.0 but their reprs differ. A line takes
+    its ``fim_cond`` text from ``fim_texts``; without them no line is formed.
     """
     reports, error = [], None
     t0 = time.perf_counter()
@@ -191,7 +188,7 @@ def _run_lane(
         reports += [(*reports[-1][:2], None)] * (len(ys) - failed_at)
     step_s = time.perf_counter() - t0
 
-    kind, new, rows, lines = est.kind, tuple.__new__, [], []
+    kind, new, rows, lines, offers = est.kind, tuple.__new__, [], [], []
     append, add_line = rows.append, lines.append
     last = None  # the (theta, P) whose derived values are current, None after a zero
     for k, (theta, p, offer), fim in zip(range(len(ys)), islice(reports, 1, None), fim_trace):
@@ -223,12 +220,12 @@ def _run_lane(
         else:
             accepted = offer[0]
             flag = "1" if accepted else "0"
-            greedy_rows.append((k, *offer))
+            offers.append((k, *offer))
         append(new(MetricsRow, (k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel, fim,
                                 p_cond, p_max_eig, accepted)))
         if fim_texts is not None:
             add_line(f"{k},{head}{fim_texts[k]}{tail}{flag}")
-    return rows, lines, step_s, error
+    return rows, lines, step_s, error, offers
 
 
 @dataclass
@@ -278,7 +275,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
 
 def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> RunResult:
     """``run_experiment`` with the collector's setting left to the caller."""
-    start = time.monotonic()
     clock = time.perf_counter
 
     t0 = clock()
@@ -300,18 +296,17 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
 
-    # lines only for a metrics trace, with each alpha's fim_cond text formed once
-    fim_texts = ({alpha: _kappa_texts(trace) for alpha, trace in fim_traces.items()}
-                 if "metrics" in config.emit else {})
     # lane by lane, so that only one lane's reports are held at a time
     lane_rows, lane_lines, errors, step_s, greedy_rows = [], [], [], {}, []
     for est in config.estimators:
-        est_rows, est_lines, step_s[est.kind], error = _run_lane(
-            est, pairs, ys, fim_traces[est.alpha], truth, config.clamp_estimates, greedy_rows,
-            fim_texts.get(est.alpha),
+        fim_trace, fim_texts = fim_traces[est.alpha]
+        est_rows, est_lines, step_s[est.kind], error, offers = _run_lane(
+            est, pairs, ys, fim_trace, truth, config.clamp_estimates,
+            fim_texts if "metrics" in config.emit else None,  # lines only for a metrics trace
         )
         lane_rows.append(est_rows)
         lane_lines.append(est_lines)
+        greedy_rows += offers
         if error is not None:
             errors.append(error)
     rows: list[MetricsRow] = list(chain.from_iterable(zip(*lane_rows)))  # step by step
@@ -354,7 +349,7 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
         out.mkdir(parents=True, exist_ok=True)
         manifest["files"] = _write_traces(out, config, traj, lines, greedy_rows)
         manifest["timings"]["write_s"] = clock() - t3
-        manifest["wall_time_s"] = time.monotonic() - start
+        manifest["wall_time_s"] = clock() - t0
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     return RunResult(rows=rows, status=status, trajectory=traj, output_dir=out, manifest=manifest)

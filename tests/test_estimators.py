@@ -264,6 +264,14 @@ class TestGrls:
         assert state.excitation.size == 0
         assert np.allclose(state.theta, THETA0)
 
+    @pytest.mark.parametrize("greedy_enabled", [True, False])
+    def test_initial_equals_the_checked_constructor(self, greedy_enabled):
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR, 0.9, 7.5, greedy_enabled)
+        built = GrlsState(7.5 * np.eye(2), THETA0, GreedySet(), 0.9, SIS_REGRESSOR, 0,
+                          greedy_enabled)
+        assert state == built
+        assert hash(state) == hash(built)
+
     def test_alpha_must_be_strictly_below_one(self):
         with pytest.raises(ValueError):
             GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=1.0)
@@ -449,6 +457,8 @@ class TestNonFiniteInput:
             (math.nan, 0.1, "x_k"), (0.1, math.inf, "x_next"), (-math.inf, 0.1, "x_k"),
             # finite inputs whose observation x_next - x_k has no finite square
             (-1.3e154, 1.7e308, "x_next"), (0.5, 1.7e308, "x_next"), (-1.7e308, 1.7e308, "x_next"),
+            # a finite observation and a finite regressor whose u1^2 + u2^2 overflows
+            (-1.3e154, -1.3e154, "regressor"), (1e100, 1e100, "regressor"),
         ],
     )
     def test_grls_step(self, x_k, x_next, name):
@@ -495,6 +505,8 @@ class TestNonFiniteInput:
             (np.ones(2), THETA0, [[0.1, -0.1]], [0.01], "state P must be a 2x2 array"),
             (np.eye(3), THETA0, [[0.1, -0.1]], [0.01], "state P must be a 2x2 array"),
             (np.eye(2), THETA0, [[0.1, -0.1]], [0.01, 0.02], "y must be a scalar"),
+            # finite entries whose u1^2 + u2^2 overflows
+            (100.0 * np.eye(2), THETA0, (1e200, 0.0), 0.0, "phi"),
         ],
     )
     def test_ef_rls_step(self, p, theta, phi, y, name):

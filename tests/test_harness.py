@@ -169,9 +169,13 @@ class TestFimConditionTrace:
     ], ids=["fixed-point", "zero", "underflowing-alpha", "signed-zero-entries",
             "b-alone-changes"])
     def test_repeated_entries_equal_a_per_step_check(self, pairs, alpha):
-        assert repr(harness._fim_condition_trace(pairs, alpha)) == repr(
-            naive_fim_condition_trace(pairs, alpha)
-        )
+        trace, texts = harness._fim_condition_trace(pairs, alpha)
+        assert repr(trace) == repr(naive_fim_condition_trace(pairs, alpha))
+        # each text is formed with its number, once per number object
+        assert texts == [repr(kappa) for kappa in trace]
+        assert [texts[k] is texts[k - 1] for k in range(1, len(texts))] == [
+            trace[k] is trace[k - 1] for k in range(1, len(trace))
+        ]
 
 
 class TestConfigParsing:
@@ -349,6 +353,17 @@ class TestRunExperiment:
             "python": "{}.{}.{}".format(*sys.version_info[:3]),
             "numpy": np.__version__,
         }
+
+    def test_wall_time_covers_every_phase(self, tmp_path):
+        # the phases and the whole run are read off one clock
+        config = small_config(steps=200, emit=("metrics", "trajectory", "greedy"))
+        run_experiment(config, output_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        timings = manifest["timings"]
+        phases = [timings["simulate_s"], timings["fim_trace_s"], *timings["step_s"].values(),
+                  timings["metrics_rows_s"], timings["write_s"]]
+        assert len(phases) == 6
+        assert manifest["wall_time_s"] >= sum(phases) > 0.0
 
     def test_in_memory_manifest_has_no_write_time(self):
         result = run_experiment(small_config(steps=1, emit=()))
