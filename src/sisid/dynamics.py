@@ -13,6 +13,9 @@ a ``Trajectory`` forms its observations, so y inherits both.
 the recursion, with zero noise when there is none. It draws process noise in
 blocks, bitwise equal to redrawing one sample at a time and leaving the
 generator where that would, so the observation noise drawn next is unchanged.
+Without process noise it stops at an exact fixed point, a state equal to the
+one before it, and fills the remaining states with it; ``Trajectory.to_csv``
+reuses the text of such a repeated tail.
 
 A run's settings are read by one reader each, which the config also calls
 with its key as the name: ``read_x0`` (a number in [0, 1]) and
@@ -154,11 +157,23 @@ class Trajectory:
     def to_csv(self, path: str | Path) -> str:
         """Write the trajectory CSV by ``write_trace`` and return its sha256:
         one (step, state, observation, noise_applied) row per step; the last
-        row has the final state only."""
-        states = self.states.tolist()
-        rows = zip(states, self.observations.tolist(), self.process_noise.tolist())
+        row has the final state only.
+
+        Every row after the last one whose three values differ from the row
+        before, compared as their bits so that 0.0 and -0.0 differ, repeats
+        that row's values and reuses its text, as a settled run's rows do.
+        """
+        n = self.step_count
+        columns = np.stack([self.states[:-1], self.observations, self.process_noise])
+        bits = columns.view(np.int64)
+        changes = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0))
+        m = int(changes[-1]) + 2 if len(changes) else 1  # rows m.. repeat row m - 1
+        x, y, xi = columns[:, m - 1].tolist()
+        text = f"{x!r},{y!r},{xi!r}"
+        rows = zip(*columns[:, :m].tolist())
         lines = chain((f"{k},{x!r},{y!r},{xi!r}" for k, (x, y, xi) in enumerate(rows)),
-                      [f"{self.step_count},{states[-1]!r},,"])
+                      (f"{k},{text}" for k in range(m, n)),
+                      [f"{n},{self.states[-1].item()!r},,"])
         columns = ("step", "state", "observation", "noise_applied")
         return write_trace(path, TRAJECTORY_SCHEMA, columns, lines)
 
@@ -212,14 +227,17 @@ def simulate(
     """Simulate ``steps`` transitions from ``x0``; deterministic for a fixed seed.
 
     Bitwise equal to redrawing process noise one sample at a time, with the
-    generator left at the same position for the observation noise.
+    generator left at the same position for the observation noise. Without
+    process noise, a state equal to the one before it is a fixed point of the
+    recursion: the remaining states are filled with it, not stepped to.
     ``ValueError`` names ``x0``, ``steps`` or ``noise.seed`` (an integer
     >= 0) unless ``read_x0``, ``read_steps`` or ``read_count`` reads it.
     """
     x0, steps = read_x0(x0), read_steps(steps)
     if noise is not None:
         rng = np.random.default_rng(read_count(noise.seed, "noise.seed", 0))
-    if noise is not None and noise.process_std > 0:
+    perturbed = noise is not None and noise.process_std > 0
+    if perturbed:
         xi = _process_noise(rng, noise.process_std, noise.bound_nu, steps)
     else:
         xi = np.zeros(steps)
@@ -229,10 +247,15 @@ def simulate(
     out = memoryview(states)
     out[0] = x = x0
     for k, e in enumerate(memoryview(xi), 1):
-        x = sis_step(x, params) + e
+        last, x = x, sis_step(x, params) + e
         if not 0.0 < x < 1.0:  # = min(1.0, max(0.0, x)), minus two calls
             x = 1.0 if x >= 1.0 else 0.0
         out[k] = x
+        # equal nonzero floats have equal bits, and 0.0 (x is never -0.0) steps to
+        # 0.0, so without noise an x equal to the state before is its own successor
+        if x == last and not perturbed:
+            states[k:] = x
+            break
 
     if noise is not None and noise.observation_std > 0:
         states += rng.normal(0.0, noise.observation_std, size=steps + 1)

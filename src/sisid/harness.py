@@ -16,15 +16,25 @@ each step; EF-RLS is the GRLS lane with its excitation set disabled. The
 regressor pairs are computed once per run and feed both the FIM condition
 trace and the lanes. The trace is one pass per distinct alpha, largest
 first, that checks the FIM entries at every step, names the first step
-where they are not finite, and forms a condition number, and its text for
-the metrics lines, only when they change. Lane by lane, a lane is stepped
-to the end and its metrics rows, and their CSV lines for a metrics trace,
-are formed from its reports; the lane returns them with its greedy offers.
+where they are not finite, and forms a condition number, and for a metrics
+trace its text, only when they change. Lane by lane, a lane is stepped
+to the end (or until it settles, below) and its metrics rows, and their
+CSV lines for a metrics trace, are formed from its reports; the lane
+returns them with its greedy offers.
 Rows and lines are interleaved step by step, and ``dynamics.write_trace``
 writes and hashes the lines; no file is read back. Each FIM condition
 number, and each row's ``p_cond`` and ``p_max_eig`` together, come from one
 ``linalg.sym2_spectrum`` call. The phases and the whole run are timed by
 one ``time.perf_counter`` clock.
+
+A noise-free run often reaches an exact fixed point, after which every step
+has the same regressor pair and observation. The run finds the first such
+step, ``settled``, from its states; the FIM pass, and the pure-GD and RLS
+lanes, stop once their own state repeats from there on, and their last
+output is repeated to the end, bitwise what stepping on would give. IE-MMAI
+steps to the end, as its models' costs decay every step. The manifest's
+``settled`` block names the trajectory's settle step and, for each lane that
+stopped stepping, the first step whose report every later step repeats.
 
 A run pauses Python's cyclic garbage collector and restores the caller's
 setting when it returns or raises. A run holds each lane's reports until its
@@ -99,28 +109,41 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
     overflows.
     """
     alpha = read_alpha(alpha)
-    return _fim_condition_trace(regressor_pairs(reg, traj.states[:-1].tolist()), alpha)[0]
+    pairs = regressor_pairs(reg, traj.states[:-1].tolist())
+    return _fim_condition_trace(pairs, alpha, with_texts=False)[0]
 
 
 def _fim_condition_trace(
-    pairs: Iterable[tuple[float, float]], alpha: float
-) -> tuple[list[float], list[str]]:
+    pairs: Iterable[tuple[float, float]], alpha: float, settled: float = math.inf,
+    with_texts: bool = True,
+) -> tuple[list[float], list[str] | None]:
     """``fim_condition_trace`` over regressor pairs (u1, u2), one per step, and the
-    text of each condition number, formed with it. A step whose entries equal the
-    previous step's repeats its condition number and text objects: the entries
-    are finite, and the sign of a zero entry does not change them."""
+    text of each condition number, formed with it (None unless ``with_texts``). A
+    step whose entries equal the previous step's repeats its condition number and
+    text objects: the entries are finite, and the sign of a zero entry does not
+    change them. From step ``settled`` on, the pairs (a list then) are one pair, so
+    once the entries repeat there, every later step repeats them too.
+    """
     a = b = d = 0.0
     last_a = last_b = last_d = math.nan
-    trace, texts = [], []
+    trace, texts = [], [] if with_texts else None
     for k, (u1, u2) in enumerate(pairs):
         a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
         if a * 0.0 + b * 0.0 + d * 0.0:  # 0.0 for finite entries, NaN otherwise
             raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
         if a != last_a or b != last_b or d != last_d:
             kappa, last_a, last_b, last_d = sym2_spectrum(a, b, d)[2], a, b, d
-            text = repr(kappa)
+            if with_texts:
+                text = repr(kappa)
+        elif k >= settled:  # steps k.. repeat this one
+            rest = len(pairs) - k
+            trace += [kappa] * rest
+            if with_texts:
+                texts += [text] * rest
+            break
         trace.append(kappa)
-        texts.append(text)
+        if with_texts:
+            texts.append(text)
     return trace, texts
 
 
@@ -129,29 +152,50 @@ def _fim_condition_trace(
 # (accepted, kappa before, kappa after), None for estimators without an
 # excitation set. A step that fails raises ``ConditioningError`` out of it.
 # A lane starts from settings a config has read: floats, theta0 a float pair.
+# From step ``settled`` on, every step has one regressor pair and observation,
+# so a lane whose step there leaves its state as it was returns: every later
+# step would repeat that step's report. Its state is exactly as it was when its
+# floats are equal and none is zero, as 0.0 == -0.0 and a zero's sign can
+# change the next step. Steps before ``settled`` go through a loop without
+# that check.
 _Report = tuple[tuple[float, float], Sym2 | None, tuple[bool, float, float] | None]
 
 
-def _pure_gd_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
+def _pure_gd_lane(est: EstimatorSettings, pairs, ys, settled: int) -> Iterator[_Report]:
     theta = est.theta0
     yield theta, None, None
-    for phi, y in zip(pairs, ys):
+    steps = zip(pairs, ys)
+    for phi, y in islice(steps, settled):
         theta = pure_gd_kernel(theta, phi, y)
         yield theta, None, None
+    for phi, y in steps:
+        last, theta = theta, pure_gd_kernel(theta, phi, y)
+        yield theta, None, None
+        if theta == last and 0.0 not in theta:
+            return
 
 
-def _rls_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
+def _rls_lane(est: EstimatorSettings, pairs, ys, settled: int) -> Iterator[_Report]:
     """GRLS, or EF-RLS: the same kernel with its excitation set disabled."""
     p, theta, gset = (est.p0_scale, 0.0, est.p0_scale), est.theta0, GreedySet()
     greedy = est.kind == "grls"
     yield theta, p, None
-    for k, (phi, y) in enumerate(zip(pairs, ys)):
+    steps = enumerate(zip(pairs, ys))
+    for k, (phi, y) in islice(steps, settled):
         before = gset.cond
         p, theta, gset, accepted = grls_kernel(p, theta, gset, phi, y, k, est.alpha, greedy)
         yield theta, p, (accepted, before, gset.cond) if greedy else None
+    for k, (phi, y) in steps:
+        before, last_p, last_theta = gset.cond, p, theta
+        p, theta, gset, accepted = grls_kernel(p, theta, gset, phi, y, k, est.alpha, greedy)
+        yield theta, p, (accepted, before, gset.cond) if greedy else None
+        # a rejected offer leaves the set as it was
+        if not accepted and p == last_p and theta == last_theta and 0.0 not in p + theta:
+            return
 
 
-def _ie_mmai_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
+def _ie_mmai_lane(est: EstimatorSettings, pairs, ys, settled: int) -> Iterator[_Report]:
+    """Steps to the end: the models' costs decay every step, so its state never repeats."""
     state = ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
     yield ie_mmai_selected(state[0]), None, None
     for phi, y in zip(pairs, ys):
@@ -165,33 +209,42 @@ _LANES = {
 
 
 def _run_lane(
-    est: EstimatorSettings, pairs, ys, fim_trace: list[float], truth, clamp: bool,
-    fim_texts: list[str] | None,
-) -> tuple[list[MetricsRow], list[str], float, dict | None, list[tuple]]:
+    est: EstimatorSettings, pairs, ys, settled: int, fim_trace: list[float], truth,
+    clamp: bool, fim_texts: list[str] | None,
+) -> tuple[list[MetricsRow], list[str], float, dict | None, list[tuple], int | None]:
     """One lane's metrics rows, their CSV lines, its stepping seconds, its error
-    entry and its greedy offers, each as (step, accepted, kappa before, after).
+    entry, its greedy offers, each as (step, accepted, kappa before, after), and
+    the first step whose report every later step repeats, for a lane that
+    settled (None otherwise).
 
-    The lane is stepped to the end first. A step that raises ``ConditioningError``
-    freezes it at its last report, with no offer from that step on, and makes the
-    error entry (None otherwise). A frozen or converged lane repeats theta and P,
-    so a row's derived values and their text are formed anew only when those
-    change, or follow a zero, as 0.0 == -0.0 but their reprs differ. A line takes
-    its ``fim_cond`` text from ``fim_texts``; without them no line is formed.
+    The lane is stepped to the end first, or until it settles (see ``_Report``).
+    A step that raises ``ConditioningError`` freezes it at its last report, with
+    no offer from that step on, and makes the error entry (None otherwise). A
+    frozen or converged lane repeats theta and P, so a row's derived values and
+    their text are formed anew only when those change, or follow a zero, as
+    0.0 == -0.0 but their reprs differ; the rows of a settled or frozen lane's
+    repeated tail are formed from its last report in one pass. A line takes its
+    ``fim_cond`` text from ``fim_texts``; without them no line is formed.
     """
-    reports, error = [], None
+    reports, error, lane_settled = [], None, None
     t0 = time.perf_counter()
     try:
-        reports.extend(_LANES[est.kind](est, pairs, ys))  # keeps what came before a raise
+        reports.extend(_LANES[est.kind](est, pairs, ys, settled))  # keeps what came before a raise
     except ConditioningError as exc:
         failed_at = len(reports) - 1  # the first report precedes step 0
         error = {"estimator": est.kind, "step": failed_at, "message": str(exc)}
-        reports += [(*reports[-1][:2], None)] * (len(ys) - failed_at)
+        reports.append((*reports[-1][:2], None))
     step_s = time.perf_counter() - t0
+    n, rest = len(ys), len(reports) - 1  # steps from ``rest`` on repeat the last report
+    if error is None and rest < n:
+        lane_settled = rest - 1
+        while lane_settled and reports[lane_settled] == reports[-1]:
+            lane_settled -= 1
 
     kind, new, rows, lines, offers = est.kind, tuple.__new__, [], [], []
     append, add_line = rows.append, lines.append
     last = None  # the (theta, P) whose derived values are current, None after a zero
-    for k, (theta, p, offer), fim in zip(range(len(ys)), islice(reports, 1, None), fim_trace):
+    for k, (theta, p, offer), fim in zip(range(n), islice(reports, 1, None), fim_trace):
         if last is None or theta != last[0] or p != last[1]:
             beta_hat, gamma_hat = theta
             if clamp:
@@ -225,7 +278,17 @@ def _run_lane(
                                 p_cond, p_max_eig, accepted)))
         if fim_texts is not None:
             add_line(f"{k},{head}{fim_texts[k]}{tail}{flag}")
-    return rows, lines, step_s, error, offers
+    # the repeated tail: the last report's row, line and offer at each later step
+    steps = range(rest, n)
+    rows += [new(MetricsRow, (k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel, fim,
+                              p_cond, p_max_eig, accepted))
+             for k, fim in zip(steps, islice(fim_trace, rest, None))]
+    if fim_texts is not None:
+        lines += [f"{k},{head}{text}{tail}{flag}"
+                  for k, text in zip(steps, islice(fim_texts, rest, None))]
+    if offer is not None:
+        offers += [(k, *offer) for k in steps]
+    return rows, lines, step_s, error, offers, lane_settled
 
 
 @dataclass
@@ -255,6 +318,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     present when a GRLS lane is configured, holds its excitation set: size,
     step indices and final condition number (null while the set is rank
     deficient or empty, as when GRLS fails at its first step).
+    ``manifest["settled"]`` holds the first step from which the states never
+    change (``"trajectory"``, None when the last step changes them) and, per
+    estimator kind, the first step whose report every later step repeats
+    when its lane stopped stepping there (None when it stepped to the end).
 
     The cyclic garbage collector is paused for the run, which makes no
     reference cycles, so that collections do not walk its live reports and
@@ -280,11 +347,17 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
     t0 = clock()
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
     t1 = clock()
-    pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
+    # the first step from which the states, and so the pairs and observations, repeat
+    bits = traj.states.view(np.int64)  # bits, so that 0.0 and -0.0 differ
+    changes = np.flatnonzero(bits[1:] != bits[:-1])
+    settled = int(changes[-1]) + 1 if len(changes) else 0
+    states = traj.states.tolist()
+    pairs = [sis_regressor_pair(x) for x in states[:settled]]
+    pairs += [sis_regressor_pair(states[settled])] * (config.steps - settled)
     try:
         # the largest alpha's entries are the largest, so it names the first failing step
         fim_traces = {
-            alpha: _fim_condition_trace(pairs, alpha)
+            alpha: _fim_condition_trace(pairs, alpha, settled, "metrics" in config.emit)
             for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
         }
     except ValueError as exc:
@@ -298,11 +371,11 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
 
     # lane by lane, so that only one lane's reports are held at a time
     lane_rows, lane_lines, errors, step_s, greedy_rows = [], [], [], {}, []
+    settled_at = {"trajectory": settled if settled < config.steps else None}
     for est in config.estimators:
-        fim_trace, fim_texts = fim_traces[est.alpha]
-        est_rows, est_lines, step_s[est.kind], error, offers = _run_lane(
-            est, pairs, ys, fim_trace, truth, config.clamp_estimates,
-            fim_texts if "metrics" in config.emit else None,  # lines only for a metrics trace
+        fim_trace, fim_texts = fim_traces[est.alpha]  # texts only for a metrics trace
+        est_rows, est_lines, step_s[est.kind], error, offers, settled_at[est.kind] = _run_lane(
+            est, pairs, ys, settled, fim_trace, truth, config.clamp_estimates, fim_texts
         )
         lane_rows.append(est_rows)
         lane_lines.append(est_lines)
@@ -324,6 +397,7 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
         "config": config_to_mapping(config),
         "errors": errors,
         "status": status,
+        "settled": settled_at,
         "files": [],
         "timings": {
             "simulate_s": t1 - t0,

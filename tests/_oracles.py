@@ -296,8 +296,9 @@ def lockstep_run(config: ExperimentConfig):
     """(rows, greedy rows, errors, status) of ``run_experiment``, stepped in lockstep.
 
     Steps every estimator's lane (``harness._LANES``) one step at a time, all
-    lanes at step k before any at step k + 1, and forms each metrics row on
-    its own from that lane's latest report. A lane whose step raises
+    lanes at step k before any at step k + 1, to the end (neither a lane nor
+    the FIM trace is given a settle step it reaches), and forms each metrics
+    row on its own from that lane's latest report. A lane whose step raises
     ``ConditioningError`` is frozen at its last report, with no offer from
     that step on.
     """
@@ -310,7 +311,8 @@ def lockstep_run(config: ExperimentConfig):
     ys = traj.observations.tolist()
     lanes = []
     for est in config.estimators:
-        steps = harness._LANES[est.kind](est, pairs, ys)
+        # a settle step no step reaches: every lane steps to the end
+        steps = harness._LANES[est.kind](est, pairs, ys, len(ys))
         lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None

@@ -267,6 +267,29 @@ class TestBlockDraws:
             assert getattr(fast, name).tobytes() == getattr(naive, name).tobytes(), name
 
 
+class TestSettledSimulation:
+    """Without process noise, ``simulate`` fills the states after an exact fixed
+    point in place of stepping to them; ``naive_simulate`` steps every state."""
+
+    @pytest.mark.parametrize("x0, params, noise", [
+        (0.01, FIG1, None),  # settles at step 474
+        (0.01, FIG3, NoiseSpec(0.0, 0.0, 0.0, seed=3)),  # noise on, all of it zero
+        (0.01, FIG3, NoiseSpec(0.0, 1e-3, 0.0, seed=3)),  # observation noise alone
+        (0.3, SisParams(0.1, 0.95), None),  # settles at 0
+        (0.3, SisParams(1.0, 0.0), NoiseSpec(0.0, 1e-3, 0.0, seed=4)),  # settles at 1
+        (0.0, FIG3, None),  # at 0 from the start
+        (-0.0, SisParams(0.0, 0.0), None),  # -0.0 steps to 0.0, which stays
+        (1.0, SisParams(0.5, 0.0), None),  # at 1 from the start
+    ])
+    def test_bitwise_equal_to_stepping_every_state(self, x0, params, noise):
+        fast = simulate(x0, params, 800, noise)
+        naive = naive_simulate(x0, params, 800, noise)
+        for name in ("states", "observations", "process_noise"):
+            assert getattr(fast, name).tobytes() == getattr(naive, name).tobytes(), name
+        true_states = simulate(x0, params, 800).states
+        assert true_states[-2] == true_states[-1]  # the run did settle
+
+
 class TestTrajectory:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="process_noise"):
@@ -294,6 +317,19 @@ class TestTrajectory:
         assert lines[1] == "step,state,observation,noise_applied"
         assert len(lines) == 13  # schema + header + 10 observation rows + final state row
         assert lines[2].startswith("0,0.01,")
+
+    def test_a_repeated_tail_is_written_as_each_row_is(self, tmp_path):
+        # the state settles, but the noise column flips a zero's sign in the tail,
+        # so only its last rows repeat bit for bit
+        noise = [1e-3, -2e-3, 0.0, -0.0, -0.0, 0.0, -0.0] + [0.0] * 5
+        states = [0.1, 0.2, 0.3] + [0.25] * 10
+        traj = Trajectory(states=states, process_noise=noise)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        rows = [*zip(range(12), states, traj.observations.tolist(), noise), (12, 0.25, None, None)]
+        columns = ("step", "state", "observation", "noise_applied")
+        assert path.read_bytes() == naive_trace_csv("sisid-trajectory-v1", columns, rows)
+        assert b"6,0.25,0.0,-0.0\r\n7,0.25,0.0,0.0\r\n" in path.read_bytes()
 
     def test_csv_export_returns_the_digest_of_the_file(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -28,7 +28,7 @@ from sisid.config import (
     load_config,
     parse_config_text,
 )
-from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
+from sisid.dynamics import TRAJECTORY_SCHEMA, NoiseSpec, SisParams, Trajectory, simulate
 from sisid.excitation import (
     GREEDY_SCHEMA,
     SIS_REGRESSOR,
@@ -1050,7 +1050,7 @@ class TestLaneByLaneRun:
 
     def test_a_zero_changing_sign(self, monkeypatch, tmp_path):
         # equal to the last report's theta and P, but not the same row
-        def signed_zeros(est, pairs, ys):
+        def signed_zeros(est, pairs, ys, settled):
             for k in range(len(ys) + 1):
                 zero = -0.0 if k % 3 else 0.0
                 yield (zero, 1.0), (1.0, zero, 2.0), None
@@ -1120,7 +1120,7 @@ def _fake_lanes(draw):
 
 
 def _fake_lane(reports, fails_at):
-    def lane(est, pairs, ys):
+    def lane(est, pairs, ys, settled):
         assert len(reports) == len(ys) + 1
         if fails_at is None:
             yield from reports
@@ -1219,3 +1219,175 @@ class TestWriterTextReuse:
         assert (step, kind, row[2], row.beta_hat) == (0, "pure_gd", 1.5, 1.5)
         with pytest.raises(AttributeError):
             row.step = 1
+
+
+def _spy_fim_passes(mp, calls):
+    """Record (settled, texts) of each FIM pass a run or the public trace makes."""
+    inner = harness._fim_condition_trace
+
+    def spy(pairs, alpha, settled=math.inf, with_texts=True):
+        trace, texts = inner(pairs, alpha, settled, with_texts)
+        calls.append((settled, texts))
+        return trace, texts
+
+    mp.setattr(harness, "_fim_condition_trace", spy)
+
+
+class TestConditionTexts:
+    """The FIM pass forms a condition number's text only for a metrics trace."""
+
+    @pytest.mark.parametrize("emit", [(), ("trajectory", "greedy"), ("metrics",)])
+    def test_a_run_forms_texts_only_for_a_metrics_trace(self, monkeypatch, tmp_path, emit):
+        calls = []
+        _spy_fim_passes(monkeypatch, calls)
+        config = replace(load_config(bundled_config_path("fig3_noisy")), emit=emit)
+        run_experiment(config, tmp_path if emit else None)
+        texts = [texts for _, texts in calls]
+        assert len(texts) == 1  # one pass per distinct alpha
+        if "metrics" in emit:
+            assert len(texts[0]) == 2000
+        else:
+            assert texts == [None]
+
+    def test_the_public_trace_forms_no_text(self, monkeypatch):
+        calls = []
+        _spy_fim_passes(monkeypatch, calls)
+        trace = fim_condition_trace(simulate(0.01, FIG3, 50), SIS_REGRESSOR, 0.94)
+        assert len(trace) == 50
+        assert [texts for _, texts in calls] == [None]
+
+
+# Rates, x0 and theta0 entries weighted toward the edges: a state at 0 or 1,
+# fig1's and fig3's rates (settling at steps 474 and 57), zeros of both signs.
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0, 0.12, 0.04, 0.8076, 0.2692]), st.floats(0.0, 1.0))
+_THETA_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 0.05, 0.07]), st.floats(-2.0, 2.0))
+TRAJECTORY_COLUMNS = ("step", "state", "observation", "noise_applied")
+ALL_TRACES = ("metrics", "trajectory", "greedy")
+
+
+@st.composite
+def _noise_free_configs(draw):
+    kinds = draw(st.lists(st.sampled_from(ESTIMATOR_KINDS), min_size=1, max_size=4, unique=True))
+    estimators = tuple(
+        EstimatorSettings(kind, alpha=draw(st.sampled_from([0.5, 0.94])),
+                          theta0=(draw(_THETA_ENTRY), draw(_THETA_ENTRY)))
+        for kind in kinds
+    )
+    return ExperimentConfig(
+        sis=SisParams(draw(_UNIT), draw(_UNIT)), x0=draw(_UNIT), steps=draw(st.integers(1, 800)),
+        noise=None, estimators=estimators, emit=ALL_TRACES, clamp_estimates=draw(st.booleans()),
+    )
+
+
+def _assert_run_equals_lockstep(config):
+    """``run_experiment`` on ``config`` reports what ``lockstep_run`` reports, and
+    writes each trace as the naive writer writes its rows; returns the result."""
+    greedy = []
+    write = harness._write_traces
+
+    def keep_greedy_rows(out, config, traj, lines, greedy_rows):
+        greedy.extend(greedy_rows)
+        return write(out, config, traj, lines, greedy_rows)
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(harness, "_write_traces", keep_greedy_rows)
+        result = run_experiment(config, tmp)
+        written = {path.name: path.read_bytes() for path in Path(tmp).glob("*.csv")}
+    rows, greedy_rows, errors, status = lockstep_run(config)
+    assert list(map(repr, result.rows)) == list(map(repr, rows))
+    assert list(map(repr, greedy)) == list(map(repr, greedy_rows))
+    assert result.manifest["errors"] == errors
+    assert result.status == status
+
+    traj, n = result.trajectory, config.steps
+    traj_rows = [*zip(range(n), traj.states[:-1].tolist(), traj.observations.tolist(),
+                      traj.process_noise.tolist()), (n, traj.states[-1].item(), None, None)]
+    expected = {
+        "metrics.csv": naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, rows),
+        "trajectory.csv": naive_trace_csv(TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, traj_rows),
+    }
+    if greedy_rows:
+        expected["greedy.csv"] = naive_trace_csv(GREEDY_SCHEMA, GREEDY_COLUMNS, greedy_rows)
+    assert written == expected
+
+    # a settled lane's rows repeat from the step the manifest names, but for fim_cond
+    for kind, step in result.manifest["settled"].items():
+        if kind != "trajectory" and step is not None:
+            tail = [r for r in result.rows if r.estimator == kind and r.step >= step]
+            assert len({(*r[2:7], *r[8:]) for r in tail}) == 1
+    return result
+
+
+class TestSettledRuns:
+    """A noise-free run that reaches an exact fixed point repeats its last step
+    from there on in place of stepping on; what it reports and writes is what
+    stepping every lane to the end gives."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(config=_noise_free_configs())
+    def test_equal_to_stepping_every_lane_to_the_end(self, config):
+        _assert_run_equals_lockstep(config)
+
+    # at one, pure GD's gamma_hat steps to 0.0 exactly, so it never counts as settled
+    @pytest.mark.parametrize("beta, gamma, state, expected", [
+        (0.1, 0.95, 0.0, {"trajectory": 392, "pure_gd": 10}),
+        (1.0, 0.0, 1.0, {"trajectory": 7, "pure_gd": None}),
+    ], ids=["at-zero", "at-one"])
+    def test_a_run_settling_at_an_edge(self, beta, gamma, state, expected):
+        config = small_config(
+            sis=SisParams(beta, gamma), x0=0.3, steps=600, emit=ALL_TRACES,
+            estimators=tuple(EstimatorSettings(kind, theta0=(0.05, 0.07))
+                             for kind in ESTIMATOR_KINDS),
+        )
+        result = _assert_run_equals_lockstep(config)
+        settled = result.manifest["settled"]
+        assert settled == {**expected, "ef_rls": None, "ie_mmai": None, "grls": None}
+        states, k = result.trajectory.states.tolist(), settled["trajectory"]
+        assert states[k:] == [state] * (601 - k) and states[k - 1] != state
+
+    def test_a_zero_in_a_lane_state_keeps_it_stepping(self):
+        # at x = 0 neither lane's state changes, but each holds a zero (pure GD's
+        # gamma_hat, EF-RLS's P12 at alpha = 1), whose sign == cannot see
+        config = small_config(x0=0.0, steps=50, emit=ALL_TRACES, estimators=(
+            EstimatorSettings("pure_gd", theta0=(0.05, 0.0)),
+            EstimatorSettings("ef_rls", alpha=1.0),
+        ))
+        result = _assert_run_equals_lockstep(config)
+        assert result.manifest["settled"] == {"trajectory": 0, "pure_gd": None, "ef_rls": None}
+
+    def test_ef_rls_failing_after_the_settle_step(self):
+        config = small_config(
+            x0=0.01, steps=700, emit=ALL_TRACES,
+            estimators=tuple(EstimatorSettings(kind) for kind in ("ef_rls", "grls", "pure_gd")),
+        )
+        result = _assert_run_equals_lockstep(config)
+        assert _failures(result) == [("ef_rls", 570)]
+        settled = result.manifest["settled"]
+        assert settled["trajectory"] == 57 and settled["ef_rls"] is None
+        assert settled["grls"] is not None and settled["pure_gd"] is not None
+
+    def test_the_lockstep_reference_is_given_no_reachable_settle_step(self, monkeypatch):
+        config = replace(load_config(bundled_config_path("fig3_noisefree")), emit=())
+        assert run_experiment(config).manifest["settled"]["trajectory"] == 57
+        lanes, passes = [], []
+        for kind, lane in harness._LANES.items():
+            def spy(est, pairs, ys, settled, lane=lane):
+                lanes.append(settled >= len(ys))
+                return lane(est, pairs, ys, settled)
+            monkeypatch.setitem(harness._LANES, kind, spy)
+        _spy_fim_passes(monkeypatch, passes)
+        lockstep_run(config)
+        assert lanes == [True] * 4
+        assert passes and all(settled == math.inf for settled, _ in passes)
+
+    def test_the_manifest_names_where_each_part_settled(self):
+        settled = {
+            name: run_experiment(_in_memory(name)).manifest["settled"]
+            for name in ("fig1", "fig3_noisefree", "fig3_noisy")
+        }
+        assert settled["fig1"] == {"trajectory": 474, "pure_gd": 480}
+        assert settled["fig3_noisefree"] == {
+            "trajectory": 57, "pure_gd": 68, "ef_rls": None, "ie_mmai": None, "grls": 546,
+        }
+        assert settled["fig3_noisy"] == dict.fromkeys(
+            ["trajectory", "pure_gd", "ef_rls", "ie_mmai", "grls"])
