@@ -3,11 +3,16 @@
     sisid run CONFIG [--outputs DIR]
     sisid validate CONFIG
     sisid sweep CONFIG --param NAME --values V1,V2,...
+    sisid verify RUN_DIR
 
 CONFIG is a flat key-value file (see sisid.config) or the name of a
 bundled scenario (fig1, fig2, fig3_noisefree, fig3_noisy). The SISID_OUTPUT_ROOT
 environment variable, when set, is prepended to every relative output
-directory.
+directory. verify re-checks a run directory from its manifest: the config
+echo parses back, its CSVs are the manifest's files and hash to their sha256,
+and a rerun of the config gives the same files, status, errors, settled and
+excitation blocks. It prints one line per difference and exits 0 on a
+match, 1 on a difference, and 2 when the manifest or its echo cannot be read.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .config import (
     config_from_mapping,
     load_config,
     load_config_mapping,
+    parse_config_text,
 )
 from .harness import run_experiment
 
@@ -86,6 +92,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return status
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    import hashlib  # here, so that the other commands do not import them
+    import json
+    import tempfile
+
+    run_dir = Path(args.run_dir)
+    path = run_dir / "manifest.json"
+    try:  # a ConfigError, from the echo, is a ValueError
+        manifest = json.loads(path.read_text())
+        config = parse_config_text("".join(f"{k} = {v}\n" for k, v in manifest["config"].items()))
+        listed = {f["name"]: f["sha256"] for f in manifest["files"]}
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from None
+    on_disk = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in run_dir.glob("*.csv")}
+    with tempfile.TemporaryDirectory() as tmp:
+        rerun = run_experiment(config, output_dir=tmp).manifest
+    diffs = [
+        f"{name}: sha256 {on_disk.get(name, 'none')} on disk, "
+        f"{listed.get(name, 'none')} in the manifest"
+        for name in sorted(on_disk.keys() | listed.keys()) if on_disk.get(name) != listed.get(name)
+    ] + [
+        f"{key}: {json.dumps(manifest.get(key))} in the manifest, "
+        f"{json.dumps(rerun.get(key))} in the rerun"
+        for key in ("files", "status", "errors", "settled", "excitation")
+        if manifest.get(key) != rerun.get(key)
+    ]
+    print("\n".join(diffs) if diffs else f"ok: {run_dir} matches its manifest and a rerun")
+    return 1 if diffs else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="sisid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,6 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--param", required=True, help="config key to vary (e.g. grls.alpha)")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(fn=_cmd_sweep)
+
+    p_verify = sub.add_parser("verify", help="check a run directory by its manifest and a rerun")
+    p_verify.add_argument("run_dir")
+    p_verify.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
     try:

@@ -231,7 +231,9 @@ def simulate(
     process noise, a state equal to the one before it is a fixed point of the
     recursion: the remaining states are filled with it, not stepped to.
     ``ValueError`` names ``x0``, ``steps`` or ``noise.seed`` (an integer
-    >= 0) unless ``read_x0``, ``read_steps`` or ``read_count`` reads it.
+    >= 0) unless ``read_x0``, ``read_steps`` or ``read_count`` reads it, and
+    names ``noise.observation_std`` when the noisy states, or their
+    differences, are not finite, with no numpy warning.
     """
     x0, steps = read_x0(x0), read_steps(steps)
     if noise is not None:
@@ -259,5 +261,10 @@ def simulate(
 
     if noise is not None and noise.observation_std > 0:
         states += rng.normal(0.0, noise.observation_std, size=steps + 1)
+        # a non-finite state makes a difference beside it non-finite too
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.diff(states)).all():
+                raise ValueError(f"noise.observation_std: {noise.observation_std!r} is too "
+                                 "large: the noisy states or their differences are not finite")
 
     return Trajectory(states=states, process_noise=xi)

@@ -235,7 +235,9 @@ def grls_kernel(
     g = alpha + phi Q phi^T; and P' = Q / alpha. Raises ``ConditioningError``
     when g <= 0 or g is not finite: P has lost positive definiteness to
     round-off, which is how forgetting RLS dies once its covariance has wound
-    up. It also raises when an entry of P' is not finite, as when det(P)
+    up. It also raises when the refresh's denominator is exactly 0.0 (a
+    negative one is left to the later checks: a P that is not positive
+    definite can recover), when an entry of P' is not finite, as when det(P)
     overflows in the refresh of a huge P, so that no caller carries a NaN
     covariance on, and when theta' is not finite.
     """
@@ -255,7 +257,10 @@ def grls_kernel(
         e, f, h = w * f11, w * f12, w * f22
         s = (a * d - b * b) / alpha
         trace_pg = a * e + 2.0 * b * f + d * h
-        scale = 1.0 / (1.0 + trace_pg / alpha + s * (e * h - f * f) / alpha)
+        den = 1.0 + trace_pg / alpha + s * (e * h - f * f) / alpha
+        if den == 0.0:  # P is not positive definite; a nonzero den can still recover
+            raise ConditioningError("the refresh's 1 + tr(PG)/alpha + det(P) det(G)/alpha^2 = 0.0")
+        scale = 1.0 / den
         a, b, d = (a + s * h) * scale, (b - s * f) * scale, (d + s * e) * scale
     if not accepted:
         u1, u2 = phi
@@ -296,9 +301,12 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     its entries (u1, u2) at x_k, or u1^2 + u2^2, are not finite (with
     ``SIS_REGRESSOR``, |x_k| beyond about 1.16e77), all before the step. A
     covariance that loses positive definiteness, or a non-finite new P or
-    theta, raises ``ConditioningError``. The next state is built from the
-    kernel's floats, finite since it did not raise, and the rest of
-    ``state``, with no second check.
+    theta, raises ``ConditioningError``. With the excitation set on, the
+    set's refresh holds u1^4, so with ``SIS_REGRESSOR`` and x_k = x_next an
+    |x_k| from about 1e52 up to the 1.16e77 rule overflows it: P' is not
+    finite and ``ConditioningError`` is raised, not ``ValueError``. The next
+    state is built from the kernel's floats, finite since it did not raise,
+    and the rest of ``state``, with no second check.
     """
     x_k = finite_scalar(x_k, "x_k")
     x_next = finite_scalar(x_next, "x_next")

@@ -308,8 +308,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     list is empty and no directory is forced. The exit status is nonzero
     when any estimator hit a numerical error mid-run; such estimators stay
     frozen at their last state for the remaining steps. Observation noise so
-    large that the FIM entries overflow raises ``ConfigError`` naming
-    ``noise.observation_std`` and the step, before any lane steps or file is
+    large that the noisy states or their differences are not finite, or that
+    the FIM entries overflow (then naming the step), raises ``ConfigError``
+    naming ``noise.observation_std``, before any lane steps or file is
     written.
 
     ``manifest["timings"]`` holds seconds spent simulating, computing the
@@ -345,7 +346,10 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
     clock = time.perf_counter
 
     t0 = clock()
-    traj = simulate(config.x0, config.sis, config.steps, config.noise)
+    try:
+        traj = simulate(config.x0, config.sis, config.steps, config.noise)
+    except ValueError as exc:  # the config was read: only observation noise is left to fail
+        raise ConfigError(str(exc)) from None
     t1 = clock()
     # the first step from which the states, and so the pairs and observations, repeat
     bits = traj.states.view(np.int64)  # bits, so that 0.0 and -0.0 differ

@@ -381,6 +381,16 @@ class TestGrls:
         assert np.array_equal(a[-1].theta, b[-1].theta)
         assert a[-1].excitation.indices == b[-1].excitation.indices
 
+    def test_a_zero_refresh_denominator_raises_conditioning_error(self):
+        # a constant state: every offer of its one regressor is accepted, P loses
+        # positive definiteness, and at step 47 the refresh's denominator is 0.0
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=0.5)
+        for _ in range(47):
+            state = grls_step(state, 0.25, 0.25)
+        assert len(state.excitation.indices) == 47
+        with pytest.raises(ConditioningError, match=r"alpha\^2 = 0\.0$"):
+            grls_step(state, 0.25, 0.25)
+
 
 # sha256 of theta after each of 20,000 grls_step calls on a noisy fig3
 # trajectory, then the final P, theta and excitation set, recorded before the
@@ -458,13 +468,26 @@ class TestNonFiniteInput:
             # finite inputs whose observation x_next - x_k has no finite square
             (-1.3e154, 1.7e308, "x_next"), (0.5, 1.7e308, "x_next"), (-1.7e308, 1.7e308, "x_next"),
             # a finite observation and a finite regressor whose u1^2 + u2^2 overflows
-            (-1.3e154, -1.3e154, "regressor"), (1e100, 1e100, "regressor"),
+            (-1.3e154, -1.3e154, "regressor"), (1e78, 1e78, "regressor"),
+            (1e100, 1e100, "regressor"),
         ],
     )
     def test_grls_step(self, x_k, x_next, name):
         state = GrlsState.initial(THETA0, SIS_REGRESSOR)
         with pytest.raises(ValueError, match=name):
             grls_step(state, x_k, x_next)
+
+    def test_grls_step_below_the_excitation_set_limit(self):
+        state = grls_step(GrlsState.initial((1, 1), SIS_REGRESSOR), 1e51, 1e51)
+        assert np.isfinite(state.P).all() and np.isfinite(state.theta).all()
+
+    @pytest.mark.parametrize("x", [1e52, 1e77])
+    def test_grls_step_overflows_the_excitation_set_from_1e52(self, x):
+        # the set's refresh holds u1^4 (e h - f f, det(P) det(G)), so it overflows
+        # below the regressor rule's 1.16e77, which applies from 1e78
+        state = GrlsState.initial((1, 1), SIS_REGRESSOR)
+        with pytest.raises(ConditioningError, match="non-finite P'"):
+            grls_step(state, x, x)
 
     def test_grls_step_custom_regressor(self):
         state = GrlsState.initial(THETA0, lambda x: np.array([[math.nan, -x]]))

@@ -751,6 +751,23 @@ class TestOverflowingObservationNoise:
         assert (tmp_path / "out" / "noise_observation_std=0.001" / "metrics.csv").exists()
         assert not (tmp_path / "out" / "noise_observation_std=1e200").exists()
 
+    # at fig3_noisy's 2,000 steps, noise from 3e307 makes a state difference, and
+    # from 5e307 a state, overflow before the FIM entries can
+    @pytest.mark.parametrize("std", [3e307, 1e308])
+    def test_non_finite_states_are_a_config_error(self, tmp_path, capsys, std):
+        config = _fig3_noisy_config(ESTIMATOR_KINDS, 2000, std)
+        message = r"^noise\.observation_std: .* states or their differences are not finite$"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        cfg = tmp_path / "huge_noise.cfg"
+        cfg.write_text(format_config_text(replace(config, outputs=str(tmp_path / "out"))))
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: noise.observation_std: {std!r} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 @contextmanager
 def _collector(enabled):
@@ -810,6 +827,18 @@ class TestCollectorPause:
         result = run_experiment(config)
         assert gc.collect() == 0
         assert result.status == 1
+
+
+def test_a_zero_refresh_denominator_is_a_recorded_grls_failure():
+    # a constant state: every offer of its one regressor is accepted, P loses
+    # positive definiteness, and at step 47 the refresh's denominator is 0.0
+    config = small_config(sis=SisParams(0.0, 0.0), x0=0.25, steps=48, emit=(),
+                          estimators=(EstimatorSettings(kind="grls", alpha=0.5),))
+    result = run_experiment(config)
+    assert result.status == 1
+    assert _failures(result) == [("grls", 47)]
+    assert result.manifest["errors"][0]["message"].endswith(" = 0.0")
+    _assert_estimates_finite(result)
 
 
 def test_gradient_lanes_fail_where_their_estimate_stops_being_finite():
