@@ -19,7 +19,9 @@ comment and blank lines are ignored. Keys:
     ie_mmai.models        model count (default 3, at most 1000)
     ie_mmai.seed          sub-seed for random model initialization (default 0)
     ie_mmai.spread        std of the model draws around theta0 (default 0.25); draws must be finite
-    outputs               output directory for traces
+    outputs               output directory for traces; a value that does not read back
+                          from its own line (holding ``#``, a line break or edge
+                          spaces) is refused
     emit                  comma list drawn from metrics, trajectory, greedy
     clamp_estimates       on | off; clamp reported estimates at zero
                           (reporting only, estimator state is untouched)
@@ -114,6 +116,9 @@ class ExperimentConfig:
                 read["estimators"] += (_read_estimator(est),)
         except ValueError as exc:  # each reader names its field "<key>:"
             raise ConfigError(str(exc)) from None
+        line = f"outputs = {self.outputs}"  # as the config echo writes it
+        if len(line.splitlines()) > 1 or _parse_lines(line) != {"outputs": self.outputs}:
+            raise ConfigError(f"outputs: {self.outputs!r} does not read back from its config line")
         for kind in self.emit:
             if kind not in TRACE_KINDS:
                 expected = ", ".join(TRACE_KINDS)

@@ -338,8 +338,10 @@ class WeightedCostSpec:
     ``alpha``, ``p0_inv`` and ``theta0`` are read as a float, a float 2x2
     array and a float pair. ``ValueError`` naming the field unless
     ``read_alpha`` and ``read_theta0`` read alpha and theta0, ``p0_inv`` is
-    a finite, exactly symmetric, positive definite 2x2 array and no greedy
-    index is negative. ``from_grls`` reads ``p0_scale`` by ``read_p0_scale``.
+    a finite, exactly symmetric, positive definite 2x2 array and
+    ``read_count`` reads each greedy index as an integer >= 0 (no bool, no
+    real such as 2.0), kept as a frozenset of ints. ``from_grls`` reads
+    ``p0_scale`` by ``read_p0_scale``.
     """
 
     alpha: float
@@ -354,8 +356,8 @@ class WeightedCostSpec:
             raise ValueError(f"spec.p0_inv must be positive definite, got {[[a, b], [b, d]]}")
         object.__setattr__(self, "p0_inv", sym2_array((a, b, d)))
         object.__setattr__(self, "theta0", np.array(read_theta0(self.theta0, "spec.theta0")))
-        if any(i < 0 for i in self.greedy_indices):
-            raise ValueError(f"spec.greedy_indices must be >= 0, got {min(self.greedy_indices)}")
+        indices = frozenset(read_count(i, "spec.greedy_indices", 0) for i in self.greedy_indices)
+        object.__setattr__(self, "greedy_indices", indices)
 
     @classmethod
     def from_grls(cls, state: GrlsState, p0_scale: float, theta0: Sequence[float]):
@@ -369,8 +371,10 @@ def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
 
     Excitation-set members get the refreshed weight (1 - alpha) * sum of
     alpha^(k-l) for l = i..k, which telescopes to 1 - alpha^(k-i+1); all
-    other points keep the plain exponential discount alpha^(k-i).
+    other points keep the plain exponential discount alpha^(k-i). ``i`` and
+    ``k`` are read by ``read_count``.
     """
+    i, k = read_count(i, "i"), read_count(k, "k")
     if not 0 <= i <= k:
         raise ValueError(f"weight requested for point i={i} outside 0..k={k}")
     if i in spec.greedy_indices:

@@ -17,10 +17,10 @@ regressor pairs are computed once per run and feed both the FIM condition
 trace and the lanes. The trace is one pass per distinct alpha, largest
 first, that checks the FIM entries at every step, names the first step
 where they are not finite, and forms a condition number, and for a metrics
-trace its text, only when they change. Lane by lane, a lane is stepped
-to the end (or until it settles, below) and its metrics rows, and their
-CSV lines for a metrics trace, are formed from its reports; the lane
-returns them with its greedy offers.
+trace its text, only when they change. Lane by lane, ``_run_lane`` draws a
+lane's reports to the end, or until it fails or settles (below), and forms
+its metrics rows, and their CSV lines for a metrics trace, from them; it
+returns them with the lane's greedy offers.
 Rows and lines are interleaved step by step, and ``dynamics.write_trace``
 writes and hashes the lines; no file is read back. Each FIM condition
 number, and each row's ``p_cond`` and ``p_max_eig`` together, come from one
@@ -29,8 +29,9 @@ one ``time.perf_counter`` clock.
 
 A noise-free run often reaches an exact fixed point, after which every step
 has the same regressor pair and observation. The run finds the first such
-step, ``settled``, from its states; the FIM pass, and the pure-GD and RLS
-lanes, stop once their own state repeats from there on, and their last
+step, ``settled``, from its states. From there on the FIM pass stops once its
+entries repeat, and ``_run_lane`` stops drawing a pure-GD or RLS lane's
+reports once one repeats the one before it (a lane only steps); the last
 output is repeated to the end, bitwise what stepping on would give. IE-MMAI
 steps to the end, as its models' costs decay every step. The manifest's
 ``settled`` block names the trajectory's settle step and, for each lane that
@@ -152,50 +153,30 @@ def _fim_condition_trace(
 # (accepted, kappa before, kappa after), None for estimators without an
 # excitation set. A step that fails raises ``ConditioningError`` out of it.
 # A lane starts from settings a config has read: floats, theta0 a float pair.
-# From step ``settled`` on, every step has one regressor pair and observation,
-# so a lane whose step there leaves its state as it was returns: every later
-# step would repeat that step's report. Its state is exactly as it was when its
-# floats are equal and none is zero, as 0.0 == -0.0 and a zero's sign can
-# change the next step. Steps before ``settled`` go through a loop without
-# that check.
+# A lane only steps, to the end of the run; ``_run_lane`` decides where it ends.
 _Report = tuple[tuple[float, float], Sym2 | None, tuple[bool, float, float] | None]
 
 
-def _pure_gd_lane(est: EstimatorSettings, pairs, ys, settled: int) -> Iterator[_Report]:
+def _pure_gd_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
     theta = est.theta0
     yield theta, None, None
-    steps = zip(pairs, ys)
-    for phi, y in islice(steps, settled):
+    for phi, y in zip(pairs, ys):
         theta = pure_gd_kernel(theta, phi, y)
         yield theta, None, None
-    for phi, y in steps:
-        last, theta = theta, pure_gd_kernel(theta, phi, y)
-        yield theta, None, None
-        if theta == last and 0.0 not in theta:
-            return
 
 
-def _rls_lane(est: EstimatorSettings, pairs, ys, settled: int) -> Iterator[_Report]:
+def _rls_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
     """GRLS, or EF-RLS: the same kernel with its excitation set disabled."""
     p, theta, gset = (est.p0_scale, 0.0, est.p0_scale), est.theta0, GreedySet()
     greedy = est.kind == "grls"
     yield theta, p, None
-    steps = enumerate(zip(pairs, ys))
-    for k, (phi, y) in islice(steps, settled):
+    for k, (phi, y) in enumerate(zip(pairs, ys)):
         before = gset.cond
         p, theta, gset, accepted = grls_kernel(p, theta, gset, phi, y, k, est.alpha, greedy)
         yield theta, p, (accepted, before, gset.cond) if greedy else None
-    for k, (phi, y) in steps:
-        before, last_p, last_theta = gset.cond, p, theta
-        p, theta, gset, accepted = grls_kernel(p, theta, gset, phi, y, k, est.alpha, greedy)
-        yield theta, p, (accepted, before, gset.cond) if greedy else None
-        # a rejected offer leaves the set as it was
-        if not accepted and p == last_p and theta == last_theta and 0.0 not in p + theta:
-            return
 
 
-def _ie_mmai_lane(est: EstimatorSettings, pairs, ys, settled: int) -> Iterator[_Report]:
-    """Steps to the end: the models' costs decay every step, so its state never repeats."""
+def _ie_mmai_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
     state = ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
     yield ie_mmai_selected(state[0]), None, None
     for phi, y in zip(pairs, ys):
@@ -217,19 +198,33 @@ def _run_lane(
     the first step whose report every later step repeats, for a lane that
     settled (None otherwise).
 
-    The lane is stepped to the end first, or until it settles (see ``_Report``).
-    A step that raises ``ConditioningError`` freezes it at its last report, with
-    no offer from that step on, and makes the error entry (None otherwise). A
-    frozen or converged lane repeats theta and P, so a row's derived values and
-    their text are formed anew only when those change, or follow a zero, as
-    0.0 == -0.0 but their reprs differ; the rows of a settled or frozen lane's
-    repeated tail are formed from its last report in one pass. A line takes its
-    ``fim_cond`` text from ``fim_texts``; without them no line is formed.
+    A lane only steps; this ends it early in two ways. A step that raises
+    ``ConditioningError`` freezes it at its last report, with no offer from that
+    step on, and makes the error entry (None otherwise). From step ``settled``
+    on, every step has one regressor pair and observation, so a report there
+    that equals the one before it, with no accepted offer, is a state that
+    every later step repeats, and the lane is stepped no further. Two kinds of
+    report are stepped on: IE-MMAI's, which is not its state (its models' costs
+    decay every step), and one holding a zero in theta or P, as 0.0 == -0.0 and
+    a zero's sign can change the next step.
+
+    A frozen or converged lane repeats theta and P, so a row's derived values
+    and their text are formed anew only when those change, or follow a zero, as
+    their reprs differ; the rows of a settled or frozen lane's repeated tail are
+    formed from its last report in one pass. A line takes its ``fim_cond`` text
+    from ``fim_texts``; without them no line is formed.
     """
     reports, error, lane_settled = [], None, None
+    lane = _LANES[est.kind](est, pairs, ys)
+    unchecked = len(ys) if est.kind == "ie_mmai" else settled  # steps taken unchecked
     t0 = time.perf_counter()
     try:
-        reports.extend(_LANES[est.kind](est, pairs, ys, settled))  # keeps what came before a raise
+        reports.extend(islice(lane, unchecked + 1))  # keeps what came before a raise
+        for report in lane:
+            reports.append(report)
+            theta, p, offer = report
+            if report == reports[-2] and not (offer and offer[0]) and 0.0 not in theta + (p or ()):
+                break
     except ConditioningError as exc:
         failed_at = len(reports) - 1  # the first report precedes step 0
         error = {"estimator": est.kind, "step": failed_at, "message": str(exc)}

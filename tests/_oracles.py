@@ -296,11 +296,10 @@ def lockstep_run(config: ExperimentConfig):
     """(rows, greedy rows, errors, status) of ``run_experiment``, stepped in lockstep.
 
     Steps every estimator's lane (``harness._LANES``) one step at a time, all
-    lanes at step k before any at step k + 1, to the end (neither a lane nor
-    the FIM trace is given a settle step it reaches), and forms each metrics
-    row on its own from that lane's latest report. A lane whose step raises
-    ``ConditioningError`` is frozen at its last report, with no offer from
-    that step on.
+    lanes at step k before any at step k + 1, to the end (the FIM trace is
+    given no settle step), and forms each metrics row on its own from that
+    lane's latest report. A lane whose step raises ``ConditioningError`` is
+    frozen at its last report, with no offer from that step on.
     """
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
     pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
@@ -311,8 +310,7 @@ def lockstep_run(config: ExperimentConfig):
     ys = traj.observations.tolist()
     lanes = []
     for est in config.estimators:
-        # a settle step no step reaches: every lane steps to the end
-        steps = harness._LANES[est.kind](est, pairs, ys, len(ys))
+        steps = harness._LANES[est.kind](est, pairs, ys)
         lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None

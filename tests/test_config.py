@@ -15,9 +15,11 @@ from sisid.config import (
     ConfigError,
     EstimatorSettings,
     ExperimentConfig,
+    bundled_config_path,
     config_from_mapping,
     config_to_mapping,
     format_config_text,
+    load_config,
     parse_config_text,
 )
 from sisid.dynamics import NoiseSpec, SisParams
@@ -242,21 +244,23 @@ def estimator_settings(draw, kind: str) -> EstimatorSettings:
     return settings
 
 
+# The format strips values, cuts them at '#' and splits lines, so an outputs
+# value holding any of those does not read back, and a config refuses it.
+OUTPUTS = st.text("abz09_-./= #\n\x85", max_size=12)
+
+
 @st.composite
 def configs(draw, kinds: tuple[str, ...], noisy: bool) -> ExperimentConfig:
     noise = None
     if noisy:
         ratio, seed = draw(st.floats(0.02, 100.0)), draw(st.integers(0, 2**63))
         noise = _noise(draw(unit), draw(unit), ratio, seed)
-    # the format strips values and cuts them at '#'
-    outputs = st.text("abz09_-./= ", max_size=12).filter(lambda s: s == s.strip())
     return ExperimentConfig(
         sis=SisParams(draw(unit), draw(unit)),
         x0=draw(unit),
         steps=draw(st.integers(1, 10**9)),
         noise=noise,
         estimators=tuple(draw(estimator_settings(k)) for k in draw(st.permutations(kinds))),
-        outputs=draw(outputs),
         emit=tuple(draw(st.lists(st.sampled_from(TRACE_KINDS), unique=True))),
         clamp_estimates=draw(st.booleans()),
     )
@@ -275,7 +279,28 @@ SUBSETS = [
 @given(data=st.data())
 def test_config_text_round_trip(kinds, noisy, data):
     config = data.draw(configs(kinds, noisy))  # built, so validated
-    assert parse_config_text(format_config_text(config)) == config
+    outputs = data.draw(OUTPUTS)
+    if "#" in outputs or outputs != outputs.strip() or len(f"x{outputs}x".splitlines()) > 1:
+        with pytest.raises(ConfigError, match="^outputs: "):
+            replace(config, outputs=outputs)
+    else:
+        config = replace(config, outputs=outputs)
+        assert parse_config_text(format_config_text(config)) == config
+
+
+class TestOutputsEcho:
+    """An ``outputs`` value the config echo cannot hold is refused, by name."""
+
+    @pytest.mark.parametrize("outputs", ["runs/a#b", " runs/x ", "runs/a\nbeta = 0.5", "a\x85b"])
+    def test_refused(self, outputs):
+        with pytest.raises(ConfigError, match="^outputs: "):
+            replace(load_config(bundled_config_path("fig1")), outputs=outputs)
+
+    def test_a_sweep_over_such_a_value_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SISID_OUTPUT_ROOT", str(tmp_path))
+        assert cli.main(["sweep", "fig1", "--param", "outputs", "--values", "runs/a#b"]) == 2
+        assert "outputs: 'runs/a#b'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 def _four_lane_config(real, integer, p0, pair, outputs="out") -> ExperimentConfig:

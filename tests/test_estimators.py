@@ -593,6 +593,20 @@ class TestWeights:
         with pytest.raises(ValueError, match="i=-3"):
             cost_weight(spec, -3, 5)
 
+    @pytest.mark.parametrize("i, k, name", [
+        (2.5, 10, "i"), (True, 10, "i"), ("a", 10, "i"), (2.0, 10, "i"),
+        (2, 10.0, "k"), (2, True, "k"), (2, "a", "k"),
+    ])
+    def test_a_point_or_step_that_is_not_an_integer_is_rejected(self, i, k, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            cost_weight(self.make_spec(greedy=[2]), i, k)
+
+    def test_greedy_indices_are_kept_as_ints(self):
+        spec = self.make_spec(greedy=[np.int64(2)])
+        assert spec.greedy_indices == {2}
+        assert [type(i) for i in spec.greedy_indices] == [int]
+        assert cost_weight(spec, 2, 10) == 1.0 - 0.94 ** 9
+
 
 class TestBatchOracle:
     @pytest.mark.parametrize("alpha", [math.nan, -0.5, 0.0, 1.5])
@@ -679,9 +693,10 @@ class TestBatchOracle:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize("indices", [{-1}, {0, 3, -2}])
+    @pytest.mark.parametrize("indices", [{-1}, {0, 3, -2}, {2.5}, {True}, {"a"}, {2.0}])
     def test_negative_greedy_index_rejected(self, indices):
-        # numpy would read -1 as the last point and reweight a real one
+        # numpy would read -1 as the last point and reweight a real one, and
+        # truncate 2.5 to step 2, which cost_weight would not weigh as a member
         with pytest.raises(ValueError, match="spec.greedy_indices"):
             WeightedCostSpec(
                 alpha=0.94, p0_inv=np.eye(2), theta0=THETA0, greedy_indices=frozenset(indices)

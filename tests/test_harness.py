@@ -1079,7 +1079,7 @@ class TestLaneByLaneRun:
 
     def test_a_zero_changing_sign(self, monkeypatch, tmp_path):
         # equal to the last report's theta and P, but not the same row
-        def signed_zeros(est, pairs, ys, settled):
+        def signed_zeros(est, pairs, ys):
             for k in range(len(ys) + 1):
                 zero = -0.0 if k % 3 else 0.0
                 yield (zero, 1.0), (1.0, zero, 2.0), None
@@ -1149,7 +1149,7 @@ def _fake_lanes(draw):
 
 
 def _fake_lane(reports, fails_at):
-    def lane(est, pairs, ys, settled):
+    def lane(est, pairs, ys):
         assert len(reports) == len(ys) + 1
         if fails_at is None:
             yield from reports
@@ -1398,15 +1398,9 @@ class TestSettledRuns:
     def test_the_lockstep_reference_is_given_no_reachable_settle_step(self, monkeypatch):
         config = replace(load_config(bundled_config_path("fig3_noisefree")), emit=())
         assert run_experiment(config).manifest["settled"]["trajectory"] == 57
-        lanes, passes = [], []
-        for kind, lane in harness._LANES.items():
-            def spy(est, pairs, ys, settled, lane=lane):
-                lanes.append(settled >= len(ys))
-                return lane(est, pairs, ys, settled)
-            monkeypatch.setitem(harness._LANES, kind, spy)
+        passes = []
         _spy_fim_passes(monkeypatch, passes)
         lockstep_run(config)
-        assert lanes == [True] * 4
         assert passes and all(settled == math.inf for settled, _ in passes)
 
     def test_the_manifest_names_where_each_part_settled(self):
@@ -1420,3 +1414,58 @@ class TestSettledRuns:
         }
         assert settled["fig3_noisy"] == dict.fromkeys(
             ["trajectory", "pure_gd", "ef_rls", "ie_mmai", "grls"])
+
+
+class TestWhereALaneEnds:
+    """A lane only steps; ``_run_lane`` stops drawing its reports at a failure,
+    or after the first report from the settle step on that repeats the one
+    before it, with no accepted offer and no zero in theta or P."""
+
+    def test_what_each_lane_draws_on_fig3_noisefree(self, monkeypatch):
+        drawn = {}
+        for kind, lane in harness._LANES.items():
+            def counting(est, pairs, ys, lane=lane):
+                drawn[est.kind] = 0
+                for report in lane(est, pairs, ys):
+                    drawn[est.kind] += 1
+                    yield report
+            monkeypatch.setitem(harness._LANES, kind, counting)
+        result = run_experiment(_in_memory("fig3_noisefree"))
+        # the step of the last report drawn: the first report precedes step 0
+        assert {kind: count - 2 for kind, count in drawn.items()} == {
+            "pure_gd": 69, "ef_rls": 569, "ie_mmai": 1999, "grls": 547,
+        }
+        settled = result.manifest["settled"]
+        assert (settled["pure_gd"], settled["grls"]) == (68, 546)
+        assert _failures(result) == [("ef_rls", 570)]
+
+    # fig3_noisefree's first 100 steps settle at step 57
+    @pytest.mark.parametrize("kind, report, stops", [
+        ("pure_gd", ((1.5, 2.0), None, None), True),
+        ("ef_rls", ((1.5, 2.0), (1.0, 0.5, 2.0), None), True),
+        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0), (False, 3.0, 3.0)), True),
+        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0), (True, 3.0, 3.0)), False),
+        ("pure_gd", ((0.0, 2.0), None, None), False),
+        ("pure_gd", ((1.5, -0.0), None, None), False),
+        ("ef_rls", ((1.5, 2.0), (1.0, 0.0, 2.0), None), False),
+        ("ef_rls", ((1.5, 2.0), (-0.0, 0.5, 2.0), None), False),
+        ("ie_mmai", ((1.5, 2.0), None, None), False),
+    ], ids=["plain", "covariance", "rejected", "accepted", "zero", "negative-zero",
+            "zero-in-p", "negative-zero-in-p", "ie_mmai"])
+    def test_a_lane_repeating_one_report(self, monkeypatch, kind, report, stops):
+        drawn = []
+
+        def lane(est, pairs, ys):
+            for _ in range(len(ys) + 1):
+                drawn.append(report)
+                yield report
+
+        monkeypatch.setitem(harness._LANES, kind, lane)
+        config = replace(_in_memory("fig3_noisefree"), steps=100,
+                         estimators=(EstimatorSettings(kind),))
+        result = run_experiment(config)
+        assert result.manifest["settled"]["trajectory"] == 57
+        # each report repeats the one before it: those before step 57 are stepped on
+        assert len(drawn) - 2 == (57 if stops else 99)
+        assert (result.manifest["settled"][kind] is not None) == stops
+        assert {row[2:4] for row in result.rows} == {report[0]}
