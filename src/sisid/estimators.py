@@ -47,7 +47,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .excitation import GreedySet, _offer_floats, _pair_reader, regressor_pairs
+from .excitation import (
+    GreedySet, _offer_floats, _pair_reader, regressor_pairs, sis_regressor, sis_regressor_pair,
+)
 from .linalg import (
     ConditioningError,
     Sym2,
@@ -181,11 +183,8 @@ class GrlsState:
         alpha = read_alpha(alpha, below_one=greedy_enabled)
         theta = finite_pair(theta, "state theta")
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
-        self._set(P, theta, excitation, alpha, regressor, step, greedy_enabled)
-
-    def _set(self, P: Sym2, theta, excitation, alpha, regressor, step, greedy_enabled):
-        """``self`` holding these fields, already checked, with no check of its own."""
-        # the one place that orders __dict__, whose values __eq__ and __hash__ read
+        # the one place that orders __dict__, whose values __eq__ and __hash__ read;
+        # grls_step copies it
         fields = self.__dict__
         fields["_P"] = P
         fields["_theta"] = theta
@@ -194,7 +193,6 @@ class GrlsState:
         fields["regressor"] = regressor
         fields["step"] = step
         fields["greedy_enabled"] = greedy_enabled
-        return self
 
     def __eq__(self, other):  # __dict__ holds the floats and the other fields
         return self.__dict__ == other.__dict__ if type(other) is GrlsState else NotImplemented
@@ -286,6 +284,17 @@ def grls_kernel(
     return (a, b, d), (t1, t2), gset, accepted
 
 
+def _read_transition(regressor: Callable, x_k, x_next) -> tuple[float, tuple[float, float]]:
+    """The observation x_next - x_k and the regressor row at x_k, each read and
+    checked in ``grls_step``'s order; ``ValueError`` at the first that fails."""
+    x_k = finite_scalar(x_k, "x_k")
+    x_next = finite_scalar(x_next, "x_next")
+    y = x_next - x_k
+    if not math.isfinite(y * y):
+        raise ValueError(f"x_next - x_k must have a finite square, got {x_next!r} - {x_k!r}")
+    return y, _finite_row(_pair_reader(regressor)(x_k), "regressor")
+
+
 def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     """Consume the transition (x_k -> x_next) and return the updated state.
 
@@ -295,31 +304,46 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     with unit weight, to be forgotten exponentially like ordinary RLS data.
     The state's floats were checked when it was built, so only the
     transition raises ``ValueError`` here: naming ``x_k`` or ``x_next`` when
-    it is not finite, naming ``x_next`` when the observation x_next - x_k
-    has no finite square (|x_next - x_k| beyond about 1.3e154, where the
-    squared residual of the cost overflows), and naming the regressor when
-    its entries (u1, u2) at x_k, or u1^2 + u2^2, are not finite (with
-    ``SIS_REGRESSOR``, |x_k| beyond about 1.16e77), all before the step. A
-    covariance that loses positive definiteness, or a non-finite new P or
-    theta, raises ``ConditioningError``. With the excitation set on, the
-    set's refresh holds u1^4, so with ``SIS_REGRESSOR`` and x_k = x_next an
-    |x_k| from about 1e52 up to the 1.16e77 rule overflows it: P' is not
-    finite and ``ConditioningError`` is raised, not ``ValueError``. The next
-    state is built from the kernel's floats, finite since it did not raise,
-    and the rest of ``state``, with no second check.
+    it is not finite (an int beyond the float range counts as an infinity),
+    naming ``x_next`` when the observation x_next - x_k has no finite square
+    (|x_next - x_k| beyond about 1.3e154, where the squared residual of the
+    cost overflows), and naming the regressor when its entries (u1, u2) at
+    x_k, or u1^2 + u2^2, are not finite (with ``SIS_REGRESSOR``, |x_k|
+    beyond about 1.16e77), all before the step. A covariance that loses
+    positive definiteness, or a non-finite new P or theta, raises
+    ``ConditioningError``. With the excitation set on, the set's refresh
+    holds u1^4, so with ``SIS_REGRESSOR`` and x_k = x_next an |x_k| from
+    about 1e52 up to the 1.16e77 rule overflows it: P' is not finite and
+    ``ConditioningError`` is raised, not ``ValueError``.
+
+    Two floats (``np.float64`` too) stepped by ``SIS_REGRESSOR`` are checked
+    at once: y^2 + u1^2 + u2^2 is finite exactly when every check passes, and
+    any other input is read check by check. The next state is a copy of
+    ``state``'s fields with P, theta, the set and the step count replaced by
+    the kernel's floats, finite since it did not raise, with no second check.
     """
-    x_k = finite_scalar(x_k, "x_k")
-    x_next = finite_scalar(x_next, "x_next")
-    y = x_next - x_k
-    if not math.isfinite(y * y):
-        raise ValueError(f"x_next - x_k must have a finite square, got {x_next!r} - {x_k!r}")
-    phi = _finite_row(_pair_reader(state.regressor)(x_k), "regressor")
+    regressor = state.regressor
+    if regressor is sis_regressor and isinstance(x_k, float) and isinstance(x_next, float):
+        x_k = float(x_k)
+        y = float(x_next) - x_k
+        phi = u1, u2 = sis_regressor_pair(x_k)
+        total = y * y + u1 * u1 + u2 * u2
+        if total - total:  # NaN: some check fails, and says which
+            y, phi = _read_transition(regressor, x_k, x_next)
+    else:
+        y, phi = _read_transition(regressor, x_k, x_next)
     p, theta, excitation, _ = grls_kernel(
         state._P, state._theta, state.excitation, phi, y, state.step, state.alpha,
         state.greedy_enabled,
     )
-    return object.__new__(GrlsState)._set(p, theta, excitation, state.alpha, state.regressor,
-                                          state.step + 1, state.greedy_enabled)
+    successor = object.__new__(GrlsState)
+    fields = successor.__dict__
+    fields.update(state.__dict__)  # the field order of __init__
+    fields["_P"] = p
+    fields["_theta"] = theta
+    fields["excitation"] = excitation
+    fields["step"] += 1
+    return successor
 
 
 def run_grls(state: GrlsState, traj: Trajectory) -> list[GrlsState]:
@@ -339,8 +363,9 @@ class WeightedCostSpec:
     array and a float pair. ``ValueError`` naming the field unless
     ``read_alpha`` and ``read_theta0`` read alpha and theta0, ``p0_inv`` is
     a finite, exactly symmetric, positive definite 2x2 array and
-    ``read_count`` reads each greedy index as an integer >= 0 (no bool, no
-    real such as 2.0), kept as a frozenset of ints. ``from_grls`` reads
+    ``greedy_indices`` is a collection (not a ``str`` or ``bytes``) whose
+    members ``read_count`` reads as integers >= 0 (no bool, no real such as
+    2.0), kept as a frozenset of ints. ``from_grls`` reads
     ``p0_scale`` by ``read_p0_scale``.
     """
 
@@ -356,7 +381,16 @@ class WeightedCostSpec:
             raise ValueError(f"spec.p0_inv must be positive definite, got {[[a, b], [b, d]]}")
         object.__setattr__(self, "p0_inv", sym2_array((a, b, d)))
         object.__setattr__(self, "theta0", np.array(read_theta0(self.theta0, "spec.theta0")))
-        indices = frozenset(read_count(i, "spec.greedy_indices", 0) for i in self.greedy_indices)
+        indices = self.greedy_indices
+        try:
+            if isinstance(indices, (str, bytes)):  # iterable, but not of indices
+                raise TypeError
+            members = iter(indices)
+        except TypeError:
+            raise ValueError(
+                f"spec.greedy_indices must be a collection of step indices, got {indices!r}"
+            ) from None
+        indices = frozenset(read_count(i, "spec.greedy_indices", 0) for i in members)
         object.__setattr__(self, "greedy_indices", indices)
 
     @classmethod

@@ -61,6 +61,13 @@ def _read_floats(
     return arr.astype(float, copy=False)
 
 
+def _int_float(value: int) -> float:
+    """An int as a float; one beyond the float range is an infinity of its sign."""
+    if abs(value) <= sys.float_info.max:
+        return float(value)
+    return math.inf if value > 0 else -math.inf
+
+
 def read_number(value, name: str, integer: bool = False) -> float | int:
     """One number, a setting: a Python float, or an int, bool or 0-d array that
     numpy reads with dtype kind b, i, u or f, as a Python float; with
@@ -69,9 +76,8 @@ def read_number(value, name: str, integer: bool = False) -> float | int:
     one number. Else ``ValueError``: "<name> must be a number" ("an integer"),
     "got <value>".
     """
-    if type(value) is int and not integer:  # one beyond the float range is an infinity
-        inf = math.inf if value > 0 else -math.inf
-        value = float(value) if abs(value) <= sys.float_info.max else inf
+    if type(value) is int and not integer:
+        value = _int_float(value)
     if type(value) is (int if integer else float):
         return value
     try:
@@ -104,9 +110,12 @@ def finite_pair(value, name: str) -> tuple[float, float]:
 
 
 def finite_scalar(value, name: str) -> float:
-    """A finite float from a number or a one-entry array."""
-    if isinstance(value, (int, float)):
+    """A finite float from a number or a one-entry array; an int beyond the
+    float range reads as an infinity, so it is refused as one."""
+    if isinstance(value, float):
         value = float(value)
+    elif isinstance(value, int):
+        value = _int_float(value)
     else:
         value = _read_floats(value, name, "be a scalar number", 1).item()
     if not math.isfinite(value):

@@ -15,6 +15,7 @@ from sisid.estimators import (
     MAX_IE_MMAI_MODELS,
     GrlsState,
     WeightedCostSpec,
+    _finite_row,
     batch_oracle,
     cost_weight,
     ef_rls_step,
@@ -26,8 +27,10 @@ from sisid.estimators import (
     pure_gd_kernel,
     run_grls,
 )
-from sisid.excitation import SIS_REGRESSOR, GreedySet, sis_regressor, sis_regressor_pair
-from sisid.linalg import ConditioningError, sym2, sym2_array, sym2_spectrum
+from sisid.excitation import (
+    SIS_REGRESSOR, GreedySet, _pair_reader, sis_regressor, sis_regressor_pair,
+)
+from sisid.linalg import ConditioningError, finite_scalar, sym2, sym2_array, sym2_spectrum
 
 from _oracles import (
     dense_inverse,
@@ -392,6 +395,137 @@ class TestGrls:
             grls_step(state, 0.25, 0.25)
 
 
+def checked_step(state, x_k, x_next):
+    """``grls_step`` by its checked route: each input read by its reader, the
+    kernel, and the next state built by the checking constructor."""
+    x_k, x_next = finite_scalar(x_k, "x_k"), finite_scalar(x_next, "x_next")
+    y = x_next - x_k
+    if not math.isfinite(y * y):
+        raise ValueError(f"x_next - x_k must have a finite square, got {x_next!r} - {x_k!r}")
+    phi = _finite_row(_pair_reader(state.regressor)(x_k), "regressor")
+    p, theta, gset, _ = grls_kernel(
+        state._P, state._theta, state.excitation, phi, y, state.step, state.alpha,
+        state.greedy_enabled,
+    )
+    return GrlsState(sym2_array(p), theta, gset, state.alpha, state.regressor, state.step + 1,
+                     state.greedy_enabled)
+
+
+def outcome(step, state, x_k, x_next):
+    """The state ``step`` returns, or the type and message of what it raises."""
+    try:
+        return step(state, x_k, x_next)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def field_types(state):
+    return [type(v) for v in state.__dict__.values()] + [type(v) for v in state._P + state._theta]
+
+
+# regressors other than SIS_REGRESSOR, each reading x as the SIS regressor does
+REGRESSORS = {
+    "tuple": lambda x: sis_regressor_pair(x),
+    "list": lambda x: list(sis_regressor_pair(x)),
+    "array": lambda x: np.array([sis_regressor_pair(x)]),
+    "float64 pair": lambda x: tuple(map(np.float64, sis_regressor_pair(x))),
+}
+# the stepped states: 40 steps of a noisy fig3 run, with the set on and off
+STEPPED = {
+    greedy: run_grls(
+        GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=0.94, greedy_enabled=greedy),
+        simulate(0.01, FIG3, 40, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2)),
+    )[-1]
+    for greedy in (True, False)
+}
+
+
+def as_kind(kind, x):
+    """``x`` as a Python float, ``np.float64``, int, bool, 0-d or 1-entry array."""
+    return {
+        "float": float, "float64": np.float64, "int": round, "bool": lambda v: v > 0.5,
+        "0-d": np.array, "1-entry": lambda v: np.array([v]),
+    }[kind](x)
+
+
+KINDS = ["float", "float64", "int", "bool", "0-d", "1-entry"]
+
+
+class TestStepReadsTheTransitionOnce:
+    """``grls_step`` checks two floats stepped by SIS_REGRESSOR at once; every
+    input must step exactly as the checked route does, or fail as it does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        x_k=st.floats(-3.0, 3.0), x_next=st.floats(-3.0, 3.0),
+        kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+        regressor=st.sampled_from(["SIS_REGRESSOR", *REGRESSORS]),
+        greedy=st.booleans(), initial=st.booleans(),
+    )
+    def test_the_step_equals_the_checked_route(
+        self, x_k, x_next, kinds, regressor, greedy, initial
+    ):
+        state = STEPPED[greedy]
+        if initial:
+            state = GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=0.9, greedy_enabled=greedy)
+        if regressor != "SIS_REGRESSOR":
+            state = dataclasses.replace(state, regressor=REGRESSORS[regressor])
+        x_k, x_next = as_kind(kinds[0], x_k), as_kind(kinds[1], x_next)
+        stepped = outcome(grls_step, state, x_k, x_next)
+        checked = outcome(checked_step, state, x_k, x_next)
+        assert stepped == checked
+        if isinstance(stepped, GrlsState):
+            assert list(stepped.__dict__) == list(checked.__dict__)
+            assert field_types(stepped) == field_types(checked)
+            assert hash(stepped) == hash(checked)
+
+    @pytest.mark.parametrize(
+        "x_k,x_next,regressor,error,message",
+        [
+            (math.nan, 0.1, None, ValueError, "x_k must be finite, got nan"),
+            (math.inf, 0.1, None, ValueError, "x_k must be finite, got inf"),
+            (np.float64(-math.inf), 0.1, None, ValueError, "x_k must be finite, got -inf"),
+            (0.1, math.nan, None, ValueError, "x_next must be finite, got nan"),
+            (0.1, np.float64(math.inf), None, ValueError, "x_next must be finite, got inf"),
+            (0.1, -math.inf, None, ValueError, "x_next must be finite, got -inf"),
+            (math.nan, math.inf, None, ValueError, "x_k must be finite, got nan"),
+            (-1.7e308, 1.7e308, None, ValueError,
+             "x_next - x_k must have a finite square, got 1.7e+308 - -1.7e+308"),
+            (0.5, 1.7e308, None, ValueError,
+             "x_next - x_k must have a finite square, got 1.7e+308 - 0.5"),
+            (1e100, 1e100, None, ValueError,
+             "regressor must have a finite u1^2 + u2^2, got (-1e+200, -1e+100)"),
+            (0.1, 0.11, lambda x: (math.nan, -x), ValueError,
+             "regressor must be finite, got (nan, -0.1)"),
+            (0.1, 0.11, lambda x: (1e200, 0.0), ValueError,
+             "regressor must have a finite u1^2 + u2^2, got (1e+200, 0.0)"),
+            # y^2, u1^2 and u2^2 are each finite, their sum is not: every check passes
+            (1e77, 1e154, None, ConditioningError,
+             "the covariance update gave non-finite P' = (nan, nan, nan)"),
+        ],
+    )
+    def test_a_failing_transition_raises_as_before(self, x_k, x_next, regressor, error, message):
+        state = GrlsState.initial(THETA0, regressor or SIS_REGRESSOR)
+        with pytest.raises(error) as raised:
+            grls_step(state, x_k, x_next)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("kind", ["float", "float64"])
+    def test_the_step_makes_no_numpy_call(self, kind, monkeypatch):
+        traj = simulate(0.01, FIG3, 1000, NoiseSpec(1e-3, 1e-3, 5e-3, seed=2))
+        xs = [as_kind(kind, x) for x in traj.states.tolist()]
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("grls_step called numpy")
+
+        monkeypatch.setattr(np, "asarray", refuse)
+        monkeypatch.setattr(np, "array", refuse)
+        for k in range(1000):
+            state = grls_step(state, xs[k], xs[k + 1])
+        assert state.step == 1000
+
+
 # sha256 of theta after each of 20,000 grls_step calls on a noisy fig3
 # trajectory, then the final P, theta and excitation set, recorded before the
 # eigenvalue form, the condition rule and the covariance step were folded into
@@ -693,13 +827,19 @@ class TestBatchOracle:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize("indices", [{-1}, {0, 3, -2}, {2.5}, {True}, {"a"}, {2.0}])
+    @pytest.mark.parametrize(
+        "indices",
+        [frozenset(s) for s in ({-1}, {0, 3, -2}, {2.5}, {True}, {"a"}, {2.0})]
+        + [5, None, "12", b"12"],
+        ids=repr,
+    )
     def test_negative_greedy_index_rejected(self, indices):
         # numpy would read -1 as the last point and reweight a real one, and
-        # truncate 2.5 to step 2, which cost_weight would not weigh as a member
+        # truncate 2.5 to step 2, which cost_weight would not weigh as a member;
+        # a lone number is no collection, and "12" is not steps 1 and 2
         with pytest.raises(ValueError, match="spec.greedy_indices"):
             WeightedCostSpec(
-                alpha=0.94, p0_inv=np.eye(2), theta0=THETA0, greedy_indices=frozenset(indices)
+                alpha=0.94, p0_inv=np.eye(2), theta0=THETA0, greedy_indices=indices
             )
 
 

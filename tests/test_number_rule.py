@@ -173,6 +173,18 @@ INTEGER_ENTRIES = [
 ]
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize(
+    "entry", ["finite_scalar", "grls_step.x_k", "grls_step.x_next", "ef_rls_step.y",
+              "greedy_offer.y_k"],
+)
+def test_an_int_beyond_the_float_range_is_not_finite(entry, value):
+    # float() would raise OverflowError; read_number reads such an int as an infinity
+    call, name = ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got -?inf$"):
+        call(value)
+
+
 @pytest.mark.parametrize("value", [np.bool_(True), np.int64(1), np.float32(0.5)], ids=repr)
 @pytest.mark.parametrize("entry", SCALAR_ENTRIES)
 def test_numpy_bool_int_and_float_scalars_are_numbers(entry, value):
