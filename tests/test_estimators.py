@@ -425,7 +425,7 @@ def field_types(state):
 
 # regressors other than SIS_REGRESSOR, each reading x as the SIS regressor does
 REGRESSORS = {
-    "tuple": lambda x: sis_regressor_pair(x),
+    "tuple": sis_regressor_pair,
     "list": lambda x: list(sis_regressor_pair(x)),
     "array": lambda x: np.array([sis_regressor_pair(x)]),
     "float64 pair": lambda x: tuple(map(np.float64, sis_regressor_pair(x))),
@@ -831,7 +831,6 @@ class TestBatchOracle:
         "indices",
         [frozenset(s) for s in ({-1}, {0, 3, -2}, {2.5}, {True}, {"a"}, {2.0})]
         + [5, None, "12", b"12"],
-        ids=repr,
     )
     def test_negative_greedy_index_rejected(self, indices):
         # numpy would read -1 as the last point and reweight a real one, and
