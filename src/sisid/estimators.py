@@ -53,6 +53,7 @@ from .excitation import (
 from .linalg import (
     ConditioningError,
     Sym2,
+    _python_pair,
     _read_floats,
     finite_pair,
     finite_scalar,
@@ -88,10 +89,13 @@ def read_p0_scale(value, name: str = "p0_scale") -> float:
 def read_theta0(value, name: str = "theta0") -> tuple[float, float]:
     """An initial estimate: two finite numbers, as a pair or an array of shape
     (2,); else ``ValueError`` naming it."""
-    theta0 = _read_floats(value, name)
-    if theta0.shape != (2,):
-        raise ValueError(f"{name} has shape {theta0.shape}, expected (2,)")
-    return finite_pair(tuple(theta0.tolist()), name)
+    pair = _python_pair(value)
+    if pair is None:
+        theta0 = _read_floats(value, name)
+        if theta0.shape != (2,):
+            raise ValueError(f"{name} has shape {theta0.shape}, expected (2,)")
+        pair = tuple(theta0.tolist())
+    return finite_pair(pair, name)
 
 
 def _finite_row(value, name: str) -> tuple[float, float]:

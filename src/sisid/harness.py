@@ -75,13 +75,17 @@ from .estimators import (
 from .excitation import GreedySet, regressor_pairs, sis_regressor_pair, write_acceptance_trace
 from .linalg import ConditioningError, Sym2, sym2_spectrum
 
-METRICS_SCHEMA = "sisid-metrics-v1"
+METRICS_SCHEMA = "sisid-metrics-v2"
 
 
 class MetricsRow(NamedTuple):
     """Per-step, per-estimator metrics; None marks a field without a defined value.
 
-    A NamedTuple: it unpacks, indexes and compares equal to a plain tuple.
+    A NamedTuple: it unpacks, indexes and compares equal to a plain tuple. Of
+    its eleven fields a metrics trace writes nine, ``METRICS_COLUMNS``: not
+    ``r0_hat`` (beta_hat / gamma_hat, None when gamma_hat is 0) nor
+    ``log10_max_rel_err`` (math.log10 of ``max_rel_err``, None when that is
+    None or 0), which a line's own fields give exactly.
     """
 
     step: int
@@ -97,7 +101,8 @@ class MetricsRow(NamedTuple):
     accepted: bool | None
 
 
-METRICS_COLUMNS = MetricsRow._fields
+# the fields a metrics line writes
+METRICS_COLUMNS = tuple(f for f in MetricsRow._fields if f not in ("r0_hat", "log10_max_rel_err"))
 
 
 def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[float]:
@@ -259,9 +264,7 @@ def _run_lane(
             last = None if 0.0 in theta or p is not None and 0.0 in p else (theta, p)
             if fim_texts is not None:  # None is an empty field
                 head = (f"{kind},{beta_hat!r},{gamma_hat!r},"
-                        f"{'' if r0_hat is None else repr(r0_hat)},"
-                        f"{'' if max_rel is None else repr(max_rel)},"
-                        f"{'' if log_rel is None else repr(log_rel)},")
+                        f"{'' if max_rel is None else repr(max_rel)},")
                 tail = ",,," if p is None else f",{p_cond!r},{p_max_eig!r},"
         if offer is None:
             accepted, flag = None, ""

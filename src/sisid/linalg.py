@@ -98,12 +98,28 @@ def read_count(value, name: str, low: float = -math.inf, high: float = math.inf)
     return count
 
 
+def _python_pair(value) -> tuple[float, float] | None:
+    """A tuple or list of two Python ints or floats as two floats, each int read
+    by ``_int_float``; None for any other value."""
+    if type(value) in (tuple, list) and len(value) == 2:
+        u1, u2 = value
+        if type(u1) in (int, float) and type(u2) in (int, float):
+            return (_int_float(u1) if type(u1) is int else u1,
+                    _int_float(u2) if type(u2) is int else u2)
+    return None
+
+
 def finite_pair(value, name: str) -> tuple[float, float]:
     """Two finite Python floats from a pair of numbers or any array with two
-    entries; ``ValueError`` naming the argument for any other value."""
+    entries; ``ValueError`` naming the argument for any other value. An int
+    entry of a tuple or list is read as ``finite_scalar`` reads it, so one
+    beyond the float range is refused as an infinity."""
     u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
     if type(u1) is not float or type(u2) is not float:
-        u1, u2 = _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
+        pair = _python_pair(value)
+        if pair is None:
+            pair = _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
+        u1, u2 = pair
     if not (math.isfinite(u1) and math.isfinite(u2)):
         raise ValueError(f"{name} must be finite, got {(u1, u2)}")
     return u1, u2

@@ -27,7 +27,7 @@ from sisid.config import EstimatorSettings, ExperimentConfig
 from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate, sis_step
 from sisid.estimators import WeightedCostSpec
 from sisid.excitation import regressor_pairs, sis_regressor_pair
-from sisid.harness import MetricsRow
+from sisid.harness import METRICS_COLUMNS, METRICS_SCHEMA, MetricsRow
 from sisid.linalg import RANK_TOLERANCE, ConditioningError, Sym2, condition_number, solve_spd
 
 
@@ -210,6 +210,14 @@ def naive_trace_csv(schema: str, columns: Sequence[str], rows: Iterable[Sequence
     lines = [f"# {schema}\n", ",".join(columns) + "\r\n"]
     lines += [",".join(field(v) for v in row) + "\r\n" for row in rows]
     return "".join(lines).encode()
+
+
+def naive_metrics_csv(rows: Iterable[MetricsRow]) -> bytes:
+    """A metrics trace as ``naive_trace_csv`` writes it: each row projected onto
+    the fields a metrics line writes, ``METRICS_COLUMNS``."""
+    index = [MetricsRow._fields.index(column) for column in METRICS_COLUMNS]
+    written = ([row[i] for i in index] for row in rows)
+    return naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, written)
 
 
 def _truncated_normal(rng: np.random.Generator, std: float, bound: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -37,8 +38,6 @@ from sisid.excitation import (
     write_acceptance_trace,
 )
 from sisid.harness import (
-    METRICS_COLUMNS,
-    METRICS_SCHEMA,
     MetricsRow,
     fim_condition_trace,
     run_experiment,
@@ -60,6 +59,7 @@ from sisid.estimators import (
 from _oracles import (
     lockstep_run,
     naive_fim_condition_trace,
+    naive_metrics_csv,
     naive_trace_csv,
     reference_sym2_spectrum,
 )
@@ -409,8 +409,10 @@ class TestRunExperiment:
         config = small_config(emit=("metrics",))
         run_experiment(config, output_dir=tmp_path / "run")
         lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "# sisid-metrics-v1"
-        assert lines[1].split(",")[:5] == ["step", "estimator", "beta_hat", "gamma_hat", "r0_hat"]
+        assert lines[0] == "# sisid-metrics-v2"
+        assert lines[1] == (
+            "step,estimator,beta_hat,gamma_hat,max_rel_err,fim_cond,p_cond,p_max_eig,accepted"
+        )
 
     def test_invalid_config_raises_before_running(self):
         with pytest.raises(ConfigError):
@@ -597,7 +599,9 @@ def test_online_use_imports_neither_scipy_nor_hashlib():
 # floats. The trajectories, the acceptance traces, and the EF-RLS and GRLS
 # metrics rows (each estimator's lines, \r\n included, in file order) must
 # not move; pure-GD and IE-MMAI rows may differ in the last bits, because
-# u1*t1 + u2*t2 rounds differently from numpy's 1x2 matmul.
+# u1*t1 + u2*t2 rounds differently from numpy's 1x2 matmul. The metrics pins
+# are of the sisid-metrics-v1 text, all eleven fields of every row, which is
+# what those files held; the v2 files a run writes are pinned below.
 PINNED_FILES = {
     "fig1/trajectory.csv": "c748a6c03894014f04e7dcd9c3ed3b407b719c1b442b5eca5d7c478bbba4cd91",
     "fig2/trajectory.csv": "8dd5175511970596275a084647a34e94690fbb5064772c9f12c9b6e6f9d50c68",
@@ -619,7 +623,20 @@ PINNED_METRICS_ROWS = {
     "fig3_noisy/ef_rls": "b29023b5ba3efd24dc8ee947516ad7fc70cf22f7805e529beb4a72acc6bda5e3",
     "fig3_noisy/grls": "739857b70d402d7636f946cd7d364ee6bad837560ab31cf083670ed8589176f1",
 }
+# sha256 of the sisid-metrics-v2 files, which drop r0_hat and log10_max_rel_err
+PINNED_METRICS_V2_FILES = {
+    "fig1/metrics.csv": "69f27462d61a6be72023d0f6d2ab27a7c42c2962f10c5a33adf900a8b9391309",
+    "fig2/metrics.csv": "14912f7f6761868f01f127c99a3b51598d84f46b60b4451f39bdb445b7825b7f",
+    "fig3_noisefree/metrics.csv":
+        "3735195645d94925c08d74c0992d8f1c1286c0f758c0731e0d90d392cd8c939c",
+    "fig3_noisy/metrics.csv": "0d8b5b95a52363b1fb96844f5e071616e35fc7a016bf949c3069dd8f6f4340da",
+}
 BUNDLED = ("fig1", "fig2", "fig3_noisefree", "fig3_noisy")
+
+
+def _metrics_v1_text(result) -> bytes:
+    """The sisid-metrics-v1 text of a run's rows: every field, each formatted anew."""
+    return naive_trace_csv("sisid-metrics-v1", MetricsRow._fields, result.rows)
 
 
 class TestPinnedOutputs:
@@ -636,16 +653,29 @@ class TestPinnedOutputs:
     def test_trace_files(self, runs, name):
         import hashlib
 
+        root, results = runs
+        run, file = name.split("/")
+        if file == "metrics.csv":
+            data = _metrics_v1_text(results[run])
+        else:
+            data = (root / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PINNED_FILES[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_METRICS_V2_FILES))
+    def test_metrics_v2_files(self, runs, name):
+        import hashlib
+
         root, _ = runs
-        assert hashlib.sha256((root / name).read_bytes()).hexdigest() == PINNED_FILES[name]
+        digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        assert digest == PINNED_METRICS_V2_FILES[name]
 
     @pytest.mark.parametrize("key", sorted(PINNED_METRICS_ROWS))
     def test_rls_metrics_rows(self, runs, key):
         import hashlib
 
-        root, _ = runs
+        _, results = runs
         name, kind = key.split("/")
-        lines = (root / name / "metrics.csv").read_bytes().splitlines(keepends=True)
+        lines = _metrics_v1_text(results[name]).splitlines(keepends=True)
         rows = b"".join(line for line in lines if line.split(b",")[1:2] == [kind.encode()])
         assert rows.count(b"\r\n") == 2000
         assert hashlib.sha256(rows).hexdigest() == PINNED_METRICS_ROWS[key]
@@ -653,8 +683,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_metrics_file_equals_the_naive_writer(self, runs, name):
         root, results = runs
-        expected = naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, results[name].rows)
-        assert (root / name / "metrics.csv").read_bytes() == expected
+        assert (root / name / "metrics.csv").read_bytes() == naive_metrics_csv(results[name].rows)
 
     def test_ef_rls_fails_at_step_570_on_fig3_noisefree(self, runs):
         _, results = runs
@@ -861,7 +890,35 @@ def test_a_zero_true_rate_leaves_the_relative_error_empty(tmp_path, beta, gamma)
     with open(tmp_path / "metrics.csv", newline="") as fh:
         lines = fh.read().splitlines()[2:]
     assert len(lines) == len(result.rows)
-    assert all(line.split(",")[5:7] == ["", ""] for line in lines)
+    assert all(line.split(",")[4] == "" for line in lines)
+
+
+def _recomputed_columns(path):
+    """Each line's r0_hat and log10_max_rel_err, recomputed from its written fields."""
+    with open(path, newline="") as fh:
+        next(fh)  # the schema line
+        for line in csv.DictReader(fh):
+            beta_hat, gamma_hat = float(line["beta_hat"]), float(line["gamma_hat"])
+            max_rel = float(line["max_rel_err"]) if line["max_rel_err"] else None
+            yield (beta_hat / gamma_hat if gamma_hat != 0.0 else None,
+                   math.log10(max_rel) if max_rel else None)
+
+
+@pytest.mark.parametrize("config", [
+    *(pytest.param(replace(load_config(bundled_config_path(name)), clamp_estimates=clamp),
+                   id=f"{name}-clamp={'on' if clamp else 'off'}")
+      for name in BUNDLED for clamp in (False, True)),
+    *(pytest.param(small_config(sis=SisParams(beta, gamma)), id=f"beta={beta}-gamma={gamma}")
+      for beta, gamma in [(0.0, 0.2692), (0.8076, 0.0)]),
+])
+def test_the_columns_a_metrics_trace_leaves_out_come_back_exactly(tmp_path, config):
+    # r0_hat is beta_hat / gamma_hat, log10_max_rel_err the log10 of max_rel_err
+    result = run_experiment(config, tmp_path)
+    recomputed = list(_recomputed_columns(tmp_path / "metrics.csv"))
+    assert len(recomputed) == len(result.rows)
+    assert list(map(repr, recomputed)) == [
+        repr((row.r0_hat, row.log10_max_rel_err)) for row in result.rows
+    ]
 
 
 def test_rank_one_fim_below_the_normal_range_is_singular():
@@ -1232,7 +1289,7 @@ class TestWriterTextReuse:
                 mp.setitem(harness._LANES, kind, _fake_lane(reports, fails_at))
             result = run_experiment(config, tmp)
             written = (Path(tmp) / "metrics.csv").read_bytes()
-        assert written == naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, result.rows)
+        assert written == naive_metrics_csv(result.rows)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(rows=_greedy_rows())
@@ -1332,7 +1389,7 @@ def _assert_run_equals_lockstep(config):
     traj_rows = [*zip(range(n), traj.states[:-1].tolist(), traj.observations.tolist(),
                       traj.process_noise.tolist()), (n, traj.states[-1].item(), None, None)]
     expected = {
-        "metrics.csv": naive_trace_csv(METRICS_SCHEMA, METRICS_COLUMNS, rows),
+        "metrics.csv": naive_metrics_csv(rows),
         "trajectory.csv": naive_trace_csv(TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, traj_rows),
     }
     if greedy_rows:

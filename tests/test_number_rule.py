@@ -185,6 +185,34 @@ def test_an_int_beyond_the_float_range_is_not_finite(entry, value):
         call(value)
 
 
+PAIR_ENTRIES = [
+    "finite_pair", "GrlsState.initial.theta0", "replace.theta", "ef_rls_step.theta",
+    "ef_rls_step.phi", "greedy_offer.phi_k", "WeightedCostSpec.theta0",
+    "WeightedCostSpec.from_grls.theta0", "ie_mmai_init.theta0", "ExperimentConfig.grls.theta0",
+    "ExperimentConfig.ie_mmai.theta0",
+]
+
+
+@pytest.mark.parametrize("value, shown", [
+    ((10**400, 0.0), "(inf, 0.0)"), ([0.0, -10**400], "(0.0, -inf)"), ((1, 10**400), "(1.0, inf)"),
+], ids=["(+10**400, 0.0)", "[0.0, -10**400]", "(1, +10**400)"])
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+def test_a_pair_holding_an_int_beyond_the_float_range_is_not_finite(entry, value, shown):
+    # each int entry of a tuple or list is read as finite_scalar reads an int
+    call, name = ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got "
+                                         f"{re.escape(shown)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [(2**64, 1), [2**64, 1], (2**64, 1.0)], ids=repr)
+def test_a_pair_holding_an_int_beyond_64_bits_is_two_floats(value):
+    pair = finite_pair(value, "phi")
+    assert pair == (1.8446744073709552e19, 1.0)
+    assert all(type(u) is float for u in pair)
+    assert tuple(GrlsState.initial(value, SIS_REGRESSOR).theta.tolist()) == pair
+
+
 @pytest.mark.parametrize("value", [np.bool_(True), np.int64(1), np.float32(0.5)], ids=repr)
 @pytest.mark.parametrize("entry", SCALAR_ENTRIES)
 def test_numpy_bool_int_and_float_scalars_are_numbers(entry, value):
