@@ -20,7 +20,10 @@ where they are not finite, and forms a condition number, and for a metrics
 trace its text, only when they change. Lane by lane, ``_run_lane`` draws a
 lane's reports to the end, or until it fails or settles (below), and forms
 its metrics rows, and their CSV lines for a metrics trace, from them; it
-returns them with the lane's greedy offers.
+returns them with the lane's greedy offers. A row holds eleven fields; its
+line, in ``sisid-metrics-v2``, writes the nine of ``METRICS_COLUMNS`` and
+leaves out ``r0_hat`` and ``log10_max_rel_err``, which the line's
+``beta_hat``, ``gamma_hat`` and ``max_rel_err`` give exactly.
 Rows and lines are interleaved step by step, and ``dynamics.write_trace``
 writes and hashes the lines; no file is read back. Each FIM condition
 number, and each row's ``p_cond`` and ``p_max_eig`` together, come from one

@@ -16,14 +16,15 @@ Every number or array the library takes from outside is read by one rule,
 dtype kind b, i, u or f (bool, integer or real), so strings, ``None``,
 complex, object and ragged values raise ``ValueError`` naming the argument.
 ``finite_scalar`` and ``finite_pair`` read a data value (one number, which
-may be a one-entry array, or a pair) by it, with a float fast path for what
-the library passes itself. A setting is one number: ``read_number`` reads
-it, refusing a one-entry array, and with ``integer`` takes integers only, no
-bool and no real; ``read_count`` reads an integer in a range by it. Each
-setting's reader (alpha, p0_scale and theta0 in ``sisid.estimators``, x0
-and steps in ``sisid.dynamics``) builds on these, and takes the name its
-``ValueError`` reports, so the config reads its fields through the same
-functions as the library entries.
+may be a one-entry array, or a pair) by it, with a fast path for Python
+ints and floats, each int beyond the float range read as an infinity. A
+setting is one number: ``read_number`` reads it, refusing a one-entry
+array, and with ``integer`` takes integers only, no bool and no real;
+``read_count`` reads an integer in a range by it. Each setting's reader
+(alpha, p0_scale and theta0 in ``sisid.estimators``, x0 and steps in
+``sisid.dynamics``) builds on these, and takes the name its ``ValueError``
+reports, so the config reads its fields through the same functions as the
+library entries.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ def _python_pair(value) -> tuple[float, float] | None:
 
 def finite_pair(value, name: str) -> tuple[float, float]:
     """Two finite Python floats from a pair of numbers or any array with two
-    entries; ``ValueError`` naming the argument for any other value. An int
-    entry of a tuple or list is read as ``finite_scalar`` reads it, so one
-    beyond the float range is refused as an infinity."""
+    entries; ``ValueError`` naming the argument for any other value. A tuple
+    or list of two Python ints or floats is read without numpy, each int as
+    ``finite_scalar`` reads it, so one beyond the float range is refused as an
+    infinity."""
     u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
     if type(u1) is not float or type(u2) is not float:
         pair = _python_pair(value)

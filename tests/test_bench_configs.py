@@ -1,0 +1,56 @@
+"""The summary arithmetic of ``tools/bench_configs.py``, on canned medians, and
+one measuring round of the ``sisid`` under test.
+
+No subprocess starts and no commit is extracted: the runs are records in the
+shape the script writes, made up below.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_configs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_configs", _PATH)
+bench_configs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_configs)
+
+# four pairs of fig2 medians; the change is lower in pairs 0, 1 and 3 and ties in pair 2
+PARENT_S = [0.030, 0.032, 0.029, 0.031]
+CHANGE_S = [0.026, 0.027, 0.029, 0.025]
+
+
+def canned_runs():
+    runs = []
+    for pair, (p, c) in enumerate(zip(PARENT_S, CHANGE_S)):
+        order = [("parent", p), ("change", c)]
+        for side, s in order if pair % 2 == 0 else order[::-1]:
+            runs.append({"pair": pair, "side": side, "median_s": {"fig2": s, "fig1": 2 * s}})
+    return runs
+
+
+def test_summary_compares_each_config_over_pairs():
+    summary = bench_configs.summarize(canned_runs())
+    assert list(summary) == ["fig2", "fig1"]
+    fig2 = summary["fig2"]
+    assert fig2["parent"]["median"] == pytest.approx(0.0305)
+    assert fig2["change"]["median"] == pytest.approx(0.0265)
+    assert fig2["change_lower_in_pairs"] == 3 and fig2["ties"] == 1
+    assert fig2["median_gap"] == pytest.approx(0.004)
+    assert fig2["parent_iqr"] == pytest.approx(0.03125 - 0.02975)
+    assert fig2["change_over_parent"] == pytest.approx(0.0265 / 0.0305 - 1.0)
+    assert summary["fig1"]["parent"]["median"] == pytest.approx(0.061)
+
+
+def test_incomplete_pairs_are_left_out():
+    runs = canned_runs()
+    runs.append({"pair": 4, "side": "parent", "median_s": {"fig2": 9.0, "fig1": 9.0}})
+    assert bench_configs.summarize(runs) == bench_configs.summarize(canned_runs())
+    assert bench_configs.summarize(runs[:3]) == {}  # one complete pair is no summary
+
+
+def test_a_measuring_round_times_each_bundled_config(tmp_path):
+    measured = bench_configs.measure(1, 101, tmp_path)
+    assert list(measured["median_s"]) == list(bench_configs.CONFIGS)
+    assert all(s > 0 for s in measured["median_s"].values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bench_configs.CONFIGS)

@@ -912,7 +912,6 @@ def _recomputed_columns(path):
       for beta, gamma in [(0.0, 0.2692), (0.8076, 0.0)]),
 ])
 def test_the_columns_a_metrics_trace_leaves_out_come_back_exactly(tmp_path, config):
-    # r0_hat is beta_hat / gamma_hat, log10_max_rel_err the log10 of max_rel_err
     result = run_experiment(config, tmp_path)
     recomputed = list(_recomputed_columns(tmp_path / "metrics.csv"))
     assert len(recomputed) == len(result.rows)
