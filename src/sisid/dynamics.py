@@ -15,7 +15,11 @@ blocks, bitwise equal to redrawing one sample at a time and leaving the
 generator where that would, so the observation noise drawn next is unchanged.
 Without process noise it stops at an exact fixed point, a state equal to the
 one before it, and fills the remaining states with it; ``Trajectory.to_csv``
-reuses the text of such a repeated tail.
+reuses the text of such a repeated tail. The trajectory trace holds exactly a
+``Trajectory``'s two inputs, the states and the process noise: its
+observations are ``np.diff`` of the states, so they are not written, and
+``Trajectory(states, process_noise)`` built from a trace's two columns is
+bitwise the trajectory that wrote it.
 
 A run's settings are read by one reader each, which the config also calls
 with its key as the name: ``read_x0`` (a number in [0, 1]) and
@@ -125,7 +129,7 @@ class NoiseSpec:
                 )
 
 
-TRAJECTORY_SCHEMA = "sisid-trajectory-v1"
+TRAJECTORY_SCHEMA = "sisid-trajectory-v2"
 
 
 @dataclass(frozen=True)
@@ -156,26 +160,26 @@ class Trajectory:
 
     def to_csv(self, path: str | Path) -> str:
         """Write the trajectory CSV by ``write_trace`` and return its sha256:
-        one (step, state, observation, noise_applied) row per step; the last
-        row has the final state only.
+        one (step, state, noise_applied) row per step; the last row has the
+        final state and an empty noise field. The observations are not
+        written: ``np.diff`` of the written states gives them bit for bit.
 
-        Every row after the last one whose three values differ from the row
+        Every row after the last one whose two values differ from the row
         before, compared as their bits so that 0.0 and -0.0 differ, repeats
         that row's values and reuses its text, as a settled run's rows do.
         """
         n = self.step_count
-        columns = np.stack([self.states[:-1], self.observations, self.process_noise])
+        columns = np.stack([self.states[:-1], self.process_noise])
         bits = columns.view(np.int64)
         changes = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0))
         m = int(changes[-1]) + 2 if len(changes) else 1  # rows m.. repeat row m - 1
-        x, y, xi = columns[:, m - 1].tolist()
-        text = f"{x!r},{y!r},{xi!r}"
+        x, xi = columns[:, m - 1].tolist()
+        text = f"{x!r},{xi!r}"
         rows = zip(*columns[:, :m].tolist())
-        lines = chain((f"{k},{x!r},{y!r},{xi!r}" for k, (x, y, xi) in enumerate(rows)),
+        lines = chain((f"{k},{x!r},{xi!r}" for k, (x, xi) in enumerate(rows)),
                       (f"{k},{text}" for k in range(m, n)),
-                      [f"{n},{self.states[-1].item()!r},,"])
-        columns = ("step", "state", "observation", "noise_applied")
-        return write_trace(path, TRAJECTORY_SCHEMA, columns, lines)
+                      [f"{n},{self.states[-1].item()!r},"])
+        return write_trace(path, TRAJECTORY_SCHEMA, ("step", "state", "noise_applied"), lines)
 
 
 def write_trace(path: str | Path, schema: str, columns: Iterable[str], lines: Iterable[str]) -> str:

@@ -53,7 +53,7 @@ from .excitation import (
 from .linalg import (
     ConditioningError,
     Sym2,
-    _python_pair,
+    _scalar_pair,
     _read_floats,
     finite_pair,
     finite_scalar,
@@ -89,7 +89,7 @@ def read_p0_scale(value, name: str = "p0_scale") -> float:
 def read_theta0(value, name: str = "theta0") -> tuple[float, float]:
     """An initial estimate: two finite numbers, as a pair or an array of shape
     (2,); else ``ValueError`` naming it."""
-    pair = _python_pair(value)
+    pair = _scalar_pair(value)
     if pair is None:
         theta0 = _read_floats(value, name)
         if theta0.shape != (2,):

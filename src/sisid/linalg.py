@@ -17,14 +17,14 @@ dtype kind b, i, u or f (bool, integer or real), so strings, ``None``,
 complex, object and ragged values raise ``ValueError`` naming the argument.
 ``finite_scalar`` and ``finite_pair`` read a data value (one number, which
 may be a one-entry array, or a pair) by it, with a fast path for Python
-ints and floats, each int beyond the float range read as an infinity. A
-setting is one number: ``read_number`` reads it, refusing a one-entry
-array, and with ``integer`` takes integers only, no bool and no real;
-``read_count`` reads an integer in a range by it. Each setting's reader
-(alpha, p0_scale and theta0 in ``sisid.estimators``, x0 and steps in
-``sisid.dynamics``) builds on these, and takes the name its ``ValueError``
-reports, so the config reads its fields through the same functions as the
-library entries.
+ints and floats (in a pair, numpy scalars too), each int beyond the float
+range read as an infinity. A setting is one number: ``read_number`` reads
+it, refusing a one-entry array, and with ``integer`` takes integers only, no
+bool and no real; ``read_count`` reads an integer in a range by it. Each
+setting's reader (alpha, p0_scale and theta0 in ``sisid.estimators``, x0
+and steps in ``sisid.dynamics``) builds on these, and takes the name its
+``ValueError`` reports, so the config reads its fields through the same
+functions as the library entries.
 """
 
 from __future__ import annotations
@@ -99,26 +99,37 @@ def read_count(value, name: str, low: float = -math.inf, high: float = math.inf)
     return count
 
 
-def _python_pair(value) -> tuple[float, float] | None:
-    """A tuple or list of two Python ints or floats as two floats, each int read
-    by ``_int_float``; None for any other value."""
+def _scalar_float(u) -> float | None:
+    """A Python int (by ``_int_float``) or float, or a numpy scalar of kind b, i,
+    u or f, as a Python float; None for any other value."""
+    if type(u) is float:
+        return u
+    if type(u) is int:
+        return _int_float(u)
+    if isinstance(u, np.generic) and u.dtype.kind in "biuf":
+        return float(u)
+    return None
+
+
+def _scalar_pair(value) -> tuple[float, float] | None:
+    """A tuple or list of two scalars that ``_scalar_float`` reads, as two
+    floats; None for any other value."""
     if type(value) in (tuple, list) and len(value) == 2:
-        u1, u2 = value
-        if type(u1) in (int, float) and type(u2) in (int, float):
-            return (_int_float(u1) if type(u1) is int else u1,
-                    _int_float(u2) if type(u2) is int else u2)
+        u1, u2 = map(_scalar_float, value)
+        if u1 is not None and u2 is not None:
+            return u1, u2
     return None
 
 
 def finite_pair(value, name: str) -> tuple[float, float]:
     """Two finite Python floats from a pair of numbers or any array with two
     entries; ``ValueError`` naming the argument for any other value. A tuple
-    or list of two Python ints or floats is read without numpy, each int as
-    ``finite_scalar`` reads it, so one beyond the float range is refused as an
-    infinity."""
+    or list of two Python or numpy scalars is read without numpy arrays, each
+    Python int as ``finite_scalar`` reads it, so one beyond the float range is
+    refused as an infinity, also beside a numpy scalar."""
     u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
     if type(u1) is not float or type(u2) is not float:
-        pair = _python_pair(value)
+        pair = _scalar_pair(value)
         if pair is None:
             pair = _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
         u1, u2 = pair

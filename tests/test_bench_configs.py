@@ -1,11 +1,13 @@
-"""The summary arithmetic of ``tools/bench_configs.py``, on canned medians, and
-one measuring round of the ``sisid`` under test.
+"""The summary arithmetic and the machine-speed scaling of
+``tools/bench_configs.py``, on canned data, and one measuring round of the
+``sisid`` under test.
 
 No subprocess starts and no commit is extracted: the runs are records in the
 shape the script writes, made up below.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,7 +51,18 @@ def test_incomplete_pairs_are_left_out():
     assert bench_configs.summarize(runs[:3]) == {}  # one complete pair is no summary
 
 
-def test_a_measuring_round_times_each_bundled_config(tmp_path):
+def test_each_run_is_scaled_by_the_marks_right_before_and_after_it():
+    # the machine runs at the reference speed, then at half of it, then recovers
+    seconds = [0.030, 0.060, 0.045]
+    marks = [4e-4, 4e-4, 8e-4, 4e-4]
+    assert bench_configs.scaled(seconds, marks, 4e-4) == pytest.approx([0.030, 0.040, 0.030])
+    assert bench_configs.scaled(seconds, marks, 2e-4) == pytest.approx([0.015, 0.020, 0.015])
+    with pytest.raises(ValueError):  # each run needs a mark after it
+        bench_configs.scaled(seconds, marks[:3], 4e-4)
+
+
+def test_a_measuring_round_times_each_bundled_config(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # measure adds perfbench/ to it
     measured = bench_configs.measure(1, 101, tmp_path)
     assert list(measured["median_s"]) == list(bench_configs.CONFIGS)
     assert all(s > 0 for s in measured["median_s"].values())

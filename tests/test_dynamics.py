@@ -313,10 +313,11 @@ class TestTrajectory:
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# sisid-trajectory-v1"
-        assert lines[1] == "step,state,observation,noise_applied"
-        assert len(lines) == 13  # schema + header + 10 observation rows + final state row
-        assert lines[2].startswith("0,0.01,")
+        assert lines[0] == "# sisid-trajectory-v2"
+        assert lines[1] == "step,state,noise_applied"
+        assert len(lines) == 13  # schema + header + 10 transition rows + final state row
+        assert lines[2] == "0,0.01,0.0"
+        assert lines[-1] == f"10,{traj.states[-1].item()!r},"
 
     def test_a_repeated_tail_is_written_as_each_row_is(self, tmp_path):
         # the state settles, but the noise column flips a zero's sign in the tail,
@@ -326,10 +327,10 @@ class TestTrajectory:
         traj = Trajectory(states=states, process_noise=noise)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
-        rows = [*zip(range(12), states, traj.observations.tolist(), noise), (12, 0.25, None, None)]
-        columns = ("step", "state", "observation", "noise_applied")
-        assert path.read_bytes() == naive_trace_csv("sisid-trajectory-v1", columns, rows)
-        assert b"6,0.25,0.0,-0.0\r\n7,0.25,0.0,0.0\r\n" in path.read_bytes()
+        rows = [*zip(range(12), states, noise), (12, 0.25, None)]
+        columns = ("step", "state", "noise_applied")
+        assert path.read_bytes() == naive_trace_csv("sisid-trajectory-v2", columns, rows)
+        assert b"6,0.25,-0.0\r\n7,0.25,0.0\r\n" in path.read_bytes()
 
     def test_csv_export_returns_the_digest_of_the_file(self, tmp_path):
         path = tmp_path / "traj.csv"

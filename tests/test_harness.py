@@ -600,8 +600,9 @@ def test_online_use_imports_neither_scipy_nor_hashlib():
 # metrics rows (each estimator's lines, \r\n included, in file order) must
 # not move; pure-GD and IE-MMAI rows may differ in the last bits, because
 # u1*t1 + u2*t2 rounds differently from numpy's 1x2 matmul. The metrics pins
-# are of the sisid-metrics-v1 text, all eleven fields of every row, which is
-# what those files held; the v2 files a run writes are pinned below.
+# are of the sisid-metrics-v1 text, all eleven fields of every row, and the
+# trajectory pins of the sisid-trajectory-v1 text of the run's trajectory,
+# which is what those files held; the v2 files a run writes are pinned below.
 PINNED_FILES = {
     "fig1/trajectory.csv": "c748a6c03894014f04e7dcd9c3ed3b407b719c1b442b5eca5d7c478bbba4cd91",
     "fig2/trajectory.csv": "8dd5175511970596275a084647a34e94690fbb5064772c9f12c9b6e6f9d50c68",
@@ -631,12 +632,29 @@ PINNED_METRICS_V2_FILES = {
         "3735195645d94925c08d74c0992d8f1c1286c0f758c0731e0d90d392cd8c939c",
     "fig3_noisy/metrics.csv": "0d8b5b95a52363b1fb96844f5e071616e35fc7a016bf949c3069dd8f6f4340da",
 }
+# sha256 of the sisid-trajectory-v2 files, which drop the observation column
+PINNED_TRAJECTORY_V2_FILES = {
+    "fig1/trajectory.csv": "3a817af7f6c977da623db3b9e547a84a502f58337d3559d0c298078b916b5e06",
+    "fig2/trajectory.csv": "53a97d83502e54c528f071a86a4181ab83082777d36d6849587e8a3b433185a9",
+    "fig3_noisefree/trajectory.csv":
+        "eb1fa3cc87dc56abe3b5dd78005108c97f0ae2c9196894f2c4f7ef29bacae968",
+    "fig3_noisy/trajectory.csv": "13b0b4606d9425cbd87001f55472fba89da638875118a263853f23095976f0d3",
+}
 BUNDLED = ("fig1", "fig2", "fig3_noisefree", "fig3_noisy")
 
 
 def _metrics_v1_text(result) -> bytes:
     """The sisid-metrics-v1 text of a run's rows: every field, each formatted anew."""
     return naive_trace_csv("sisid-metrics-v1", MetricsRow._fields, result.rows)
+
+
+def _trajectory_v1_text(traj) -> bytes:
+    """The sisid-trajectory-v1 text of a trajectory: its observations written too."""
+    n = traj.step_count
+    rows = [*zip(range(n), traj.states[:-1].tolist(), traj.observations.tolist(),
+                 traj.process_noise.tolist()), (n, traj.states[-1].item(), None, None)]
+    columns = ("step", "state", "observation", "noise_applied")
+    return naive_trace_csv("sisid-trajectory-v1", columns, rows)
 
 
 class TestPinnedOutputs:
@@ -657,6 +675,8 @@ class TestPinnedOutputs:
         run, file = name.split("/")
         if file == "metrics.csv":
             data = _metrics_v1_text(results[run])
+        elif file == "trajectory.csv":
+            data = _trajectory_v1_text(results[run].trajectory)
         else:
             data = (root / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == PINNED_FILES[name]
@@ -668,6 +688,14 @@ class TestPinnedOutputs:
         root, _ = runs
         digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
         assert digest == PINNED_METRICS_V2_FILES[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TRAJECTORY_V2_FILES))
+    def test_trajectory_v2_files(self, runs, name):
+        import hashlib
+
+        root, _ = runs
+        digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        assert digest == PINNED_TRAJECTORY_V2_FILES[name]
 
     @pytest.mark.parametrize("key", sorted(PINNED_METRICS_ROWS))
     def test_rls_metrics_rows(self, runs, key):
@@ -1079,6 +1107,22 @@ def _reseeded(name, seed):
     return replace(config, noise=noise, estimators=estimators)
 
 
+@pytest.mark.parametrize("seed", [0, 101])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_trajectory_trace_rebuilds_its_trajectory_bitwise(tmp_path, name, seed):
+    result = run_experiment(replace(_reseeded(name, seed), emit=("trajectory",)), tmp_path)
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        assert next(fh) == f"# {TRAJECTORY_SCHEMA}\n"
+        header, *rows = csv.reader(fh)
+    assert header == ["step", "state", "noise_applied"]
+    assert [int(step) for step, _, _ in rows] == list(range(result.trajectory.step_count + 1))
+    assert rows[-1][2] == ""
+    traj = Trajectory(states=[float(state) for _, state, _ in rows],
+                      process_noise=[float(noise) for _, _, noise in rows[:-1]])
+    for field in ("states", "process_noise", "observations"):
+        assert getattr(traj, field).tobytes() == getattr(result.trajectory, field).tobytes()
+
+
 class TestLaneByLaneRun:
     """``run_experiment`` steps each lane to its end, then forms its rows; it
     reports what ``lockstep_run``, which steps every lane one step at a time and
@@ -1346,7 +1390,7 @@ class TestConditionTexts:
 # fig1's and fig3's rates (settling at steps 474 and 57), zeros of both signs.
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0, 0.12, 0.04, 0.8076, 0.2692]), st.floats(0.0, 1.0))
 _THETA_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 0.05, 0.07]), st.floats(-2.0, 2.0))
-TRAJECTORY_COLUMNS = ("step", "state", "observation", "noise_applied")
+TRAJECTORY_COLUMNS = ("step", "state", "noise_applied")
 ALL_TRACES = ("metrics", "trajectory", "greedy")
 
 
@@ -1385,8 +1429,8 @@ def _assert_run_equals_lockstep(config):
     assert result.status == status
 
     traj, n = result.trajectory, config.steps
-    traj_rows = [*zip(range(n), traj.states[:-1].tolist(), traj.observations.tolist(),
-                      traj.process_noise.tolist()), (n, traj.states[-1].item(), None, None)]
+    traj_rows = [*zip(range(n), traj.states[:-1].tolist(), traj.process_noise.tolist()),
+                 (n, traj.states[-1].item(), None)]
     expected = {
         "metrics.csv": naive_metrics_csv(rows),
         "trajectory.csv": naive_trace_csv(TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, traj_rows),

@@ -195,7 +195,9 @@ PAIR_ENTRIES = [
 
 @pytest.mark.parametrize("value, shown", [
     ((10**400, 0.0), "(inf, 0.0)"), ([0.0, -10**400], "(0.0, -inf)"), ((1, 10**400), "(1.0, inf)"),
-], ids=["(+10**400, 0.0)", "[0.0, -10**400]", "(1, +10**400)"])
+    ((10**400, np.float64(1.0)), "(inf, 1.0)"), ([np.int64(2), -10**400], "(2.0, -inf)"),
+], ids=["(+10**400, 0.0)", "[0.0, -10**400]", "(1, +10**400)", "(+10**400, np.float64(1.0))",
+        "[np.int64(2), -10**400]"])
 @pytest.mark.parametrize("entry", PAIR_ENTRIES)
 def test_a_pair_holding_an_int_beyond_the_float_range_is_not_finite(entry, value, shown):
     # each int entry of a tuple or list is read as finite_scalar reads an int
@@ -205,7 +207,8 @@ def test_a_pair_holding_an_int_beyond_the_float_range_is_not_finite(entry, value
         call(value)
 
 
-@pytest.mark.parametrize("value", [(2**64, 1), [2**64, 1], (2**64, 1.0)], ids=repr)
+@pytest.mark.parametrize("value", [(2**64, 1), [2**64, 1], (2**64, 1.0), (2**64, np.float64(1.0))],
+                         ids=repr)
 def test_a_pair_holding_an_int_beyond_64_bits_is_two_floats(value):
     pair = finite_pair(value, "phi")
     assert pair == (1.8446744073709552e19, 1.0)

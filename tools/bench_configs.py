@@ -10,8 +10,13 @@ A process imports ``sisid`` from its tree's ``src/`` and runs R rounds of
 the four bundled configs (fig1, fig2, fig3_noisefree, fig3_noisy) through
 ``run_experiment``, every trace written, timing each run with
 ``time.perf_counter``; seed S is added to ``seed`` and ``ie_mmai.seed``, as
-perfbench's figs workload adds it. It prints each config's median seconds
-over its rounds.
+perfbench's figs workload adds it. A machine-speed mark,
+``perfbench/workloads.py``'s ``machine_time``, is taken before the first run
+and after each one, and each run's seconds are scaled to the reference speed
+``REFERENCE_S`` by the mean of the marks right before and after it, as
+``perfbench/run.py`` scales its samples; both are imported from the checkout
+that runs this script, the same on both sides. It prints each config's
+median scaled seconds over its rounds.
 
 The record at PATH is rewritten after every process, so an interrupted
 session keeps what it measured. Its fields: ``sides`` (the two full commit
@@ -33,7 +38,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+TOOLS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TOOLS))
 
 from bench_pairs import SIDES, compare, extract, git  # noqa: E402
 
@@ -44,20 +50,37 @@ METHOD = (
     "side, the parent first in even pairs and the change first in odd ones, one process at a "
     "time. A process imports sisid from its tree's src/, runs `rounds` rounds of the four "
     "bundled configs through run_experiment with every trace written (seed added to seed and "
-    "ie_mmai.seed), times each run with time.perf_counter and reports each config's median "
-    "seconds. summary is bench_pairs.compare over those medians, in pair order, per config: "
-    "lower is better."
+    "ie_mmai.seed), times each run with time.perf_counter, scales it to the reference speed "
+    "by the mean of perfbench's machine_time marks taken right before and after it (as "
+    "perfbench/run.py scales its samples) and reports each config's median scaled seconds. "
+    "summary is bench_pairs.compare over those medians, in pair order, per config: lower is "
+    "better."
 )
+
+
+def scaled(seconds: list[float], marks: list[float], reference_s: float) -> list[float]:
+    """Each of ``seconds`` at the speed ``reference_s``: run i is scaled by the
+    mean of ``marks[i]`` and ``marks[i + 1]``, the machine times taken right
+    before and after it."""
+    if len(marks) != len(seconds) + 1:
+        raise ValueError(f"{len(seconds)} runs need {len(seconds) + 1} marks, got {len(marks)}")
+    return [s * reference_s / (0.5 * (before + after))
+            for s, before, after in zip(seconds, marks, marks[1:])]
 
 
 def measure(rounds: int, seed: int, out: Path) -> dict:
     """Each bundled config's median seconds over ``rounds`` rounds, run by the
-    ``sisid`` on ``sys.path``."""
+    ``sisid`` on ``sys.path`` and scaled to the reference speed."""
     import statistics
     import time
 
     import sisid
     from sisid.config import config_from_mapping, load_config_mapping
+
+    # workloads imports sisid too, and finds the one imported above; it also puts
+    # this checkout's src/ on sys.path, which no later import of sisid consults
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
+    from workloads import REFERENCE_S, machine_time
 
     configs = []
     for name in CONFIGS:
@@ -66,14 +89,19 @@ def measure(rounds: int, seed: int, out: Path) -> dict:
             if key in mapping:
                 mapping[key] = str(int(mapping[key]) + seed)
         configs.append((name, config_from_mapping(mapping)))
-    seconds: dict[str, list[float]] = {name: [] for name in CONFIGS}
+    runs, seconds, marks = [], [], [machine_time()]
     for _ in range(rounds):
         for name, config in configs:
             t0 = time.perf_counter()
             sisid.run_experiment(config, output_dir=out / name)
-            seconds[name].append(time.perf_counter() - t0)
+            seconds.append(time.perf_counter() - t0)
+            marks.append(machine_time())
+            runs.append(name)
+    by_config: dict[str, list[float]] = {name: [] for name in CONFIGS}
+    for name, s in zip(runs, scaled(seconds, marks, REFERENCE_S)):
+        by_config[name].append(s)
     return {"sisid": sisid.__file__,
-            "median_s": {name: statistics.median(s) for name, s in seconds.items()}}
+            "median_s": {name: statistics.median(s) for name, s in by_config.items()}}
 
 
 def summarize(runs: list[dict]) -> dict:
