@@ -100,11 +100,12 @@ def read_count(value, name: str, low: float = -math.inf, high: float = math.inf)
 
 
 def _scalar_float(u) -> float | None:
-    """A Python int (by ``_int_float``) or float, or a numpy scalar of kind b, i,
-    u or f, as a Python float; None for any other value."""
-    if type(u) is float:
-        return u
-    if type(u) is int:
+    """An int (a bool too) by ``_int_float``, a float (``np.float64`` too) or
+    another numpy scalar of kind b, i, u or f, as a Python float; None for any
+    other value."""
+    if isinstance(u, float):
+        return float(u)
+    if isinstance(u, int):
         return _int_float(u)
     if isinstance(u, np.generic) and u.dtype.kind in "biuf":
         return float(u)
@@ -124,9 +125,9 @@ def _scalar_pair(value) -> tuple[float, float] | None:
 def finite_pair(value, name: str) -> tuple[float, float]:
     """Two finite Python floats from a pair of numbers or any array with two
     entries; ``ValueError`` naming the argument for any other value. A tuple
-    or list of two Python or numpy scalars is read without numpy arrays, each
-    Python int as ``finite_scalar`` reads it, so one beyond the float range is
-    refused as an infinity, also beside a numpy scalar."""
+    or list of two scalars is read without numpy arrays, each as
+    ``finite_scalar`` reads it, so an int beyond the float range is refused as
+    an infinity, also beside a numpy scalar."""
     u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
     if type(u1) is not float or type(u2) is not float:
         pair = _scalar_pair(value)
@@ -141,15 +142,12 @@ def finite_pair(value, name: str) -> tuple[float, float]:
 def finite_scalar(value, name: str) -> float:
     """A finite float from a number or a one-entry array; an int beyond the
     float range reads as an infinity, so it is refused as one."""
-    if isinstance(value, float):
-        value = float(value)
-    elif isinstance(value, int):
-        value = _int_float(value)
-    else:
-        value = _read_floats(value, name, "be a scalar number", 1).item()
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+    number = _scalar_float(value)
+    if number is None:
+        number = _read_floats(value, name, "be a scalar number", 1).item()
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
 
 
 def sym2(m: np.ndarray, name: str = "matrix") -> Sym2:
