@@ -207,7 +207,7 @@ def test_a_pair_holding_an_int_beyond_the_float_range_is_not_finite(entry, value
         call(value)
 
 
-@pytest.mark.parametrize("value", [(2**64, 1), [2**64, 1], (2**64, 1.0), (2**64, np.float64(1.0))],
+@pytest.mark.parametrize("value", [(2**64, 1), [2**64, 1], (2**64, 1.0), [2**64, np.float64(1.0)]],
                          ids=repr)
 def test_a_pair_holding_an_int_beyond_64_bits_is_two_floats(value):
     pair = finite_pair(value, "phi")
