@@ -49,7 +49,7 @@ from pathlib import Path
 
 from .dynamics import NoiseSpec, SisParams, read_steps, read_x0
 from .estimators import MAX_IE_MMAI_MODELS, ie_mmai_init, read_alpha, read_p0_scale, read_theta0
-from .linalg import read_count, read_number
+from .linalg import _shown, read_count, read_number
 
 TRACE_KINDS = ("metrics", "trajectory", "greedy")
 CONFIG_SCHEMA = "sisid-config-v1"
@@ -142,7 +142,8 @@ def _read_estimator(est: EstimatorSettings) -> EstimatorSettings:
             except ValueError:
                 kept = False
             if not kept:
-                raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {value!r}")
+                got = _shown(value)
+                raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {got}")
             read[f.name] = f.default
     key = f"{est.kind}."
     read["alpha"] = read_alpha(est.alpha, key + "alpha:", below_one=est.kind == "grls")

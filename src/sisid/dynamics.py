@@ -136,8 +136,8 @@ TRAJECTORY_SCHEMA = "sisid-trajectory-v2"
 class Trajectory:
     """States x[0..K], observations y[k] = x[k+1] - x[k] formed from them, and process noise.
 
-    ``states`` and ``process_noise`` are read as float arrays by the library's
-    one number rule: anything else raises ``ValueError`` naming the field.
+    ``states`` (at least one) and ``process_noise`` are read as 1-d float arrays
+    by the library's one number rule; else ``ValueError`` names the field.
     """
 
     states: np.ndarray
@@ -147,8 +147,11 @@ class Trajectory:
     def __post_init__(self) -> None:
         for name in ("states", "process_noise"):
             object.__setattr__(self, name, _read_floats(getattr(self, name), name))
-        object.__setattr__(self, "observations", np.diff(self.states))
-        if len(self.process_noise) != len(self.observations):
+        if self.states.ndim != 1 or not self.states.size:
+            raise ValueError(f"states must be a nonempty 1-d array, got shape {self.states.shape}")
+        with np.errstate(over="ignore"):  # an overflowing difference is named below
+            object.__setattr__(self, "observations", np.diff(self.states))
+        if self.process_noise.shape != self.observations.shape:
             raise ValueError("process_noise must have one entry per observation")
         for name in ("states", "observations", "process_noise"):
             if not np.all(np.isfinite(getattr(self, name))):

@@ -28,13 +28,11 @@ built, checks only the transition, and reads ``SIS_REGRESSOR`` as
 recursion provably minimizes, from scratch at any step, and exists so the
 recursive and batch routes can be checked against each other.
 
-An identifier's settings are read by one reader each, placed here and
-called by every entry that takes the setting and by the config, each with
-the name its ``ValueError`` reports: ``read_alpha`` (a forgetting factor),
-``read_p0_scale`` (the prior covariance scale) and ``read_theta0`` (the
-initial estimate); a count goes through ``linalg.read_count``. Each reads
-by the one-number rule of ``sisid.linalg``: a setting is one number, not a
-one-entry array. The per-step kernels read nothing.
+Each setting has one reader, called by every entry that takes it and by the
+config, with the name its ``ValueError`` reports: ``read_alpha`` (a
+forgetting factor), ``read_p0_scale`` (the prior covariance scale),
+``read_theta0`` (the initial estimate) and ``linalg.read_count`` (a count),
+each by the number rule of ``sisid.linalg``. The per-step kernels read nothing.
 """
 
 from __future__ import annotations
@@ -53,8 +51,9 @@ from .excitation import (
 from .linalg import (
     ConditioningError,
     Sym2,
-    _scalar_pair,
     _read_floats,
+    _scalar_pair,
+    _shown,
     finite_pair,
     finite_scalar,
     read_count,
@@ -87,15 +86,17 @@ def read_p0_scale(value, name: str = "p0_scale") -> float:
 
 
 def read_theta0(value, name: str = "theta0") -> tuple[float, float]:
-    """An initial estimate: two finite numbers, as a pair or an array of shape
-    (2,); else ``ValueError`` naming it."""
+    """An initial estimate: two finite numbers, as a pair that ``finite_pair``
+    reads or an array of shape (2,), read once; else ``ValueError`` naming it."""
     pair = _scalar_pair(value)
     if pair is None:
         theta0 = _read_floats(value, name)
         if theta0.shape != (2,):
             raise ValueError(f"{name} has shape {theta0.shape}, expected (2,)")
         pair = tuple(theta0.tolist())
-    return finite_pair(pair, name)
+    if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+        raise ValueError(f"{name} must be finite, got {pair}")
+    return pair
 
 
 def _finite_row(value, name: str) -> tuple[float, float]:
@@ -392,7 +393,7 @@ class WeightedCostSpec:
             members = iter(indices)
         except TypeError:
             raise ValueError(
-                f"spec.greedy_indices must be a collection of step indices, got {indices!r}"
+                f"spec.greedy_indices must be a collection of step indices, got {_shown(indices)}"
             ) from None
         indices = frozenset(read_count(i, "spec.greedy_indices", 0) for i in members)
         object.__setattr__(self, "greedy_indices", indices)
@@ -414,7 +415,7 @@ def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
     """
     i, k = read_count(i, "i"), read_count(k, "k")
     if not 0 <= i <= k:
-        raise ValueError(f"weight requested for point i={i} outside 0..k={k}")
+        raise ValueError(f"weight requested for point i={_shown(i)} outside 0..k={_shown(k)}")
     if i in spec.greedy_indices:
         return 1.0 - spec.alpha ** (k - i + 1)
     return spec.alpha ** (k - i)
@@ -431,7 +432,7 @@ def batch_oracle(
     """
     k = read_count(k, "k")
     if not 0 <= k < traj.step_count:
-        raise ValueError(f"step {k} out of range for {traj.step_count} observations")
+        raise ValueError(f"k {_shown(k)} out of range for {traj.step_count} observations")
     if any(i > k for i in spec.greedy_indices):
         raise ValueError("greedy_indices contains points beyond step k")
     ages = k - np.arange(k + 1)

@@ -36,7 +36,8 @@ import numpy as np
 
 from .dynamics import Trajectory, write_trace
 from .linalg import (
-    Sym2, finite_pair, finite_scalar, read_count, read_number, sym2, sym2_array, sym2_spectrum,
+    Sym2, _shown, finite_pair, finite_scalar, read_count, read_number, sym2, sym2_array,
+    sym2_spectrum,
 )
 
 # A regressor with norm below this contributes nothing and is never
@@ -76,7 +77,7 @@ def sliding_fim(traj: Trajectory, reg: Callable, l: int, window: int) -> np.ndar
     l, window = read_count(l, "l"), read_count(window, "window")
     if l < 0 or window < 0 or l + window > traj.step_count:
         raise ValueError(
-            f"window [{l}, {l + window}] out of range for {traj.step_count} steps"
+            f"window [{_shown(l)}, {_shown(l + window)}] out of range for {traj.step_count} steps"
         )
     a = b = d = 0.0
     for u1, u2 in regressor_pairs(reg, traj.states[l : l + window + 1].tolist()):
@@ -89,7 +90,7 @@ def is_initially_exciting(
 ) -> bool:
     """Whether the undiscounted FIM over steps 0..horizon clears alpha_threshold,
     a positive number."""
-    horizon = read_count(horizon, "horizon")
+    horizon = read_count(horizon, "horizon", 0, traj.step_count)
     alpha_threshold = read_number(alpha_threshold, "alpha_threshold")
     if not alpha_threshold > 0.0:
         raise ValueError(f"alpha_threshold must be positive, got {alpha_threshold!r}")
@@ -155,9 +156,7 @@ def _offer_floats(gset: GreedySet, phi, y: float, k: int) -> tuple[GreedySet, bo
 
 def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -> GreedySet:
     """Run the acceptance rule over steps 0..upto-1 of a trajectory."""
-    upto = traj.step_count if upto is None else read_count(upto, "upto")
-    if not 0 <= upto <= traj.step_count:
-        raise ValueError(f"upto {upto} out of range for {traj.step_count} steps")
+    upto = traj.step_count if upto is None else read_count(upto, "upto", 0, traj.step_count)
     gset = GreedySet()
     pairs = regressor_pairs(reg, traj.states[:upto].tolist())
     for k, (phi, y) in enumerate(zip(pairs, traj.observations[:upto].tolist())):
@@ -173,8 +172,8 @@ def optimal_excitation_set(traj: Trajectory, reg: Callable) -> tuple[int, ...]:
     """Brute-force subset of step indices minimizing the FIM condition number.
 
     Ties break toward smaller subsets, then lexicographically smaller index
-    tuples. Intended for verification at desk scale only: a trajectory of
-    more than ``EXHAUSTIVE_LIMIT`` steps raises ``ValueError``.
+    tuples; no steps give ``()``. Intended for verification at desk scale
+    only: a trajectory of more than ``EXHAUSTIVE_LIMIT`` steps raises ``ValueError``.
     """
     n = traj.step_count
     if n > EXHAUSTIVE_LIMIT:
@@ -184,7 +183,7 @@ def optimal_excitation_set(traj: Trajectory, reg: Callable) -> tuple[int, ...]:
     pairs = regressor_pairs(reg, traj.states[:n].tolist())
     outers = [(u1 * u1, u1 * u2, u2 * u2) for u1, u2 in pairs]
 
-    best: tuple[int, ...] | None = None
+    best: tuple[int, ...] = ()
     best_cond = math.inf
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
@@ -192,7 +191,7 @@ def optimal_excitation_set(traj: Trajectory, reg: Callable) -> tuple[int, ...]:
             if not all(map(math.isfinite, fim)):
                 raise ValueError(f"the FIM of steps {subset} is not finite: {fim}")
             cond = sym2_spectrum(*fim)[2]
-            if best is None or cond < best_cond:
+            if not best or cond < best_cond:
                 best = subset
                 best_cond = cond
     return best

@@ -325,13 +325,13 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     estimator kind, the first step whose report every later step repeats
     when its lane stopped stepping there (None when it stepped to the end).
 
-    The cyclic garbage collector is paused for the run, which makes no
-    reference cycles, so that collections do not walk its live reports and
-    rows over and over to free nothing. When the run returns or raises, the
-    collector is switched back on only if it was on when the run began. The
-    pause is process-wide: while a run is in progress no thread gets
-    automatic collections, and of runs overlapping in several threads, the
-    one that paused the collector switches it back on when it returns.
+    The cyclic garbage collector is paused for the run, so that collections do
+    not walk its live reports and rows, which form no cycles, to free nothing;
+    only writing the manifest by ``json.dumps`` leaves cyclic garbage. When the
+    run returns or raises, the collector is switched back on only if it was on
+    when the run began. The pause is process-wide: while a run is in progress
+    no thread gets automatic collections, and of runs overlapping in several
+    threads, the one that paused the collector switches it back on.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -11,20 +11,21 @@ reads a 2x2 array and rejects any other shape or an asymmetric matrix.
 ``solve_spd`` (numpy's Cholesky) serves the batch oracle and the IE-MMAI
 correction, which solve from scratch rather than step.
 
-Every number or array the library takes from outside is read by one rule,
-``_read_floats``: a value counts as numbers only when numpy reads it with
-dtype kind b, i, u or f (bool, integer or real), so strings, ``None``,
-complex, object and ragged values raise ``ValueError`` naming the argument.
-``finite_scalar`` and ``finite_pair`` read a data value (one number, which
-may be a one-entry array, or a pair) by it, with a fast path for Python
-ints and floats (in a pair, numpy scalars too), each int beyond the float
-range read as an infinity. A setting is one number: ``read_number`` reads
-it, refusing a one-entry array, and with ``integer`` takes integers only, no
-bool and no real; ``read_count`` reads an integer in a range by it. Each
-setting's reader (alpha, p0_scale and theta0 in ``sisid.estimators``, x0
-and steps in ``sisid.dynamics``) builds on these, and takes the name its
-``ValueError`` reports, so the config reads its fields through the same
-functions as the library entries.
+Every number or array the library takes from outside is read by one of two
+routes. The scalar route, ``_scalar_float`` (``_scalar_pair`` for a tuple or
+list of two), reads an int, bool or float or a numpy scalar of kind b, i, u or
+f as a float, with no array. The array route, ``_read_floats``, reads any
+other value by one numpy conversion, as numbers only with dtype kind b, i, u
+or f, so strings, ``None``, complex, object and ragged values raise
+``ValueError`` naming the argument. Both read a number beyond the float range
+as an infinity of its sign, without a warning, and print a refused value by
+``_shown``, at most 80 characters of it. ``finite_scalar`` and ``finite_pair``
+read a data value (a number or a pair, or an array with one or two entries)
+and refuse an infinity. A setting is one number, which ``read_number`` reads
+by the scalar route (a 0-d array as its entry), with ``integer`` taking
+integers only; ``read_count`` reads an integer in a range by it. Each
+setting's reader (in ``sisid.estimators`` and ``sisid.dynamics``) builds on
+these, and the config reads its fields through the same readers.
 """
 
 from __future__ import annotations
@@ -47,47 +48,42 @@ class ConditioningError(ArithmeticError):
     """An update or solve failed because a matrix is numerically singular."""
 
 
-def _read_floats(
-    value, name: str, expected: str = "be numbers", size: int | None = None
-) -> np.ndarray:
-    """``value`` as a float array, if numpy reads it as bool, integer or real
-    numbers, and with ``size`` entries if given; else ``ValueError``:
+def _shown(value) -> str:
+    """``repr(value)`` as every refusal prints it: at most 80 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int of more digits than Python converts to text
+        text = f"a {type(value).__name__} too long to print"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _read_floats(value, name: str, expected: str = "be numbers", size=None) -> np.ndarray:
+    """The array route: ``value`` as a float array, if numpy reads it with dtype
+    kind b, i, u or f, and with ``size`` entries if given; else ``ValueError``:
     "<name> must <expected>, got <value>"."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged sequence
         arr = np.asarray(None)
     if arr.dtype.kind not in "biuf" or size is not None and arr.size != size:
-        raise ValueError(f"{name} must {expected}, got {value!r}")
-    return arr.astype(float, copy=False)
-
-
-def _int_float(value: int) -> float:
-    """An int as a float; one beyond the float range is an infinity of its sign."""
-    if abs(value) <= sys.float_info.max:
-        return float(value)
-    return math.inf if value > 0 else -math.inf
+        raise ValueError(f"{name} must {expected}, got {_shown(value)}")
+    with np.errstate(over="ignore"):  # a longdouble beyond the float range is an infinity
+        return arr.astype(float, copy=False)
 
 
 def read_number(value, name: str, integer: bool = False) -> float | int:
-    """One number, a setting: a Python float, or an int, bool or 0-d array that
-    numpy reads with dtype kind b, i, u or f, as a Python float; with
-    ``integer``, an int or a 0-d array of kind i or u, as a Python int (not a
-    bool: a count or a seed of True means nothing). A one-entry array is not
-    one number. Else ``ValueError``: "<name> must be a number" ("an integer"),
-    "got <value>".
-    """
-    if type(value) is int and not integer:
-        value = _int_float(value)
-    if type(value) is (int if integer else float):
-        return value
-    try:
-        number = np.asarray(value)
-    except ValueError:  # a ragged sequence
-        number = np.asarray(None)
-    if number.ndim or number.dtype.kind not in ("iu" if integer else "biuf"):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return number.item() if integer else float(number)
+    """One number, a setting, by the scalar route: what ``_scalar_float`` reads;
+    with ``integer``, an int or numpy integer as an int (not a bool: a count or
+    a seed of True means nothing). A 0-d array reads as its entry, a one-entry
+    array is not one number: ``ValueError`` "<name> must be a number" (an integer)."""
+    if type(value) is np.ndarray and value.shape == () and value.dtype.kind in "biuf":
+        value = value[()]
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    number = (int(value) if whole else None) if integer else _scalar_float(value)
+    if number is None:
+        expected = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {expected}, got {_shown(value)}")
+    return number
 
 
 def read_count(value, name: str, low: float = -math.inf, high: float = math.inf) -> int:
@@ -95,18 +91,18 @@ def read_count(value, name: str, low: float = -math.inf, high: float = math.inf)
     count = read_number(value, name, integer=True)
     if not low <= count <= high:
         bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {bounds}, got {count}")
+        raise ValueError(f"{name} must be {bounds}, got {_shown(count)}")
     return count
 
 
 def _scalar_float(u) -> float | None:
-    """An int (a bool too) by ``_int_float``, a float (``np.float64`` too) or
-    another numpy scalar of kind b, i, u or f, as a Python float; None for any
-    other value."""
+    """The scalar route: an int (a bool too), a float (``np.float64`` too) or
+    another numpy scalar of kind b, i, u or f, as a Python float, an int beyond
+    the float range as an infinity of its sign; None for any other value."""
     if isinstance(u, float):
         return float(u)
     if isinstance(u, int):
-        return _int_float(u)
+        return float(u) if abs(u) <= sys.float_info.max else math.inf if u > 0 else -math.inf
     if isinstance(u, np.generic) and u.dtype.kind in "biuf":
         return float(u)
     return None
@@ -123,17 +119,11 @@ def _scalar_pair(value) -> tuple[float, float] | None:
 
 
 def finite_pair(value, name: str) -> tuple[float, float]:
-    """Two finite Python floats from a pair of numbers or any array with two
-    entries; ``ValueError`` naming the argument for any other value. A tuple
-    or list of two scalars is read without numpy arrays, each as
-    ``finite_scalar`` reads it, so an int beyond the float range is refused as
-    an infinity, also beside a numpy scalar."""
-    u1, u2 = value if type(value) is tuple and len(value) == 2 else (None, None)
-    if type(u1) is not float or type(u2) is not float:
-        pair = _scalar_pair(value)
-        if pair is None:
-            pair = _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
-        u1, u2 = pair
+    """Two finite Python floats from a pair that ``_scalar_pair`` reads, or any
+    array with two entries; ``ValueError`` naming the argument for any other
+    value, so an int beyond the float range is refused as an infinity."""
+    pair = _scalar_pair(value)
+    u1, u2 = pair or _read_floats(value, name, "have 2 entries, both numbers", 2).ravel().tolist()
     if not (math.isfinite(u1) and math.isfinite(u2)):
         raise ValueError(f"{name} must be finite, got {(u1, u2)}")
     return u1, u2
@@ -209,8 +199,14 @@ def condition_number(m: np.ndarray) -> float:
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a via its Cholesky factor."""
+    """Solve a x = b for symmetric positive definite a via its Cholesky factor;
+    ``ValueError`` unless ``a`` is a square matrix and ``b`` a vector or matrix
+    with as many rows, ``ConditioningError`` unless ``a`` is positive definite."""
     a, b = _read_floats(a, "a"), _read_floats(b, "b")
+    if a.ndim != 2 or len(a) != a.shape[1]:
+        raise ValueError(f"a must be a square matrix, got shape {a.shape}")
+    if b.ndim not in (1, 2) or len(b) != len(a):
+        raise ValueError(f"b must have {len(a)} rows, got shape {b.shape}")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

@@ -227,6 +227,10 @@ class TestOptimalExcitationSet:
         traj = simulate(0.01, FIG3, 1)
         assert optimal_excitation_set(traj, SIS_REGRESSOR) == (0,)
 
+    def test_a_trajectory_of_no_steps_has_the_empty_set(self):
+        traj = Trajectory(states=[0.1], process_noise=[])
+        assert optimal_excitation_set(traj, SIS_REGRESSOR) == ()
+
     def test_exhaustive_beats_greedy_on_prefix(self):
         traj = simulate(0.01, FIG3, 8)
         best = optimal_excitation_set(traj, SIS_REGRESSOR)

@@ -885,6 +885,17 @@ class TestCollectorPause:
         assert gc.collect() == 0
         assert result.status == 1
 
+    def test_a_written_run_leaves_only_the_garbage_of_dumping_its_manifest(self, tmp_path):
+        # json.dumps with an indent runs the pure-Python encoder, whose closures
+        # form cycles; how many depends on the Python version
+        config = load_config(bundled_config_path("fig2"))
+        with _collector(False):
+            gc.collect()
+            result = run_experiment(config, tmp_path)
+            left = gc.collect()
+            json.dumps(result.manifest, indent=2)
+            assert left == gc.collect()
+
 
 def test_a_zero_refresh_denominator_is_a_recorded_grls_failure():
     # a constant state: every offer of its one regressor is accepted, P loses

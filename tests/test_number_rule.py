@@ -7,12 +7,18 @@ integers only, no bool, as do the library's integer arguments (steps, seeds,
 model counts and step indices). A setting is one number, not a one-entry
 array, whether the config or a library entry reads it."""
 
+import math
 import re
+import sys
+import warnings
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sisid.config import ConfigError, EstimatorSettings, ExperimentConfig
 from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
@@ -35,7 +41,7 @@ from sisid.excitation import (
     sliding_fim,
 )
 from sisid.harness import fim_condition_trace
-from sisid.linalg import condition_number, solve_spd
+from sisid.linalg import ConditioningError, condition_number, solve_spd
 
 STATE = GrlsState.initial((1.0, 1.0), SIS_REGRESSOR)
 SPEC = dict(alpha=0.94, p0_inv=np.eye(2), theta0=(1.0, 1.0), greedy_indices=frozenset())
@@ -337,3 +343,144 @@ def test_x0_is_read_alike_by_the_config_and_simulate(x0):
 def test_ie_threshold_must_be_positive(threshold):
     with pytest.raises(ValueError, match="^alpha_threshold must be positive, got "):
         is_initially_exciting(TRAJ, SIS_REGRESSOR, 4, threshold)
+
+
+# The rule as one property: every entry above, and two readers that ENTRIES
+# leaves out (greedy step indices, a collection, and upto, whose None means
+# every step), crossed with every kind of value, returns the type it
+# documents or raises a ValueError (ConfigError from a config) that starts
+# with the name of what it refused and stays within MESSAGE_LIMIT
+# characters; no other exception, and no warning.
+MESSAGE_LIMIT = 200
+READERS = {
+    **ENTRIES,
+    "WeightedCostSpec.greedy_indices": (
+        lambda v: WeightedCostSpec(**{**SPEC, "greedy_indices": v}), "spec.greedy_indices"
+    ),
+    "build_greedy_set.upto": (_upto, "upto"),
+}
+
+
+class _HasFloat:
+    def __float__(self):
+        return 0.5
+
+
+class _HasIndex:
+    def __index__(self):
+        return 1
+
+
+LONGDOUBLE_BEYOND = np.longdouble("1e400")  # beyond the float range (x87 longdouble)
+VALUE_KINDS = {
+    # bool and int
+    "True": True, "0": 0, "1": 1, "2**63": 2**63, "2**64": 2**64, "+10**400": 10**400,
+    "-10**400": -10**400, "10**5000": 10**5000,  # the last beyond what str() converts
+    # float
+    "0.0": 0.0, "-0.0": -0.0, "0.5": 0.5, "subnormal": 5e-324, "+inf": math.inf,
+    "-inf": -math.inf, "nan": math.nan,
+    # numpy scalars of kinds b, i, u, f and c
+    "np.bool_": np.bool_(True), "np.int64": np.int64(1), "np.uint64 max": np.uint64(2**64 - 1),
+    "np.float16": np.float16(0.5), "np.float32": np.float32(0.5), "np.float64": np.float64(0.5),
+    "np.longdouble": np.longdouble(0.5), "np.longdouble('1e400')": LONGDOUBLE_BEYOND,
+    "-np.longdouble('1e400')": -LONGDOUBLE_BEYOND, "np.complex128": np.complex128(1j),
+    # arrays
+    "0-d": np.array(0.5), "0-d int": np.array(3), "0-d object": np.array(0.5, dtype=object),
+    "1-d of 0": np.array([]), "1-d of 1": np.array([0.5]), "1-d of 2": np.array([0.1, 0.2]),
+    "1-d of 3": np.array([0.1, 0.2, 0.3]), "2-d": np.eye(2),
+    "1-d longdouble": np.array([LONGDOUBLE_BEYOND, 1.0]), "ragged": [1.0, [2.0, 3.0]],
+    # tuples and lists that mix these
+    "(0.1, -0.1)": (0.1, -0.1), "[1, np.float64(0.5)]": [1, np.float64(0.5)],
+    "(np.int64(2), -10**400)": (np.int64(2), -10**400), "('a', 10**400)": ("a", 10**400),
+    "(10**400, 1, 1)": (10**400, 1, 1), "[2**64, -1]": [2**64, -1],
+    "[np.longdouble('1e400'), 0.0]": [LONGDOUBLE_BEYOND, 0.0],
+    # not numbers
+    "str": "0.5", "bytes": b"0.5", "None": None, "Fraction": Fraction(1, 2),
+    "Decimal": Decimal("0.5"), "complex": 1j, "__float__": _HasFloat(), "__index__": _HasIndex(),
+}
+
+# The type each entry returns, by the entry's first word.
+RETURNS = {
+    "finite_scalar": float, "finite_pair": tuple, "grls_step": GrlsState, "GrlsState": GrlsState,
+    "replace": GrlsState, "ef_rls_step": tuple, "greedy_offer": tuple, "condition_number": float,
+    "solve_spd": np.ndarray, "Trajectory": Trajectory, "WeightedCostSpec": WeightedCostSpec,
+    "ie_mmai_init": tuple, "fim_condition_trace": list, "SisParams": SisParams,
+    "NoiseSpec": NoiseSpec, "ExperimentConfig": ExperimentConfig, "simulate": Trajectory,
+    "sliding_fim": np.ndarray, "is_initially_exciting": bool, "batch_oracle": np.ndarray,
+    "build_greedy_set": GreedySet,
+}
+
+# The entries whose docstrings document ConditioningError, by first word.
+CONDITIONING = {"grls_step", "ef_rls_step", "solve_spd"}
+
+# A value that fails a documented relation with another argument may be
+# refused in the name of that relation, as its docstring (or, for
+# from_grls, an example test) says.
+RELATED = {
+    "Trajectory.states": ("process_noise",),  # one entry per observation
+    "NoiseSpec.process_std": ("bound_nu",),  # the share of draws bound_nu keeps
+    "sliding_fim.l": ("window",),  # the window [l, l + window]
+    "WeightedCostSpec.from_grls.p0_scale": ("spec.p0_inv",),  # I / p0_scale
+    "grls_step.x_k": ("x_next - x_k",),  # the observation, whose square must be finite
+}
+
+
+def _allocates(entry, value):
+    # simulate allocates its states for the count before stepping
+    return entry == "simulate.steps" and isinstance(value, (int, np.integer)) and value > 10**6
+
+
+def _breach(entry, value):
+    """How ``entry`` breaks the rule on ``value``; None when it keeps it."""
+    call, name = READERS[entry]
+    kind = entry.split(".")[0]
+    starts = tuple(f"{n} " for n in (name, *RELATED.get(entry, ())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(value)
+        except ConditioningError as exc:
+            return None if kind in CONDITIONING else f"ConditioningError: {exc}"
+        except ValueError as exc:
+            text = str(exc)
+            if (isinstance(exc, ConfigError) == (kind == "ExperimentConfig")
+                    and text.startswith(starts) and len(text) <= MESSAGE_LIMIT):
+                return None
+            return f"{type(exc).__name__} of {len(text)} characters: {text[:MESSAGE_LIMIT]}"
+        except Exception as exc:  # a warning too, raised by the filter
+            return f"{type(exc).__name__}: {str(exc)[:MESSAGE_LIMIT]}"
+    if type(result) is not RETURNS[kind]:
+        return f"returned a {type(result).__name__}, not a {RETURNS[kind].__name__}"
+    return None
+
+
+def test_every_entry_keeps_the_rule_on_every_kind_of_value():
+    breaches = [
+        f"{entry}({kind}): {breach}"
+        for entry in READERS for kind, value in VALUE_KINDS.items()
+        if not _allocates(entry, value) and (breach := _breach(entry, value))
+    ]
+    assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)
+
+
+# int(float max) is 2**1024 - 2**971; float() of an int overflows from 2**1024 - 2**970 on
+_FLOAT_MAX_INT = int(sys.float_info.max)
+NEAR_LIMITS = st.one_of(
+    st.integers(2**63 - 2**12, 2**63 + 2**12), st.integers(2**64 - 2**12, 2**64 + 2**12),
+    st.integers(_FLOAT_MAX_INT - 2**972, _FLOAT_MAX_INT + 2**972),
+    st.floats(2.0**63 - 2**12, 2.0**64 + 2**13),
+    st.floats(sys.float_info.max / 2, sys.float_info.max),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(magnitude=NEAR_LIMITS, negative=st.booleans())
+def test_every_entry_keeps_the_rule_near_the_integer_and_float_limits(magnitude, negative):
+    value = -magnitude if negative else magnitude
+    breaches = [
+        f"{entry}({shown}): {breach}"
+        for shown, v in ((repr(value), value), (f"({value!r}, 0.5)", (value, 0.5)))
+        for entry in READERS
+        if not _allocates(entry, v) and (breach := _breach(entry, v))
+    ]
+    assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)
