@@ -6,8 +6,8 @@ comment and blank lines are ignored. Keys:
     beta, gamma           true SIS rates (floats in [0, 1])
     x0                    initial infected proportion
     steps                 number of simulated transitions (>= 1)
-    seed                  trajectory noise seed (int, used when noise = on)
-    noise                 on | off
+    seed                  trajectory noise seed (int; noise = on only, as is each noise.*)
+    noise                 on | off (on with both stds 0.0 simulates as off)
     noise.process_std     process noise std (default 0.001)
     noise.observation_std observation noise std (default 0.0)
     noise.bound_nu        hard bound on realized process noise (default 0.005)
@@ -26,11 +26,11 @@ comment and blank lines are ignored. Keys:
     clamp_estimates       on | off; clamp reported estimates at zero
                           (reporting only, estimator state is untouched)
 
-``ESTIMATOR_FIELDS`` lists the ``EstimatorSettings`` fields each kind reads;
-parsing, the config echo in manifests and validation go by it, so any other
-``<kind>.<field>`` key (``pure_gd.p0_scale``, ``ie_mmai.p0_scale``) is unknown,
-and an ``EstimatorSettings`` field its kind does not read must keep its default.
-Defaults are the ``EstimatorSettings`` and ``NoiseSpec`` field defaults.
+A key is read or refused. ``ESTIMATOR_FIELDS`` lists the ``EstimatorSettings``
+fields each kind reads; parsing, the config echo in manifests and validation go
+by it, so any other ``<kind>.<field>`` key (``pure_gd.p0_scale``) is unknown, as
+are ``noise.*`` and ``seed`` with noise = off, and an ``EstimatorSettings`` field
+its kind does not read must keep its default. Defaults are the field defaults.
 
 An ``ExperimentConfig`` checks itself when built: ``ConfigError`` names the
 first field a run could not use. It reads each setting through the reader
@@ -79,7 +79,7 @@ ESTIMATOR_FIELDS = {
 }
 ESTIMATOR_KINDS = tuple(ESTIMATOR_FIELDS)
 
-# Config key -> field, of NoiseSpec (read when noise = on) and of each kind's settings.
+# Config key -> field, of NoiseSpec (noise = on only) and of each kind's settings.
 _NOISE_KEYS = {"noise.process_std": "process_std", "noise.observation_std": "observation_std",
                "noise.bound_nu": "bound_nu", "seed": "seed"}
 _ESTIMATOR_KEYS = {k: {f"{k}.{f}": f for f in fields} for k, fields in ESTIMATOR_FIELDS.items()}
@@ -232,10 +232,8 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             noise = NoiseSpec(**fields)
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from None
-    else:
+    else:  # noise.* and seed, unread, are unknown keys
         noise = None
-        for key in _NOISE_KEYS:
-            mapping.pop(key, None)
 
     names_value = mapping.pop("estimators", "")
     names = [n.strip() for n in names_value.split(",") if n.strip()]

@@ -22,12 +22,13 @@ observations are ``np.diff`` of the states, so they are not written, and
 bitwise the trajectory that wrote it.
 
 A run's settings are read by one reader each, which the config also calls
-with its key as the name: ``read_x0`` (a number in [0, 1]) and
-``read_steps`` (an integer >= 1), both by the one-number rule of
-``sisid.linalg``; ``simulate`` reads the noise seed as an integer >= 0.
-``SisParams`` and ``NoiseSpec`` read their rates and magnitudes as settings
-too, by ``read_number``. ``write_trace`` writes and hashes every trace CSV;
-each trace's writer, such as ``Trajectory.to_csv``, only forms its lines.
+with its key as the name: ``read_x0`` (a number in [0, 1]) and ``read_steps``
+(an integer >= 1), both by the one-number rule of ``sisid.linalg``;
+``simulate`` reads the noise seed as an integer >= 0. ``SisParams`` and
+``NoiseSpec`` read their rates and magnitudes as settings, by ``read_number``.
+``Trajectory`` is the one check of a trajectory, ``simulate``'s too.
+``write_trace`` writes and hashes every trace CSV; each trace's writer, such
+as ``Trajectory.to_csv``, only forms its lines.
 """
 
 from __future__ import annotations
@@ -149,11 +150,13 @@ class Trajectory:
             object.__setattr__(self, name, _read_floats(getattr(self, name), name))
         if self.states.ndim != 1 or not self.states.size:
             raise ValueError(f"states must be a nonempty 1-d array, got shape {self.states.shape}")
+        if not np.all(np.isfinite(self.states)):  # before np.diff, which warns on inf - inf
+            raise ValueError("states contains non-finite entries")
         with np.errstate(over="ignore"):  # an overflowing difference is named below
             object.__setattr__(self, "observations", np.diff(self.states))
         if self.process_noise.shape != self.observations.shape:
             raise ValueError("process_noise must have one entry per observation")
-        for name in ("states", "observations", "process_noise"):
+        for name in ("observations", "process_noise"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
 
@@ -239,8 +242,8 @@ def simulate(
     recursion: the remaining states are filled with it, not stepped to.
     ``ValueError`` names ``x0``, ``steps`` or ``noise.seed`` (an integer
     >= 0) unless ``read_x0``, ``read_steps`` or ``read_count`` reads it, and
-    names ``noise.observation_std`` when the noisy states, or their
-    differences, are not finite, with no numpy warning.
+    names ``noise.observation_std`` when ``Trajectory`` refuses the noisy
+    states, as not finite or with differences that are not.
     """
     x0, steps = read_x0(x0), read_steps(steps)
     if noise is not None:
@@ -268,10 +271,8 @@ def simulate(
 
     if noise is not None and noise.observation_std > 0:
         states += rng.normal(0.0, noise.observation_std, size=steps + 1)
-        # a non-finite state makes a difference beside it non-finite too
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(np.diff(states)).all():
-                raise ValueError(f"noise.observation_std: {noise.observation_std!r} is too "
-                                 "large: the noisy states or their differences are not finite")
-
-    return Trajectory(states=states, process_noise=xi)
+    try:
+        return Trajectory(states=states, process_noise=xi)
+    except ValueError:  # only states with observation noise can be refused
+        raise ValueError(f"noise.observation_std: {noise.observation_std!r} is too large: "
+                         "the noisy states or their differences are not finite") from None

@@ -21,11 +21,10 @@ or f, so strings, ``None``, complex, object and ragged values raise
 as an infinity of its sign, without a warning, and print a refused value by
 ``_shown``, at most 80 characters of it. ``finite_scalar`` and ``finite_pair``
 read a data value (a number or a pair, or an array with one or two entries)
-and refuse an infinity. A setting is one number, which ``read_number`` reads
-by the scalar route (a 0-d array as its entry), with ``integer`` taking
-integers only; ``read_count`` reads an integer in a range by it. Each
-setting's reader (in ``sisid.estimators`` and ``sisid.dynamics``) builds on
-these, and the config reads its fields through the same readers.
+and refuse an infinity. A setting is one number (a 0-d array as its entry):
+``read_number`` reads a float by the scalar route, and ``read_count`` alone an
+integer, in a range. Each setting's reader (in ``sisid.estimators`` and
+``sisid.dynamics``) builds on these, and the config reads its fields by them.
 """
 
 from __future__ import annotations
@@ -71,24 +70,25 @@ def _read_floats(value, name: str, expected: str = "be numbers", size=None) -> n
         return arr.astype(float, copy=False)
 
 
-def read_number(value, name: str, integer: bool = False) -> float | int:
-    """One number, a setting, by the scalar route: what ``_scalar_float`` reads;
-    with ``integer``, an int or numpy integer as an int (not a bool: a count or
-    a seed of True means nothing). A 0-d array reads as its entry, a one-entry
-    array is not one number: ``ValueError`` "<name> must be a number" (an integer)."""
+def read_number(value, name: str) -> float:
+    """One number, a setting, by the scalar route: what ``_scalar_float`` reads. A
+    0-d array reads as its entry, a one-entry array is not one number: ``ValueError``
+    "<name> must be a number"."""
     if type(value) is np.ndarray and value.shape == () and value.dtype.kind in "biuf":
         value = value[()]
-    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    number = (int(value) if whole else None) if integer else _scalar_float(value)
+    number = _scalar_float(value)
     if number is None:
-        expected = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {expected}, got {_shown(value)}")
+        raise ValueError(f"{name} must be a number, got {_shown(value)}")
     return number
 
 
 def read_count(value, name: str, low: float = -math.inf, high: float = math.inf) -> int:
-    """An integer in low..high by ``read_number``; else ``ValueError`` naming it."""
-    count = read_number(value, name, integer=True)
+    """An int or numpy integer, no bool (a 0-d array as its entry), in low..high."""
+    if type(value) is np.ndarray and value.shape == () and value.dtype.kind in "biuf":
+        value = value[()]
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
+    count = int(value)
     if not low <= count <= high:
         bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
         raise ValueError(f"{name} must be {bounds}, got {_shown(count)}")
