@@ -23,12 +23,12 @@ bitwise the trajectory that wrote it.
 
 A run's settings are read by one reader each, which the config also calls
 with its key as the name: ``read_x0`` (a number in [0, 1]) and ``read_steps``
-(an integer >= 1), both by the one-number rule of ``sisid.linalg``;
-``simulate`` reads the noise seed as an integer >= 0. ``SisParams`` and
-``NoiseSpec`` read their rates and magnitudes as settings, by ``read_number``.
-``Trajectory`` is the one check of a trajectory, ``simulate``'s too.
-``write_trace`` writes and hashes every trace CSV; each trace's writer, such
-as ``Trajectory.to_csv``, only forms its lines.
+(an integer >= 1 whose states numpy can size), both by the one-number rule of
+``sisid.linalg``; ``simulate`` reads the noise seed as an integer >= 0.
+``SisParams`` and ``NoiseSpec`` read their rates and magnitudes as settings,
+by ``read_number``. ``Trajectory`` is the one check of a trajectory,
+``simulate``'s too. ``write_trace`` writes and hashes every trace CSV; each
+trace's writer, such as ``Trajectory.to_csv``, only forms its lines.
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ def read_x0(value, name: str = "x0") -> float:
 
 
 def read_steps(value, name: str = "steps") -> int:
-    """A number of simulated transitions: an integer >= 1; else ``ValueError``."""
-    return read_count(value, name, 1)
+    """A number of simulated transitions: an integer >= 1 whose steps + 1 float
+    states numpy can size, (steps + 1) * 8 bytes <= the largest intp; else
+    ``ValueError``. A count below that bound may still not fit in memory."""
+    return read_count(value, name, 1, np.iinfo(np.intp).max // 8 - 1)
 
 
 @dataclass(frozen=True)

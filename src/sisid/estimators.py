@@ -52,6 +52,7 @@ from .linalg import (
     ConditioningError,
     Sym2,
     _read_floats,
+    _scalar_float,
     _scalar_pair,
     _shown,
     finite_pair,
@@ -165,14 +166,16 @@ class GrlsState:
     the recursion EF-RLS.
 
     P is kept as its entries (a, b, d), theta as two floats; ``P`` and
-    ``theta`` read as new arrays. A state is checked once, when built:
-    ``ValueError`` names ``state P`` unless a finite, exactly symmetric 2x2
-    array, ``state theta`` unless two finite numbers, ``regressor`` unless
-    callable, or alpha unless ``read_alpha`` reads it (in (0, 1), or 1 with
-    the set off); ``initial`` reads theta0 and p0_scale by their readers and
-    builds the state through these checks. Only ``grls_step`` builds a state
-    without them, from the kernel's checked floats. States compare and hash
-    by those floats and the other fields.
+    ``theta`` read as new arrays. A state reads every field once, when built
+    (``dataclasses.replace`` too): ``ValueError`` names ``state P`` unless a
+    finite, exactly symmetric 2x2 array, ``greedy_enabled`` unless a bool,
+    alpha unless ``read_alpha`` reads it (in (0, 1), or 1 with the set off),
+    ``state theta`` unless two finite numbers, ``regressor`` unless callable,
+    ``excitation`` unless a ``GreedySet`` and ``step`` unless ``read_count``
+    reads an integer >= 0; ``initial`` reads theta0 and p0_scale by their
+    readers and builds the state through these checks. Only ``grls_step``
+    builds a state without them, from the kernel's checked floats. States
+    compare and hash by those floats and the other fields.
     """
 
     P: np.ndarray = property(lambda self: sym2_array(self._P))
@@ -185,9 +188,15 @@ class GrlsState:
 
     def __init__(self, P, theta, excitation, alpha, regressor, step=0, greedy_enabled=True):
         P = sym2(P, "state P")
+        if not isinstance(greedy_enabled, (bool, np.bool_)):
+            raise ValueError(f"greedy_enabled must be a bool, got {_shown(greedy_enabled)}")
+        greedy_enabled = bool(greedy_enabled)
         alpha = read_alpha(alpha, below_one=greedy_enabled)
         theta = finite_pair(theta, "state theta")
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
+        if not isinstance(excitation, GreedySet):
+            raise ValueError(f"excitation must be a GreedySet, got {_shown(excitation)}")
+        step = read_count(step, "step", 0)
         # the one place that orders __dict__, whose values __eq__ and __hash__ read;
         # grls_step copies it
         fields = self.__dict__
@@ -411,14 +420,16 @@ def cost_weight(spec: WeightedCostSpec, i: int, k: int) -> float:
     Excitation-set members get the refreshed weight (1 - alpha) * sum of
     alpha^(k-l) for l = i..k, which telescopes to 1 - alpha^(k-i+1); all
     other points keep the plain exponential discount alpha^(k-i). ``i`` and
-    ``k`` are read by ``read_count``.
+    ``k`` are read by ``read_count``; ``ValueError`` names ``k`` unless it is
+    >= 0, and ``i`` unless it lies in 0..k.
     """
-    i, k = read_count(i, "i"), read_count(k, "k")
+    i, k = read_count(i, "i"), read_count(k, "k", 0)
     if not 0 <= i <= k:
-        raise ValueError(f"weight requested for point i={_shown(i)} outside 0..k={_shown(k)}")
+        raise ValueError(f"i must be in 0..k, got i={_shown(i)} with k={_shown(k)}")
+    age = _scalar_float(k - i)  # an age beyond the float range is an infinite one
     if i in spec.greedy_indices:
-        return 1.0 - spec.alpha ** (k - i + 1)
-    return spec.alpha ** (k - i)
+        return 1.0 - spec.alpha ** (age + 1.0)
+    return spec.alpha ** age
 
 
 def batch_oracle(
@@ -429,6 +440,8 @@ def batch_oracle(
     Forms A = sum_i w_{i,k} phi_i^T phi_i + alpha^(k+1) P0^-1 and the matching
     right-hand side, then solves. Independent of the recursive route on
     purpose: this is the ground truth the recursion is checked against.
+    ``ValueError``, with no numpy warning, when A or the right-hand side is
+    not finite, as when a finite regressor squares past the float range.
     """
     k = read_count(k, "k")
     if not 0 <= k < traj.step_count:
@@ -444,9 +457,13 @@ def batch_oracle(
     rows = np.fromiter(pairs, dtype=np.dtype((float, 2)), count=k + 1)  # filled in place
     ys = traj.observations[: k + 1]
     prior_scale = spec.alpha ** (k + 1)
-    a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv
-    rhs = rows.T @ (weights * ys) + prior_scale * (spec.p0_inv @ spec.theta0)
-    return solve_spd(0.5 * (a + a.T), rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        a = (rows * weights[:, None]).T @ rows + prior_scale * spec.p0_inv
+        a = 0.5 * (a + a.T)
+        rhs = rows.T @ (weights * ys) + prior_scale * (spec.p0_inv @ spec.theta0)
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise ValueError(f"the normal equations over steps 0..{k} are not finite")
+    return solve_spd(a, rhs)
 
 
 # IE-MMAI's fixed settings. The one-shot correction fires once the smallest

@@ -36,8 +36,7 @@ import numpy as np
 
 from .dynamics import Trajectory, write_trace
 from .linalg import (
-    Sym2, _shown, finite_pair, finite_scalar, read_count, read_number, sym2, sym2_array,
-    sym2_spectrum,
+    Sym2, _shown, finite_pair, finite_scalar, read_count, read_number, sym2_array, sym2_spectrum,
 )
 
 # A regressor with norm below this contributes nothing and is never
@@ -73,16 +72,26 @@ def regressor_pairs(reg: Callable, states: Iterable[float]) -> Iterator[tuple[fl
 
 
 def sliding_fim(traj: Trajectory, reg: Callable, l: int, window: int) -> np.ndarray:
-    """FIM of the window sum_{k=l}^{l+window} phi(x_k)^T phi(x_k) (inclusive)."""
+    """FIM of the window sum_{k=l}^{l+window} phi(x_k)^T phi(x_k) (inclusive);
+    ``ValueError`` naming the first step from which its entries are not finite,
+    as when a finite regressor squares past the float range."""
+    return sym2_array(_window_entries(traj, reg, l, window))
+
+
+def _window_entries(traj: Trajectory, reg: Callable, l: int, window: int) -> Sym2:
+    """``sliding_fim``'s entries (a, b, d), each sum checked as it is formed."""
     l, window = read_count(l, "l"), read_count(window, "window")
     if l < 0 or window < 0 or l + window > traj.step_count:
         raise ValueError(
             f"window [{_shown(l)}, {_shown(l + window)}] out of range for {traj.step_count} steps"
         )
     a = b = d = 0.0
-    for u1, u2 in regressor_pairs(reg, traj.states[l : l + window + 1].tolist()):
+    pairs = regressor_pairs(reg, traj.states[l : l + window + 1].tolist())
+    for k, (u1, u2) in enumerate(pairs, l):
         a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
-    return sym2_array((a, b, d))
+        if a * 0.0 + b * 0.0 + d * 0.0:  # 0.0 for finite entries, NaN otherwise
+            raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
+    return a, b, d
 
 
 def is_initially_exciting(
@@ -94,8 +103,7 @@ def is_initially_exciting(
     alpha_threshold = read_number(alpha_threshold, "alpha_threshold")
     if not alpha_threshold > 0.0:
         raise ValueError(f"alpha_threshold must be positive, got {alpha_threshold!r}")
-    h = sliding_fim(traj, reg, 0, horizon)
-    return sym2_spectrum(*sym2(h))[0] >= alpha_threshold
+    return sym2_spectrum(*_window_entries(traj, reg, 0, horizon))[0] >= alpha_threshold
 
 
 @dataclass(frozen=True)
@@ -155,12 +163,18 @@ def _offer_floats(gset: GreedySet, phi, y: float, k: int) -> tuple[GreedySet, bo
 
 
 def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -> GreedySet:
-    """Run the acceptance rule over steps 0..upto-1 of a trajectory."""
+    """Run the acceptance rule over steps 0..upto-1 of a trajectory; ``ValueError``
+    when the set's FIM entries or right-hand side are not finite at the end, as
+    when a finite regressor squares past the float range."""
     upto = traj.step_count if upto is None else read_count(upto, "upto", 0, traj.step_count)
     gset = GreedySet()
     pairs = regressor_pairs(reg, traj.states[:upto].tolist())
     for k, (phi, y) in enumerate(zip(pairs, traj.observations[:upto].tolist())):
         gset, _ = _offer_floats(gset, phi, y, k)  # pairs and observations are checked
+    sums = gset.fim_entries + gset.rhs_entries  # a non-finite sum stays so once formed
+    if not all(map(math.isfinite, sums)):
+        raise ValueError(f"the excitation set's FIM entries and right-hand side {sums!r} "
+                         "are not all finite")
     return gset
 
 

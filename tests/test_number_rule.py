@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sisid.config import ConfigError, EstimatorSettings, ExperimentConfig
+from sisid.config import ConfigError, EstimatorSettings, ExperimentConfig, parse_config_text
 from sisid.dynamics import NoiseSpec, SisParams, Trajectory, simulate
 from sisid.estimators import (
     GrlsState,
     WeightedCostSpec,
     batch_oracle,
+    cost_weight,
     ef_rls_step,
     grls_step,
     ie_mmai_init,
@@ -74,6 +75,9 @@ ENTRIES = {
     ),
     "replace.P": (lambda v: replace(STATE, P=v), "state P"),
     "replace.theta": (lambda v: replace(STATE, theta=v), "state theta"),
+    "replace.step": (lambda v: replace(STATE, step=v), "step"),
+    "replace.greedy_enabled": (lambda v: replace(STATE, greedy_enabled=v), "greedy_enabled"),
+    "replace.excitation": (lambda v: replace(STATE, excitation=v), "excitation"),
     "ef_rls_step.P": (lambda v: _ef_rls(p=v), "state P"),
     "ef_rls_step.theta": (lambda v: _ef_rls(theta=v), "state theta"),
     "ef_rls_step.phi": (lambda v: _ef_rls(phi=v), "phi"),
@@ -144,6 +148,8 @@ ENTRIES = {
     "batch_oracle.k": (
         lambda v: batch_oracle(TRAJ, SIS_REGRESSOR, WeightedCostSpec(**SPEC), v), "k"
     ),
+    "cost_weight.i": (lambda v: cost_weight(WeightedCostSpec(**SPEC), v, 4), "i"),
+    "cost_weight.k": (lambda v: cost_weight(WeightedCostSpec(**SPEC), 0, v), "k"),
 }
 
 NOT_NUMBERS = {
@@ -407,7 +413,7 @@ RETURNS = {
     "ie_mmai_init": tuple, "fim_condition_trace": list, "SisParams": SisParams,
     "NoiseSpec": NoiseSpec, "ExperimentConfig": ExperimentConfig, "simulate": Trajectory,
     "sliding_fim": np.ndarray, "is_initially_exciting": bool, "batch_oracle": np.ndarray,
-    "build_greedy_set": GreedySet,
+    "build_greedy_set": GreedySet, "cost_weight": float,
 }
 
 # The entries whose docstrings document ConditioningError, by first word.
@@ -484,3 +490,72 @@ def test_every_entry_keeps_the_rule_near_the_integer_and_float_limits(magnitude,
         if not _allocates(entry, v) and (breach := _breach(entry, v))
     ]
     assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)
+
+
+# Whole calls whose arguments each pass their reader, but not together: states
+# whose difference numpy cannot form, regressors that are finite but square past
+# the float range, and counts of states that numpy cannot size. Each must be
+# refused like a single argument: by a ValueError (a ConfigError from a config)
+# within MESSAGE_LIMIT characters, with no warning.
+SQUARES_PAST = Trajectory(states=[0.5, 1e100, 0.5], process_noise=[0.0, 0.0])
+NEAR_1E77 = Trajectory(states=[1.2e77, 1.2e77 * 1.0000001, 1.2e77 * 1.0000002],
+                       process_noise=[0.0, 0.0])
+HUGE_PRIOR = WeightedCostSpec(**{**SPEC, "p0_inv": 1e308 * np.eye(2), "theta0": (1e308, 1e308)})
+NOISE_OFF = "beta = 0.8\ngamma = 0.3\nx0 = 0.01\nsteps = 5\nnoise = off\nestimators = grls\n"
+WHOLE_CALLS = {
+    "Trajectory(+inf,+inf)": (
+        lambda: Trajectory(states=[math.inf, math.inf], process_noise=[0.0]), ValueError,
+        "states contains non-finite entries",
+    ),
+    "Trajectory(-inf,-inf)": (
+        lambda: Trajectory(states=[-math.inf, -math.inf], process_noise=[0.0]), ValueError,
+        "states contains non-finite entries",
+    ),
+    "sliding_fim(1e100)": (
+        lambda: sliding_fim(SQUARES_PAST, SIS_REGRESSOR, 0, 2), ValueError,
+        "the FIM entries (inf, 1e+300, 1e+200) are not finite from step 1",
+    ),
+    "is_initially_exciting(1e100)": (
+        lambda: is_initially_exciting(SQUARES_PAST, SIS_REGRESSOR, 2, 1e-4), ValueError,
+        "the FIM entries (inf, 1e+300, 1e+200) are not finite from step 1",
+    ),
+    "build_greedy_set(1e100)": (
+        lambda: build_greedy_set(SQUARES_PAST, SIS_REGRESSOR), ValueError,
+        "the excitation set's FIM entries and right-hand side (inf, ",
+    ),
+    "batch_oracle(1.2e77)": (
+        lambda: batch_oracle(NEAR_1E77, SIS_REGRESSOR, WeightedCostSpec(**SPEC), 1), ValueError,
+        "the normal equations over steps 0..1 are not finite",
+    ),
+    "batch_oracle(p0_inv=1e308*I)": (
+        lambda: batch_oracle(TRAJ, SIS_REGRESSOR, HUGE_PRIOR, 0), ValueError,
+        "the normal equations over steps 0..0 are not finite",
+    ),
+    "simulate(steps=2**62)": (
+        lambda: simulate(0.01, SisParams(0.8, 0.3), 2**62), ValueError, "steps must be in 1..",
+    ),
+    "simulate(steps=2**63)": (
+        lambda: simulate(0.01, SisParams(0.8, 0.3), 2**63), ValueError, "steps must be in 1..",
+    ),
+    "ExperimentConfig(steps=2**62)": (
+        lambda: _config(steps=2**62), ConfigError, "steps: must be in 1..",
+    ),
+    "noise=off,seed=-5": (
+        lambda: parse_config_text(NOISE_OFF + "seed = -5\n"), ConfigError, "unknown keys: seed",
+    ),
+    "noise=off,noise.process_std=banana": (
+        lambda: parse_config_text(NOISE_OFF + "noise.process_std = banana\n"), ConfigError,
+        "unknown keys: noise.process_std",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, starts", WHOLE_CALLS.values(), ids=WHOLE_CALLS.keys())
+def test_every_whole_call_is_refused_by_a_short_value_error_with_no_warning(call, error, starts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call()
+    text = str(refused.value)
+    assert type(refused.value) is error and text.startswith(starts), text
+    assert len(text) <= MESSAGE_LIMIT, text
