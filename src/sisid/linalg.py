@@ -25,6 +25,9 @@ and refuse an infinity. A setting is one number (a 0-d array as its entry):
 ``read_number`` reads a float by the scalar route, and ``read_count`` alone an
 integer, in a range. Each setting's reader (in ``sisid.estimators`` and
 ``sisid.dynamics``) builds on these, and the config reads its fields by them.
+Values that each pass the rule can still overflow together, as a finite
+regressor squared: the FIM sums of ``sisid.excitation`` and ``batch_oracle``'s
+normal equations are refused by ``ValueError`` when they are not finite.
 """
 
 from __future__ import annotations
