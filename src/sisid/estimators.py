@@ -152,6 +152,30 @@ def ef_rls_step(
     return sym2_array(p_next), np.array(theta_next)
 
 
+def read_excitation(gset) -> GreedySet:
+    """A ``GreedySet`` read field by field, as a set of ints and floats: its
+    indices, a tuple or list, ints >= 0 by ``read_count``, strictly increasing;
+    three finite FIM entries; two finite right-hand-side entries; ``cond`` a
+    number >= 1, or inf. Else ``ValueError`` naming ``excitation``. Only a
+    state's set is read: each accepted offer builds its successor from these."""
+    if not isinstance(gset, GreedySet):
+        raise ValueError(f"excitation must be a GreedySet, got {_shown(gset)}")
+    if type(gset.indices) not in (tuple, list):
+        raise ValueError(f"excitation indices must be a tuple, got {_shown(gset.indices)}")
+    indices = tuple(read_count(k, "excitation indices", 0) for k in gset.indices)
+    if any(later <= k for k, later in zip(indices, indices[1:])):
+        raise ValueError(f"excitation indices must be strictly increasing, got {_shown(indices)}")
+    fim = tuple(_read_floats(gset.fim_entries, "excitation fim_entries", "be 3 numbers", 3)
+                .ravel().tolist())
+    if not all(map(math.isfinite, fim)):
+        raise ValueError(f"excitation fim_entries must be finite, got {fim}")
+    rhs = finite_pair(gset.rhs_entries, "excitation rhs_entries")
+    cond = read_number(gset.cond, "excitation cond")
+    if not cond >= 1.0:
+        raise ValueError(f"excitation cond must be >= 1 or inf, got {cond}")
+    return GreedySet(indices, fim, rhs, cond)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class GrlsState:
     """Full state of the greedily-weighted RLS recursion.
@@ -171,8 +195,8 @@ class GrlsState:
     finite, exactly symmetric 2x2 array, ``greedy_enabled`` unless a bool,
     alpha unless ``read_alpha`` reads it (in (0, 1), or 1 with the set off),
     ``state theta`` unless two finite numbers, ``regressor`` unless callable,
-    ``excitation`` unless a ``GreedySet`` and ``step`` unless ``read_count``
-    reads an integer >= 0; ``initial`` reads theta0 and p0_scale by their
+    ``excitation`` unless ``read_excitation`` reads it and ``step`` unless
+    ``read_count`` reads an integer >= 0; ``initial`` reads theta0 and p0_scale by their
     readers and builds the state through these checks. Only ``grls_step``
     builds a state without them, from the kernel's checked floats. States
     compare and hash by those floats and the other fields.
@@ -194,8 +218,7 @@ class GrlsState:
         alpha = read_alpha(alpha, below_one=greedy_enabled)
         theta = finite_pair(theta, "state theta")
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
-        if not isinstance(excitation, GreedySet):
-            raise ValueError(f"excitation must be a GreedySet, got {_shown(excitation)}")
+        excitation = read_excitation(excitation)
         step = read_count(step, "step", 0)
         # the one place that orders __dict__, whose values __eq__ and __hash__ read;
         # grls_step copies it

@@ -16,37 +16,44 @@ each step; EF-RLS is the GRLS lane with its excitation set disabled. The
 regressor pairs are computed once per run and feed both the FIM condition
 trace and the lanes. The trace is one pass per distinct alpha, largest
 first, that checks the FIM entries at every step, names the first step
-where they are not finite, and forms a condition number, and for a metrics
-trace its text, only when they change. Lane by lane, ``_run_lane`` draws a
-lane's reports to the end, or until it fails or settles (below), and forms
-its metrics rows, and their CSV lines for a metrics trace, from them; it
-returns them with the lane's greedy offers. A row holds eleven fields; its
-line, in ``sisid-metrics-v2``, writes the nine of ``METRICS_COLUMNS`` and
+where they are not finite, and forms a condition number only when they
+change; it is kept as an ``array('d')``. Lane by lane, ``_run_lane`` draws
+a lane's reports to the end, or until it fails or settles (below), and
+records them, a chunk of reports at a time, as ``array('d')`` columns: theta,
+P's three entries, and the offer's verdict and kappa before and after. A
+run holds no per-step Python object once its lanes have stepped.
+
+``RunResult.rows`` is a read-only sequence view over those columns: it forms
+each ``MetricsRow`` when it is read, with its eleven fields, ``r0_hat`` and
+``log10_max_rel_err`` among them. The metrics, greedy and FIM-condition texts
+are formed when their trace is written, a chunk of steps at a time, from
+column slices: ``repr`` of each value, formed once per run of steps whose
+values have equal bits, and joined into lines. A metrics line, in
+``sisid-metrics-v2``, writes the nine fields of ``METRICS_COLUMNS`` and
 leaves out ``r0_hat`` and ``log10_max_rel_err``, which the line's
-``beta_hat``, ``gamma_hat`` and ``max_rel_err`` give exactly.
-Rows and lines are interleaved step by step, and ``dynamics.write_trace``
-writes and hashes the lines; no file is read back. Each FIM condition
-number, and each row's ``p_cond`` and ``p_max_eig`` together, come from one
-``linalg.sym2_spectrum`` call. The phases and the whole run are timed by
-one ``time.perf_counter`` clock.
+``beta_hat``, ``gamma_hat`` and ``max_rel_err`` give exactly. Lines are
+interleaved step by step, and ``dynamics.write_trace`` writes and hashes
+them; no file is read back. Each FIM condition number, and each row's
+``p_cond`` and ``p_max_eig`` together, come from one
+``linalg.sym2_spectrum`` call. The phases and the whole run are timed by one
+``time.perf_counter`` clock.
 
 A noise-free run often reaches an exact fixed point, after which every step
 has the same regressor pair and observation. The run finds the first such
 step, ``settled``, from its states. From there on the FIM pass stops once its
 entries repeat, and ``_run_lane`` stops drawing a pure-GD or RLS lane's
 reports once one repeats the one before it (a lane only steps); the last
-output is repeated to the end, bitwise what stepping on would give. IE-MMAI
-steps to the end, as its models' costs decay every step. The manifest's
-``settled`` block names the trajectory's settle step and, for each lane that
-stopped stepping, the first step whose report every later step repeats.
+report stands for every later step, bitwise what stepping on would give.
+IE-MMAI steps to the end, as its models' costs decay every step. The
+manifest's ``settled`` block names the trajectory's settle step and, for
+each lane that stopped stepping, the first step whose report every later
+step repeats.
 
 A run pauses Python's cyclic garbage collector and restores the caller's
-setting when it returns or raises. A run holds each lane's reports until its
-rows are formed, and the rows until it returns: GC-tracked tuples (a
-``MetricsRow``, a tuple subclass, is never untracked) that form no cycles,
-so each automatic collection their allocation would trigger walks them and
-frees nothing, and the longer the run, the more of those collections reach
-the older generations. The collector's setting is process-wide, so under
+setting when it returns or raises. While it steps, a run holds the regressor
+pairs and a chunk of each lane's reports: GC-tracked tuples that form no
+cycles, so each automatic collection their allocation would trigger walks
+them and frees nothing. The collector's setting is process-wide, so under
 threads the pause holds for every thread while a run is in progress.
 """
 
@@ -55,10 +62,13 @@ from __future__ import annotations
 import gc
 import json
 import math
+import operator
 import sys
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -107,6 +117,9 @@ class MetricsRow(NamedTuple):
 # the fields a metrics line writes
 METRICS_COLUMNS = tuple(f for f in MetricsRow._fields if f not in ("r0_hat", "log10_max_rel_err"))
 
+# steps per chunk of recorded reports, of formed rows and of formed text
+_CHUNK = 1024
+
 
 def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[float]:
     """Condition number of the discounted FIM after each step (may contain inf).
@@ -119,41 +132,33 @@ def fim_condition_trace(traj: Trajectory, reg: Callable, alpha: float) -> list[f
     """
     alpha = read_alpha(alpha)
     pairs = regressor_pairs(reg, traj.states[:-1].tolist())
-    return _fim_condition_trace(pairs, alpha, with_texts=False)[0]
+    return _fim_condition_trace(pairs, alpha).tolist()
 
 
 def _fim_condition_trace(
     pairs: Iterable[tuple[float, float]], alpha: float, settled: float = math.inf,
-    with_texts: bool = True,
-) -> tuple[list[float], list[str] | None]:
-    """``fim_condition_trace`` over regressor pairs (u1, u2), one per step, and the
-    text of each condition number, formed with it (None unless ``with_texts``). A
-    step whose entries equal the previous step's repeats its condition number and
-    text objects: the entries are finite, and the sign of a zero entry does not
-    change them. From step ``settled`` on, the pairs (a list then) are one pair, so
-    once the entries repeat there, every later step repeats them too.
+) -> array:
+    """``fim_condition_trace`` over regressor pairs (u1, u2), one per step, as an
+    ``array('d')``. A step whose entries equal the previous step's repeats its
+    condition number: the entries are finite, and the sign of a zero entry does
+    not change it. From step ``settled`` on, the pairs (a list then) are one
+    pair, so once the entries repeat there, every later step repeats them too.
     """
     a = b = d = 0.0
     last_a = last_b = last_d = math.nan
-    trace, texts = [], [] if with_texts else None
+    trace = array("d")
+    append = trace.append
     for k, (u1, u2) in enumerate(pairs):
         a, b, d = alpha * a + u1 * u1, alpha * b + u1 * u2, alpha * d + u2 * u2
         if a * 0.0 + b * 0.0 + d * 0.0:  # 0.0 for finite entries, NaN otherwise
             raise ValueError(f"the FIM entries {(a, b, d)!r} are not finite from step {k}")
         if a != last_a or b != last_b or d != last_d:
             kappa, last_a, last_b, last_d = sym2_spectrum(a, b, d)[2], a, b, d
-            if with_texts:
-                text = repr(kappa)
         elif k >= settled:  # steps k.. repeat this one
-            rest = len(pairs) - k
-            trace += [kappa] * rest
-            if with_texts:
-                texts += [text] * rest
+            trace += array("d", [kappa]) * (len(pairs) - k)
             break
-        trace.append(kappa)
-        if with_texts:
-            texts.append(text)
-    return trace, texts
+        append(kappa)
+    return trace
 
 
 # What a lane yields before its first step and after each step: theta, P's
@@ -196,15 +201,149 @@ _LANES = {
     "pure_gd": _pure_gd_lane, "ef_rls": _rls_lane, "grls": _rls_lane, "ie_mmai": _ie_mmai_lane
 }
 
+_NAN3 = (math.nan,) * 3
+
+
+def _extended(column: array | None, entries: tuple, count: int) -> array | None:
+    """``column`` (``count`` reports so far) with three floats per entry, NaN
+    for a None entry; None while every entry so far is None."""
+    nones = entries.count(None)
+    if column is None:
+        if nones == len(entries):
+            return None
+        column = array("d", _NAN3) * count
+    if nones:
+        entries = [_NAN3 if e is None else e for e in entries]
+    column.extend(chain.from_iterable(entries))
+    return column
+
+
+def _table(column: array, width: int) -> np.ndarray:
+    """A column of ``width`` floats per report as a (reports, width) array view."""
+    return np.frombuffer(column, dtype=np.float64).reshape(-1, width)
+
+
+def _runs(table: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
+    """The rows of ``table`` that begin a run of rows with equal bits, and each
+    row's run (None when every row begins one)."""
+    bits = table.view(np.int64)
+    new = np.ones(len(table), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    return starts, None if len(starts) == len(table) else (np.cumsum(new) - 1).tolist()
+
+
+def _spread(values: list, run: list[int] | None) -> list:
+    """Per-run ``values`` as per-step values."""
+    return values if run is None else list(map(values.__getitem__, run))
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each value, formed once per run of values with equal bits."""
+    starts, run = _runs(values.reshape(-1, 1))
+    return _spread(list(map(repr, values[starts].tolist())), run)
+
+
+class _Chunk(NamedTuple):
+    """A lane's reports at steps i..j-1, by runs of steps whose theta and P have
+    equal bits: each step's run (None when each step is one), each run's
+    beta_hat and gamma_hat (clamped when the run clamps), its max_rel_err
+    (None without a truth) and P's spectrum (None where P is None), and each
+    step's verdict, 0.0, 1.0 or NaN for no offer (None when no report has an
+    offer), and fim_cond."""
+
+    run: list[int] | None
+    beta: list[float]
+    gamma: list[float]
+    rel: list[float] | None
+    spectra: list[tuple[float, float, float] | None] | None
+    verdict: np.ndarray | None
+    fim: np.ndarray
+
+
+@dataclass(eq=False)
+class _LaneRecord:
+    """One lane's reports as ``array('d')`` columns, reports 0..rest (report 0
+    precedes step 0): theta, two floats per report; P (NaN for None) and the
+    offer (verdict 1.0 or 0.0, kappa before, kappa after; NaN for None), three
+    floats per report, or None when no report has one. Step k reads report
+    min(k + 1, rest), and fim_cond from ``fim``, the trace of the lane's alpha.
+    """
+
+    kind: str
+    fim: array
+    theta: array
+    p: array | None = None
+    offer: array | None = None
+    rest: int = 0
+
+    @property
+    def count(self) -> int:
+        return len(self.theta) // 2
+
+    def add(self, reports: list) -> None:
+        """Record ``reports`` and clear the list."""
+        if reports:
+            thetas, ps, offers = zip(*reports)
+            count = self.count
+            self.theta.extend(chain.from_iterable(thetas))
+            self.p = _extended(self.p, ps, count)
+            self.offer = _extended(self.offer, offers, count)
+            reports.clear()
+
+    def freeze(self) -> None:
+        """Record the last report's theta and P again, with no offer."""
+        self.theta.extend(self.theta[-2:])
+        if self.p is not None:
+            self.p.extend(self.p[-3:])
+        if self.offer is not None:
+            self.offer.extend(_NAN3)
+
+    def settle_step(self) -> int:
+        """The first step whose report every later step repeats: the index j of
+        the last of reports 1..rest-1 whose bits differ from report ``rest``'s,
+        or 0, as steps j.. read reports equal to it. Report ``rest`` holds no
+        zero or NaN, so equal bits are equal values."""
+        differ = np.zeros(self.rest - 1, dtype=bool)
+        for column, width in ((self.theta, 2), (self.p, 3), (self.offer, 3)):
+            if column is not None:
+                bits = _table(column, width).view(np.int64)
+                differ |= (bits[1:self.rest] != bits[self.rest]).any(axis=1)
+        changed = np.flatnonzero(differ)
+        return int(changed[-1]) + 1 if len(changed) else 0
+
+    def reports(self, column: array, width: int, i: int, j: int) -> np.ndarray:
+        """The reports that steps i..j-1 read from ``column``, a row per step."""
+        return _table(column, width)[np.minimum(np.arange(i + 1, j + 1), self.rest)]
+
+    def chunk(self, i: int, j: int, truth, clamp: bool) -> _Chunk:
+        """Steps i..j-1, by runs (``_Chunk``)."""
+        theta = self.reports(self.theta, 2, i, j)
+        p = None if self.p is None else self.reports(self.p, 3, i, j)
+        starts, run = _runs(theta if p is None else np.hstack((theta, p)))
+        beta, gamma = theta[starts].T
+        if clamp:
+            beta, gamma = np.where(beta > 0.0, beta, 0.0), np.where(gamma > 0.0, gamma, 0.0)
+        rel = None
+        if truth is not None:
+            with np.errstate(all="ignore"):  # IEEE results, as float arithmetic gives them
+                e1, e2 = np.abs(beta - truth[0]) / truth[0], np.abs(gamma - truth[1]) / truth[1]
+            rel = np.where(e2 > e1, e2, e1).tolist()  # max(e1, e2), NaN as max reads it
+        spectra = None
+        if p is not None:
+            spectra = [None if a != a else sym2_spectrum(a, b, d)  # NaN: no P
+                       for a, b, d in p[starts].tolist()]
+        verdict = None if self.offer is None else self.reports(self.offer, 3, i, j)[:, 0]
+        return _Chunk(run, beta.tolist(), gamma.tolist(), rel, spectra, verdict,
+                      np.frombuffer(self.fim)[i:j])
+
 
 def _run_lane(
-    est: EstimatorSettings, pairs, ys, settled: int, fim_trace: list[float], truth,
-    clamp: bool, fim_texts: list[str] | None,
-) -> tuple[list[MetricsRow], list[str], float, dict | None, list[tuple], int | None]:
-    """One lane's metrics rows, their CSV lines, its stepping seconds, its error
-    entry, its greedy offers, each as (step, accepted, kappa before, after), and
-    the first step whose report every later step repeats, for a lane that
-    settled (None otherwise).
+    est: EstimatorSettings, pairs, ys, settled: int, fim: array,
+) -> tuple[_LaneRecord, float, dict | None, int | None]:
+    """One lane's record (``_LaneRecord``), its stepping seconds, its error
+    entry, and the first step whose report every later step repeats, for a
+    lane that settled (None otherwise).
 
     A lane only steps; this ends it early in two ways. A step that raises
     ``ConditioningError`` freezes it at its last report, with no offer from that
@@ -214,87 +353,177 @@ def _run_lane(
     every later step repeats, and the lane is stepped no further. Two kinds of
     report are stepped on: IE-MMAI's, which is not its state (its models' costs
     decay every step), and one holding a zero in theta or P, as 0.0 == -0.0 and
-    a zero's sign can change the next step.
-
-    A frozen or converged lane repeats theta and P, so a row's derived values
-    and their text are formed anew only when those change, or follow a zero, as
-    their reprs differ; the rows of a settled or frozen lane's repeated tail are
-    formed from its last report in one pass. A line takes its ``fim_cond`` text
-    from ``fim_texts``; without them no line is formed.
+    a zero's sign can change the next step. The last recorded report stands
+    for every later step; it has no accepted offer.
     """
-    reports, error, lane_settled = [], None, None
+    record, buf, error, lane_settled = _LaneRecord(est.kind, fim, array("d")), [], None, None
     lane = _LANES[est.kind](est, pairs, ys)
-    unchecked = len(ys) if est.kind == "ie_mmai" else settled  # steps taken unchecked
+    drawn = (len(ys) if est.kind == "ie_mmai" else settled) + 1  # reports drawn unchecked
     t0 = time.perf_counter()
     try:
-        reports.extend(islice(lane, unchecked + 1))  # keeps what came before a raise
+        for start in range(0, drawn, _CHUNK):
+            buf.extend(islice(lane, min(_CHUNK, drawn - start)))  # keeps what came before a raise
+            prev = buf[-1]
+            record.add(buf)
         for report in lane:
-            reports.append(report)
+            buf.append(report)
             theta, p, offer = report
-            if report == reports[-2] and not (offer and offer[0]) and 0.0 not in theta + (p or ()):
+            if report == prev and not (offer and offer[0]) and 0.0 not in theta + (p or ()):
                 break
+            prev = report
+            if len(buf) == _CHUNK:
+                record.add(buf)
     except ConditioningError as exc:
-        failed_at = len(reports) - 1  # the first report precedes step 0
-        error = {"estimator": est.kind, "step": failed_at, "message": str(exc)}
-        reports.append((*reports[-1][:2], None))
+        record.add(buf)
+        error = {"estimator": est.kind, "step": record.count - 1, "message": str(exc)}
+        record.freeze()
+    record.add(buf)
     step_s = time.perf_counter() - t0
-    n, rest = len(ys), len(reports) - 1  # steps from ``rest`` on repeat the last report
-    if error is None and rest < n:
-        lane_settled = rest - 1
-        while lane_settled and reports[lane_settled] == reports[-1]:
-            lane_settled -= 1
+    record.rest = record.count - 1  # steps from ``rest`` on repeat report ``rest``
+    if error is None and record.rest < len(ys):
+        lane_settled = record.settle_step()
+    return record, step_s, error, lane_settled
 
-    kind, new, rows, lines, offers = est.kind, tuple.__new__, [], [], []
-    append, add_line = rows.append, lines.append
-    last = None  # the (theta, P) whose derived values are current, None after a zero
-    for k, (theta, p, offer), fim in zip(range(n), islice(reports, 1, None), fim_trace):
-        if last is None or theta != last[0] or p != last[1]:
-            beta_hat, gamma_hat = theta
-            if clamp:
-                beta_hat = beta_hat if beta_hat > 0.0 else 0.0
-                gamma_hat = gamma_hat if gamma_hat > 0.0 else 0.0
-            r0_hat = beta_hat / gamma_hat if gamma_hat != 0.0 else None
-            if truth is None:
-                max_rel = log_rel = None
-            else:
-                beta, gamma = truth
-                max_rel = max(abs(beta_hat - beta) / beta, abs(gamma_hat - gamma) / gamma)
-                log_rel = math.log10(max_rel) if max_rel > 0 else None
-            if p is None:
-                p_cond = p_max_eig = None
-            else:
-                _, p_max_eig, p_cond = sym2_spectrum(*p)
-            last = None if 0.0 in theta or p is not None and 0.0 in p else (theta, p)
-            if fim_texts is not None:  # None is an empty field
-                head = (f"{kind},{beta_hat!r},{gamma_hat!r},"
-                        f"{'' if max_rel is None else repr(max_rel)},")
-                tail = ",,," if p is None else f",{p_cond!r},{p_max_eig!r},"
-        if offer is None:
-            accepted, flag = None, ""
-        else:
-            accepted = offer[0]
-            flag = "1" if accepted else "0"
-            offers.append((k, *offer))
-        append(new(MetricsRow, (k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel, fim,
-                                p_cond, p_max_eig, accepted)))
-        if fim_texts is not None:
-            add_line(f"{k},{head}{fim_texts[k]}{tail}{flag}")
-    # the repeated tail: the last report's row, line and offer at each later step
-    steps = range(rest, n)
-    rows += [new(MetricsRow, (k, kind, beta_hat, gamma_hat, r0_hat, max_rel, log_rel, fim,
-                              p_cond, p_max_eig, accepted))
-             for k, fim in zip(steps, islice(fim_trace, rest, None))]
-    if fim_texts is not None:
-        lines += [f"{k},{head}{text}{tail}{flag}"
-                  for k, text in zip(steps, islice(fim_texts, rest, None))]
-    if offer is not None:
-        offers += [(k, *offer) for k in steps]
-    return rows, lines, step_s, error, offers, lane_settled
+
+_VERDICTS = (False, True, None)  # by code: 0.0, 1.0, NaN
+_FLAGS = ("0", "1", "")
+
+
+def _codes(verdict: np.ndarray) -> list[int]:
+    """Each verdict as an index into ``_VERDICTS``."""
+    return np.where(verdict == verdict, verdict, 2.0).astype(np.intp).tolist()
+
+
+class _Rows(Sequence):
+    """A run's metrics rows, step by step and lane by lane within a step, each
+    formed when it is read from the lanes' columns.
+
+    Supports ``len``, indexing (a slice returns a list), iteration and ``==``
+    against a list or another view; its ``repr`` is that of the list of rows.
+    """
+
+    __slots__ = ("_lanes", "_steps", "_truth", "_clamp")
+
+    def __init__(self, lanes: list[_LaneRecord], steps: int, truth, clamp: bool):
+        self._lanes, self._steps, self._truth, self._clamp = lanes, steps, truth, clamp
+
+    def __len__(self) -> int:
+        return self._steps * len(self._lanes)
+
+    def __getitem__(self, index):
+        width = len(self._lanes)
+        if isinstance(index, slice):  # the rows of the steps the slice spans
+            picked = range(*index.indices(len(self)))
+            if not picked:
+                return []
+            first, last = sorted((picked[0] // width, picked[-1] // width))
+            rows = list(self._between(first, last + 1))
+            return [rows[i - first * width] for i in picked]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        k, lane = divmod(i, width)
+        return self._lane_rows(self._lanes[lane], k, k + 1)[0]
+
+    def __iter__(self) -> Iterator[MetricsRow]:
+        return self._between(0, self._steps)
+
+    def _between(self, first: int, end: int) -> Iterator[MetricsRow]:
+        """The rows of steps first..end-1, formed a chunk of steps at a time."""
+        for i in range(first, end, _CHUNK):
+            j = min(i + _CHUNK, end)
+            yield from chain.from_iterable(zip(*(self._lane_rows(lane, i, j)
+                                                 for lane in self._lanes)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Rows)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _lane_rows(self, lane: _LaneRecord, i: int, j: int) -> list[MetricsRow]:
+        c = lane.chunk(i, j, self._truth, self._clamp)
+        runs = len(c.beta)
+        r0 = [b / g if g != 0.0 else None for b, g in zip(c.beta, c.gamma)]
+        rel = [None] * runs if c.rel is None else c.rel
+        log_rel = [math.log10(e) if e is not None and e > 0 else None for e in rel]
+        spectra = [None] * runs if c.spectra is None else c.spectra
+        p_cond = [s and s[2] for s in spectra]
+        p_max = [s and s[1] for s in spectra]
+        b, g, r0, rel, log_rel, p_cond, p_max = (
+            _spread(f, c.run) for f in (c.beta, c.gamma, r0, rel, log_rel, p_cond, p_max))
+        accepted = (repeat(None) if c.verdict is None
+                    else map(_VERDICTS.__getitem__, _codes(c.verdict)))
+        rows = zip(range(i, j), repeat(lane.kind), b, g, r0, rel, log_rel, c.fim.tolist(),
+                   p_cond, p_max, accepted)
+        return list(map(tuple.__new__, repeat(MetricsRow), rows))
+
+    def metrics_lines(self, spent: list[float]) -> Iterator[list[str]]:
+        """The metrics trace's lines, a list per chunk of steps; adds the seconds
+        spent forming them to ``spent[0]``. A lane's beta_hat, gamma_hat,
+        max_rel_err, p_cond and p_max_eig text is formed once per run of steps
+        whose theta and P have equal bits, and each chunk's fim_cond text once
+        per run of equal bits, shared by the lanes of one alpha."""
+        clock = time.perf_counter
+        for i in range(0, self._steps, _CHUNK):
+            t0 = clock()
+            j = min(i + _CHUNK, self._steps)
+            steps, fims, lines = list(map(str, range(i, j))), {}, []
+            for lane in self._lanes:
+                c = lane.chunk(i, j, self._truth, self._clamp)
+                fim = fims.get(id(lane.fim))
+                if fim is None:
+                    fim = fims[id(lane.fim)] = _texts(c.fim)
+                rel = repeat("") if c.rel is None else map(repr, c.rel)
+                heads = list(map(",".join, zip(repeat(lane.kind), map(repr, c.beta),
+                                               map(repr, c.gamma), rel)))
+                tails = repeat(",") if c.spectra is None else _spread(
+                    ["," if s is None else f"{s[2]!r},{s[1]!r}" for s in c.spectra], c.run)
+                flags = (repeat("") if c.verdict is None
+                         else map(_FLAGS.__getitem__, _codes(c.verdict)))
+                lines.append(list(map(",".join, zip(steps, _spread(heads, c.run), fim, tails,
+                                                    flags))))
+            chunk = list(chain.from_iterable(zip(*lines)))
+            spent[0] += clock() - t0
+            yield chunk
+
+    def offers(self) -> Iterator[tuple[int, bool, float, float]]:
+        """Each lane's greedy offers, lane after lane, each as (step, accepted,
+        kappa before, kappa after)."""
+        for lane in self._lanes:
+            if lane.offer is None:
+                continue
+            for i in range(0, self._steps, _CHUNK):
+                j = min(i + _CHUNK, self._steps)
+                verdict, before, after = lane.reports(lane.offer, 3, i, j).T.tolist()
+                yield from ((k, v == 1.0, b, a)
+                            for k, v, b, a in zip(range(i, j), verdict, before, after) if v == v)
+
+    def excitation(self) -> tuple[list[int], float] | None:
+        """The steps of the accepted offers and the kappa after the last offer,
+        as ``offers`` gives them; None when there is no offer."""
+        indices, kappa = [], None
+        for lane in self._lanes:
+            if lane.offer is not None:
+                # reports 1..rest are steps 0..rest-1; the last one, repeated to the
+                # end, has no accepted offer
+                verdict = _table(lane.offer, 3)[1:lane.rest + 1]
+                indices += np.flatnonzero(verdict[:, 0] == 1.0).tolist()
+                offered = np.flatnonzero(verdict[:, 0] == verdict[:, 0])
+                if len(offered):
+                    kappa = verdict[offered[-1], 2].item()
+        return None if kappa is None else (indices, kappa)
 
 
 @dataclass
 class RunResult:
-    rows: list[MetricsRow]
+    rows: Sequence[MetricsRow]
     status: int
     trajectory: Trajectory
     output_dir: Path | None
@@ -312,26 +541,28 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     large that the noisy states or their differences are not finite, or that
     the FIM entries overflow (then naming the step), raises ``ConfigError``
     naming ``noise.observation_std``, before any lane steps or file is
-    written.
+    written. ``RunResult.rows`` is a read-only sequence of ``MetricsRow``,
+    each formed from the lanes' columns when it is read.
 
     ``manifest["timings"]`` holds seconds spent simulating, computing the
-    FIM condition trace, stepping each estimator, forming metrics rows (and
-    their CSV lines) and writing and hashing files. ``manifest["excitation"]``,
-    present when a GRLS lane is configured, holds its excitation set: size,
-    step indices and final condition number (null while the set is rank
-    deficient or empty, as when GRLS fails at its first step).
-    ``manifest["settled"]`` holds the first step from which the states never
-    change (``"trajectory"``, None when the last step changes them) and, per
-    estimator kind, the first step whose report every later step repeats
+    FIM condition trace, stepping each estimator, forming the metrics CSV
+    lines (0.0 without a metrics trace) and writing and hashing files.
+    ``manifest["excitation"]``, present when a GRLS lane is configured, holds
+    its excitation set: size, step indices and final condition number (null
+    while the set is rank deficient or empty, as when GRLS fails at its first
+    step). ``manifest["settled"]`` holds the first step from which the states
+    never change (``"trajectory"``, None when the last step changes them) and,
+    per estimator kind, the first step whose report every later step repeats
     when its lane stopped stepping there (None when it stepped to the end).
 
     The cyclic garbage collector is paused for the run, so that collections do
-    not walk its live reports and rows, which form no cycles, to free nothing;
-    only writing the manifest by ``json.dumps`` leaves cyclic garbage. When the
-    run returns or raises, the collector is switched back on only if it was on
-    when the run began. The pause is process-wide: while a run is in progress
-    no thread gets automatic collections, and of runs overlapping in several
-    threads, the one that paused the collector switches it back on.
+    not walk its live regressor pairs and reports, which form no cycles, to
+    free nothing; only writing the manifest by ``json.dumps`` leaves cyclic
+    garbage. When the run returns or raises, the collector is switched back
+    on only if it was on when the run began. The pause is process-wide: while
+    a run is in progress no thread gets automatic collections, and of runs
+    overlapping in several threads, the one that paused the collector
+    switches it back on.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -356,13 +587,12 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
     bits = traj.states.view(np.int64)  # bits, so that 0.0 and -0.0 differ
     changes = np.flatnonzero(bits[1:] != bits[:-1])
     settled = int(changes[-1]) + 1 if len(changes) else 0
-    states = traj.states.tolist()
-    pairs = [sis_regressor_pair(x) for x in states[:settled]]
-    pairs += [sis_regressor_pair(states[settled])] * (config.steps - settled)
+    pairs = list(map(sis_regressor_pair, traj.states[:settled].tolist()))
+    pairs += [sis_regressor_pair(traj.states[settled].item())] * (config.steps - settled)
     try:
         # the largest alpha's entries are the largest, so it names the first failing step
         fim_traces = {
-            alpha: _fim_condition_trace(pairs, alpha, settled, "metrics" in config.emit)
+            alpha: _fim_condition_trace(pairs, alpha, settled)
             for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
         }
     except ValueError as exc:
@@ -374,22 +604,18 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
 
-    # lane by lane, so that only one lane's reports are held at a time
-    lane_rows, lane_lines, errors, step_s, greedy_rows = [], [], [], {}, []
+    # lane by lane, so that only one lane's chunk of reports is held at a time
+    lanes, errors, step_s = [], [], {}
     settled_at = {"trajectory": settled if settled < config.steps else None}
     for est in config.estimators:
-        fim_trace, fim_texts = fim_traces[est.alpha]  # texts only for a metrics trace
-        est_rows, est_lines, step_s[est.kind], error, offers, settled_at[est.kind] = _run_lane(
-            est, pairs, ys, settled, fim_trace, truth, config.clamp_estimates, fim_texts
+        record, step_s[est.kind], error, settled_at[est.kind] = _run_lane(
+            est, pairs, ys, settled, fim_traces[est.alpha]
         )
-        lane_rows.append(est_rows)
-        lane_lines.append(est_lines)
-        greedy_rows += offers
+        lanes.append(record)
         if error is not None:
             errors.append(error)
-    rows: list[MetricsRow] = list(chain.from_iterable(zip(*lane_rows)))  # step by step
-    lines = chain.from_iterable(zip(*lane_lines))
-    t3 = clock()
+    del pairs, ys  # the columns hold what the rows and traces read
+    rows = _Rows(lanes, config.steps, truth, config.clamp_estimates)
     status = 1 if errors else 0
 
     manifest = {
@@ -408,13 +634,12 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
             "simulate_s": t1 - t0,
             "fim_trace_s": t2 - t1,
             "step_s": step_s,
-            "metrics_rows_s": t3 - t2 - sum(step_s.values()),
+            "metrics_rows_s": 0.0,
             "write_s": 0.0,
         },
     }
     if any(est.kind == "grls" for est in config.estimators):
-        indices = [k for k, accepted, _, _ in greedy_rows if accepted]
-        kappa = greedy_rows[-1][3] if greedy_rows else math.inf
+        indices, kappa = rows.excitation() or ([], math.inf)
         manifest["excitation"] = {
             "size": len(indices),
             "indices": indices,
@@ -426,24 +651,28 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
     else:
         out = Path(output_dir) if output_dir is not None else Path(config.outputs)
         out.mkdir(parents=True, exist_ok=True)
-        manifest["files"] = _write_traces(out, config, traj, lines, greedy_rows)
-        manifest["timings"]["write_s"] = clock() - t3
+        t3, spent = clock(), [0.0]
+        manifest["files"] = _write_traces(out, config, traj, rows, spent)
+        manifest["timings"]["metrics_rows_s"] = spent[0]
+        manifest["timings"]["write_s"] = clock() - t3 - spent[0]
         manifest["wall_time_s"] = clock() - t0
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     return RunResult(rows=rows, status=status, trajectory=traj, output_dir=out, manifest=manifest)
 
 
-def _write_traces(out: Path, config: ExperimentConfig, traj: Trajectory,
-                  metrics_lines: Iterable[str], greedy_rows: list[tuple]) -> list[dict]:
+def _write_traces(out: Path, config: ExperimentConfig, traj: Trajectory, rows: _Rows,
+                  spent: list[float]) -> list[dict]:
     """Write each emitted trace CSV; returns the manifest's ``files`` entries,
-    each with the sha256 of the bytes its writer wrote."""
+    each with the sha256 of the bytes its writer wrote. Adds the seconds spent
+    forming metrics lines to ``spent[0]``."""
     written = []
     if "metrics" in config.emit:
-        digest = write_trace(out / "metrics.csv", METRICS_SCHEMA, METRICS_COLUMNS, metrics_lines)
+        lines = chain.from_iterable(rows.metrics_lines(spent))
+        digest = write_trace(out / "metrics.csv", METRICS_SCHEMA, METRICS_COLUMNS, lines)
         written.append(("metrics", digest))
     if "trajectory" in config.emit:
         written.append(("trajectory", traj.to_csv(out / "trajectory.csv")))
-    if "greedy" in config.emit and greedy_rows:
-        written.append(("greedy", write_acceptance_trace(out / "greedy.csv", greedy_rows)))
+    if "greedy" in config.emit and rows.excitation() is not None:
+        written.append(("greedy", write_acceptance_trace(out / "greedy.csv", rows.offers())))
     return [{"name": f"{kind}.csv", "kind": kind, "sha256": digest} for kind, digest in written]

@@ -312,7 +312,7 @@ def lockstep_run(config: ExperimentConfig):
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
     pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
     fim_traces = {
-        alpha: harness._fim_condition_trace(pairs, alpha)[0]
+        alpha: harness._fim_condition_trace(pairs, alpha).tolist()
         for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
     }
     ys = traj.observations.tolist()

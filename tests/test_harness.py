@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -169,12 +171,15 @@ class TestFimConditionTrace:
     ], ids=["fixed-point", "zero", "underflowing-alpha", "signed-zero-entries",
             "b-alone-changes"])
     def test_repeated_entries_equal_a_per_step_check(self, pairs, alpha):
-        trace, texts = harness._fim_condition_trace(pairs, alpha)
-        assert repr(trace) == repr(naive_fim_condition_trace(pairs, alpha))
-        # each text is formed with its number, once per number object
+        trace = harness._fim_condition_trace(pairs, alpha)
+        assert repr(trace.tolist()) == repr(naive_fim_condition_trace(pairs, alpha))
+        # the writer forms each text once per run of numbers with equal bits
+        values = np.frombuffer(trace)
+        texts = harness._texts(values)
         assert texts == [repr(kappa) for kappa in trace]
+        bits = values.view(np.int64).tolist()
         assert [texts[k] is texts[k - 1] for k in range(1, len(texts))] == [
-            trace[k] is trace[k - 1] for k in range(1, len(trace))
+            bits[k] == bits[k - 1] for k in range(1, len(bits))
         ]
 
 
@@ -1142,17 +1147,10 @@ class TestLaneByLaneRun:
 
     @staticmethod
     def assert_equals_lockstep(config, monkeypatch, tmp_path):
-        greedy = []
-
-        def keep_greedy_rows(out, config, traj, rows, greedy_rows):
-            greedy.extend(greedy_rows)
-            return []  # nothing written
-
-        monkeypatch.setattr(sisid.harness, "_write_traces", keep_greedy_rows)
-        result = run_experiment(config, tmp_path)
+        result = run_experiment(replace(config, emit=()))  # nothing written
         rows, greedy_rows, errors, status = lockstep_run(config)
         assert list(map(repr, result.rows)) == list(map(repr, rows))
-        assert list(map(repr, greedy)) == list(map(repr, greedy_rows))
+        assert list(map(repr, result.rows.offers())) == list(map(repr, greedy_rows))
         assert result.manifest["errors"] == errors
         assert result.status == status
         return result
@@ -1362,39 +1360,50 @@ class TestWriterTextReuse:
 
 
 def _spy_fim_passes(mp, calls):
-    """Record (settled, texts) of each FIM pass a run or the public trace makes."""
+    """Record the settle step of each FIM pass a run or the public trace makes."""
     inner = harness._fim_condition_trace
 
-    def spy(pairs, alpha, settled=math.inf, with_texts=True):
-        trace, texts = inner(pairs, alpha, settled, with_texts)
-        calls.append((settled, texts))
-        return trace, texts
+    def spy(pairs, alpha, settled=math.inf):
+        calls.append(settled)
+        return inner(pairs, alpha, settled)
 
     mp.setattr(harness, "_fim_condition_trace", spy)
 
 
+def _spy_texts(mp, sizes):
+    """Record how many values each call of the text former is given."""
+    inner = harness._texts
+
+    def spy(values):
+        sizes.append(len(values))
+        return inner(values)
+
+    mp.setattr(harness, "_texts", spy)
+
+
 class TestConditionTexts:
-    """The FIM pass forms a condition number's text only for a metrics trace."""
+    """A condition number's text is formed only when a metrics trace is written."""
 
     @pytest.mark.parametrize("emit", [(), ("trajectory", "greedy"), ("metrics",)])
     def test_a_run_forms_texts_only_for_a_metrics_trace(self, monkeypatch, tmp_path, emit):
-        calls = []
+        calls, sizes = [], []
         _spy_fim_passes(monkeypatch, calls)
+        _spy_texts(monkeypatch, sizes)
         config = replace(load_config(bundled_config_path("fig3_noisy")), emit=emit)
         run_experiment(config, tmp_path if emit else None)
-        texts = [texts for _, texts in calls]
-        assert len(texts) == 1  # one pass per distinct alpha
+        assert len(calls) == 1  # one pass per distinct alpha
         if "metrics" in emit:
-            assert len(texts[0]) == 2000
+            assert sizes == [1024, 2000 - 1024]  # a chunk at a time, shared by the lanes
         else:
-            assert texts == [None]
+            assert sizes == []
 
     def test_the_public_trace_forms_no_text(self, monkeypatch):
-        calls = []
+        calls, sizes = [], []
         _spy_fim_passes(monkeypatch, calls)
+        _spy_texts(monkeypatch, sizes)
         trace = fim_condition_trace(simulate(0.01, FIG3, 50), SIS_REGRESSOR, 0.94)
-        assert len(trace) == 50
-        assert [texts for _, texts in calls] == [None]
+        assert len(trace) == 50 and type(trace) is list
+        assert (calls, sizes) == ([math.inf], [])
 
 
 # Rates, x0 and theta0 entries weighted toward the edges: a state at 0 or 1,
@@ -1422,20 +1431,12 @@ def _noise_free_configs(draw):
 def _assert_run_equals_lockstep(config):
     """``run_experiment`` on ``config`` reports what ``lockstep_run`` reports, and
     writes each trace as the naive writer writes its rows; returns the result."""
-    greedy = []
-    write = harness._write_traces
-
-    def keep_greedy_rows(out, config, traj, lines, greedy_rows):
-        greedy.extend(greedy_rows)
-        return write(out, config, traj, lines, greedy_rows)
-
-    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(harness, "_write_traces", keep_greedy_rows)
+    with tempfile.TemporaryDirectory() as tmp:
         result = run_experiment(config, tmp)
         written = {path.name: path.read_bytes() for path in Path(tmp).glob("*.csv")}
     rows, greedy_rows, errors, status = lockstep_run(config)
     assert list(map(repr, result.rows)) == list(map(repr, rows))
-    assert list(map(repr, greedy)) == list(map(repr, greedy_rows))
+    assert list(map(repr, result.rows.offers())) == list(map(repr, greedy_rows))
     assert result.manifest["errors"] == errors
     assert result.status == status
 
@@ -1512,7 +1513,7 @@ class TestSettledRuns:
         passes = []
         _spy_fim_passes(monkeypatch, passes)
         lockstep_run(config)
-        assert passes and all(settled == math.inf for settled, _ in passes)
+        assert passes and all(settled == math.inf for settled in passes)
 
     def test_the_manifest_names_where_each_part_settled(self):
         settled = {
@@ -1580,3 +1581,84 @@ class TestWhereALaneEnds:
         assert len(drawn) - 2 == (57 if stops else 99)
         assert (result.manifest["settled"][kind] is not None) == stops
         assert {row[2:4] for row in result.rows} == {report[0]}
+
+
+# sha256 of repr(RunResult.rows) for each bundled config at seeds 0 and 101, as
+# the rows were when a run held them as a list of MetricsRow
+ROWS_REPR_SHA256 = {
+    ("fig1", 0): "7cf1be537118c1533834430569f1eab0c7563b11804b81f6a3eb7f6edc188056",
+    ("fig1", 101): "7cf1be537118c1533834430569f1eab0c7563b11804b81f6a3eb7f6edc188056",
+    ("fig2", 0): "474340f14bd5bf001d543312aca0f805d98b7d34d68d8be4618d0a18a4cb7c4b",
+    ("fig2", 101): "afaa924b01bf1b6d8d0a37cc1a9657c05ee1a63f86645685fc1e87d591625bda",
+    ("fig3_noisefree", 0): "91cc9fbd596702cbfa6942ef2abed8d64325b7ec2e6343d10f53cf16dcf21895",
+    ("fig3_noisefree", 101): "24fac448f31435f31e2795b5909422d6b7560212e1c4c84d3669dc9402c9b6db",
+    ("fig3_noisy", 0): "ae0b195d36994aff081b290d2947200be86bf353883d8052bfa947625038a3cb",
+    ("fig3_noisy", 101): "b04c07801e7713703da68f1bc32b57432608ab75124bd5cee758a2462d490571",
+}
+
+
+class TestRowsView:
+    """``RunResult.rows`` is a read-only sequence that forms each row when it is read."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        # 700 steps of fig3_noisefree: settled lanes, EF-RLS frozen from step 570
+        return run_experiment(replace(_in_memory("fig3_noisefree"), steps=700))
+
+    def test_a_sequence_of_metrics_rows(self, result):
+        rows, listed = result.rows, list(result.rows)
+        assert len(rows) == len(listed) == 4 * 700
+        assert all(type(row) is MetricsRow for row in listed)
+        for i in (0, 1, 5, 2278, 2279, 2280, len(rows) - 1, -1, -4, -len(rows)):
+            assert repr(rows[i]) == repr(listed[i])
+        assert rows[np.int64(9)] == listed[9]
+        for part in (slice(3, 40, 7), slice(None, 5), slice(-6, None), slice(None, None, -97)):
+            assert type(rows[part]) is list and rows[part] == listed[part]
+        assert rows[10:10] == []
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[1.0]
+        with pytest.raises(TypeError):
+            rows[0] = listed[0]
+
+    def test_each_row_read_alone_is_the_row_iteration_forms(self, result):
+        rows = result.rows
+        assert list(map(repr, map(rows.__getitem__, range(len(rows))))) == list(map(repr, rows))
+
+    def test_compares_equal_to_the_list_of_its_rows(self, result):
+        rows, listed = result.rows, list(result.rows)
+        assert rows == listed and listed == rows and rows == rows
+        assert rows != listed[:-1] and rows != listed[::-1] and rows != tuple(listed)
+        assert rows.index(listed[2279]) == 2279 and listed[-1] in rows
+        assert list(reversed(rows[-3:])) == listed[:-4:-1]
+        with pytest.raises(TypeError):
+            hash(rows)
+        assert repr(rows) == repr(listed)
+
+    @pytest.mark.parametrize("name, seed", ROWS_REPR_SHA256, ids=[
+        f"{name}-{seed}" for name, seed in ROWS_REPR_SHA256])
+    def test_repr_is_that_of_the_list_of_rows(self, name, seed):
+        rows = run_experiment(_reseeded(name, seed)).rows
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == ROWS_REPR_SHA256[name, seed]
+
+
+def test_a_run_holds_less_than_a_kilobyte_per_step(tmp_path):
+    # 20,000 steps of fig3_noisy, every trace written: a run that held each row
+    # as a MetricsRow and each metrics line as a str peaked at 2,670 B per step
+    # and kept 1,350 B per step after it returned
+    steps = 20_000
+    config = load_config(bundled_config_path("fig3_noisy"))
+    run_experiment(replace(config, steps=50), tmp_path)  # what a first run imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_experiment(replace(config, steps=steps), tmp_path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == 0 and len(result.rows) == 4 * steps
+    assert (peak - before) / steps <= 1000
+    assert (held - before) / steps <= 500

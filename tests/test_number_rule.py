@@ -540,6 +540,51 @@ WHOLE_CALLS = {
     "ExperimentConfig(steps=2**62)": (
         lambda: _config(steps=2**62), ConfigError, "steps: must be in 1..",
     ),
+    # a state reads each field of its excitation set: grls_step reads none of them
+    "GrlsState(excitation NaN fim_entries)": (
+        lambda: replace(STATE, excitation=GreedySet((0,), (math.nan, 0.0, 0.0), cond="x")),
+        ValueError, "excitation fim_entries must be finite",
+    ),
+    "GrlsState(excitation inf rhs_entries)": (
+        lambda: replace(STATE, excitation=GreedySet((0,), rhs_entries=(math.inf, 0.0))),
+        ValueError, "excitation rhs_entries must be finite",
+    ),
+    "GrlsState(excitation two fim_entries)": (
+        lambda: replace(STATE, excitation=GreedySet((0,), (1.0, 0.0))), ValueError,
+        "excitation fim_entries must be 3 numbers",
+    ),
+    "GrlsState(excitation indices (1, 0))": (
+        lambda: replace(STATE, excitation=GreedySet((1, 0))), ValueError,
+        "excitation indices must be strictly increasing",
+    ),
+    "GrlsState(excitation indices (2, 2))": (
+        lambda: replace(STATE, excitation=GreedySet((2, 2))), ValueError,
+        "excitation indices must be strictly increasing",
+    ),
+    "GrlsState(excitation indices (-1,))": (
+        lambda: replace(STATE, excitation=GreedySet((-1,))), ValueError,
+        "excitation indices must be >= 0",
+    ),
+    "GrlsState(excitation indices (True,))": (
+        lambda: replace(STATE, excitation=GreedySet((True,))), ValueError,
+        "excitation indices must be an integer",
+    ),
+    "GrlsState(excitation indices 3)": (
+        lambda: replace(STATE, excitation=GreedySet(3)), ValueError,
+        "excitation indices must be a tuple",
+    ),
+    "GrlsState(excitation cond 0.5)": (
+        lambda: replace(STATE, excitation=GreedySet(cond=0.5)), ValueError,
+        "excitation cond must be >= 1 or inf",
+    ),
+    "GrlsState(excitation cond NaN)": (
+        lambda: replace(STATE, excitation=GreedySet(cond=math.nan)), ValueError,
+        "excitation cond must be >= 1 or inf",
+    ),
+    "GrlsState(excitation cond 'x')": (
+        lambda: replace(STATE, excitation=GreedySet(cond="x")), ValueError,
+        "excitation cond must be a number",
+    ),
     "noise=off,seed=-5": (
         lambda: parse_config_text(NOISE_OFF + "seed = -5\n"), ConfigError, "unknown keys: seed",
     ),
