@@ -275,6 +275,17 @@ class TestGrls:
         assert state == built
         assert hash(state) == hash(built)
 
+    def test_a_state_keeps_its_excitation_set_as_ints_and_floats(self):
+        # a set built by hand, of numpy numbers, equals the set of Python numbers it reads as
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
+        gset = GreedySet([np.int64(0), 3], np.array([1.0, 0.5, 2.0]), (np.float64(0.1), 0.2), 3)
+        read = dataclasses.replace(state, excitation=gset).excitation
+        assert read == GreedySet((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2), 3.0)
+        assert list(map(type, (*read.indices, *read.fim_entries, *read.rhs_entries, read.cond))) \
+            == [int] * 2 + [float] * 6
+        stepped = grls_step(dataclasses.replace(state, step=4, excitation=gset), 0.1, 0.12)
+        assert stepped.excitation.indices == (0, 3, 4)
+
     def test_alpha_must_be_strictly_below_one(self):
         with pytest.raises(ValueError):
             GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=1.0)

@@ -1140,13 +1140,14 @@ def test_a_trajectory_trace_rebuilds_its_trajectory_bitwise(tmp_path, name, seed
 
 
 class TestLaneByLaneRun:
-    """``run_experiment`` steps each lane to its end, then forms its rows; it
-    reports what ``lockstep_run``, which steps every lane one step at a time and
-    forms every row on its own, reports. Reprs are compared, so that -0.0 and
+    """``run_experiment`` steps each lane to its end and records it as columns,
+    from which its rows are formed when they are read; it reports what
+    ``lockstep_run``, which steps every lane one step at a time and forms every
+    row on its own, reports. Reprs are compared, so that -0.0 and
     0.0, or 1 and 1.0, differ."""
 
     @staticmethod
-    def assert_equals_lockstep(config, monkeypatch, tmp_path):
+    def assert_equals_lockstep(config):
         result = run_experiment(replace(config, emit=()))  # nothing written
         rows, greedy_rows, errors, status = lockstep_run(config)
         assert list(map(repr, result.rows)) == list(map(repr, rows))
@@ -1157,36 +1158,36 @@ class TestLaneByLaneRun:
 
     @pytest.mark.parametrize("seed", [0, 101])
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_configs(self, monkeypatch, tmp_path, name, seed):
-        result = self.assert_equals_lockstep(_reseeded(name, seed), monkeypatch, tmp_path)
+    def test_bundled_configs(self, name, seed):
+        result = self.assert_equals_lockstep(_reseeded(name, seed))
         if name == "fig3_noisefree":
             assert _failures(result) == [("ef_rls", 570)]
 
     @pytest.mark.parametrize("name", ["fig1", "fig3_noisy"])
-    def test_clamped_estimates(self, monkeypatch, tmp_path, name):
+    def test_clamped_estimates(self, name):
         config = _in_memory(name)
         # from zero, the first gradient steps drive estimates negative
         estimators = tuple(replace(est, theta0=(0.0, 0.0)) for est in config.estimators)
         config = replace(config, estimators=estimators, clamp_estimates=True)
-        result = self.assert_equals_lockstep(config, monkeypatch, tmp_path)
+        result = self.assert_equals_lockstep(config)
         assert any(r.gamma_hat == 0.0 for r in result.rows)
 
-    def test_no_truth(self, monkeypatch, tmp_path):
+    def test_no_truth(self):
         config = replace(_in_memory("fig3_noisy"), sis=SisParams(0.0, 0.2692))
-        result = self.assert_equals_lockstep(config, monkeypatch, tmp_path)
+        result = self.assert_equals_lockstep(config)
         assert all(r.max_rel_err is None for r in result.rows)
 
-    def test_an_injected_grls_failure(self, monkeypatch, tmp_path):
+    def test_an_injected_grls_failure(self, monkeypatch):
         def failing_at_5(*args):
             if args[5] == 5 and args[7]:
                 raise ConditioningError("injected")
             return grls_kernel(*args)
 
         monkeypatch.setattr(sisid.harness, "grls_kernel", failing_at_5)
-        result = self.assert_equals_lockstep(_in_memory("fig3_noisy"), monkeypatch, tmp_path)
+        result = self.assert_equals_lockstep(_in_memory("fig3_noisy"))
         assert _failures(result) == [("grls", 5)]
 
-    def test_a_zero_changing_sign(self, monkeypatch, tmp_path):
+    def test_a_zero_changing_sign(self, monkeypatch):
         # equal to the last report's theta and P, but not the same row
         def signed_zeros(est, pairs, ys):
             for k in range(len(ys) + 1):
@@ -1195,7 +1196,7 @@ class TestLaneByLaneRun:
 
         monkeypatch.setitem(sisid.harness._LANES, "ef_rls", signed_zeros)
         config = replace(_in_memory("fig3_noisy"), steps=30)
-        result = self.assert_equals_lockstep(config, monkeypatch, tmp_path)
+        result = self.assert_equals_lockstep(config)
         assert len({repr(r.beta_hat) for r in result.rows if r.estimator == "ef_rls"}) == 2
 
 
@@ -1341,7 +1342,9 @@ class TestWriterTextReuse:
                 mp.setitem(harness._LANES, kind, _fake_lane(reports, fails_at))
             result = run_experiment(config, tmp)
             written = (Path(tmp) / "metrics.csv").read_bytes()
-        assert written == naive_metrics_csv(result.rows)
+            rows = lockstep_run(config)[0]  # each row formed on its own from its report
+        assert written == naive_metrics_csv(rows)
+        assert list(map(repr, result.rows)) == list(map(repr, rows))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(rows=_greedy_rows())
