@@ -8,11 +8,14 @@
 CONFIG is a flat key-value file (see sisid.config) or the name of a
 bundled scenario (fig1, fig2, fig3_noisefree, fig3_noisy). The SISID_OUTPUT_ROOT
 environment variable, when set, is prepended to every relative output
-directory. verify re-checks a run directory from its manifest: the config
-echo parses back, its CSVs are the manifest's files and hash to their sha256,
-and a rerun of the config gives the same files, status, errors, settled and
-excitation blocks. It prints one line per difference and exits 0 on a
-match, 1 on a difference, and 2 when the manifest or its echo cannot be read.
+directory. sweep runs one variant per value, in order; variants in a row that
+share (x0, beta, gamma, steps, noise) share one simulated trajectory and one
+GRLS excitation pass. verify re-checks a run directory from its manifest: the
+config echo parses back, its CSVs are the manifest's files and hash to their
+sha256, and a rerun of the config gives the same files, status, errors,
+settled and excitation blocks. It prints one line per difference and exits 0
+on a match, 1 on a difference, and 2 when the manifest or its echo cannot be
+read.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .config import (
     load_config_mapping,
     parse_config_text,
 )
-from .harness import run_experiment
+from .harness import _run_variants, run_experiment
 
 
 def _resolve_config_path(name: str) -> Path:
@@ -79,12 +82,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # every variant's config is built, and so checked, before any runs, so a bad
     # value writes nothing (observation noise that overflows shows only in its run)
     configs = [config_from_mapping({**mapping, args.param: value}) for value in values]
+    outs = [_resolve_output_dir(config.outputs) / f"{args.param.replace('.', '_')}={value}"
+            for value, config in zip(values, configs)]
+    # variants in a row with one trajectory share its simulation and excitation pass
+    results = _run_variants(zip(configs, outs))
     status = 0
-    for done, (value, config) in enumerate(zip(values, configs)):
+    for done, (value, out) in enumerate(zip(values, outs)):
         variant = f"{args.param}={value}"
-        out = _resolve_output_dir(config.outputs) / f"{args.param.replace('.', '_')}={value}"
         try:
-            result = run_experiment(config, output_dir=out)
+            result = next(results)
         except (ConfigError, OSError) as exc:  # the variants already written stay on disk
             raise type(exc)(f"{variant}: {exc} ({done} of {len(values)} written)") from exc
         print(f"{variant}: status {result.status} -> {out}")

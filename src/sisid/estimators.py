@@ -15,14 +15,17 @@ Four identifiers are provided:
   relied upon.
 
 Every identifier steps through a kernel on floats (``pure_gd_kernel``,
-``grls_kernel``, ``ie_mmai_kernel``): two parameters and one scalar
-observation per step, which the caller has checked. One RLS step is one
-``grls_kernel`` call, the greedy offer, the covariance update and the
-estimate update in one function, and EF-RLS is that kernel with its
-excitation set disabled. ``ef_rls_step`` is an array adapter over it that
-checks its input; ``grls_step`` steps a ``GrlsState`` checked when it was
-built, checks only the transition, and reads ``SIS_REGRESSOR`` as
-``sis_regressor_pair``'s two floats, no array.
+``_rls_update``, ``ie_mmai_kernel``): two parameters and one scalar
+observation per step, which the caller has checked. The weighted-RLS
+update, the covariance update and the estimate update, exists once, in
+``_rls_update``: it reads the excitation set that the greedy offer
+(``excitation._offer_floats``) left, and EF-RLS is that update with no set.
+``ef_rls_step`` is an array adapter over it that checks its input;
+``grls_step`` steps a ``GrlsState`` checked when it was built, checks only
+the transition, calls the offer and then the update, and reads
+``SIS_REGRESSOR`` as ``sis_regressor_pair``'s two floats, no array. The
+offer reads neither alpha, P nor theta, so ``sisid.harness`` makes one
+offer pass per trajectory and runs its GRLS lane as the update alone.
 
 ``batch_oracle`` solves the weighted normal equations that the greedy
 recursion provably minimizes, from scratch at any step, and exists so the
@@ -148,7 +151,7 @@ def ef_rls_step(
     row = _finite_row(phi, "phi")
     y = finite_scalar(y, "y")
     alpha = read_alpha(alpha)
-    p_next, theta_next, _, _ = grls_kernel(p, theta, GreedySet(), row, y, 0, alpha, False)
+    p_next, theta_next = _rls_update(p, theta, None, None, row, y, alpha, False)
     return sym2_array(p_next), np.array(theta_next)
 
 
@@ -195,10 +198,11 @@ class GrlsState:
     finite, exactly symmetric 2x2 array, ``greedy_enabled`` unless a bool,
     alpha unless ``read_alpha`` reads it (in (0, 1), or 1 with the set off),
     ``state theta`` unless two finite numbers, ``regressor`` unless callable,
-    ``excitation`` unless ``read_excitation`` reads it and ``step`` unless
-    ``read_count`` reads an integer >= 0; ``initial`` reads theta0 and p0_scale by their
+    ``excitation`` unless ``read_excitation`` reads it and each of its
+    indices is below ``step``, and ``step`` unless ``read_count`` reads an
+    integer >= 0; ``initial`` reads theta0 and p0_scale by their
     readers and builds the state through these checks. Only ``grls_step``
-    builds a state without them, from the kernel's checked floats. States
+    builds a state without them, from the update's checked floats. States
     compare and hash by those floats and the other fields.
     """
 
@@ -220,6 +224,9 @@ class GrlsState:
         _pair_reader(regressor)  # ValueError naming the regressor unless callable
         excitation = read_excitation(excitation)
         step = read_count(step, "step", 0)
+        if excitation.indices and excitation.indices[-1] >= step:  # steps 0..step-1 were offered
+            raise ValueError(f"excitation indices must be below step {step}, "
+                             f"got {_shown(excitation.indices)}")
         # the one place that orders __dict__, whose values __eq__ and __hash__ read;
         # grls_step copies it
         fields = self.__dict__
@@ -247,20 +254,20 @@ class GrlsState:
                    greedy_enabled)
 
 
-def grls_kernel(
-    p: Sym2, theta: tuple[float, float], gset: GreedySet, phi: tuple[float, float], y: float,
-    k: int, alpha: float, greedy_enabled: bool,
-) -> tuple[Sym2, tuple[float, float], GreedySet, bool]:
+def _rls_update(
+    p: Sym2, theta: tuple[float, float], fim: Sym2 | None, rhs: tuple[float, float] | None,
+    phi: tuple[float, float], y: float, alpha: float, accepted: bool,
+) -> tuple[Sym2, tuple[float, float]]:
     """One step of the weighted RLS recursion on floats, shared by GRLS and EF-RLS.
 
-    Offers datum k (regressor ``phi``, observation ``y``) to the excitation
-    set when ``greedy_enabled``, then minimizes alpha * (old cost) +
-    (1 - alpha) * (excitation-set cost) + (datum cost):
-    P' = (alpha P^-1 + G + phi^T phi)^-1 and
+    Minimizes alpha * (old cost) + (1 - alpha) * (excitation-set cost) +
+    (datum cost): P' = (alpha P^-1 + G + phi^T phi)^-1 and
     theta' = theta + P' ((1 - alpha) (r - F theta) + phi^T (y - phi theta)),
-    where F and r are the set's FIM and right-hand side and G = (1 - alpha) F.
-    A datum that has just joined the set enters through it, so its phi terms
-    drop. Returns (P', theta', set, accepted), for alpha in (0, 1] (below 1
+    where F and r are the set's FIM entries ``fim`` and right-hand side
+    ``rhs`` (``fim`` None for an empty set, EF-RLS's) and G = (1 - alpha) F.
+    The set is the one after datum k (regressor ``phi``, observation ``y``)
+    was offered to it; a datum it has just ``accepted`` enters through it, so
+    its phi terms drop. Returns (P', theta'), for alpha in (0, 1] (below 1
     with a set), which the caller has read.
 
     P stays in covariance form, never inverted. The rank-two refresh
@@ -276,17 +283,13 @@ def grls_kernel(
     overflows in the refresh of a huge P, so that no caller carries a NaN
     covariance on, and when theta' is not finite.
     """
-    if greedy_enabled:
-        gset, accepted = _offer_floats(gset, phi, y, k)
-    else:
-        accepted = False
     a, b, d = p
     t1, t2 = theta
     g1 = g2 = 0.0
-    if gset.indices:
+    if fim is not None:
         w = 1.0 - alpha
-        f11, f12, f22 = gset.fim_entries
-        r1, r2 = gset.rhs_entries
+        f11, f12, f22 = fim
+        r1, r2 = rhs
         g1 = w * (r1 - (f11 * t1 + f12 * t2))
         g2 = w * (r2 - (f12 * t1 + f22 * t2))
         e, f, h = w * f11, w * f12, w * f22
@@ -318,7 +321,7 @@ def grls_kernel(
     t1, t2 = t1 + (a * g1 + b * g2), t2 + (b * g1 + d * g2)
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ConditioningError(f"the RLS step gave non-finite theta' = {(t1, t2)!r}")
-    return (a, b, d), (t1, t2), gset, accepted
+    return (a, b, d), (t1, t2)
 
 
 def _read_transition(regressor: Callable, x_k, x_next) -> tuple[float, tuple[float, float]]:
@@ -357,7 +360,8 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
     at once: y^2 + u1^2 + u2^2 is finite exactly when every check passes, and
     any other input is read check by check. The next state is a copy of
     ``state``'s fields with P, theta, the set and the step count replaced by
-    the kernel's floats, finite since it did not raise, with no second check.
+    the offer's set and the update's floats, finite since it did not raise,
+    with no second check.
     """
     regressor = state.regressor
     if regressor is sis_regressor and isinstance(x_k, float) and isinstance(x_next, float):
@@ -369,9 +373,11 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
             y, phi = _read_transition(regressor, x_k, x_next)
     else:
         y, phi = _read_transition(regressor, x_k, x_next)
-    p, theta, excitation, _ = grls_kernel(
-        state._P, state._theta, state.excitation, phi, y, state.step, state.alpha,
-        state.greedy_enabled,
+    excitation, accepted = (_offer_floats(state.excitation, phi, y, state.step)
+                            if state.greedy_enabled else (state.excitation, False))
+    p, theta = _rls_update(
+        state._P, state._theta, excitation.fim_entries if excitation.indices else None,
+        excitation.rhs_entries, phi, y, state.alpha, accepted,
     )
     successor = object.__new__(GrlsState)
     fields = successor.__dict__

@@ -9,26 +9,41 @@ frozen at its last state, the offending step is recorded in the manifest,
 and the exit status becomes nonzero. CSV content is bitwise reproducible
 for a fixed config; timings appear only in the manifest.
 
-The step loop works on floats. Each estimator runs as one lane, a
-generator that steps its float kernel over the run's regressor pairs and
-observations and reports its estimate, covariance and greedy offer after
-each step; EF-RLS is the GRLS lane with its excitation set disabled. The
-regressor pairs are computed once per run and feed both the FIM condition
-trace and the lanes. The trace is one pass per distinct alpha, largest
-first, that checks the FIM entries at every step, names the first step
-where they are not finite, and forms a condition number only when they
-change; it is kept as an ``array('d')``. Lane by lane, ``_run_lane`` draws
-a lane's reports to the end, or until it fails or settles (below), and
-records them, a chunk of reports at a time, as ``array('d')`` columns: theta,
-P's three entries, and the offer's verdict and kappa before and after. A
-run holds no per-step Python object once its lanes have stepped.
+A run has two parts. Its preparation (``_Prepared``) holds what only its
+trajectory decides: the simulated trajectory, its settle step (below), the
+regressor pairs and observations, the FIM condition trace of each alpha and
+the excitation pass, each trace and the pass formed when a run first asks for
+it. Variants of a sweep in a row that share (x0, sis, steps, noise) share one
+preparation (``_run_variants``); one is held at a time. The per-config part
+steps the lanes and forms the rows, the manifest and the traces.
+
+The FIM condition trace is one pass per distinct alpha, largest first, that
+checks the FIM entries at every step, names the first step where they are not
+finite, and forms a condition number only when they change; it is kept as an
+``array('d')``. The excitation pass (``_excitation_pass``) offers each step's
+datum to the greedy set; an offer reads neither alpha, P nor theta, so one
+pass serves every GRLS lane of the trajectory. It keeps each offer's verdict
+and kappa before and after as an ``array('d')``, and the FIM entries and
+right-hand side of the set after each accepted offer.
+
+The step loop works on floats. Each estimator runs as one lane, a generator
+that steps its float kernel over the run's regressor pairs and observations
+and reports its estimate and covariance after each step. No lane offers: the
+RLS lane is the weighted-RLS update alone (``estimators._rls_update``), GRLS
+over the sets of the excitation pass and EF-RLS over none. Lane by lane,
+``_run_lane`` draws a lane's reports to the end, or until it fails or settles
+(below), and records them, a chunk of reports at a time, as ``array('d')``
+columns: theta and P's three entries. A run holds no per-step Python object
+once its lanes have stepped.
 
 ``RunResult.rows`` is a read-only sequence view over those columns: it forms
 each ``MetricsRow`` when it is read, with its eleven fields, ``r0_hat`` and
-``log10_max_rel_err`` among them. The metrics, greedy and FIM-condition texts
-are formed when their trace is written, a chunk of steps at a time, from
-column slices: ``repr`` of each value, formed once per run of steps whose
-values have equal bits, and joined into lines. A metrics line, in
+``log10_max_rel_err`` among them. The greedy trace, the GRLS rows'
+``accepted`` field and the manifest's ``excitation`` block all read the one
+excitation pass, cut at a failing GRLS lane's step. The metrics, greedy and
+FIM-condition texts are formed when their trace is written, a chunk of steps
+at a time, from column slices: ``repr`` of each value, formed once per run of
+steps whose values have equal bits, and joined into lines. A metrics line, in
 ``sisid-metrics-v2``, writes the nine fields of ``METRICS_COLUMNS`` and
 leaves out ``r0_hat`` and ``log10_max_rel_err``, which the line's
 ``beta_hat``, ``gamma_hat`` and ``max_rel_err`` give exactly. Lines are
@@ -41,13 +56,14 @@ them; no file is read back. Each FIM condition number, and each row's
 A noise-free run often reaches an exact fixed point, after which every step
 has the same regressor pair and observation. The run finds the first such
 step, ``settled``, from its states. From there on the FIM pass stops once its
-entries repeat, and ``_run_lane`` stops drawing a pure-GD or RLS lane's
-reports once one repeats the one before it (a lane only steps); the last
-report stands for every later step, bitwise what stepping on would give.
-IE-MMAI steps to the end, as its models' costs decay every step. The
-manifest's ``settled`` block names the trajectory's settle step and, for
-each lane that stopped stepping, the first step whose report every later
-step repeats.
+entries repeat, the excitation pass stops once an offer is rejected, as every
+later offer repeats that one, and ``_run_lane`` stops drawing a pure-GD or
+RLS lane's reports once one repeats the one before it with no accepted offer
+(a lane only steps); the last report stands for every later step, bitwise
+what stepping on would give. IE-MMAI steps to the end, as its models' costs
+decay every step. The manifest's ``settled`` block names the trajectory's
+settle step and, for each lane that stopped stepping, the first step whose
+report and offer every later step repeats.
 
 A run pauses Python's cyclic garbage collector and restores the caller's
 setting when it returns or raises. While it steps, a run holds the regressor
@@ -78,14 +94,16 @@ from . import __version__
 from .config import ConfigError, EstimatorSettings, ExperimentConfig, config_to_mapping
 from .dynamics import Trajectory, simulate, write_trace
 from .estimators import (
-    grls_kernel,
+    _rls_update,
     ie_mmai_init,
     ie_mmai_kernel,
     ie_mmai_selected,
     pure_gd_kernel,
     read_alpha,
 )
-from .excitation import GreedySet, regressor_pairs, sis_regressor_pair, write_acceptance_trace
+from .excitation import (
+    GreedySet, _offer_floats, regressor_pairs, sis_regressor_pair, write_acceptance_trace,
+)
 from .linalg import ConditioningError, Sym2, sym2_spectrum
 
 METRICS_SCHEMA = "sisid-metrics-v2"
@@ -161,40 +179,87 @@ def _fim_condition_trace(
     return trace
 
 
-# What a lane yields before its first step and after each step: theta, P's
-# entries (None without a covariance), and its greedy offer's outcome
-# (accepted, kappa before, kappa after), None for estimators without an
-# excitation set. A step that fails raises ``ConditioningError`` out of it.
-# A lane starts from settings a config has read: floats, theta0 a float pair.
-# A lane only steps, to the end of the run; ``_run_lane`` decides where it ends.
-_Report = tuple[tuple[float, float], Sym2 | None, tuple[bool, float, float] | None]
+@dataclass(eq=False)
+class _Excitation:
+    """A run's excitation pass: each step's datum offered to the greedy set.
+
+    ``offers`` holds three floats per offered step 0..quiet: the verdict (1.0
+    accepted, 0.0 rejected) and kappa before and after; step k reads row
+    min(k, quiet), as from step ``quiet`` on every offer repeats that row's
+    rejection. ``sets`` holds the FIM entries and right-hand side of the set
+    after each accepted offer, in step order: what the RLS update reads.
+    """
+
+    offers: array
+    sets: list[tuple[Sym2, tuple[float, float]]]
+    quiet: int
+
+    def verdicts(self) -> Iterator[float]:
+        """Each step's verdict, 1.0 or 0.0, to the end of any run."""
+        return chain(self.offers[::3], repeat(0.0))
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """The offers of steps i..j-1, a (verdict, kappa before, kappa after) row per step."""
+        return _table(self.offers, 3)[np.minimum(np.arange(i, j), self.quiet)]
 
 
-def _pure_gd_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
-    theta = est.theta0
-    yield theta, None, None
-    for phi, y in zip(pairs, ys):
-        theta = pure_gd_kernel(theta, phi, y)
-        yield theta, None, None
+# the pass that a lane other than GRLS's steps over: every step a rejection, no set
+_NO_OFFERS = _Excitation(array("d"), [], 0)
 
 
-def _rls_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
-    """GRLS, or EF-RLS: the same kernel with its excitation set disabled."""
-    p, theta, gset = (est.p0_scale, 0.0, est.p0_scale), est.theta0, GreedySet()
-    greedy = est.kind == "grls"
-    yield theta, p, None
+def _excitation_pass(pairs, ys, settled: float = math.inf) -> _Excitation:
+    """The greedy offers of a run's data (``_Excitation``). From step ``settled``
+    on, the pairs and observations are one pair and one observation, so once an
+    offer there is rejected, every later offer repeats it, and the pass stops."""
+    gset, offers, sets = GreedySet(), array("d"), []
     for k, (phi, y) in enumerate(zip(pairs, ys)):
         before = gset.cond
-        p, theta, gset, accepted = grls_kernel(p, theta, gset, phi, y, k, est.alpha, greedy)
-        yield theta, p, (accepted, before, gset.cond) if greedy else None
+        gset, accepted = _offer_floats(gset, phi, y, k)
+        offers.extend((accepted, before, gset.cond))
+        if accepted:
+            sets.append((gset.fim_entries, gset.rhs_entries))
+        elif k >= settled:
+            break
+    return _Excitation(offers, sets, len(offers) // 3 - 1)
 
 
-def _ie_mmai_lane(est: EstimatorSettings, pairs, ys) -> Iterator[_Report]:
+# What a lane yields before its first step and after each step: theta and P's
+# entries (None without a covariance). A step that fails raises
+# ``ConditioningError`` out of it. A lane starts from settings a config has
+# read: floats, theta0 a float pair. It steps over the run's regressor pairs,
+# observations and an excitation pass, which only the RLS lane reads.
+# A lane only steps, to the end of the run; ``_run_lane`` decides where it ends.
+_Report = tuple[tuple[float, float], Sym2 | None]
+
+
+def _pure_gd_lane(est: EstimatorSettings, pairs, ys, offers: _Excitation) -> Iterator[_Report]:
+    theta = est.theta0
+    yield theta, None
+    for phi, y in zip(pairs, ys):
+        theta = pure_gd_kernel(theta, phi, y)
+        yield theta, None
+
+
+def _rls_lane(est: EstimatorSettings, pairs, ys, offers: _Excitation) -> Iterator[_Report]:
+    """The weighted-RLS update alone: GRLS over the sets of the run's excitation
+    pass, EF-RLS over ``_NO_OFFERS``, whose set stays empty."""
+    p, theta, alpha = (est.p0_scale, 0.0, est.p0_scale), est.theta0, est.alpha
+    fim = rhs = None
+    sets = iter(offers.sets)
+    yield theta, p
+    for phi, y, accepted in zip(pairs, ys, offers.verdicts()):
+        if accepted:
+            fim, rhs = next(sets)
+        p, theta = _rls_update(p, theta, fim, rhs, phi, y, alpha, accepted)
+        yield theta, p
+
+
+def _ie_mmai_lane(est: EstimatorSettings, pairs, ys, offers: _Excitation) -> Iterator[_Report]:
     state = ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
-    yield ie_mmai_selected(state[0]), None, None
+    yield ie_mmai_selected(state[0]), None
     for phi, y in zip(pairs, ys):
         state = ie_mmai_kernel(state, phi, y)
-        yield ie_mmai_selected(state[0]), None, None
+        yield ie_mmai_selected(state[0]), None
 
 
 _LANES = {
@@ -249,8 +314,8 @@ class _Chunk(NamedTuple):
     equal bits: each step's run (None when each step is one), each run's
     beta_hat and gamma_hat (clamped when the run clamps), its max_rel_err
     (None without a truth) and P's spectrum (None where P is None), and each
-    step's verdict, 0.0, 1.0 or NaN for no offer (None when no report has an
-    offer), and fim_cond."""
+    step's verdict, 0.0, 1.0 or NaN for no offer (None for a lane that makes
+    no offers), and fim_cond."""
 
     run: list[int] | None
     beta: list[float]
@@ -264,18 +329,20 @@ class _Chunk(NamedTuple):
 @dataclass(eq=False)
 class _LaneRecord:
     """One lane's reports as ``array('d')`` columns, reports 0..rest (report 0
-    precedes step 0): theta, two floats per report; P (NaN for None) and the
-    offer (verdict 1.0 or 0.0, kappa before, kappa after; NaN for None), three
+    precedes step 0): theta, two floats per report, and P (NaN for None), three
     floats per report, or None when no report has one. Step k reads report
-    min(k + 1, rest), and fim_cond from ``fim``, the trace of the lane's alpha.
+    min(k + 1, rest), fim_cond from ``fim``, the trace of the lane's alpha,
+    and, for the GRLS lane, its offer from ``excitation``, the run's
+    excitation pass, at steps before ``offered``, the lane's failing step.
     """
 
     kind: str
     fim: array
     theta: array
+    excitation: _Excitation | None = None
     p: array | None = None
-    offer: array | None = None
     rest: int = 0
+    offered: int = 0
 
     @property
     def count(self) -> int:
@@ -284,31 +351,32 @@ class _LaneRecord:
     def add(self, reports: list) -> None:
         """Record ``reports`` and clear the list."""
         if reports:
-            thetas, ps, offers = zip(*reports)
+            thetas, ps = zip(*reports)
             count = self.count
             self.theta.extend(chain.from_iterable(thetas))
             self.p = _extended(self.p, ps, count)
-            self.offer = _extended(self.offer, offers, count)
             reports.clear()
 
     def freeze(self) -> None:
-        """Record the last report's theta and P again, with no offer."""
+        """Record the last report's theta and P again."""
         self.theta.extend(self.theta[-2:])
         if self.p is not None:
             self.p.extend(self.p[-3:])
-        if self.offer is not None:
-            self.offer.extend(_NAN3)
 
     def settle_step(self) -> int:
-        """The first step whose report every later step repeats: the index j of
-        the last of reports 1..rest-1 whose bits differ from report ``rest``'s,
-        or 0, as steps j.. read reports equal to it. Report ``rest`` holds no
-        zero or NaN, so equal bits are equal values."""
+        """The first step whose report and offer every later step repeats: the
+        index j of the last of reports 1..rest-1 whose bits, or whose step's
+        offer, differ from report ``rest``'s, or 0, as steps j.. read reports
+        equal to it. Report ``rest`` holds no zero or NaN, so equal bits are
+        equal values."""
         differ = np.zeros(self.rest - 1, dtype=bool)
-        for column, width in ((self.theta, 2), (self.p, 3), (self.offer, 3)):
+        for column, width in ((self.theta, 2), (self.p, 3)):
             if column is not None:
                 bits = _table(column, width).view(np.int64)
                 differ |= (bits[1:self.rest] != bits[self.rest]).any(axis=1)
+        if self.excitation is not None:  # reports 1..rest are steps 0..rest-1
+            bits = self.excitation.rows(0, self.rest).view(np.int64)
+            differ |= (bits[:-1] != bits[-1]).any(axis=1)
         changed = np.flatnonzero(differ)
         return int(changed[-1]) + 1 if len(changed) else 0
 
@@ -333,32 +401,40 @@ class _LaneRecord:
         if p is not None:
             spectra = [None if a != a else sym2_spectrum(a, b, d)  # NaN: no P
                        for a, b, d in p[starts].tolist()]
-        verdict = None if self.offer is None else self.reports(self.offer, 3, i, j)[:, 0]
+        verdict = None
+        if self.excitation is not None:
+            verdict = self.excitation.rows(i, j)[:, 0]
+            verdict[max(self.offered - i, 0):] = math.nan  # no offer from the failing step on
         return _Chunk(run, beta.tolist(), gamma.tolist(), rel, spectra, verdict,
                       np.frombuffer(self.fim)[i:j])
 
 
 def _run_lane(
-    est: EstimatorSettings, pairs, ys, settled: int, fim: array,
+    est: EstimatorSettings, pairs, ys, settled: int, fim: array, offers: _Excitation | None,
 ) -> tuple[_LaneRecord, float, dict | None, int | None]:
     """One lane's record (``_LaneRecord``), its stepping seconds, its error
     entry, and the first step whose report every later step repeats, for a
-    lane that settled (None otherwise).
+    lane that settled (None otherwise). ``offers`` is the run's excitation
+    pass for the GRLS lane, None for any other.
 
     A lane only steps; this ends it early in two ways. A step that raises
     ``ConditioningError`` freezes it at its last report, with no offer from that
     step on, and makes the error entry (None otherwise). From step ``settled``
-    on, every step has one regressor pair and observation, so a report there
-    that equals the one before it, with no accepted offer, is a state that
-    every later step repeats, and the lane is stepped no further. Two kinds of
-    report are stepped on: IE-MMAI's, which is not its state (its models' costs
-    decay every step), and one holding a zero in theta or P, as 0.0 == -0.0 and
-    a zero's sign can change the next step. The last recorded report stands
-    for every later step; it has no accepted offer.
+    on, every step has one regressor pair and observation, and from step
+    ``offers.quiet`` on, every offer is a rejection, so a report from the later
+    of the two on that equals the one before it is a state that every later
+    step repeats, and the lane is stepped no further. Two kinds of report are
+    stepped on: IE-MMAI's, which is not its state (its models' costs decay
+    every step), and one holding a zero in theta or P, as 0.0 == -0.0 and a
+    zero's sign can change the next step. The last recorded report stands for
+    every later step.
     """
-    record, buf, error, lane_settled = _LaneRecord(est.kind, fim, array("d")), [], None, None
-    lane = _LANES[est.kind](est, pairs, ys)
-    drawn = (len(ys) if est.kind == "ie_mmai" else settled) + 1  # reports drawn unchecked
+    record = _LaneRecord(est.kind, fim, array("d"), offers)
+    buf, error, lane_settled = [], None, None
+    offers = offers or _NO_OFFERS
+    lane = _LANES[est.kind](est, pairs, ys, offers)
+    # reports drawn unchecked
+    drawn = (len(ys) if est.kind == "ie_mmai" else max(settled, offers.quiet)) + 1
     t0 = time.perf_counter()
     try:
         for start in range(0, drawn, _CHUNK):
@@ -367,8 +443,8 @@ def _run_lane(
             record.add(buf)
         for report in lane:
             buf.append(report)
-            theta, p, offer = report
-            if report == prev and not (offer and offer[0]) and 0.0 not in theta + (p or ()):
+            theta, p = report
+            if report == prev and 0.0 not in theta + (p or ()):
                 break
             prev = report
             if len(buf) == _CHUNK:
@@ -380,6 +456,7 @@ def _run_lane(
     record.add(buf)
     step_s = time.perf_counter() - t0
     record.rest = record.count - 1  # steps from ``rest`` on repeat report ``rest``
+    record.offered = len(ys) if error is None else error["step"]
     if error is None and record.rest < len(ys):
         lane_settled = record.settle_step()
     return record, step_s, error, lane_settled
@@ -494,31 +571,27 @@ class _Rows(Sequence):
             yield chunk
 
     def offers(self) -> Iterator[tuple[int, bool, float, float]]:
-        """Each lane's greedy offers, lane after lane, each as (step, accepted,
-        kappa before, kappa after)."""
+        """The GRLS lane's greedy offers, each as (step, accepted, kappa before,
+        kappa after), from the excitation pass up to the lane's failing step."""
         for lane in self._lanes:
-            if lane.offer is None:
+            if lane.excitation is None:
                 continue
-            for i in range(0, self._steps, _CHUNK):
-                j = min(i + _CHUNK, self._steps)
-                verdict, before, after = lane.reports(lane.offer, 3, i, j).T.tolist()
+            for i in range(0, lane.offered, _CHUNK):
+                j = min(i + _CHUNK, lane.offered)
+                verdict, before, after = lane.excitation.rows(i, j).T.tolist()
                 yield from ((k, v == 1.0, b, a)
-                            for k, v, b, a in zip(range(i, j), verdict, before, after) if v == v)
+                            for k, v, b, a in zip(range(i, j), verdict, before, after))
 
     def excitation(self) -> tuple[list[int], float] | None:
         """The steps of the accepted offers and the kappa after the last offer,
         as ``offers`` gives them; None when there is no offer."""
-        indices, kappa = [], None
         for lane in self._lanes:
-            if lane.offer is not None:
-                # reports 1..rest are steps 0..rest-1; the last one, repeated to the
-                # end, has no accepted offer
-                verdict = _table(lane.offer, 3)[1:lane.rest + 1]
-                indices += np.flatnonzero(verdict[:, 0] == 1.0).tolist()
-                offered = np.flatnonzero(verdict[:, 0] == verdict[:, 0])
-                if len(offered):
-                    kappa = verdict[offered[-1], 2].item()
-        return None if kappa is None else (indices, kappa)
+            if lane.excitation is not None and lane.offered:
+                # the rows of steps 0..offered-1; those past the pass repeat its
+                # last row, a rejection
+                table = _table(lane.excitation.offers, 3)[:lane.offered]
+                return np.flatnonzero(table[:, 0] == 1.0).tolist(), table[-1, 2].item()
+        return None
 
 
 @dataclass
@@ -545,8 +618,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     each formed from the lanes' columns when it is read.
 
     ``manifest["timings"]`` holds seconds spent simulating, computing the
-    FIM condition trace, stepping each estimator, forming the metrics CSV
-    lines (0.0 without a metrics trace) and writing and hashing files.
+    FIM condition trace, making the excitation pass (0.0 without a GRLS
+    lane), stepping each estimator, forming the metrics CSV lines (0.0
+    without a metrics trace) and writing and hashing files; in a sweep, a
+    phase that a variant reuses from an earlier one reads 0.0.
     ``manifest["excitation"]``, present when a GRLS lane is configured, holds
     its excitation set: size, step indices and final condition number (null
     while the set is rank deficient or empty, as when GRLS fails at its first
@@ -564,57 +639,132 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     overlapping in several threads, the one that paused the collector
     switches it back on.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _run_experiment(config, output_dir)
-    finally:
-        if collecting:
-            gc.enable()
+    (result,) = _run_variants([(config, output_dir)])
+    return result
 
 
-def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> RunResult:
-    """``run_experiment`` with the collector's setting left to the caller."""
+def _run_variants(
+    variants: Iterable[tuple[ExperimentConfig, str | Path | None]],
+) -> Iterator[RunResult]:
+    """``run_experiment`` on each (config, output_dir) in turn, each result
+    yielded when its run is done. A variant whose (x0, sis, steps, noise) are
+    those of the variant before it shares that variant's preparation
+    (``_Prepared``), its ``Trajectory`` object included. One preparation is
+    held at a time: a run whose next variant does not share it releases its
+    regressor pairs and observations once its lanes have stepped, and the rest
+    when it is done. Each run pauses the collector as ``run_experiment`` does,
+    and restores it before its result is yielded."""
+    prepared, variants = None, iter(variants)
+    upcoming = next(variants, None)
+    while upcoming is not None:
+        (config, output_dir), upcoming = upcoming, next(variants, None)
+        shared = upcoming is not None and _trajectory_key(upcoming[0]) == _trajectory_key(config)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            if prepared is None:
+                prepared = _Prepared(config)
+            result = _run_experiment(config, output_dir, prepared, t0, shared)
+        finally:
+            if collecting:
+                gc.enable()
+        if not shared:
+            prepared = None
+        yield result
+
+
+def _trajectory_key(config: ExperimentConfig) -> str:
+    """What a run's trajectory is simulated from, as text, so that 0.0 and -0.0 differ."""
+    return repr((config.x0, config.sis, config.steps, config.noise))
+
+
+class _Prepared:
+    """What the lanes of a run read that only its trajectory decides: the
+    trajectory, its settle step, the regressor pairs and observations, and the
+    FIM condition traces and excitation pass, each formed the first time a run
+    asks for it. ``timings`` holds the seconds spent on each phase since a run
+    last took them (``take_timings``)."""
+
+    def __init__(self, config: ExperimentConfig):
+        clock = time.perf_counter
+        t0 = clock()
+        try:
+            traj = simulate(config.x0, config.sis, config.steps, config.noise)
+        except ValueError as exc:  # the config was read: only observation noise is left to fail
+            raise ConfigError(str(exc)) from None
+        t1 = clock()
+        # the first step from which the states, and so the pairs and observations, repeat
+        bits = traj.states.view(np.int64)  # bits, so that 0.0 and -0.0 differ
+        changes = np.flatnonzero(bits[1:] != bits[:-1])
+        settled = int(changes[-1]) + 1 if len(changes) else 0
+        pairs = list(map(sis_regressor_pair, traj.states[:settled].tolist()))
+        pairs += [sis_regressor_pair(traj.states[settled].item())] * (config.steps - settled)
+        self.traj, self.settled = traj, settled
+        self.pairs, self.ys = pairs, traj.observations.tolist()
+        self.fim: dict[float, array] = {}
+        self._excitation: _Excitation | None = None
+        self.timings = {"simulate_s": t1 - t0, "fim_trace_s": clock() - t1, "excitation_s": 0.0}
+
+    def fim_traces(self, config: ExperimentConfig) -> dict[float, array]:
+        """The FIM condition trace of each alpha, those of ``config``'s
+        estimators among them; ``ConfigError`` naming
+        ``noise.observation_std`` when the FIM entries are not finite."""
+        missing = sorted({est.alpha for est in config.estimators} - self.fim.keys(), reverse=True)
+        if missing:
+            t0 = time.perf_counter()
+            try:
+                # the largest alpha's entries are the largest, so it names the first failing step
+                for alpha in missing:
+                    self.fim[alpha] = _fim_condition_trace(self.pairs, alpha, self.settled)
+            except ValueError as exc:
+                # only observation noise takes states, and so the regressor, out of [0, 1]
+                std = config.noise.observation_std
+                raise ConfigError(f"noise.observation_std: {std!r} is too large: {exc}") from None
+            self.timings["fim_trace_s"] += time.perf_counter() - t0
+        return self.fim
+
+    def excitation(self) -> _Excitation:
+        """The excitation pass (``_excitation_pass``) over the run."""
+        if self._excitation is None:
+            t0 = time.perf_counter()
+            self._excitation = _excitation_pass(self.pairs, self.ys, self.settled)
+            self.timings["excitation_s"] += time.perf_counter() - t0
+        return self._excitation
+
+    def take_timings(self) -> dict[str, float]:
+        """The seconds spent on each phase since the last call; zero from then on."""
+        timings, self.timings = self.timings, dict.fromkeys(self.timings, 0.0)
+        return timings
+
+
+def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None,
+                    prepared: _Prepared, t0: float, shared: bool) -> RunResult:
+    """``run_experiment`` over a preparation of its trajectory, begun at ``t0``,
+    with the collector's setting left to the caller; the preparation keeps its
+    regressor pairs and observations only when it is ``shared`` with a later
+    run."""
     clock = time.perf_counter
-
-    t0 = clock()
-    try:
-        traj = simulate(config.x0, config.sis, config.steps, config.noise)
-    except ValueError as exc:  # the config was read: only observation noise is left to fail
-        raise ConfigError(str(exc)) from None
-    t1 = clock()
-    # the first step from which the states, and so the pairs and observations, repeat
-    bits = traj.states.view(np.int64)  # bits, so that 0.0 and -0.0 differ
-    changes = np.flatnonzero(bits[1:] != bits[:-1])
-    settled = int(changes[-1]) + 1 if len(changes) else 0
-    pairs = list(map(sis_regressor_pair, traj.states[:settled].tolist()))
-    pairs += [sis_regressor_pair(traj.states[settled].item())] * (config.steps - settled)
-    try:
-        # the largest alpha's entries are the largest, so it names the first failing step
-        fim_traces = {
-            alpha: _fim_condition_trace(pairs, alpha, settled)
-            for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
-        }
-    except ValueError as exc:
-        # only observation noise takes states, and so the regressor, out of [0, 1]
-        std = config.noise.observation_std
-        raise ConfigError(f"noise.observation_std: {std!r} is too large: {exc}") from None
-    t2 = clock()
-    ys = traj.observations.tolist()
+    fim_traces = prepared.fim_traces(config)
+    grls = any(est.kind == "grls" for est in config.estimators)
+    offers = prepared.excitation() if grls else None
+    timings = prepared.take_timings()
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
 
     # lane by lane, so that only one lane's chunk of reports is held at a time
-    lanes, errors, step_s = [], [], {}
+    lanes, errors, step_s, settled = [], [], {}, prepared.settled
     settled_at = {"trajectory": settled if settled < config.steps else None}
     for est in config.estimators:
         record, step_s[est.kind], error, settled_at[est.kind] = _run_lane(
-            est, pairs, ys, settled, fim_traces[est.alpha]
+            est, prepared.pairs, prepared.ys, settled, fim_traces[est.alpha],
+            offers if est.kind == "grls" else None,
         )
         lanes.append(record)
         if error is not None:
             errors.append(error)
-    del pairs, ys  # the columns hold what the rows and traces read
+    if not shared:  # the columns hold what the rows and traces read
+        prepared.pairs = prepared.ys = None
     rows = _Rows(lanes, config.steps, truth, config.clamp_estimates)
     status = 1 if errors else 0
 
@@ -630,15 +780,9 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
         "status": status,
         "settled": settled_at,
         "files": [],
-        "timings": {
-            "simulate_s": t1 - t0,
-            "fim_trace_s": t2 - t1,
-            "step_s": step_s,
-            "metrics_rows_s": 0.0,
-            "write_s": 0.0,
-        },
+        "timings": {**timings, "step_s": step_s, "metrics_rows_s": 0.0, "write_s": 0.0},
     }
-    if any(est.kind == "grls" for est in config.estimators):
+    if grls:
         indices, kappa = rows.excitation() or ([], math.inf)
         manifest["excitation"] = {
             "size": len(indices),
@@ -652,13 +796,14 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None) -> 
         out = Path(output_dir) if output_dir is not None else Path(config.outputs)
         out.mkdir(parents=True, exist_ok=True)
         t3, spent = clock(), [0.0]
-        manifest["files"] = _write_traces(out, config, traj, rows, spent)
+        manifest["files"] = _write_traces(out, config, prepared.traj, rows, spent)
         manifest["timings"]["metrics_rows_s"] = spent[0]
         manifest["timings"]["write_s"] = clock() - t3 - spent[0]
         manifest["wall_time_s"] = clock() - t0
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
-    return RunResult(rows=rows, status=status, trajectory=traj, output_dir=out, manifest=manifest)
+    return RunResult(rows=rows, status=status, trajectory=prepared.traj, output_dir=out,
+                     manifest=manifest)
 
 
 def _write_traces(out: Path, config: ExperimentConfig, traj: Trajectory, rows: _Rows,

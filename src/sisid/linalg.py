@@ -6,7 +6,7 @@ as its three distinct entries ``(a, b, d)``, and ``sym2_spectrum`` gives
 its two eigenvalues and its condition number as one closed form over those
 floats, with no SVD or factorization; every eigenvalue and condition number
 the library forms comes from it. The forgetting-RLS covariance step is part
-of the one RLS step, ``sisid.estimators.grls_kernel``. ``condition_number``
+of the one RLS update, ``sisid.estimators._rls_update``. ``condition_number``
 reads a 2x2 array and rejects any other shape or an asymmetric matrix.
 ``solve_spd`` (numpy's Cholesky) serves the batch oracle and the IE-MMAI
 correction, which solve from scratch rather than step.

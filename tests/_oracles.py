@@ -6,8 +6,9 @@ inverses are formed explicitly, window scans accumulate outer products
 from scratch, trace CSVs format every field anew, and trajectories are
 simulated one numpy scalar and one process-noise redraw at a time,
 IE-MMAI's models are drawn one pair at a time, the FIM condition trace
-checks its entries at every step, and ``lockstep_run`` steps every
-estimator's lane one step at a time, forming each metrics row on its own.
+checks its entries at every step, and ``lockstep_run`` offers every step's
+datum to the excitation set and steps every estimator's lane one step at a
+time, forming each metrics row on its own.
 ``reference_sym2_spectrum`` keeps the two-step eigenvalue-then-condition
 composition that the library's one closed form replaced.
 These are the yardsticks the fast paths are measured against.
@@ -304,10 +305,11 @@ def lockstep_run(config: ExperimentConfig):
     """(rows, greedy rows, errors, status) of ``run_experiment``, stepped in lockstep.
 
     Steps every estimator's lane (``harness._LANES``) one step at a time, all
-    lanes at step k before any at step k + 1, to the end (the FIM trace is
-    given no settle step), and forms each metrics row on its own from that
-    lane's latest report. A lane whose step raises ``ConditioningError`` is
-    frozen at its last report, with no offer from that step on.
+    lanes at step k before any at step k + 1, to the end (the FIM trace and
+    the excitation pass are given no settle step), and forms each metrics row
+    on its own from that lane's latest report and, for GRLS, step k's offer.
+    A lane whose step raises ``ConditioningError`` is frozen at its last
+    report, with no offer from that step on.
     """
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
     pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
@@ -316,9 +318,11 @@ def lockstep_run(config: ExperimentConfig):
         for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
     }
     ys = traj.observations.tolist()
+    excitation = harness._excitation_pass(pairs, ys)  # an offer at every step
     lanes = []
     for est in config.estimators:
-        steps = harness._LANES[est.kind](est, pairs, ys)
+        offers = excitation if est.kind == "grls" else harness._NO_OFFERS
+        steps = harness._LANES[est.kind](est, pairs, ys, offers)
         lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
@@ -334,14 +338,15 @@ def lockstep_run(config: ExperimentConfig):
                 except ConditioningError as exc:
                     # frozen at its last estimate, with no offer from here on
                     lane.failed_at, lane.error = k, str(exc)
-                    lane.report = (*lane.report[:2], None)
-            theta, p, offer = lane.report
-            if offer is not None:
-                greedy_rows.append((k, *offer))
+            theta, p = lane.report
+            accepted = None
+            if lane.settings.kind == "grls" and lane.failed_at is None:
+                verdict, before, after = excitation.offers[3 * k:3 * k + 3]
+                accepted = verdict == 1.0
+                greedy_rows.append((k, accepted, before, after))
             rows.append(
                 _metrics_row(
-                    k, lane.settings.kind, theta, p, lane.fim_trace[k],
-                    None if offer is None else offer[0], truth, clamp,
+                    k, lane.settings.kind, theta, p, lane.fim_trace[k], accepted, truth, clamp,
                 )
             )
 

@@ -16,10 +16,10 @@ from sisid.estimators import (
     GrlsState,
     WeightedCostSpec,
     _finite_row,
+    _rls_update,
     batch_oracle,
     cost_weight,
     ef_rls_step,
-    grls_kernel,
     grls_step,
     ie_mmai_init,
     ie_mmai_kernel,
@@ -28,7 +28,7 @@ from sisid.estimators import (
     run_grls,
 )
 from sisid.excitation import (
-    SIS_REGRESSOR, GreedySet, _pair_reader, sis_regressor, sis_regressor_pair,
+    SIS_REGRESSOR, GreedySet, _offer_floats, _pair_reader, sis_regressor, sis_regressor_pair,
 )
 from sisid.linalg import ConditioningError, finite_scalar, sym2, sym2_array, sym2_spectrum
 
@@ -63,13 +63,11 @@ def min_eigenvalue(p):
 
 
 def covariance_step(p, alpha, fim=None, phi=(0.0, 0.0)):
-    """P' of one ``grls_kernel`` step from P's entries ``p``: the refresh goes
+    """P' of one ``_rls_update`` from P's entries ``p``: the refresh goes
     through a set holding the FIM entries ``fim`` (none without them), and the
-    datum ``phi`` (a zero regressor, which leaves Q as it is, by default)
-    enters by the Sherman-Morrison step."""
-    gset = GreedySet() if fim is None else GreedySet((0,), fim, (0.0, 0.0), 1.0)
-    p_next, _, _, accepted = grls_kernel(p, (0.0, 0.0), gset, phi, 0.0, 1, alpha, False)
-    assert not accepted
+    datum ``phi`` (a zero regressor, which leaves Q as it is, by default),
+    which the set did not accept, enters by the Sherman-Morrison step."""
+    p_next, _ = _rls_update(p, (0.0, 0.0), fim, (0.0, 0.0), phi, 0.0, alpha, False)
     return sym2_array(p_next)
 
 
@@ -80,7 +78,7 @@ def dense_covariance(p, alpha, fim, phi):
 
 
 class TestCovarianceUpdate:
-    """The covariance part of ``grls_kernel``, which gives
+    """The covariance part of ``_rls_update``, which gives
     (alpha P^-1 + (1 - alpha) F + phi^T phi)^-1 without inverting P, against
     explicit inverses for updates of rank 0, 1 and 2."""
 
@@ -142,9 +140,11 @@ class TestCovarianceUpdate:
 
     def test_overflowing_refresh_raises_conditioning_error(self):
         # det(P) = 1e400 overflows in the refresh of the datum that joins the set
-        p, gset = (1e200, 0.0, 1e200), GreedySet()
+        gset, accepted = _offer_floats(GreedySet(), (1.0, 0.0), 0.0, 0)
+        assert accepted
         with pytest.raises(ConditioningError, match="non-finite P'"):
-            grls_kernel(p, (0.0, 0.0), gset, (1.0, 0.0), 0.0, 0, 0.5, True)
+            _rls_update((1e200, 0.0, 1e200), (0.0, 0.0), gset.fim_entries, gset.rhs_entries,
+                        (1.0, 0.0), 0.0, 0.5, accepted)
 
 
 class TestPureGd:
@@ -249,7 +249,7 @@ class TestEfRls:
     ids=["pure_gd", "ie_mmai"],
 )
 def test_gradient_kernels_fail_on_a_non_finite_estimate(kernel):
-    # theta'_1 = 1 + 1e200 * (1e300 - 1e200) overflows, as grls_kernel's theta' would
+    # theta'_1 = 1 + 1e200 * (1e300 - 1e200) overflows, as _rls_update's theta' would
     with pytest.raises(ConditioningError, match="theta'"):
         kernel((1e200, 0.0), 1e300)
 
@@ -279,10 +279,21 @@ class TestGrls:
         # a set built by hand, of numpy numbers, equals the set of Python numbers it reads as
         state = GrlsState.initial(THETA0, SIS_REGRESSOR)
         gset = GreedySet([np.int64(0), 3], np.array([1.0, 0.5, 2.0]), (np.float64(0.1), 0.2), 3)
-        read = dataclasses.replace(state, excitation=gset).excitation
+        read = dataclasses.replace(state, step=4, excitation=gset).excitation
         assert read == GreedySet((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2), 3.0)
         assert list(map(type, (*read.indices, *read.fim_entries, *read.rhs_entries, read.cond))) \
             == [int] * 2 + [float] * 6
+        stepped = grls_step(dataclasses.replace(state, step=4, excitation=gset), 0.1, 0.12)
+        assert stepped.excitation.indices == (0, 3, 4)
+
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_a_set_index_at_or_past_the_step_is_refused(self, step):
+        # a state at step k has offered steps 0..k-1; stepped, this set would
+        # grow to (0, 3, k), which no state reads
+        state = GrlsState.initial((1.0, 1.0), SIS_REGRESSOR)
+        gset = GreedySet((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2), 3.0)
+        with pytest.raises(ValueError, match=r"^excitation indices must be below step "):
+            grls_step(dataclasses.replace(state, step=step, excitation=gset), 0.1, 0.12)
         stepped = grls_step(dataclasses.replace(state, step=4, excitation=gset), 0.1, 0.12)
         assert stepped.excitation.indices == (0, 3, 4)
 
@@ -408,16 +419,18 @@ class TestGrls:
 
 def checked_step(state, x_k, x_next):
     """``grls_step`` by its checked route: each input read by its reader, the
-    kernel, and the next state built by the checking constructor."""
+    offer and the update, and the next state built by the checking constructor."""
     x_k, x_next = finite_scalar(x_k, "x_k"), finite_scalar(x_next, "x_next")
     y = x_next - x_k
     if not math.isfinite(y * y):
         raise ValueError(f"x_next - x_k must have a finite square, got {x_next!r} - {x_k!r}")
     phi = _finite_row(_pair_reader(state.regressor)(x_k), "regressor")
-    p, theta, gset, _ = grls_kernel(
-        state._P, state._theta, state.excitation, phi, y, state.step, state.alpha,
-        state.greedy_enabled,
-    )
+    gset, accepted = state.excitation, False
+    if state.greedy_enabled:
+        gset, accepted = _offer_floats(gset, phi, y, state.step)
+    fim = gset.fim_entries if gset.indices else None
+    p, theta = _rls_update(state._P, state._theta, fim, gset.rhs_entries, phi, y, state.alpha,
+                           accepted)
     return GrlsState(sym2_array(p), theta, gset, state.alpha, state.regressor, state.step + 1,
                      state.greedy_enabled)
 

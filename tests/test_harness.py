@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,6 +31,7 @@ from sisid.config import (
     config_to_mapping,
     format_config_text,
     load_config,
+    load_config_mapping,
     parse_config_text,
 )
 from sisid.dynamics import TRAJECTORY_SCHEMA, NoiseSpec, SisParams, Trajectory, simulate
@@ -52,7 +55,6 @@ from sisid.estimators import (
     ef_rls_step,
     ie_mmai_init,
     ie_mmai_kernel,
-    grls_kernel,
     ie_mmai_selected,
     pure_gd_kernel,
     run_grls,
@@ -341,7 +343,8 @@ class TestRunExperiment:
         result = run_experiment(config, output_dir=tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         timings = manifest["timings"]
-        assert set(timings) == {"simulate_s", "fim_trace_s", "step_s", "metrics_rows_s", "write_s"}
+        assert set(timings) == {"simulate_s", "fim_trace_s", "excitation_s", "step_s",
+                                "metrics_rows_s", "write_s"}
         assert set(timings["step_s"]) == {"ef_rls", "grls"}
         assert all(t >= 0.0 for t in (*timings.values(), *timings["step_s"].values())
                    if not isinstance(t, dict))
@@ -365,9 +368,9 @@ class TestRunExperiment:
         run_experiment(config, output_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         timings = manifest["timings"]
-        phases = [timings["simulate_s"], timings["fim_trace_s"], *timings["step_s"].values(),
-                  timings["metrics_rows_s"], timings["write_s"]]
-        assert len(phases) == 6
+        phases = [timings["simulate_s"], timings["fim_trace_s"], timings["excitation_s"],
+                  *timings["step_s"].values(), timings["metrics_rows_s"], timings["write_s"]]
+        assert len(phases) == 7
         assert manifest["wall_time_s"] >= sum(phases) > 0.0
 
     def test_in_memory_manifest_has_no_write_time(self):
@@ -982,6 +985,19 @@ def _in_memory(name):
     return SLOW_GRLS if name == "slow" else replace(load_config(bundled_config_path(name)), emit=())
 
 
+def _fail_grls_at_step_5(mp):
+    """Make step 5 of the GRLS lane raise ``ConditioningError``."""
+    lane = harness._LANES["grls"]
+
+    def failing_at_5(*args):
+        for k, report in enumerate(lane(*args)):
+            if k == 6:  # the first report precedes step 0
+                raise ConditioningError("injected")
+            yield report
+
+    mp.setitem(harness._LANES, "grls", failing_at_5)
+
+
 class TestHarnessLanes:
     """The harness's float lanes report what the public steppers compute."""
 
@@ -1045,12 +1061,7 @@ class TestHarnessLanes:
             assert rows[570:] == [rows[569]] * (config.steps - 570)
 
     def test_a_failed_grls_step_freezes_its_lane(self, monkeypatch):
-        def failing_at_5(*args):
-            if args[5] == 5 and args[7]:  # step 5 of the lane with its set enabled
-                raise ConditioningError("injected")
-            return grls_kernel(*args)
-
-        monkeypatch.setattr(sisid.harness, "grls_kernel", failing_at_5)
+        _fail_grls_at_step_5(monkeypatch)
         config = _in_memory("fig3_noisy")
         result = run_experiment(config)
         rows = [r for r in result.rows if r.estimator == "grls"]
@@ -1178,21 +1189,16 @@ class TestLaneByLaneRun:
         assert all(r.max_rel_err is None for r in result.rows)
 
     def test_an_injected_grls_failure(self, monkeypatch):
-        def failing_at_5(*args):
-            if args[5] == 5 and args[7]:
-                raise ConditioningError("injected")
-            return grls_kernel(*args)
-
-        monkeypatch.setattr(sisid.harness, "grls_kernel", failing_at_5)
+        _fail_grls_at_step_5(monkeypatch)
         result = self.assert_equals_lockstep(_in_memory("fig3_noisy"))
         assert _failures(result) == [("grls", 5)]
 
     def test_a_zero_changing_sign(self, monkeypatch):
         # equal to the last report's theta and P, but not the same row
-        def signed_zeros(est, pairs, ys):
+        def signed_zeros(est, pairs, ys, offers):
             for k in range(len(ys) + 1):
                 zero = -0.0 if k % 3 else 0.0
-                yield (zero, 1.0), (1.0, zero, 2.0), None
+                yield (zero, 1.0), (1.0, zero, 2.0)
 
         monkeypatch.setitem(sisid.harness._LANES, "ef_rls", signed_zeros)
         config = replace(_in_memory("fig3_noisy"), steps=30)
@@ -1239,27 +1245,24 @@ def _covariances(draw, n):
 @st.composite
 def _fake_lanes(draw):
     """Two to four lanes, each with an alpha shared with the others or not and
-    its reports (theta, P, offer) over ``steps`` steps, plus the run's truth and
-    clamp setting. Theta and P come in runs of their own, so that either can
-    repeat while the other changes; a lane may fail at a drawn step."""
+    its reports (theta, P) over ``steps`` steps, the verdict of each step's
+    greedy offer, and the run's truth and clamp setting. Theta and P come in
+    runs of their own, so that either can repeat while the other changes; a
+    lane may fail at a drawn step."""
     kinds = draw(st.lists(st.sampled_from(ESTIMATOR_KINDS), min_size=2, max_size=4, unique=True))
     steps = draw(st.integers(1, 30))
     lanes = []
     for kind in kinds:
         thetas = draw(_runs((NUMBER, NUMBER), steps + 1))
-        offers = draw(st.lists(st.sampled_from([None, True, False]), min_size=steps + 1,
-                               max_size=steps + 1))
-        reports = [
-            (theta, p, None if accepted is None else (accepted, math.inf, 2.0))
-            for theta, p, accepted in zip(thetas, draw(_covariances(steps + 1)), offers)
-        ]
+        reports = list(zip(thetas, draw(_covariances(steps + 1))))
         fails_at = draw(st.one_of(st.none(), st.integers(0, steps - 1)))
         lanes.append((kind, draw(st.sampled_from([0.5, 0.94])), reports, fails_at))
-    return lanes, steps, draw(st.booleans()), draw(st.booleans())
+    verdicts = draw(st.lists(st.booleans(), min_size=steps, max_size=steps))
+    return lanes, verdicts, steps, draw(st.booleans()), draw(st.booleans())
 
 
 def _fake_lane(reports, fails_at):
-    def lane(est, pairs, ys):
+    def lane(est, pairs, ys, offers):
         assert len(reports) == len(ys) + 1
         if fails_at is None:
             yield from reports
@@ -1274,12 +1277,12 @@ def _fake_lane(reports, fails_at):
 _ZERO_FLIP_LANES = (
     [
         (kind, 0.94, [
-            ((1.5, zero), p and (1.0, zero, -zero), None if p is None else (k % 2 == 0, 1.0, 2.0))
-            for k, zero in enumerate([0.0, -0.0, -0.0, 0.0, 0.0])
-        ] + [((math.nan, 2.0), p, None)] * 2, None)
+            ((1.5, zero), p and (1.0, zero, -zero))
+            for zero in [0.0, -0.0, -0.0, 0.0, 0.0]
+        ] + [((math.nan, 2.0), p)] * 2, None)
         for kind, p in (("pure_gd", None), ("grls", (1.0, 0.0, 2.0)))
     ],
-    6, False, True,
+    [k % 2 == 0 for k in range(6)], 6, False, True,
 )
 
 
@@ -1332,7 +1335,7 @@ class TestWriterTextReuse:
     @given(case=_fake_lanes())
     @example(case=_ZERO_FLIP_LANES)
     def test_metrics_lines_of_the_lanes_equal_the_naive_writer(self, case):
-        lanes, steps, clamp, truth = case
+        lanes, verdicts, steps, clamp, truth = case
         config = small_config(
             sis=FIG3 if truth else SisParams(0.0, 0.2692), steps=steps, clamp_estimates=clamp,
             estimators=tuple(EstimatorSettings(kind, alpha=alpha) for kind, alpha, *_ in lanes),
@@ -1340,6 +1343,7 @@ class TestWriterTextReuse:
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             for kind, _, reports, fails_at in lanes:
                 mp.setitem(harness._LANES, kind, _fake_lane(reports, fails_at))
+            mp.setattr(harness, "_offer_floats", lambda gset, phi, y, k: (gset, verdicts[k]))
             result = run_experiment(config, tmp)
             written = (Path(tmp) / "metrics.csv").read_bytes()
             rows = lockstep_run(config)[0]  # each row formed on its own from its report
@@ -1513,10 +1517,18 @@ class TestSettledRuns:
     def test_the_lockstep_reference_is_given_no_reachable_settle_step(self, monkeypatch):
         config = replace(load_config(bundled_config_path("fig3_noisefree")), emit=())
         assert run_experiment(config).manifest["settled"]["trajectory"] == 57
-        passes = []
+        passes, offer_passes = [], []
         _spy_fim_passes(monkeypatch, passes)
+        inner = harness._excitation_pass
+
+        def spy(pairs, ys, settled=math.inf):
+            offer_passes.append(settled)
+            return inner(pairs, ys, settled)
+
+        monkeypatch.setattr(harness, "_excitation_pass", spy)
         lockstep_run(config)
         assert passes and all(settled == math.inf for settled in passes)
+        assert offer_passes == [math.inf]
 
     def test_the_manifest_names_where_each_part_settled(self):
         settled = {
@@ -1539,9 +1551,9 @@ class TestWhereALaneEnds:
     def test_what_each_lane_draws_on_fig3_noisefree(self, monkeypatch):
         drawn = {}
         for kind, lane in harness._LANES.items():
-            def counting(est, pairs, ys, lane=lane):
+            def counting(est, *args, lane=lane):
                 drawn[est.kind] = 0
-                for report in lane(est, pairs, ys):
+                for report in lane(est, *args):
                     drawn[est.kind] += 1
                     yield report
             monkeypatch.setitem(harness._LANES, kind, counting)
@@ -1555,27 +1567,29 @@ class TestWhereALaneEnds:
         assert _failures(result) == [("ef_rls", 570)]
 
     # fig3_noisefree's first 100 steps settle at step 57
-    @pytest.mark.parametrize("kind, report, stops", [
-        ("pure_gd", ((1.5, 2.0), None, None), True),
-        ("ef_rls", ((1.5, 2.0), (1.0, 0.5, 2.0), None), True),
-        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0), (False, 3.0, 3.0)), True),
-        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0), (True, 3.0, 3.0)), False),
-        ("pure_gd", ((0.0, 2.0), None, None), False),
-        ("pure_gd", ((1.5, -0.0), None, None), False),
-        ("ef_rls", ((1.5, 2.0), (1.0, 0.0, 2.0), None), False),
-        ("ef_rls", ((1.5, 2.0), (-0.0, 0.5, 2.0), None), False),
-        ("ie_mmai", ((1.5, 2.0), None, None), False),
+    @pytest.mark.parametrize("kind, report, accepted, stops", [
+        ("pure_gd", ((1.5, 2.0), None), None, True),
+        ("ef_rls", ((1.5, 2.0), (1.0, 0.5, 2.0)), None, True),
+        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0)), False, True),
+        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0)), True, False),
+        ("pure_gd", ((0.0, 2.0), None), None, False),
+        ("pure_gd", ((1.5, -0.0), None), None, False),
+        ("ef_rls", ((1.5, 2.0), (1.0, 0.0, 2.0)), None, False),
+        ("ef_rls", ((1.5, 2.0), (-0.0, 0.5, 2.0)), None, False),
+        ("ie_mmai", ((1.5, 2.0), None), None, False),
     ], ids=["plain", "covariance", "rejected", "accepted", "zero", "negative-zero",
             "zero-in-p", "negative-zero-in-p", "ie_mmai"])
-    def test_a_lane_repeating_one_report(self, monkeypatch, kind, report, stops):
+    def test_a_lane_repeating_one_report(self, monkeypatch, kind, report, accepted, stops):
         drawn = []
 
-        def lane(est, pairs, ys):
+        def lane(est, pairs, ys, offers):
             for _ in range(len(ys) + 1):
                 drawn.append(report)
                 yield report
 
         monkeypatch.setitem(harness._LANES, kind, lane)
+        # every offer of the GRLS lane's excitation pass has this verdict
+        monkeypatch.setattr(harness, "_offer_floats", lambda gset, phi, y, k: (gset, accepted))
         config = replace(_in_memory("fig3_noisefree"), steps=100,
                          estimators=(EstimatorSettings(kind),))
         result = run_experiment(config)
@@ -1665,3 +1679,85 @@ def test_a_run_holds_less_than_a_kilobyte_per_step(tmp_path):
     assert result.status == 0 and len(result.rows) == 4 * steps
     assert (peak - before) / steps <= 1000
     assert (held - before) / steps <= 500
+
+
+def _variant_outputs(result):
+    """What a variant must share with its standalone run, bitwise: the sha256 of
+    each trace on disk and of ``repr(RunResult.rows)``, and the manifest's
+    files, status, errors, settled and excitation blocks."""
+    traces = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in sorted(result.output_dir.glob("*.csv"))}
+    manifest = json.loads((result.output_dir / "manifest.json").read_text())
+    blocks = {key: manifest.get(key) for key in ("files", "status", "errors", "settled",
+                                                 "excitation")}
+    return traces, hashlib.sha256(repr(result.rows).encode()).hexdigest(), blocks
+
+
+# the constant state of test_a_zero_refresh_denominator_is_a_recorded_grls_failure,
+# whose GRLS lane fails at step 47 at alpha 0.5 and steps to the end at 0.94
+CONSTANT_STATE = {
+    "beta": "0.0", "gamma": "0.0", "x0": "0.25", "steps": "48", "noise": "off",
+    "estimators": "grls, ef_rls", "emit": "metrics, trajectory, greedy",
+}
+
+
+def _mapping(name):
+    if name == "constant":
+        return dict(CONSTANT_STATE)
+    return {**load_config_mapping(bundled_config_path(name)),
+            "emit": "metrics, trajectory, greedy"}
+
+
+class TestSweepVariants:
+    """The variants of a sweep that share a trajectory share its preparation,
+    and each equals its standalone run bitwise."""
+
+    @pytest.mark.parametrize("name, param, values", [
+        *((name, param, values) for name in ("fig3_noisy", "fig3_noisefree")
+          for param, values in (("grls.alpha", ("0.9", "0.94", "0.98")),
+                                ("grls.p0_scale", ("10", "1000")),
+                                ("grls.theta0", ("0.5, 0.5", "1.0, 1.0")))),
+        ("fig3_noisy", "seed", ("2", "3")),
+        ("constant", "grls.alpha", ("0.5", "0.94")),
+        ("constant", "grls.alpha", ("0.94", "0.5")),
+    ])
+    def test_each_variant_equals_its_standalone_run(self, tmp_path, name, param, values):
+        mapping = _mapping(name)
+        configs = [config_from_mapping({**mapping, param: value}) for value in values]
+        variants = list(harness._run_variants(
+            (config, tmp_path / "sweep" / str(i)) for i, config in enumerate(configs)))
+        shared = param != "seed"
+        for i, (config, variant) in enumerate(zip(configs, variants)):
+            alone = run_experiment(config, tmp_path / "alone" / str(i))
+            assert _variant_outputs(variant) == _variant_outputs(alone)
+            timings = variant.manifest["timings"]
+            if i and shared:  # reused from the first variant
+                assert timings["simulate_s"] == timings["excitation_s"] == 0.0
+            else:
+                assert timings["simulate_s"] > 0.0 and timings["excitation_s"] > 0.0
+            assert (variant.trajectory is variants[0].trajectory) == (shared or not i)
+        if name == "constant":
+            failed = [_failures(v) for v in variants]
+            assert sorted(failed) == [[], [("grls", 47)]]
+
+    def test_a_sweep_simulates_and_offers_once(self, tmp_path, monkeypatch):
+        simulated, offered = [], []
+        inner_simulate, inner_offer = harness.simulate, harness._offer_floats
+
+        def counted_simulate(*args):
+            simulated.append(args)
+            return inner_simulate(*args)
+
+        def counted_offer(gset, phi, y, k):
+            offered.append(k)
+            return inner_offer(gset, phi, y, k)
+
+        monkeypatch.setattr(harness, "simulate", counted_simulate)
+        monkeypatch.setattr(harness, "_offer_floats", counted_offer)
+        monkeypatch.setenv("SISID_OUTPUT_ROOT", str(tmp_path))
+        argv = ["sweep", "fig3_noisefree", "--param", "grls.alpha", "--values", "0.9,0.94,0.98"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 1  # EF-RLS fails in each variant
+        assert len(simulated) == 1
+        # the pass stops at the first rejected offer from the settle step (57) on
+        assert offered == list(range(len(offered))) and 57 <= len(offered) < 2000

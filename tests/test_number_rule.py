@@ -573,6 +573,10 @@ WHOLE_CALLS = {
         lambda: replace(STATE, excitation=GreedySet(3)), ValueError,
         "excitation indices must be a tuple",
     ),
+    "GrlsState(excitation indices (0,) at step 0)": (
+        lambda: replace(STATE, excitation=GreedySet((0,))), ValueError,
+        "excitation indices must be below step 0",
+    ),
     "GrlsState(excitation cond 0.5)": (
         lambda: replace(STATE, excitation=GreedySet(cond=0.5)), ValueError,
         "excitation cond must be >= 1 or inf",
