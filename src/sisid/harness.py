@@ -702,7 +702,7 @@ class _Prepared:
         pairs += [sis_regressor_pair(traj.states[settled].item())] * (config.steps - settled)
         self.traj, self.settled = traj, settled
         self.pairs, self.ys = pairs, traj.observations.tolist()
-        self.fim: dict[float, array] = {}
+        self._fim: dict[float, array] = {}
         self._excitation: _Excitation | None = None
         self.timings = {"simulate_s": t1 - t0, "fim_trace_s": clock() - t1, "excitation_s": 0.0}
 
@@ -710,19 +710,19 @@ class _Prepared:
         """The FIM condition trace of each alpha, those of ``config``'s
         estimators among them; ``ConfigError`` naming
         ``noise.observation_std`` when the FIM entries are not finite."""
-        missing = sorted({est.alpha for est in config.estimators} - self.fim.keys(), reverse=True)
+        missing = sorted({est.alpha for est in config.estimators} - self._fim.keys(), reverse=True)
         if missing:
             t0 = time.perf_counter()
             try:
                 # the largest alpha's entries are the largest, so it names the first failing step
                 for alpha in missing:
-                    self.fim[alpha] = _fim_condition_trace(self.pairs, alpha, self.settled)
+                    self._fim[alpha] = _fim_condition_trace(self.pairs, alpha, self.settled)
             except ValueError as exc:
                 # only observation noise takes states, and so the regressor, out of [0, 1]
                 std = config.noise.observation_std
                 raise ConfigError(f"noise.observation_std: {std!r} is too large: {exc}") from None
             self.timings["fim_trace_s"] += time.perf_counter() - t0
-        return self.fim
+        return self._fim
 
     def excitation(self) -> _Excitation:
         """The excitation pass (``_excitation_pass``) over the run."""
