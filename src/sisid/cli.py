@@ -76,12 +76,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values: expected at least one value")
-    for i, value in enumerate(values):
-        if value in values[:i]:  # its run would rewrite the earlier one's directory
-            raise ConfigError(f"--values: duplicate value {value!r}")
     # every variant's config is built, and so checked, before any runs, so a bad
     # value writes nothing (observation noise that overflows shows only in its run)
     configs = [config_from_mapping({**mapping, args.param: value}) for value in values]
+    seen = {}  # each config's value, by its repr, which tells 0.0 from -0.0
+    for value, config in zip(values, configs):
+        key = repr(config)
+        if key in seen:  # its run would repeat an earlier one's
+            raise ConfigError(f"--values: duplicate value {value!r}, the config of {seen[key]!r}")
+        seen[key] = value
     outs = [_resolve_output_dir(config.outputs) / f"{args.param.replace('.', '_')}={value}"
             for value, config in zip(values, configs)]
     # variants in a row with one trajectory share its simulation and excitation pass

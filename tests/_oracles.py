@@ -305,24 +305,31 @@ def lockstep_run(config: ExperimentConfig):
     """(rows, greedy rows, errors, status) of ``run_experiment``, stepped in lockstep.
 
     Steps every estimator's lane (``harness._LANES``) one step at a time, all
-    lanes at step k before any at step k + 1, to the end (the FIM trace and
-    the excitation pass are given no settle step), and forms each metrics row
-    on its own from that lane's latest report and, for GRLS, step k's offer.
-    A lane whose step raises ``ConditioningError`` is frozen at its last
-    report, with no offer from that step on.
+    lanes at step k before any at step k + 1, to the end, over plain per-step
+    lists: the (u1, u2, y) rows and the offers of an excitation pass given no
+    settle step, read as one row per step. The FIM traces are given no settle
+    step either. Each metrics row is formed on its own from that lane's latest
+    report and, for GRLS, step k's offer. A lane whose step raises
+    ``ConditioningError`` is frozen at its last report, with no offer from
+    that step on.
     """
     traj = simulate(config.x0, config.sis, config.steps, config.noise)
-    pairs = [sis_regressor_pair(x) for x in traj.states[:-1].tolist()]
+    data = [(*sis_regressor_pair(x), y)
+            for x, y in zip(traj.states[:-1].tolist(), traj.observations.tolist())]
     fim_traces = {
-        alpha: harness._fim_condition_trace(pairs, alpha).tolist()
+        alpha: harness._fim_condition_trace(data, alpha).data.tolist()
         for alpha in sorted({est.alpha for est in config.estimators}, reverse=True)
     }
-    ys = traj.observations.tolist()
-    excitation = harness._excitation_pass(pairs, ys)  # an offer at every step
+    excitation = harness._excitation_pass(data)  # an offer at every step
+    flat = excitation.offers.data.tolist()
+    offers = [tuple(flat[3 * k:3 * k + 3]) for k in range(len(flat) // 3)]
+    assert len(offers) == len(data)
+    rejections = [(0.0, math.inf, math.inf)] * len(data)
     lanes = []
     for est in config.estimators:
-        offers = excitation if est.kind == "grls" else harness._NO_OFFERS
-        steps = harness._LANES[est.kind](est, pairs, ys, offers)
+        grls = est.kind == "grls"
+        steps = harness._LANES[est.kind](
+            est, data, offers if grls else rejections, excitation.sets if grls else [])
         lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
@@ -330,7 +337,7 @@ def lockstep_run(config: ExperimentConfig):
 
     rows: list[MetricsRow] = []
     greedy_rows: list[tuple[int, bool, float, float]] = []
-    for k in range(len(ys)):
+    for k in range(len(data)):
         for lane in lanes:
             if lane.failed_at is None:
                 try:
@@ -338,10 +345,10 @@ def lockstep_run(config: ExperimentConfig):
                 except ConditioningError as exc:
                     # frozen at its last estimate, with no offer from here on
                     lane.failed_at, lane.error = k, str(exc)
-            theta, p = lane.report
+            theta, p = lane.report[:2], lane.report[2:] or None
             accepted = None
             if lane.settings.kind == "grls" and lane.failed_at is None:
-                verdict, before, after = excitation.offers[3 * k:3 * k + 3]
+                verdict, before, after = offers[k]
                 accepted = verdict == 1.0
                 greedy_rows.append((k, accepted, before, after))
             rows.append(

@@ -11,8 +11,8 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +93,11 @@ def constant_trajectory(states):
     return Trajectory(states=states, process_noise=np.zeros(len(states) - 1))
 
 
+def _fim_trace(pairs, alpha):
+    """The run's FIM pass over regressor pairs, as a list."""
+    return harness._fim_condition_trace([(u1, u2, 0.0) for u1, u2 in pairs], alpha).data.tolist()
+
+
 class TestFimConditionTrace:
     def test_zero_trajectory_is_always_singular(self):
         traj = constant_trajectory(np.zeros(20))
@@ -103,6 +108,13 @@ class TestFimConditionTrace:
         trace = fim_condition_trace(traj, SIS_REGRESSOR, 0.94)
         assert trace[0] == math.inf
         assert any(math.isfinite(c) for c in trace[2:])
+
+    def test_a_settled_trajectory_gives_a_list_to_its_last_step(self):
+        traj = simulate(0.01, FIG3, 300)  # its states repeat from well before step 300
+        trace = fim_condition_trace(traj, SIS_REGRESSOR, 0.94)
+        assert type(trace) is list and len(trace) == 300
+        assert repr(trace) == repr(naive_fim_condition_trace(
+            map(sis_regressor_pair, traj.states[:-1].tolist()), 0.94))
 
     def test_noisy_run_reaches_large_conditioning(self):
         traj = simulate(
@@ -155,7 +167,7 @@ class TestFimConditionTrace:
         # NaN included: the check must not read NaN entries as finite
         pairs = [(0.1 * k, -0.2) for k in range(6)]
         pairs[step] = (0.1, bad)
-        outcome = self._outcome(harness._fim_condition_trace, pairs, 0.94)
+        outcome = self._outcome(_fim_trace, pairs, 0.94)
         assert outcome.endswith(f"not finite from step {step}")
         assert outcome == self._outcome(naive_fim_condition_trace, pairs, 0.94)
 
@@ -173,7 +185,7 @@ class TestFimConditionTrace:
     ], ids=["fixed-point", "zero", "underflowing-alpha", "signed-zero-entries",
             "b-alone-changes"])
     def test_repeated_entries_equal_a_per_step_check(self, pairs, alpha):
-        trace = harness._fim_condition_trace(pairs, alpha)
+        trace = harness._fim_condition_trace([(u1, u2, 0.0) for u1, u2 in pairs], alpha).data
         assert repr(trace.tolist()) == repr(naive_fim_condition_trace(pairs, alpha))
         # the writer forms each text once per run of numbers with equal bits
         values = np.frombuffer(trace)
@@ -522,7 +534,7 @@ class TestCli:
         assert "--values: expected at least one value" in capsys.readouterr().err
         assert not (tmp_path / "sweep_out").exists()
 
-    @pytest.mark.parametrize("values", ["0.1,0.1", "0.9, 0.1 ,0.1", "0.1,0.2,0.1 "])
+    @pytest.mark.parametrize("values", ["0.1,0.1", "0.9, 0.1 ,0.1", "0.1,0.2,0.1 ", "0.1,0.10"])
     def test_sweep_with_a_duplicate_value_exits_2(self, tmp_path, capsys, values):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
@@ -530,8 +542,18 @@ class TestCli:
             f"estimators = grls\nemit = metrics\noutputs = {tmp_path / 'sweep_out'}\n"
         )
         assert cli.main(["sweep", str(cfg), "--param", "grls.alpha", "--values", values]) == 2
-        assert "--values: duplicate value '0.1'" in capsys.readouterr().err
+        assert "--values: duplicate value '0.1" in capsys.readouterr().err
         assert not (tmp_path / "sweep_out").exists()
+
+    def test_sweep_values_differing_in_a_zero_s_sign_both_run(self, tmp_path):
+        # 0.0 and -0.0 compare equal, but their configs' reprs differ
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "beta = 0.8076\ngamma = 0.2692\nx0 = 0.01\nsteps = 30\n"
+            f"estimators = grls\nemit = metrics\noutputs = {tmp_path / 'sweep_out'}\n"
+        )
+        assert cli.main(["sweep", str(cfg), "--param", "x0", "--values", "0.0,-0.0"]) == 0
+        assert sorted(p.name for p in (tmp_path / "sweep_out").iterdir()) == ["x0=-0.0", "x0=0.0"]
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, command):
@@ -834,75 +856,12 @@ class TestOverflowingObservationNoise:
         assert not (tmp_path / "out").exists()
 
 
-@contextmanager
-def _collector(enabled):
-    """The cyclic garbage collector switched on or off, restored on exit."""
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        yield
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-
-
-class TestCollectorPause:
-    """A run pauses the cyclic garbage collector and leaves the caller's
-    setting as it found it, whether the run returns or raises."""
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_a_run_keeps_the_setting(self, enabled):
-        with _collector(enabled):
-            assert run_experiment(small_config(emit=())).status == 0
-            assert gc.isenabled() is enabled
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_a_config_error_keeps_the_setting(self, enabled):
-        config = _fig3_noisy_config(ESTIMATOR_KINDS, 20, 1e200)
-        with _collector(enabled):
-            with pytest.raises(ConfigError):
-                run_experiment(config)
-            assert gc.isenabled() is enabled
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_a_failed_lane_keeps_the_setting(self, enabled):
-        with _collector(enabled):
-            result = run_experiment(_in_memory("fig3_noisefree"))
-            assert gc.isenabled() is enabled
-        assert _failures(result) == [("ef_rls", 570)]
-
-    def test_a_run_starts_no_automatic_collection(self, tmp_path):
-        starts = []
-
-        def count(phase, info):
-            if phase == "start":
-                starts.append(info["generation"])
-
-        config = load_config(bundled_config_path("fig3_noisy"))
-        with _collector(True):
-            gc.callbacks.append(count)
-            try:
-                run_experiment(config, tmp_path)
-            finally:
-                gc.callbacks.remove(count)
-        assert starts == []
-
-    def test_a_run_makes_no_cyclic_garbage(self):
-        config = _in_memory("fig3_noisefree")  # every lane, and a failure
-        gc.collect()
-        result = run_experiment(config)
-        assert gc.collect() == 0
-        assert result.status == 1
-
-    def test_a_written_run_leaves_only_the_garbage_of_dumping_its_manifest(self, tmp_path):
-        # json.dumps with an indent runs the pure-Python encoder, whose closures
-        # form cycles; how many depends on the Python version
-        config = load_config(bundled_config_path("fig2"))
-        with _collector(False):
-            gc.collect()
-            result = run_experiment(config, tmp_path)
-            left = gc.collect()
-            json.dumps(result.manifest, indent=2)
-            assert left == gc.collect()
+def test_a_run_makes_no_cyclic_garbage():
+    config = _in_memory("fig3_noisefree")  # every lane, and a failure
+    gc.collect()
+    result = run_experiment(config)
+    assert gc.collect() == 0
+    assert result.status == 1
 
 
 def test_a_zero_refresh_denominator_is_a_recorded_grls_failure():
@@ -1195,10 +1154,10 @@ class TestLaneByLaneRun:
 
     def test_a_zero_changing_sign(self, monkeypatch):
         # equal to the last report's theta and P, but not the same row
-        def signed_zeros(est, pairs, ys, offers):
-            for k in range(len(ys) + 1):
+        def signed_zeros(est, rows, offers, sets):
+            for k, _ in enumerate(chain([None], rows)):  # the first report precedes step 0
                 zero = -0.0 if k % 3 else 0.0
-                yield (zero, 1.0), (1.0, zero, 2.0)
+                yield zero, 1.0, 1.0, zero, 2.0
 
         monkeypatch.setitem(sisid.harness._LANES, "ef_rls", signed_zeros)
         config = replace(_in_memory("fig3_noisy"), steps=30)
@@ -1234,12 +1193,9 @@ P_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), st.floats
 
 @st.composite
 def _covariances(draw, n):
-    """n covariances in runs: a run of None, or of entries whose zeros may change sign."""
-    out = []
-    while len(out) < n:
-        size = draw(st.integers(1, 12))
-        out += [None] * size if draw(st.booleans()) else draw(_runs((P_ENTRY,) * 3, size))
-    return out[:n]
+    """n covariances: None throughout, as a lane without P reports, or entries
+    in runs whose zeros may change sign."""
+    return [None] * n if draw(st.booleans()) else draw(_runs((P_ENTRY,) * 3, n))
 
 
 @st.composite
@@ -1262,12 +1218,15 @@ def _fake_lanes(draw):
 
 
 def _fake_lane(reports, fails_at):
-    def lane(est, pairs, ys, offers):
-        assert len(reports) == len(ys) + 1
+    """A lane yielding ``reports``, each (theta, P or None), as a lane reports them."""
+    flat = [theta + (p or ()) for theta, p in reports]
+
+    def lane(est, rows, offers, sets):
+        assert len(flat) == len(list(rows)) + 1
         if fails_at is None:
-            yield from reports
+            yield from flat
         else:
-            yield from reports[:fails_at + 1]  # the first report precedes step 0
+            yield from flat[:fails_at + 1]  # the first report precedes step 0
             raise ConditioningError("injected")
     return lane
 
@@ -1521,9 +1480,9 @@ class TestSettledRuns:
         _spy_fim_passes(monkeypatch, passes)
         inner = harness._excitation_pass
 
-        def spy(pairs, ys, settled=math.inf):
+        def spy(rows, settled=math.inf):
             offer_passes.append(settled)
-            return inner(pairs, ys, settled)
+            return inner(rows, settled)
 
         monkeypatch.setattr(harness, "_excitation_pass", spy)
         lockstep_run(config)
@@ -1568,22 +1527,22 @@ class TestWhereALaneEnds:
 
     # fig3_noisefree's first 100 steps settle at step 57
     @pytest.mark.parametrize("kind, report, accepted, stops", [
-        ("pure_gd", ((1.5, 2.0), None), None, True),
-        ("ef_rls", ((1.5, 2.0), (1.0, 0.5, 2.0)), None, True),
-        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0)), False, True),
-        ("grls", ((1.5, 2.0), (1.0, 0.5, 2.0)), True, False),
-        ("pure_gd", ((0.0, 2.0), None), None, False),
-        ("pure_gd", ((1.5, -0.0), None), None, False),
-        ("ef_rls", ((1.5, 2.0), (1.0, 0.0, 2.0)), None, False),
-        ("ef_rls", ((1.5, 2.0), (-0.0, 0.5, 2.0)), None, False),
-        ("ie_mmai", ((1.5, 2.0), None), None, False),
+        ("pure_gd", (1.5, 2.0), None, True),
+        ("ef_rls", (1.5, 2.0, 1.0, 0.5, 2.0), None, True),
+        ("grls", (1.5, 2.0, 1.0, 0.5, 2.0), False, True),
+        ("grls", (1.5, 2.0, 1.0, 0.5, 2.0), True, False),
+        ("pure_gd", (0.0, 2.0), None, False),
+        ("pure_gd", (1.5, -0.0), None, False),
+        ("ef_rls", (1.5, 2.0, 1.0, 0.0, 2.0), None, False),
+        ("ef_rls", (1.5, 2.0, -0.0, 0.5, 2.0), None, False),
+        ("ie_mmai", (1.5, 2.0), None, False),
     ], ids=["plain", "covariance", "rejected", "accepted", "zero", "negative-zero",
             "zero-in-p", "negative-zero-in-p", "ie_mmai"])
     def test_a_lane_repeating_one_report(self, monkeypatch, kind, report, accepted, stops):
         drawn = []
 
-        def lane(est, pairs, ys, offers):
-            for _ in range(len(ys) + 1):
+        def lane(est, rows, offers, sets):
+            for _ in chain([None], rows):  # the first report precedes step 0
                 drawn.append(report)
                 yield report
 
@@ -1597,7 +1556,7 @@ class TestWhereALaneEnds:
         # each report repeats the one before it: those before step 57 are stepped on
         assert len(drawn) - 2 == (57 if stops else 99)
         assert (result.manifest["settled"][kind] is not None) == stops
-        assert {row[2:4] for row in result.rows} == {report[0]}
+        assert {row[2:4] for row in result.rows} == {report[:2]}
 
 
 # sha256 of repr(RunResult.rows) for each bundled config at seeds 0 and 101, as
@@ -1679,6 +1638,55 @@ def test_a_run_holds_less_than_a_kilobyte_per_step(tmp_path):
     assert result.status == 0 and len(result.rows) == 4 * steps
     assert (peak - before) / steps <= 1000
     assert (held - before) / steps <= 500
+
+
+def test_a_preparation_holds_at_most_64_bytes_per_step():
+    # the trajectory's three float arrays and the column of (u1, u2, y) rows
+    # hold 48 B per step; a list of regressor pair tuples and a list of
+    # observation floats held 169
+    steps = 20_000
+    config = replace(load_config(bundled_config_path("fig3_noisy")), steps=steps)
+    harness._Prepared(replace(config, steps=50))  # what a first preparation imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepared = harness._Prepared(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert prepared.inputs.last == steps - 1
+    assert (held - before) / steps <= 64
+
+
+class TestColumn:
+    """A ``_Column`` reads as its rows expanded: row ``last`` at every later step."""
+
+    @staticmethod
+    def _draw(data):
+        """A column, its rows expanded to past step j, and steps i <= j."""
+        width = data.draw(st.integers(1, 5), label="width")
+        stored = data.draw(st.lists(st.tuples(*[NUMBER] * width), min_size=1, max_size=12),
+                           label="stored")
+        i = data.draw(st.integers(0, len(stored) + 6), label="i")
+        j = data.draw(st.integers(i, len(stored) + 12), label="j")
+        column = harness._Column(width, chain.from_iterable(stored))
+        assert column.last == len(stored) - 1
+        return column, stored + [stored[-1]] * j, i, j
+
+    # reprs, so that -0.0 and 0.0 differ
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rows_equal_the_expanded_rows(self, data):
+        column, expanded, i, j = self._draw(data)
+        rows = column.rows(i, j)
+        assert rows.shape == (j - i, column.width)
+        assert repr(rows.tolist()) == repr(list(map(list, expanded[i:j])))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_steps_equal_the_expanded_rows(self, data):
+        column, expanded, _, j = self._draw(data)
+        assert repr(list(column.steps(j))) == repr(expanded[:j])
 
 
 def _variant_outputs(result):

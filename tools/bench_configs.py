@@ -16,15 +16,17 @@ and after each one, and each run's seconds are scaled to the reference speed
 ``REFERENCE_S`` by the mean of the marks right before and after it, as
 ``perfbench/run.py`` scales its samples; both are imported from the checkout
 that runs this script, the same on both sides. It prints each config's
-median scaled seconds over its rounds.
+median scaled seconds over its rounds, and the median of each layer that the
+run's manifest times (``LAYERS``: the ``timings`` entries, ``step_s`` summed
+over the estimators), scaled by the same marks.
 
 The record at PATH is rewritten after every process, so an interrupted
 session keeps what it measured. Its fields: ``sides`` (the two full commit
-hashes), ``method``, ``pairs``, ``rounds``, ``seed``, ``summary`` and
-``runs``. ``summary`` holds, per config, ``bench_pairs.compare`` over the
-processes' medians in pair order: each side's median, quartiles, min and
-max, ``change_lower_in_pairs``, ``ties``, ``median_gap``, ``parent_iqr`` and
-``change_over_parent``. Only the standard library is used here; a process
+hashes), ``method``, ``pairs``, ``rounds``, ``seed``, ``summary``,
+``layers`` and ``runs``. ``summary`` holds, per config, ``bench_pairs.compare``
+over the processes' medians in pair order: each side's median, quartiles, min
+and max, ``change_lower_in_pairs``, ``ties``, ``median_gap``, ``parent_iqr``
+and ``change_over_parent``. ``layers`` holds the same per ``<config>.<layer>``. Only the standard library is used here; a process
 measuring a side uses what its ``sisid`` imports.
 """
 
@@ -44,6 +46,8 @@ sys.path.insert(0, str(TOOLS))
 from bench_pairs import SIDES, compare, extract, git  # noqa: E402
 
 CONFIGS = ("fig1", "fig2", "fig3_noisefree", "fig3_noisy")
+# the manifest timings a process records per config; step_s sums the estimators'
+LAYERS = ("simulate_s", "fim_trace_s", "excitation_s", "step_s", "metrics_rows_s", "write_s")
 
 METHOD = (
     "Each side is a fresh git archive of its commit. Pair i runs one fresh Python process per "
@@ -52,9 +56,10 @@ METHOD = (
     "bundled configs through run_experiment with every trace written (seed added to seed and "
     "ie_mmai.seed), times each run with time.perf_counter, scales it to the reference speed "
     "by the mean of perfbench's machine_time marks taken right before and after it (as "
-    "perfbench/run.py scales its samples) and reports each config's median scaled seconds. "
-    "summary is bench_pairs.compare over those medians, in pair order, per config: lower is "
-    "better."
+    "perfbench/run.py scales its samples) and reports each config's median scaled seconds, "
+    "and the median of each manifest timing (step_s summed over the estimators) scaled by the "
+    "same marks. summary is bench_pairs.compare over the wall medians, in pair order, per "
+    "config, and layers the same per config and timing: lower is better."
 )
 
 
@@ -68,9 +73,16 @@ def scaled(seconds: list[float], marks: list[float], reference_s: float) -> list
             for s, before, after in zip(seconds, marks, marks[1:])]
 
 
+def layer_seconds(timings: dict) -> list[float]:
+    """A manifest's ``timings`` in the order of ``LAYERS``, ``step_s`` summed."""
+    return [sum(timings[name].values()) if name == "step_s" else timings[name]
+            for name in LAYERS]
+
+
 def measure(rounds: int, seed: int, out: Path) -> dict:
     """Each bundled config's median seconds over ``rounds`` rounds, run by the
-    ``sisid`` on ``sys.path`` and scaled to the reference speed."""
+    ``sisid`` on ``sys.path`` and scaled to the reference speed, and the median
+    of each of its layers (``LAYERS``), scaled alike."""
     import statistics
     import time
 
@@ -89,26 +101,34 @@ def measure(rounds: int, seed: int, out: Path) -> dict:
             if key in mapping:
                 mapping[key] = str(int(mapping[key]) + seed)
         configs.append((name, config_from_mapping(mapping)))
-    runs, seconds, marks = [], [], [machine_time()]
+    runs, seconds, layers, marks = [], [], [], [machine_time()]
     for _ in range(rounds):
         for name, config in configs:
             t0 = time.perf_counter()
-            sisid.run_experiment(config, output_dir=out / name)
+            result = sisid.run_experiment(config, output_dir=out / name)
             seconds.append(time.perf_counter() - t0)
             marks.append(machine_time())
             runs.append(name)
+            layers.append(layer_seconds(result.manifest["timings"]))
     by_config: dict[str, list[float]] = {name: [] for name in CONFIGS}
-    for name, s in zip(runs, scaled(seconds, marks, REFERENCE_S)):
+    by_layer: dict[str, list[float]] = {
+        f"{name}.{layer}": [] for name in CONFIGS for layer in LAYERS}
+    for name, s, run_layers, around in zip(runs, scaled(seconds, marks, REFERENCE_S), layers,
+                                           zip(marks, marks[1:])):
         by_config[name].append(s)
+        for layer, t in zip(LAYERS, run_layers):  # scaled as its run is
+            by_layer[f"{name}.{layer}"].append(scaled([t], list(around), REFERENCE_S)[0])
     return {"sisid": sisid.__file__,
-            "median_s": {name: statistics.median(s) for name, s in by_config.items()}}
+            "median_s": {name: statistics.median(s) for name, s in by_config.items()},
+            "layers_s": {key: statistics.median(s) for key, s in by_layer.items()}}
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per config, ``compare`` over the pairs that have both sides' medians."""
+def summarize(runs: list[dict], field: str = "median_s") -> dict:
+    """Per key of the runs' ``field`` (a config, or a config's layer for
+    ``layers_s``), ``compare`` over the pairs that have both sides' medians."""
     by_pair: dict[int, dict] = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["median_s"]
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run[field]
     complete = [sides for _, sides in sorted(by_pair.items()) if all(s in sides for s in SIDES)]
     if len(complete) < 2:
         return {}
@@ -160,11 +180,12 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 measured = run_side(trees[side], args.rounds, args.seed)
-                runs.append({"pair": pair, "side": side, "median_s": measured["median_s"]})
+                runs.append({"pair": pair, "side": side, "median_s": measured["median_s"],
+                             "layers_s": measured["layers_s"]})
                 args.out.write_text(json.dumps({
                     "sides": commits, "method": METHOD, "pairs": args.pairs,
-                    "rounds": args.rounds, "seed": args.seed,
-                    "summary": summarize(runs), "runs": runs,
+                    "rounds": args.rounds, "seed": args.seed, "summary": summarize(runs),
+                    "layers": summarize(runs, "layers_s"), "runs": runs,
                 }, indent=1) + "\n")
                 print(f"pair {pair} {side}: {measured['median_s']}", flush=True)
     return 0
