@@ -27,8 +27,9 @@ def canned_runs():
     for pair, (p, c) in enumerate(zip(PARENT_S, CHANGE_S)):
         order = [("parent", p), ("change", c)]
         for side, s in order if pair % 2 == 0 else order[::-1]:
-            # fig2 steps for half its wall time; its simulation takes a fixed 1 ms
-            layers = {"fig2.step_s": s / 2, "fig2.simulate_s": 0.001}
+            # fig2 steps for half its wall time; its simulation takes a fixed 1 ms,
+            # and it makes no excitation pass
+            layers = {"fig2.step_s": s / 2, "fig2.simulate_s": 0.001, "fig2.excitation_s": 0.0}
             runs.append({"pair": pair, "side": side, "median_s": {"fig2": s, "fig1": 2 * s},
                          "layers_s": layers})
     return runs

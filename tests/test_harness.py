@@ -864,6 +864,21 @@ def test_a_run_makes_no_cyclic_garbage():
     assert result.status == 1
 
 
+def test_a_written_run_leaves_only_the_garbage_of_dumping_its_manifest(tmp_path):
+    # json.dumps with an indent runs the pure-Python encoder, whose closures
+    # form cycles; how many depends on the Python version
+    config = load_config(bundled_config_path("fig2"))
+    gc.disable()  # no automatic collection frees what is counted
+    try:
+        gc.collect()
+        result = run_experiment(config, tmp_path)
+        left = gc.collect()
+        json.dumps(result.manifest, indent=2)
+        assert left == gc.collect()
+    finally:
+        gc.enable()
+
+
 def test_a_zero_refresh_denominator_is_a_recorded_grls_failure():
     # a constant state: every offer of its one regressor is accepted, P loses
     # positive definiteness, and at step 47 the refresh's denominator is 0.0

@@ -23,11 +23,12 @@ over the estimators), scaled by the same marks.
 The record at PATH is rewritten after every process, so an interrupted
 session keeps what it measured. Its fields: ``sides`` (the two full commit
 hashes), ``method``, ``pairs``, ``rounds``, ``seed``, ``summary``,
-``layers`` and ``runs``. ``summary`` holds, per config, ``bench_pairs.compare``
-over the processes' medians in pair order: each side's median, quartiles, min
-and max, ``change_lower_in_pairs``, ``ties``, ``median_gap``, ``parent_iqr``
-and ``change_over_parent``. ``layers`` holds the same per ``<config>.<layer>``. Only the standard library is used here; a process
-measuring a side uses what its ``sisid`` imports.
+``layers`` and ``runs``. ``summary`` holds, per config,
+``bench_pairs.compare`` over the processes' medians in pair order: each
+side's median, quartiles, min and max, ``change_lower_in_pairs``, ``ties``,
+``median_gap``, ``parent_iqr`` and ``change_over_parent``. ``layers`` holds
+the same per ``<config>.<layer>``. Only the standard library is used here; a
+process measuring a side uses what its ``sisid`` imports.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ def measure(rounds: int, seed: int, out: Path) -> dict:
     by_config: dict[str, list[float]] = {name: [] for name in CONFIGS}
     by_layer: dict[str, list[float]] = {
         f"{name}.{layer}": [] for name in CONFIGS for layer in LAYERS}
-    for name, s, run_layers, around in zip(runs, scaled(seconds, marks, REFERENCE_S), layers,
-                                           zip(marks, marks[1:])):
+    for name, raw, s, run_layers in zip(runs, seconds, scaled(seconds, marks, REFERENCE_S),
+                                        layers):
         by_config[name].append(s)
         for layer, t in zip(LAYERS, run_layers):  # scaled as its run is
-            by_layer[f"{name}.{layer}"].append(scaled([t], list(around), REFERENCE_S)[0])
+            by_layer[f"{name}.{layer}"].append(t * s / raw)
     return {"sisid": sisid.__file__,
             "median_s": {name: statistics.median(s) for name, s in by_config.items()},
             "layers_s": {key: statistics.median(s) for key, s in by_layer.items()}}
@@ -125,7 +126,9 @@ def measure(rounds: int, seed: int, out: Path) -> dict:
 
 def summarize(runs: list[dict], field: str = "median_s") -> dict:
     """Per key of the runs' ``field`` (a config, or a config's layer for
-    ``layers_s``), ``compare`` over the pairs that have both sides' medians."""
+    ``layers_s``), ``compare`` over the pairs that have both sides' medians. A
+    key that reads 0.0 in every run, as the excitation pass of a config
+    without a GRLS lane does, is left out."""
     by_pair: dict[int, dict] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run[field]
@@ -134,7 +137,8 @@ def summarize(runs: list[dict], field: str = "median_s") -> dict:
         return {}
     return {name: compare([pair["parent"][name] for pair in complete],
                           [pair["change"][name] for pair in complete])
-            for name in complete[0]["parent"]}
+            for name in complete[0]["parent"]
+            if any(pair[side][name] for pair in complete for side in SIDES)}
 
 
 def run_side(tree: Path, rounds: int, seed: int) -> dict:
