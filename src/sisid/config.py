@@ -12,8 +12,8 @@ comment and blank lines are ignored. Keys:
     noise.observation_std observation noise std (default 0.0)
     noise.bound_nu        hard bound on realized process noise (default 0.005)
     estimators            comma list drawn from pure_gd, ef_rls, ie_mmai, grls
-    <kind>.alpha          forgetting factor (default 0.94); pure_gd and ie_mmai have no
-                          covariance, so theirs only sets their fim_cond column's discount
+    <kind>.alpha          forgetting factor (default 0.94); ef_rls, grls only (pure GD and
+                          IE-MMAI have no covariance; their rows' fim_cond uses 0.94)
     <kind>.theta0         comma pair, initial estimate (default 1.0, 1.0)
     <kind>.p0_scale       initial covariance scale (default 100.0); ef_rls, grls only
     ie_mmai.models        model count (default 3, at most 1000)
@@ -72,9 +72,9 @@ class EstimatorSettings:
 
 # The EstimatorSettings fields each estimator kind reads, in config key order.
 ESTIMATOR_FIELDS = {
-    "pure_gd": ("alpha", "theta0"),
+    "pure_gd": ("theta0",),
     "ef_rls": ("alpha", "p0_scale", "theta0"),
-    "ie_mmai": ("alpha", "theta0", "models", "seed", "spread"),
+    "ie_mmai": ("theta0", "models", "seed", "spread"),
     "grls": ("alpha", "p0_scale", "theta0"),
 }
 ESTIMATOR_KINDS = tuple(ESTIMATOR_FIELDS)
@@ -146,8 +146,9 @@ def _read_estimator(est: EstimatorSettings) -> EstimatorSettings:
                 raise ConfigError(f"{est.kind}.{f.name}: ignored by {est.kind}, got {got}")
             read[f.name] = f.default
     key = f"{est.kind}."
+    # alpha and p0_scale are read as the default when the kind does not read them
     read["alpha"] = read_alpha(est.alpha, key + "alpha:", below_one=est.kind == "grls")
-    read["p0_scale"] = read_p0_scale(est.p0_scale, key + "p0_scale:")  # the default if unread
+    read["p0_scale"] = read_p0_scale(est.p0_scale, key + "p0_scale:")
     read["theta0"] = read_theta0(est.theta0, key + "theta0:")
     if est.kind == "ie_mmai":
         read["models"] = read_count(est.models, "ie_mmai.models:", 1, MAX_IE_MMAI_MODELS)

@@ -29,7 +29,10 @@ reproducible; timings appear only in the manifest.
 - **Rows and traces**: ``RunResult.rows`` is a read-only view that forms each
   ``MetricsRow`` from the columns when it is read. Trace texts are formed at
   write time, a chunk of steps at a time, with one ``repr`` per run of equal
-  bits, and ``dynamics.write_trace`` writes and hashes them.
+  bits, and ``dynamics.write_trace`` writes and hashes them. A metrics line
+  holds only its lane's own values: no ``max_rel_err``, which its estimates
+  and the config echo give, nor ``fim_cond``, which ``fim_condition_trace``
+  gives from the trajectory trace.
 """
 
 from __future__ import annotations
@@ -64,17 +67,21 @@ from .excitation import (
 )
 from .linalg import ConditioningError, Sym2, sym2_spectrum
 
-METRICS_SCHEMA = "sisid-metrics-v2"
+METRICS_SCHEMA = "sisid-metrics-v3"
 
 
 class MetricsRow(NamedTuple):
     """Per-step, per-estimator metrics; None marks a field without a defined value.
 
     A NamedTuple: it unpacks, indexes and compares equal to a plain tuple. Of
-    its eleven fields a metrics trace writes nine, ``METRICS_COLUMNS``: not
-    ``r0_hat`` (beta_hat / gamma_hat, None when gamma_hat is 0) nor
-    ``log10_max_rel_err`` (math.log10 of ``max_rel_err``, None when that is
-    None or 0), which a line's own fields give exactly.
+    its eleven fields a metrics trace writes seven, ``METRICS_COLUMNS``. The
+    other four a line and its run give exactly: ``r0_hat`` (beta_hat /
+    gamma_hat, None when gamma_hat is 0); ``max_rel_err`` (max(|beta_hat -
+    beta| / beta, |gamma_hat - gamma| / gamma) with the config echo's rates,
+    None unless both are positive); ``log10_max_rel_err`` (math.log10 of
+    ``max_rel_err``, None when that is None or 0); and ``fim_cond``
+    (``fim_condition_trace`` of the run's trajectory at the lane's alpha,
+    0.94 for pure GD and IE-MMAI).
     """
 
     step: int
@@ -91,7 +98,8 @@ class MetricsRow(NamedTuple):
 
 
 # the fields a metrics line writes
-METRICS_COLUMNS = tuple(f for f in MetricsRow._fields if f not in ("r0_hat", "log10_max_rel_err"))
+METRICS_COLUMNS = tuple(f for f in MetricsRow._fields
+                        if f not in ("r0_hat", "max_rel_err", "log10_max_rel_err", "fim_cond"))
 
 # steps per chunk of formed rows and of formed text
 _CHUNK = 1024
@@ -103,7 +111,7 @@ class _Column:
 
     __slots__ = ("width", "data")
 
-    def __init__(self, width: int, data: Iterable[float] = ()):
+    def __init__(self, width: int, data: Iterable[float] | bytes = ()):
         self.width, self.data = width, array("d", data)
 
     @property
@@ -254,27 +262,18 @@ def _spread(values: list, run: list[int] | None) -> list:
     return values if run is None else list(map(values.__getitem__, run))
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """``repr`` of each value, formed once per run of values with equal bits."""
-    starts, run = _runs(values.reshape(-1, 1))
-    return _spread(list(map(repr, values[starts].tolist())), run)
-
-
 class _Chunk(NamedTuple):
     """A lane's reports at steps i..j-1, by runs of steps whose reports have
     equal bits: each step's run (None when each step is one), each run's
-    beta_hat and gamma_hat (clamped when the run clamps), its max_rel_err
-    (None without a truth) and P's spectrum (None for a lane without P), and
-    each step's verdict, 0.0, 1.0 or NaN for no offer (None for a lane that
-    makes no offers), and fim_cond."""
+    beta_hat and gamma_hat (clamped when the run clamps) and P's spectrum
+    (None for a lane without P), and each step's verdict, 0.0, 1.0 or NaN for
+    no offer (None for a lane that makes no offers)."""
 
     run: list[int] | None
     beta: list[float]
     gamma: list[float]
-    rel: list[float] | None
     spectra: list[tuple[float, float, float]] | None
     verdict: np.ndarray | None
-    fim: np.ndarray
 
 
 @dataclass(eq=False)
@@ -307,18 +306,13 @@ class _LaneRecord:
         changed = np.flatnonzero(differ)
         return int(changed[-1]) + 1 if len(changed) else 0
 
-    def chunk(self, i: int, j: int, truth, clamp: bool) -> _Chunk:
+    def chunk(self, i: int, j: int, clamp: bool) -> _Chunk:
         """Steps i..j-1, by runs (``_Chunk``)."""
         reports = self.column.rows(i + 1, j + 1)
         starts, run = _runs(reports)
         beta, gamma = reports[starts, :2].T
         if clamp:
             beta, gamma = np.where(beta > 0.0, beta, 0.0), np.where(gamma > 0.0, gamma, 0.0)
-        rel = None
-        if truth is not None:
-            with np.errstate(all="ignore"):  # IEEE results, as float arithmetic gives them
-                e1, e2 = np.abs(beta - truth[0]) / truth[0], np.abs(gamma - truth[1]) / truth[1]
-            rel = np.where(e2 > e1, e2, e1).tolist()  # max(e1, e2), NaN as max reads it
         spectra = None
         if self.column.width > 2:
             spectra = [sym2_spectrum(a, b, d) for a, b, d in reports[starts, 2:].tolist()]
@@ -326,8 +320,7 @@ class _LaneRecord:
         if self.excitation is not None:
             verdict = self.excitation.offers.rows(i, j)[:, 0]
             verdict[max(self.offered - i, 0):] = math.nan  # no offer from the failing step on
-        return _Chunk(run, beta.tolist(), gamma.tolist(), rel, spectra, verdict,
-                      self.fim.rows(i, j)[:, 0])
+        return _Chunk(run, beta.tolist(), gamma.tolist(), spectra, verdict)
 
 
 def _run_lane(
@@ -444,10 +437,14 @@ class _Rows(Sequence):
         return repr(list(self))
 
     def _lane_rows(self, lane: _LaneRecord, i: int, j: int) -> list[MetricsRow]:
-        c = lane.chunk(i, j, self._truth, self._clamp)
+        c = lane.chunk(i, j, self._clamp)
         runs = len(c.beta)
         r0 = [b / g if g != 0.0 else None for b, g in zip(c.beta, c.gamma)]
-        rel = [None] * runs if c.rel is None else c.rel
+        rel = [None] * runs
+        if self._truth is not None:
+            beta, gamma = self._truth
+            rel = [max(abs(b - beta) / beta, abs(g - gamma) / gamma)
+                   for b, g in zip(c.beta, c.gamma)]
         log_rel = [math.log10(e) if e is not None and e > 0 else None for e in rel]
         spectra = [None] * runs if c.spectra is None else c.spectra
         p_cond = [s and s[2] for s in spectra]
@@ -456,34 +453,28 @@ class _Rows(Sequence):
             _spread(f, c.run) for f in (c.beta, c.gamma, r0, rel, log_rel, p_cond, p_max))
         accepted = (repeat(None) if c.verdict is None
                     else map(_VERDICTS.__getitem__, _codes(c.verdict)))
-        rows = zip(range(i, j), repeat(lane.kind), b, g, r0, rel, log_rel, c.fim.tolist(),
-                   p_cond, p_max, accepted)
+        rows = zip(range(i, j), repeat(lane.kind), b, g, r0, rel, log_rel,
+                   lane.fim.rows(i, j)[:, 0].tolist(), p_cond, p_max, accepted)
         return list(map(tuple.__new__, repeat(MetricsRow), rows))
 
     def metrics_lines(self, spent: list[float]) -> Iterator[list[str]]:
         """The metrics trace's lines, a list per chunk of steps; adds the seconds
-        spent forming them to ``spent[0]``. A lane's beta_hat, gamma_hat,
-        max_rel_err, p_cond and p_max_eig text is formed once per run of steps
-        whose reports have equal bits, and each chunk's fim_cond text once per
-        run of equal bits, shared by the lanes of one alpha."""
+        spent forming them to ``spent[0]``. A lane's beta_hat, gamma_hat, p_cond
+        and p_max_eig text is formed once per run of steps whose reports have
+        equal bits."""
         clock = time.perf_counter
         for i in range(0, self._steps, _CHUNK):
             t0 = clock()
             j = min(i + _CHUNK, self._steps)
-            steps, fims, lines = list(map(str, range(i, j))), {}, []
+            steps, lines = list(map(str, range(i, j))), []
             for lane in self._lanes:
-                c = lane.chunk(i, j, self._truth, self._clamp)
-                fim = fims.get(id(lane.fim))
-                if fim is None:
-                    fim = fims[id(lane.fim)] = _texts(c.fim)
-                rel = repeat("") if c.rel is None else map(repr, c.rel)
-                heads = list(map(",".join, zip(repeat(lane.kind), map(repr, c.beta),
-                                               map(repr, c.gamma), rel)))
+                c = lane.chunk(i, j, self._clamp)
+                heads = [f"{lane.kind},{b!r},{g!r}" for b, g in zip(c.beta, c.gamma)]
                 tails = repeat(",") if c.spectra is None else _spread(
                     [f"{s[2]!r},{s[1]!r}" for s in c.spectra], c.run)
                 flags = (repeat("") if c.verdict is None
                          else map(_FLAGS.__getitem__, _codes(c.verdict)))
-                lines.append(list(map(",".join, zip(steps, _spread(heads, c.run), fim, tails,
+                lines.append(list(map(",".join, zip(steps, _spread(heads, c.run), tails,
                                                     flags))))
             chunk = list(chain.from_iterable(zip(*lines)))
             spent[0] += clock() - t0
@@ -593,10 +584,10 @@ class _Prepared:
         bits = traj.states.view(np.int64)  # bits, so that 0.0 and -0.0 differ
         changes = np.flatnonzero(bits[1:] != bits[:-1])
         settled = int(changes[-1]) + 1 if len(changes) else 0
-        ys = traj.observations[:settled + 1].tolist()
-        xs = traj.states[:len(ys)].tolist()
-        self.inputs = _Column(3, chain.from_iterable(
-            (*sis_regressor_pair(x), y) for x, y in zip(xs, ys)))
+        ys = traj.observations[:settled + 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, as float arithmetic gives it
+            u1, u2 = sis_regressor_pair(traj.states[:len(ys)])
+        self.inputs = _Column(3, np.column_stack((u1, u2, ys)).tobytes())
         self.traj, self.settled, self.steps = traj, settled, config.steps
         self._fim: dict[float, _Column] = {}
         self._excitation: _Excitation | None = None

@@ -1,7 +1,9 @@
-"""The summary arithmetic of ``tools/bench_pairs.py``, on canned result lines.
+"""The summary arithmetic of ``tools/bench_pairs.py``, on canned result lines,
+and its measuring process, on a stand-in script.
 
-No benchmark runs and no subprocess starts: the runs are records in the
-shape the script writes, made up below or read from ``BENCH_21.json``.
+No benchmark runs: the runs are records in the shape the script writes, made
+up below or read from ``BENCH_21.json``, and the only subprocesses run a
+stand-in script that prints one line.
 """
 
 import importlib.util
@@ -113,3 +115,26 @@ def test_spec_parsing():
     assert bench_pairs.parse_spec("grls_long:101:3") == ("grls_long", 101, 3)
     with pytest.raises(Exception, match="WORKLOAD:SEED:PAIRS"):
         bench_pairs.parse_spec("grls_long:3")
+
+
+# prints, when given --measure, the args after it and the sisid file its argv names
+_STAND_IN = """import json, sys
+assert sys.argv[1] == "--measure"
+print("a line before the last")
+print(json.dumps({"sisid": sys.argv[2], "args": sys.argv[3:]}))
+"""
+
+
+def test_a_measuring_process_reads_its_last_line_and_checks_its_tree(tmp_path):
+    script = tmp_path / "stand_in.py"
+    script.write_text(_STAND_IN)
+    tree = tmp_path / "tree"
+    (tree / "src" / "sisid").mkdir(parents=True)
+    inside = str(tree / "src" / "sisid" / "__init__.py")
+    assert bench_pairs.measure_in(tree, script, inside, "--steps", "10") == {
+        "sisid": inside, "args": ["--steps", "10"]}
+    with pytest.raises(SystemExit, match="imported sisid from "):
+        bench_pairs.measure_in(tree, script, str(tmp_path / "elsewhere.py"))
+    script.write_text("raise SystemExit('no measure')")
+    with pytest.raises(SystemExit, match="no measure"):
+        bench_pairs.measure_in(tree, script)

@@ -36,7 +36,7 @@ UNREAD = [
     for f in fields(EstimatorSettings)[1:]
     if f.name not in ESTIMATOR_FIELDS[kind]
 ]
-NON_DEFAULT = {"p0_scale": 5.0, "models": 7, "seed": 3, "spread": 0.5}
+NON_DEFAULT = {"alpha": 0.5, "p0_scale": 5.0, "models": 7, "seed": 3, "spread": 0.5}
 # an array is not compared as one value: its truth is ambiguous
 UNREAD_CASES = [(kind, field, NON_DEFAULT[field]) for kind, field in UNREAD] + [
     ("pure_gd", "p0_scale", np.array([100.0, 1.0]))
@@ -80,7 +80,7 @@ class TestOutOfRangeFields:
             ("ie_mmai", "ie_mmai.spread", "inf"),
             ("ie_mmai", "ie_mmai.seed", "-3"),
             ("ie_mmai", "ie_mmai.models", str(MAX_IE_MMAI_MODELS + 1)),
-            ("pure_gd", "pure_gd.alpha", "0"),
+            ("pure_gd", "pure_gd.alpha", "0"),  # an unknown key: pure GD reads no alpha
             ("ef_rls", "ef_rls.alpha", "1.5"),
             ("grls", "grls.alpha", "1"),
             ("grls", "grls.p0_scale", "0"),
@@ -173,7 +173,7 @@ class TestEstimatorFieldTable:
         keys = [k for k in config_to_mapping(config) if k.split(".")[0] in ESTIMATOR_KINDS]
         assert keys == [f"{kind}.{field}" for kind, fields in ESTIMATOR_FIELDS.items()
                         for field in fields]
-        assert len(keys) == 13
+        assert len(keys) == 11
 
     @pytest.mark.parametrize("key", ["pure_gd.p0_scale", "ie_mmai.p0_scale"])
     def test_p0_scale_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
@@ -183,6 +183,18 @@ class TestEstimatorFieldTable:
         cfg = _cli_config(tmp_path, f"estimators = {kind}\n{key} = 100.0")
         assert cli.main(["validate", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["pure_gd.alpha", "ie_mmai.alpha"])
+    def test_alpha_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
+        # no estimate reads it; it chose only which FIM trace the lane's rows showed
+        kind = key.split(".")[0]
+        cfg = _cli_config(tmp_path, f"estimators = {kind}\n{key} = 0.94")
+        assert cli.main(["run", str(cfg)]) == 2
+        assert f"unknown keys: {key}" in capsys.readouterr().err
+        cfg = _cli_config(tmp_path, f"estimators = {kind}")
+        assert cli.main(["sweep", str(cfg), "--param", key, "--values", "0.9"]) == 2
+        assert f"unknown keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_validate_rejects_a_one_entry_theta0(self, kind):
@@ -229,13 +241,12 @@ def estimator_settings(draw, kind: str) -> EstimatorSettings:
     # only the fields the kind reads: the text format holds no others; within
     # 1e300, IE-MMAI's theta0 + spread * z is finite for any standard normal z
     numbers = st.floats(-1e300, 1e300) if kind == "ie_mmai" else finite
-    settings = EstimatorSettings(
-        kind=kind,
-        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=kind == "grls")),
-        theta0=(draw(numbers), draw(numbers)),
-    )
+    settings = EstimatorSettings(kind=kind, theta0=(draw(numbers), draw(numbers)))
     if kind in ("ef_rls", "grls"):
-        return replace(settings, p0_scale=draw(st.floats(0.0, 1e300, exclude_min=True)))
+        return replace(
+            settings, alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=kind == "grls")),
+            p0_scale=draw(st.floats(0.0, 1e300, exclude_min=True)),
+        )
     if kind == "ie_mmai":
         return replace(
             settings, models=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2**63)),
@@ -310,10 +321,10 @@ def _four_lane_config(real, integer, p0, pair, outputs="out") -> ExperimentConfi
         sis=SisParams(0.8076, 0.2692), x0=real(0.01), steps=integer(300),
         noise=NoiseSpec(1e-3, 1e-3, 5e-3, seed=integer(4)),
         estimators=(
-            EstimatorSettings("pure_gd", alpha=real(0.94), theta0=pair((1.0, 1.0))),
+            EstimatorSettings("pure_gd", theta0=pair((1.0, 1.0))),
             EstimatorSettings("ef_rls", alpha=real(0.98), p0_scale=p0(50.0),
                               theta0=pair((0.5, 2.0))),
-            EstimatorSettings("ie_mmai", alpha=real(0.9), theta0=pair((1.0, 0.5)),
+            EstimatorSettings("ie_mmai", theta0=pair((1.0, 0.5)),
                               models=integer(4), seed=integer(2), spread=real(0.25)),
             EstimatorSettings("grls", alpha=real(0.94), p0_scale=p0(100.0),
                               theta0=pair((1.0, 1.0))),

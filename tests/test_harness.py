@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from sisid import harness
 from sisid.config import (
+    ESTIMATOR_FIELDS,
     ESTIMATOR_KINDS,
     ConfigError,
     EstimatorSettings,
@@ -187,14 +188,6 @@ class TestFimConditionTrace:
     def test_repeated_entries_equal_a_per_step_check(self, pairs, alpha):
         trace = harness._fim_condition_trace([(u1, u2, 0.0) for u1, u2 in pairs], alpha).data
         assert repr(trace.tolist()) == repr(naive_fim_condition_trace(pairs, alpha))
-        # the writer forms each text once per run of numbers with equal bits
-        values = np.frombuffer(trace)
-        texts = harness._texts(values)
-        assert texts == [repr(kappa) for kappa in trace]
-        bits = values.view(np.int64).tolist()
-        assert [texts[k] is texts[k - 1] for k in range(1, len(texts))] == [
-            bits[k] == bits[k - 1] for k in range(1, len(bits))
-        ]
 
 
 class TestConfigParsing:
@@ -429,10 +422,8 @@ class TestRunExperiment:
         config = small_config(emit=("metrics",))
         run_experiment(config, output_dir=tmp_path / "run")
         lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "# sisid-metrics-v2"
-        assert lines[1] == (
-            "step,estimator,beta_hat,gamma_hat,max_rel_err,fim_cond,p_cond,p_max_eig,accepted"
-        )
+        assert lines[0] == "# sisid-metrics-v3"
+        assert lines[1] == "step,estimator,beta_hat,gamma_hat,p_cond,p_max_eig,accepted"
 
     def test_invalid_config_raises_before_running(self):
         with pytest.raises(ConfigError):
@@ -662,6 +653,14 @@ PINNED_METRICS_V2_FILES = {
         "3735195645d94925c08d74c0992d8f1c1286c0f758c0731e0d90d392cd8c939c",
     "fig3_noisy/metrics.csv": "0d8b5b95a52363b1fb96844f5e071616e35fc7a016bf949c3069dd8f6f4340da",
 }
+# sha256 of the sisid-metrics-v3 files, which drop max_rel_err and fim_cond too
+PINNED_METRICS_V3_FILES = {
+    "fig1/metrics.csv": "248884ef4dbde2bf7b3a608f4a80096d740290a052288a7e77e8d968fb2224e0",
+    "fig2/metrics.csv": "0447e9194fe344e1ca4c2ea91bc72f346ff5c1f27973c67a2944d76f22b7e3cb",
+    "fig3_noisefree/metrics.csv":
+        "b9bb4fa5d16c75ec9d16503c246757d35c865e9124777e8755a8a777aee3bb7e",
+    "fig3_noisy/metrics.csv": "8be828e3ec210d315724fa446f9cc1eacaee137fd691a0cc578d40f236a17c36",
+}
 # sha256 of the sisid-trajectory-v2 files, which drop the observation column
 PINNED_TRAJECTORY_V2_FILES = {
     "fig1/trajectory.csv": "3a817af7f6c977da623db3b9e547a84a502f58337d3559d0c298078b916b5e06",
@@ -676,6 +675,17 @@ BUNDLED = ("fig1", "fig2", "fig3_noisefree", "fig3_noisy")
 def _metrics_v1_text(result) -> bytes:
     """The sisid-metrics-v1 text of a run's rows: every field, each formatted anew."""
     return naive_trace_csv("sisid-metrics-v1", MetricsRow._fields, result.rows)
+
+
+METRICS_V2_COLUMNS = ("step", "estimator", "beta_hat", "gamma_hat", "max_rel_err", "fim_cond",
+                      "p_cond", "p_max_eig", "accepted")
+
+
+def _metrics_v2_text(rows) -> bytes:
+    """The sisid-metrics-v2 text of a run's rows: nine fields, each formatted anew."""
+    index = [MetricsRow._fields.index(column) for column in METRICS_V2_COLUMNS]
+    return naive_trace_csv("sisid-metrics-v2", METRICS_V2_COLUMNS,
+                           ([row[i] for i in index] for row in rows))
 
 
 def _trajectory_v1_text(traj) -> bytes:
@@ -715,9 +725,17 @@ class TestPinnedOutputs:
     def test_metrics_v2_files(self, runs, name):
         import hashlib
 
+        _, results = runs
+        digest = hashlib.sha256(_metrics_v2_text(results[name.split("/")[0]].rows)).hexdigest()
+        assert digest == PINNED_METRICS_V2_FILES[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_METRICS_V3_FILES))
+    def test_metrics_v3_files(self, runs, name):
+        import hashlib
+
         root, _ = runs
         digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
-        assert digest == PINNED_METRICS_V2_FILES[name]
+        assert digest == PINNED_METRICS_V3_FILES[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED_TRAJECTORY_V2_FILES))
     def test_trajectory_v2_files(self, runs, name):
@@ -904,41 +922,85 @@ def test_gradient_lanes_fail_where_their_estimate_stops_being_finite():
 
 @pytest.mark.parametrize("beta, gamma", [(0.0, 0.2692), (0.8076, 0.0)])
 def test_a_zero_true_rate_leaves_the_relative_error_empty(tmp_path, beta, gamma):
-    config = small_config(sis=SisParams(beta, gamma))
+    config = small_config(sis=SisParams(beta, gamma), emit=("metrics", "trajectory"))
     result = run_experiment(config, tmp_path)
     assert result.status == 0
     assert all(r.max_rel_err is None and r.log10_max_rel_err is None for r in result.rows)
-    with open(tmp_path / "metrics.csv", newline="") as fh:
-        lines = fh.read().splitlines()[2:]
-    assert len(lines) == len(result.rows)
-    assert all(line.split(",")[4] == "" for line in lines)
+    rebuilt = [columns for _, columns in _left_out_columns(tmp_path)]
+    assert len(rebuilt) == len(result.rows)
+    assert all(rel is None for _, rel, _, _ in rebuilt)
 
 
-def _recomputed_columns(path):
-    """Each line's r0_hat and log10_max_rel_err, recomputed from its written fields."""
-    with open(path, newline="") as fh:
+def _left_out_columns(run_dir):
+    """Each metrics line, as a dict of its written fields, with its r0_hat,
+    max_rel_err, log10_max_rel_err and fim_cond rebuilt from the run's files:
+    the line's own fields, the rates and alphas of the manifest's config echo
+    (0.94 for a kind that reads no alpha), and the trajectory trace."""
+    echo = json.loads((run_dir / "manifest.json").read_text())["config"]
+    beta, gamma = float(echo["beta"]), float(echo["gamma"])
+    with open(run_dir / "trajectory.csv", newline="") as fh:
         next(fh)  # the schema line
+        _, *states = csv.reader(fh)
+    traj = Trajectory(states=[float(state) for _, state, _ in states],
+                      process_noise=[float(noise) for _, _, noise in states[:-1]])
+    fims = {}
+    with open(run_dir / "metrics.csv", newline="") as fh:
+        next(fh)
         for line in csv.DictReader(fh):
+            kind = line["estimator"]
+            if kind not in fims:
+                alpha = float(echo.get(f"{kind}.alpha", "0.94"))
+                fims[kind] = fim_condition_trace(traj, SIS_REGRESSOR, alpha)
             beta_hat, gamma_hat = float(line["beta_hat"]), float(line["gamma_hat"])
-            max_rel = float(line["max_rel_err"]) if line["max_rel_err"] else None
-            yield (beta_hat / gamma_hat if gamma_hat != 0.0 else None,
-                   math.log10(max_rel) if max_rel else None)
+            rel = None
+            if beta > 0 and gamma > 0:
+                rel = max(abs(beta_hat - beta) / beta, abs(gamma_hat - gamma) / gamma)
+            yield line, (beta_hat / gamma_hat if gamma_hat != 0.0 else None, rel,
+                         math.log10(rel) if rel is not None and rel > 0 else None,
+                         fims[kind][int(line["step"])])
+
+
+def _rebuilt_v2_text(run_dir) -> bytes:
+    """A run's sisid-metrics-v2 text, each line its sisid-metrics-v3 text with
+    the rebuilt max_rel_err and fim_cond put back."""
+    lines = [f"# sisid-metrics-v2\n{','.join(METRICS_V2_COLUMNS)}"]
+    for line, (_, rel, _, fim) in _left_out_columns(run_dir):
+        written = [line[column] for column in harness.METRICS_COLUMNS]
+        lines.append(",".join([*written[:4], "" if rel is None else repr(rel), repr(fim),
+                               *written[4:]]))
+    return ("\r\n".join(lines) + "\r\n").encode()
 
 
 @pytest.mark.parametrize("config", [
     *(pytest.param(replace(load_config(bundled_config_path(name)), clamp_estimates=clamp),
                    id=f"{name}-clamp={'on' if clamp else 'off'}")
       for name in BUNDLED for clamp in (False, True)),
-    *(pytest.param(small_config(sis=SisParams(beta, gamma)), id=f"beta={beta}-gamma={gamma}")
+    *(pytest.param(small_config(sis=SisParams(beta, gamma), emit=("metrics", "trajectory")),
+                   id=f"beta={beta}-gamma={gamma}")
       for beta, gamma in [(0.0, 0.2692), (0.8076, 0.0)]),
 ])
 def test_the_columns_a_metrics_trace_leaves_out_come_back_exactly(tmp_path, config):
     result = run_experiment(config, tmp_path)
-    recomputed = list(_recomputed_columns(tmp_path / "metrics.csv"))
-    assert len(recomputed) == len(result.rows)
-    assert list(map(repr, recomputed)) == [
-        repr((row.r0_hat, row.log10_max_rel_err)) for row in result.rows
+    rebuilt = [columns for _, columns in _left_out_columns(tmp_path)]
+    assert len(rebuilt) == len(result.rows)
+    assert list(map(repr, rebuilt)) == [
+        repr((row.r0_hat, row.max_rel_err, row.log10_max_rel_err, row.fim_cond))
+        for row in result.rows
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_metrics_v3_run_rebuilds_its_v2_text_bitwise(tmp_path, name, seed):
+    import hashlib
+
+    config = replace(_reseeded(name, seed), emit=("metrics", "trajectory"))
+    result = run_experiment(config, tmp_path)
+    rebuilt = _rebuilt_v2_text(tmp_path)
+    assert rebuilt == _metrics_v2_text(result.rows)
+    if seed == 0:
+        digest = hashlib.sha256(rebuilt).hexdigest()
+        assert digest == PINNED_METRICS_V2_FILES[f"{name}/metrics.csv"]
 
 
 def test_rank_one_fim_below_the_normal_range_is_singular():
@@ -1213,6 +1275,12 @@ def _covariances(draw, n):
     return [None] * n if draw(st.booleans()) else draw(_runs((P_ENTRY,) * 3, n))
 
 
+def _alphas(kind):
+    """The alphas a lane of ``kind`` is drawn with: the default alone for a kind
+    that reads none."""
+    return st.sampled_from([0.5, 0.94] if "alpha" in ESTIMATOR_FIELDS[kind] else [0.94])
+
+
 @st.composite
 def _fake_lanes(draw):
     """Two to four lanes, each with an alpha shared with the others or not and
@@ -1227,7 +1295,7 @@ def _fake_lanes(draw):
         thetas = draw(_runs((NUMBER, NUMBER), steps + 1))
         reports = list(zip(thetas, draw(_covariances(steps + 1))))
         fails_at = draw(st.one_of(st.none(), st.integers(0, steps - 1)))
-        lanes.append((kind, draw(st.sampled_from([0.5, 0.94])), reports, fails_at))
+        lanes.append((kind, draw(_alphas(kind)), reports, fails_at))
     verdicts = draw(st.lists(st.booleans(), min_size=steps, max_size=steps))
     return lanes, verdicts, steps, draw(st.booleans()), draw(st.booleans())
 
@@ -1351,42 +1419,6 @@ def _spy_fim_passes(mp, calls):
     mp.setattr(harness, "_fim_condition_trace", spy)
 
 
-def _spy_texts(mp, sizes):
-    """Record how many values each call of the text former is given."""
-    inner = harness._texts
-
-    def spy(values):
-        sizes.append(len(values))
-        return inner(values)
-
-    mp.setattr(harness, "_texts", spy)
-
-
-class TestConditionTexts:
-    """A condition number's text is formed only when a metrics trace is written."""
-
-    @pytest.mark.parametrize("emit", [(), ("trajectory", "greedy"), ("metrics",)])
-    def test_a_run_forms_texts_only_for_a_metrics_trace(self, monkeypatch, tmp_path, emit):
-        calls, sizes = [], []
-        _spy_fim_passes(monkeypatch, calls)
-        _spy_texts(monkeypatch, sizes)
-        config = replace(load_config(bundled_config_path("fig3_noisy")), emit=emit)
-        run_experiment(config, tmp_path if emit else None)
-        assert len(calls) == 1  # one pass per distinct alpha
-        if "metrics" in emit:
-            assert sizes == [1024, 2000 - 1024]  # a chunk at a time, shared by the lanes
-        else:
-            assert sizes == []
-
-    def test_the_public_trace_forms_no_text(self, monkeypatch):
-        calls, sizes = [], []
-        _spy_fim_passes(monkeypatch, calls)
-        _spy_texts(monkeypatch, sizes)
-        trace = fim_condition_trace(simulate(0.01, FIG3, 50), SIS_REGRESSOR, 0.94)
-        assert len(trace) == 50 and type(trace) is list
-        assert (calls, sizes) == ([math.inf], [])
-
-
 # Rates, x0 and theta0 entries weighted toward the edges: a state at 0 or 1,
 # fig1's and fig3's rates (settling at steps 474 and 57), zeros of both signs.
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0, 0.12, 0.04, 0.8076, 0.2692]), st.floats(0.0, 1.0))
@@ -1399,7 +1431,7 @@ ALL_TRACES = ("metrics", "trajectory", "greedy")
 def _noise_free_configs(draw):
     kinds = draw(st.lists(st.sampled_from(ESTIMATOR_KINDS), min_size=1, max_size=4, unique=True))
     estimators = tuple(
-        EstimatorSettings(kind, alpha=draw(st.sampled_from([0.5, 0.94])),
+        EstimatorSettings(kind, alpha=draw(_alphas(kind)),
                           theta0=(draw(_THETA_ENTRY), draw(_THETA_ENTRY)))
         for kind in kinds
     )

@@ -119,7 +119,7 @@ ENTRIES = {
     "ExperimentConfig.grls.alpha": (lambda v: _config(alpha=v), "grls.alpha:"),
     "ExperimentConfig.grls.p0_scale": (lambda v: _config(p0_scale=v), "grls.p0_scale:"),
     "ExperimentConfig.grls.theta0": (lambda v: _config(theta0=v), "grls.theta0:"),
-    "ExperimentConfig.ie_mmai.alpha": (lambda v: _config("ie_mmai", alpha=v), "ie_mmai.alpha:"),
+    "ExperimentConfig.ef_rls.alpha": (lambda v: _config("ef_rls", alpha=v), "ef_rls.alpha:"),
     "ExperimentConfig.ie_mmai.theta0": (
         lambda v: _config("ie_mmai", theta0=v), "ie_mmai.theta0:"
     ),
@@ -175,7 +175,7 @@ SCALAR_ENTRIES = [
     "ef_rls_step.y", "greedy_offer.y_k", "WeightedCostSpec.from_grls.p0_scale",
     "ie_mmai_init.spread", "ef_rls_step.alpha", "fim_condition_trace.alpha",
     "WeightedCostSpec.alpha", "SisParams.beta", "SisParams.gamma", "NoiseSpec.observation_std",
-    "NoiseSpec.bound_nu", "ExperimentConfig.x0", "ExperimentConfig.ie_mmai.alpha",
+    "NoiseSpec.bound_nu", "ExperimentConfig.x0", "ExperimentConfig.ef_rls.alpha",
     "ExperimentConfig.grls.p0_scale", "ExperimentConfig.ie_mmai.spread", "simulate.x0",
     "is_initially_exciting.alpha_threshold",
 ]

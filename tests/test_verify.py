@@ -146,3 +146,12 @@ def test_an_echo_that_does_not_parse_back_exits_2(copy, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {copy / 'manifest.json'}: ConfigError: x0: ")
     assert "'np.float64(0.01)'" in err
+
+
+def test_an_echo_holding_an_alpha_that_no_kind_reads_exits_2(copy, capsys):
+    # run directories written before pure GD and IE-MMAI stopped reading alpha echo it
+    edit_manifest(copy, lambda m: m["config"].update({"pure_gd.alpha": "0.94"}))
+    assert cli.main(["verify", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {copy / 'manifest.json'}: ConfigError: unknown keys: ")
+    assert "pure_gd.alpha" in err

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -44,7 +42,7 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TOOLS))
 
-from bench_pairs import SIDES, compare, extract, git  # noqa: E402
+from bench_pairs import SIDES, compare, extract, git, measure_in  # noqa: E402
 
 CONFIGS = ("fig1", "fig2", "fig3_noisefree", "fig3_noisy")
 # the manifest timings a process records per config; step_s sums the estimators'
@@ -143,17 +141,9 @@ def summarize(runs: list[dict], field: str = "median_s") -> dict:
 
 def run_side(tree: Path, rounds: int, seed: int) -> dict:
     """One process measuring ``tree``; its printed medians and the ``sisid`` it imported."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory() as out:
-        argv = [sys.executable, str(Path(__file__).resolve()), "--measure",
-                "--rounds", str(rounds), "--seed", str(seed), "--out", out]
-        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"measuring {tree} failed:\n{proc.stderr[-2000:]}")
-    measured = json.loads(proc.stdout.splitlines()[-1])
-    if not Path(measured["sisid"]).resolve().is_relative_to(tree.resolve()):
-        raise SystemExit(f"{tree} imported sisid from {measured['sisid']}")
-    return measured
+        return measure_in(tree, Path(__file__).resolve(), "--rounds", str(rounds),
+                          "--seed", str(seed), "--out", out)
 
 
 def main(argv: list[str] | None = None) -> int:

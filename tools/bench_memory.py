@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -40,7 +38,7 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TOOLS))
 
-from bench_pairs import SIDES, compare, extract, git  # noqa: E402
+from bench_pairs import SIDES, compare, extract, git, measure_in  # noqa: E402
 
 CONFIG = "fig3_noisy"
 WARM_UP_STEPS = 50
@@ -89,15 +87,7 @@ def measure(steps: int) -> dict:
 
 def run_side(tree: Path, steps: int) -> dict:
     """One fresh process measuring the ``sisid`` under ``tree/src`` at ``steps`` steps."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    argv = [sys.executable, str(Path(__file__).resolve()), "--measure", "--steps", str(steps)]
-    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"measuring {tree} at {steps} steps failed:\n{proc.stderr[-2000:]}")
-    measured = json.loads(proc.stdout.splitlines()[-1])
-    if not Path(measured["sisid"]).resolve().is_relative_to(tree.resolve()):
-        raise SystemExit(f"{tree} imported sisid from {measured['sisid']}")
-    return measured
+    return measure_in(tree, Path(__file__).resolve(), "--steps", str(steps))
 
 
 def summarize(runs: list[dict]) -> dict:

@@ -12,6 +12,9 @@ one process at a time, in each tree: even pairs run the parent first, odd
 pairs the change first. Each run keeps its last two stdout lines verbatim,
 the report line and the result line.
 
+``measure_in`` is the one way the tools start a process that measures a
+tree: ``tools/bench_configs.py`` and ``tools/bench_memory.py`` call it.
+
 The record, ``BENCH_<N>.json`` by default, is rewritten after every run, so
 an interrupted session keeps what it measured. Its fields: ``pr``,
 ``claim``, ``sides`` (the two full commit hashes), ``method``, ``summary``
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import statistics
 import subprocess
@@ -128,6 +132,23 @@ def extract(commit: str, dest: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {commit} failed")
+
+
+def measure_in(tree: Path, script: Path, *args: str) -> dict:
+    """The last stdout line, as JSON, of ``script --measure *args`` run in a fresh
+    process in ``tree`` with ``tree/src`` as ``PYTHONPATH``. ``SystemExit`` when the
+    process fails, or when the ``sisid`` its line names (``"sisid"``, the
+    module's file) is not under ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    argv = [sys.executable, str(script), "--measure", *args]
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"measuring {tree} with {shlex.join(args)} failed:\n"
+                         f"{proc.stderr[-2000:]}")
+    measured = json.loads(proc.stdout.splitlines()[-1])
+    if not Path(measured["sisid"]).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"{tree} imported sisid from {measured['sisid']}")
+    return measured
 
 
 def run_once(tree: Path, command: list[str], seconds: int, workload: str, seed: int) -> dict:
