@@ -186,7 +186,6 @@ class TestEstimatorFieldTable:
 
     @pytest.mark.parametrize("key", ["pure_gd.alpha", "ie_mmai.alpha"])
     def test_alpha_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
-        # no estimate reads it; it chose only which FIM trace the lane's rows showed
         kind = key.split(".")[0]
         cfg = _cli_config(tmp_path, f"estimators = {kind}\n{key} = 0.94")
         assert cli.main(["run", str(cfg)]) == 2

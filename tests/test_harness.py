@@ -11,6 +11,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+from array import array
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
@@ -1703,6 +1704,31 @@ def test_a_preparation_holds_at_most_64_bytes_per_step():
         tracemalloc.stop()
     assert prepared.inputs.last == steps - 1
     assert (held - before) / steps <= 64
+
+
+# States whose regressor is a subnormal, a signed zero, or leaves the float
+# range ((1 - x) * x overflows from |x| ~1.34e154), kept below 8e307 so that
+# their differences, the observations, stay finite.
+_STATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e154, -1.4e154, 8e307, -8e307]),
+    st.floats(-8e307, 8e307),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(states=st.lists(_STATE, min_size=2, max_size=40))
+def test_the_prepared_rows_are_the_regressor_of_each_state(states):
+    # the column is formed from arrays; each row is bitwise the formula at its
+    # state, with no numpy warning (warnings are errors here) where it overflows
+    traj = Trajectory(states=states, process_noise=[0.0] * (len(states) - 1))
+    config = replace(small_config(), steps=traj.step_count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "simulate", lambda *args: traj)
+        prepared = harness._Prepared(config)
+    n = prepared.settled + 1 if prepared.settled < traj.step_count else traj.step_count
+    rows = [(*sis_regressor_pair(x), y)
+            for x, y in zip(states[:n], traj.observations[:n].tolist())]
+    assert prepared.inputs.data.tobytes() == array("d", chain.from_iterable(rows)).tobytes()
 
 
 class TestColumn:

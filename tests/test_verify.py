@@ -149,7 +149,7 @@ def test_an_echo_that_does_not_parse_back_exits_2(copy, capsys):
 
 
 def test_an_echo_holding_an_alpha_that_no_kind_reads_exits_2(copy, capsys):
-    # run directories written before pure GD and IE-MMAI stopped reading alpha echo it
+    # pure GD reads no alpha, so an echo holding one does not parse back
     edit_manifest(copy, lambda m: m["config"].update({"pure_gd.alpha": "0.94"}))
     assert cli.main(["verify", str(copy)]) == 2
     err = capsys.readouterr().err
