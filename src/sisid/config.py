@@ -16,15 +16,13 @@ comment and blank lines are ignored. Keys:
                           IE-MMAI have no covariance; their rows' fim_cond uses 0.94)
     <kind>.theta0         comma pair, initial estimate (default 1.0, 1.0)
     <kind>.p0_scale       initial covariance scale (default 100.0); ef_rls, grls only
-    ie_mmai.models        model count (default 3, at most 1000)
-    ie_mmai.seed          sub-seed for random model initialization (default 0)
-    ie_mmai.spread        std of the model draws around theta0 (default 0.25); draws must be finite
+    ie_mmai.seed          sub-seed for random model initialization (default 0); the
+                          model count and draw spread are ``estimators.IE_MODELS`` (3)
+                          and ``IE_SPREAD`` (0.25)
     outputs               output directory for traces; a value that does not read back
                           from its own line (holding ``#``, a line break or edge
                           spaces) is refused
     emit                  comma list drawn from metrics, trajectory, greedy
-    clamp_estimates       on | off; clamp reported estimates at zero
-                          (reporting only, estimator state is untouched)
 
 A key is read or refused. ``ESTIMATOR_FIELDS`` lists the ``EstimatorSettings``
 fields each kind reads; parsing, the config echo in manifests and validation go
@@ -48,7 +46,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .dynamics import NoiseSpec, SisParams, read_steps, read_x0
-from .estimators import MAX_IE_MMAI_MODELS, ie_mmai_init, read_alpha, read_p0_scale, read_theta0
+from .estimators import read_alpha, read_p0_scale, read_theta0
 from .linalg import _shown, read_count, read_number
 
 TRACE_KINDS = ("metrics", "trajectory", "greedy")
@@ -65,16 +63,14 @@ class EstimatorSettings:
     alpha: float = 0.94
     p0_scale: float = 100.0
     theta0: tuple[float, float] = (1.0, 1.0)
-    models: int = 3
     seed: int = 0
-    spread: float = 0.25
 
 
 # The EstimatorSettings fields each estimator kind reads, in config key order.
 ESTIMATOR_FIELDS = {
     "pure_gd": ("theta0",),
     "ef_rls": ("alpha", "p0_scale", "theta0"),
-    "ie_mmai": ("theta0", "models", "seed", "spread"),
+    "ie_mmai": ("theta0", "seed"),
     "grls": ("alpha", "p0_scale", "theta0"),
 }
 ESTIMATOR_KINDS = tuple(ESTIMATOR_FIELDS)
@@ -94,8 +90,6 @@ class ExperimentConfig:
     estimators: tuple[EstimatorSettings, ...]
     outputs: str = "runs/out"
     emit: tuple[str, ...] = ("metrics",)
-    # clamp reported estimates at zero; estimator state is never touched
-    clamp_estimates: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
@@ -151,14 +145,7 @@ def _read_estimator(est: EstimatorSettings) -> EstimatorSettings:
     read["p0_scale"] = read_p0_scale(est.p0_scale, key + "p0_scale:")
     read["theta0"] = read_theta0(est.theta0, key + "theta0:")
     if est.kind == "ie_mmai":
-        read["models"] = read_count(est.models, "ie_mmai.models:", 1, MAX_IE_MMAI_MODELS)
         read["seed"] = read_count(est.seed, "ie_mmai.seed:", 0)
-        read["spread"] = read_number(est.spread, "ie_mmai.spread:")
-        try:
-            ie_mmai_init(read["theta0"], read["models"], read["spread"], read["seed"])
-        except ValueError:
-            msg = f"{read['spread']!r} draws a non-finite model at ie_mmai.seed = {read['seed']}"
-            raise ConfigError(f"ie_mmai.spread: {msg}") from None
     return replace(est, **read)
 
 
@@ -246,14 +233,10 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     outputs = mapping.pop("outputs", "runs/out")
     emit_value = mapping.pop("emit", "metrics")
     emit = tuple(k.strip() for k in emit_value.split(",") if k.strip())
-    clamp_value = mapping.pop("clamp_estimates", "off")
-    if clamp_value not in ("on", "off"):
-        raise ConfigError(f"clamp_estimates: expected on or off, got {clamp_value!r}")
 
     config = ExperimentConfig(
         sis=sis, x0=x0, steps=steps, noise=noise,
         estimators=tuple(estimators), outputs=outputs, emit=emit,
-        clamp_estimates=clamp_value == "on",
     )
     if mapping:
         raise ConfigError(f"unknown keys: {', '.join(sorted(mapping))}")
@@ -273,8 +256,6 @@ def config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
         mapping.update(_format_fields(est, _ESTIMATOR_KEYS[est.kind]))
     mapping["outputs"] = config.outputs
     mapping["emit"] = ", ".join(config.emit)
-    if config.clamp_estimates:
-        mapping["clamp_estimates"] = "on"
     return mapping
 
 

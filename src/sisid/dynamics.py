@@ -56,7 +56,8 @@ def read_x0(value, name: str = "x0") -> float:
 def read_steps(value, name: str = "steps") -> int:
     """A number of simulated transitions: an integer >= 1 whose steps + 1 float
     states numpy can size, (steps + 1) * 8 bytes <= the largest intp; else
-    ``ValueError``. A count below that bound may still not fit in memory."""
+    ``ValueError``. A count below that bound may still not fit in memory:
+    ``simulate`` refuses it, naming ``steps``, when numpy cannot allocate it."""
     return read_count(value, name, 1, np.iinfo(np.intp).max // 8 - 1)
 
 
@@ -243,7 +244,8 @@ def simulate(
     process noise, a state equal to the one before it is a fixed point of the
     recursion: the remaining states are filled with it, not stepped to.
     ``ValueError`` names ``x0``, ``steps`` or ``noise.seed`` (an integer
-    >= 0) unless ``read_x0``, ``read_steps`` or ``read_count`` reads it, and
+    >= 0) unless ``read_x0``, ``read_steps`` or ``read_count`` reads it,
+    names ``steps`` when numpy cannot allocate its states or noise, and
     names ``noise.observation_std`` when ``Trajectory`` refuses the noisy
     states, as not finite or with differences that are not.
     """
@@ -251,13 +253,17 @@ def simulate(
     if noise is not None:
         rng = np.random.default_rng(read_count(noise.seed, "noise.seed", 0))
     perturbed = noise is not None and noise.process_std > 0
-    if perturbed:
-        xi = _process_noise(rng, noise.process_std, noise.bound_nu, steps)
-    else:
-        xi = np.zeros(steps)
-    # read and filled through memoryviews, one float at a time: per-step lists
-    # of floats would leave their memory behind
-    states = np.empty(steps + 1)
+    try:
+        # read and filled through memoryviews, one float at a time: per-step lists
+        # of floats would leave their memory behind
+        states = np.empty(steps + 1)
+        if perturbed:
+            xi = _process_noise(rng, noise.process_std, noise.bound_nu, steps)
+        else:
+            xi = np.zeros(steps)
+    except MemoryError:
+        raise ValueError(f"steps = {steps} needs {(steps + 1) * 8} bytes of states, more than "
+                         "numpy can allocate") from None
     out = memoryview(states)
     out[0] = x = x0
     for k, e in enumerate(memoryview(xi), 1):

@@ -158,8 +158,9 @@ def ef_rls_step(
 def read_excitation(gset) -> GreedySet:
     """A ``GreedySet`` read field by field, as a set of ints and floats: its
     indices, a tuple or list, ints >= 0 by ``read_count``, strictly increasing;
-    three finite FIM entries; two finite right-hand-side entries; ``cond`` a
-    number >= 1, or inf. Else ``ValueError`` naming ``excitation``. Only a
+    three finite FIM entries; two finite right-hand-side entries; ``cond`` the
+    condition number of those entries by ``sym2_spectrum`` (inf for the empty
+    set). Else ``ValueError`` naming ``excitation``. Only a
     state's set is read: each accepted offer builds its successor from these."""
     if not isinstance(gset, GreedySet):
         raise ValueError(f"excitation must be a GreedySet, got {_shown(gset)}")
@@ -174,8 +175,10 @@ def read_excitation(gset) -> GreedySet:
         raise ValueError(f"excitation fim_entries must be finite, got {fim}")
     rhs = finite_pair(gset.rhs_entries, "excitation rhs_entries")
     cond = read_number(gset.cond, "excitation cond")
-    if not cond >= 1.0:
-        raise ValueError(f"excitation cond must be >= 1 or inf, got {cond}")
+    kappa = sym2_spectrum(*fim)[2]
+    if cond != kappa:  # the acceptance rule compares an offer's kappa with it
+        raise ValueError(f"excitation cond must be the FIM's condition number {kappa!r}, "
+                         f"got {cond!r}")
     return GreedySet(indices, fim, rhs, cond)
 
 
@@ -373,8 +376,12 @@ def grls_step(state: GrlsState, x_k: float, x_next: float) -> GrlsState:
             y, phi = _read_transition(regressor, x_k, x_next)
     else:
         y, phi = _read_transition(regressor, x_k, x_next)
-    excitation, accepted = (_offer_floats(state.excitation, phi, y, state.step)
-                            if state.greedy_enabled else (state.excitation, False))
+    excitation, accepted = state.excitation, False
+    if state.greedy_enabled:
+        sums = _offer_floats(excitation.fim_entries, excitation.rhs_entries, excitation.cond,
+                             phi, y)
+        if sums is not None:
+            excitation, accepted = GreedySet(excitation.indices + (state.step,), *sums), True
     p, theta = _rls_update(
         state._P, state._theta, excitation.fim_entries if excitation.indices else None,
         excitation.rhs_entries, phi, y, state.alpha, accepted,
@@ -495,18 +502,17 @@ def batch_oracle(
     return solve_spd(a, rhs)
 
 
-# IE-MMAI's fixed settings. The one-shot correction fires once the smallest
+# IE-MMAI's fixed settings. IE_MODELS models start at theta0 + IE_SPREAD * z,
+# z standard normal. The one-shot correction fires once the smallest
 # eigenvalue of the accumulated FIM reaches IE_THRESHOLD; IE_PROX_WEIGHT
 # regularizes that correction toward each model's own estimate, so models
 # stay distinguishable in directions the data leave flat; IE_COST_ALPHA
 # discounts the running residual cost used for model selection.
+IE_MODELS = 3
+IE_SPREAD = 0.25
 IE_THRESHOLD = 1e-4
 IE_PROX_WEIGHT = 1e-8
 IE_COST_ALPHA = 0.94
-
-# The most models an IE-MMAI state may hold. Every model is stepped on every
-# step, so a count far beyond a few is only a way to exhaust memory or time.
-MAX_IE_MMAI_MODELS = 1000
 
 
 # IE-MMAI's state on floats: (theta1, theta2, cost) per model, the FIM's
@@ -515,31 +521,19 @@ IeFloats = tuple[tuple[tuple[float, float, float], ...], Sym2, tuple[float, floa
 _COST = operator.itemgetter(2)  # a model's cost
 
 
-def ie_mmai_init(
-    theta0: Sequence[float], n_models: int, spread: float = 0.25, seed: int = 0
-) -> IeFloats:
-    """IE-MMAI's initial state: ``n_models`` models drawn around ``theta0``.
+def ie_mmai_init(theta0: Sequence[float], *, seed: int = 0) -> IeFloats:
+    """IE-MMAI's initial state: ``IE_MODELS`` models drawn around ``theta0``.
 
-    Model i is theta0 + spread * z_i, with z_i the i-th pair of standard
+    Model i is theta0 + IE_SPREAD * z_i, with z_i the i-th pair of standard
     normals from ``numpy.random.default_rng(seed)``, all drawn by one call;
-    every cost, the FIM and the right-hand side start at zero. ``ValueError``,
-    raised before any draw, names ``n_models`` unless an integer in
-    1..``MAX_IE_MMAI_MODELS``, ``seed`` unless an integer >= 0, ``theta0``
-    unless ``read_theta0`` reads it and ``spread`` unless one finite number;
-    it names the first model that is not finite.
+    every cost, the FIM and the right-hand side start at zero. ``ValueError``
+    names ``seed`` unless an integer >= 0 and ``theta0`` unless
+    ``read_theta0`` reads it. Every model is finite: IE_SPREAD * z_i is far
+    below the float spacing near the float maximum.
     """
-    n_models = read_count(n_models, "n_models", 1, MAX_IE_MMAI_MODELS)
-    seed = read_count(seed, "seed", 0)
-    theta0, spread = read_theta0(theta0), read_number(spread, "spread")
-    if not math.isfinite(spread):
-        raise ValueError(f"spread must be finite, got {spread}")
-    z = np.random.default_rng(seed).standard_normal((n_models, 2))
-    with np.errstate(over="ignore"):  # a model that overflows is named below
-        drawn = np.array(theta0) + spread * z
-    finite = np.isfinite(drawn).all(axis=1)
-    if not finite.all():
-        bad = tuple(drawn[finite.argmin()].tolist())
-        raise ValueError(f"model theta must be finite, got {bad}")
+    seed, theta0 = read_count(seed, "seed", 0), read_theta0(theta0)
+    z = np.random.default_rng(seed).standard_normal((IE_MODELS, 2))
+    drawn = np.array(theta0) + IE_SPREAD * z
     return tuple((t1, t2, 0.0) for t1, t2 in drawn.tolist()), (0.0, 0.0, 0.0), (0.0, 0.0), False
 
 

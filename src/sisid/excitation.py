@@ -137,29 +137,32 @@ def greedy_offer(gset: GreedySet, phi_k, y_k, k: int) -> tuple[GreedySet, bool]:
     finite. Exact-zero regressors are rejected outright: they cannot change
     the FIM or the right-hand side.
     """
-    return _offer_floats(gset, finite_pair(phi_k, "phi_k"), finite_scalar(y_k, "y_k"), k)
+    phi_k, y_k = finite_pair(phi_k, "phi_k"), finite_scalar(y_k, "y_k")
+    sums = _offer_floats(gset.fim_entries, gset.rhs_entries, gset.cond, phi_k, y_k)
+    if sums is None:
+        return gset, False
+    return GreedySet(gset.indices + (k,), *sums), True
 
 
-def _offer_floats(gset: GreedySet, phi, y: float, k: int) -> tuple[GreedySet, bool]:
-    """``greedy_offer`` on a regressor pair and an observation the caller has checked."""
+def _offer_floats(
+    fim: Sym2, rhs: tuple[float, float], cond: float, phi, y: float,
+) -> tuple[Sym2, tuple[float, float], float] | None:
+    """The acceptance rule: the FIM entries, right-hand side and condition number
+    of the set (``fim``, ``rhs``, ``cond``) after datum (``phi``, ``y``), which the
+    caller has checked, is offered to it; None for a rejection. The set's
+    indices are the caller's to keep, so an offer costs the same at any size."""
     u1, u2 = phi
     if math.hypot(u1, u2) < ZERO_REGRESSOR_NORM:
-        return gset, False
+        return None
 
-    a, b, d = gset.fim_entries
+    a, b, d = fim
     a, b, d = a + u1 * u1, b + u1 * u2, d + u2 * u2
     cond_test = sym2_spectrum(a, b, d)[2]
-    if not cond_test <= gset.cond:
-        return gset, False
+    if not cond_test <= cond:
+        return None
 
-    r1, r2 = gset.rhs_entries
-    accepted = GreedySet(
-        indices=gset.indices + (k,),
-        fim_entries=(a, b, d),
-        rhs_entries=(r1 + u1 * y, r2 + u2 * y),
-        cond=cond_test,
-    )
-    return accepted, True
+    r1, r2 = rhs
+    return (a, b, d), (r1 + u1 * y, r2 + u2 * y), cond_test
 
 
 def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -> GreedySet:
@@ -168,14 +171,18 @@ def build_greedy_set(traj: Trajectory, reg: Callable, upto: int | None = None) -
     when a finite regressor squares past the float range."""
     upto = traj.step_count if upto is None else read_count(upto, "upto", 0, traj.step_count)
     gset = GreedySet()
+    sums, indices = (gset.fim_entries, gset.rhs_entries, gset.cond), []
     pairs = regressor_pairs(reg, traj.states[:upto].tolist())
     for k, (phi, y) in enumerate(zip(pairs, traj.observations[:upto].tolist())):
-        gset, _ = _offer_floats(gset, phi, y, k)  # pairs and observations are checked
-    sums = gset.fim_entries + gset.rhs_entries  # a non-finite sum stays so once formed
-    if not all(map(math.isfinite, sums)):
-        raise ValueError(f"the excitation set's FIM entries and right-hand side {sums!r} "
+        accepted = _offer_floats(*sums, phi, y)  # pairs and observations are checked
+        if accepted is not None:
+            sums = accepted
+            indices.append(k)
+    fim, rhs, _ = sums
+    if not all(map(math.isfinite, fim + rhs)):  # a non-finite sum stays so once formed
+        raise ValueError(f"the excitation set's FIM entries and right-hand side {fim + rhs!r} "
                          "are not all finite")
-    return gset
+    return GreedySet(tuple(indices), *sums)
 
 
 # Exhaustive search over subsets is exponential; refuse anything bigger.

@@ -188,19 +188,23 @@ _NO_OFFERS = _Excitation(_Column(3, (0.0, math.inf, math.inf)), [])
 
 
 def _excitation_pass(rows, settled: float = math.inf) -> _Excitation:
-    """The greedy offers of a run's (u1, u2, y) rows (``_Excitation``). From step
+    """The greedy offers of a run's (u1, u2, y) rows (``_Excitation``). The set
+    is held as its sums alone: the verdicts give its steps. From step
     ``settled`` on the rows are one row, so once an offer there is rejected,
     every later offer repeats it, and the pass stops."""
     gset, offers, sets = GreedySet(), _Column(3), []
+    fim, rhs, cond = gset.fim_entries, gset.rhs_entries, gset.cond
     extend = offers.data.extend
     for k, (u1, u2, y) in enumerate(rows):
-        before = gset.cond
-        gset, accepted = _offer_floats(gset, (u1, u2), y, k)
-        extend((accepted, before, gset.cond))
-        if accepted:
-            sets.append((gset.fim_entries, gset.rhs_entries))
-        elif k >= settled:
-            break
+        accepted = _offer_floats(fim, rhs, cond, (u1, u2), y)
+        if accepted is not None:
+            extend((1.0, cond, accepted[2]))
+            fim, rhs, cond = accepted
+            sets.append((fim, rhs))
+        else:
+            extend((0.0, cond, cond))
+            if k >= settled:
+                break
     return _Excitation(offers, sets)
 
 
@@ -235,7 +239,7 @@ def _rls_lane(est: EstimatorSettings, rows, offers, sets) -> Iterator[tuple]:
 
 
 def _ie_mmai_lane(est: EstimatorSettings, rows, offers, sets) -> Iterator[tuple]:
-    state = ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
+    state = ie_mmai_init(est.theta0, seed=est.seed)
     yield ie_mmai_selected(state[0])
     for u1, u2, y in rows:
         state = ie_mmai_kernel(state, (u1, u2), y)
@@ -265,9 +269,9 @@ def _spread(values: list, run: list[int] | None) -> list:
 class _Chunk(NamedTuple):
     """A lane's reports at steps i..j-1, by runs of steps whose reports have
     equal bits: each step's run (None when each step is one), each run's
-    beta_hat and gamma_hat (clamped when the run clamps) and P's spectrum
-    (None for a lane without P), and each step's verdict, 0.0, 1.0 or NaN for
-    no offer (None for a lane that makes no offers)."""
+    beta_hat, gamma_hat and P's spectrum (None for a lane without P), and each
+    step's verdict, 0.0, 1.0 or NaN for no offer (None for a lane that makes
+    no offers)."""
 
     run: list[int] | None
     beta: list[float]
@@ -306,13 +310,11 @@ class _LaneRecord:
         changed = np.flatnonzero(differ)
         return int(changed[-1]) + 1 if len(changed) else 0
 
-    def chunk(self, i: int, j: int, clamp: bool) -> _Chunk:
+    def chunk(self, i: int, j: int) -> _Chunk:
         """Steps i..j-1, by runs (``_Chunk``)."""
         reports = self.column.rows(i + 1, j + 1)
         starts, run = _runs(reports)
         beta, gamma = reports[starts, :2].T
-        if clamp:
-            beta, gamma = np.where(beta > 0.0, beta, 0.0), np.where(gamma > 0.0, gamma, 0.0)
         spectra = None
         if self.column.width > 2:
             spectra = [sym2_spectrum(a, b, d) for a, b, d in reports[starts, 2:].tolist()]
@@ -391,10 +393,10 @@ class _Rows(Sequence):
     against a list or another view; its ``repr`` is that of the list of rows.
     """
 
-    __slots__ = ("_lanes", "_steps", "_truth", "_clamp")
+    __slots__ = ("_lanes", "_steps", "_truth")
 
-    def __init__(self, lanes: list[_LaneRecord], steps: int, truth, clamp: bool):
-        self._lanes, self._steps, self._truth, self._clamp = lanes, steps, truth, clamp
+    def __init__(self, lanes: list[_LaneRecord], steps: int, truth):
+        self._lanes, self._steps, self._truth = lanes, steps, truth
 
     def __len__(self) -> int:
         return self._steps * len(self._lanes)
@@ -437,7 +439,7 @@ class _Rows(Sequence):
         return repr(list(self))
 
     def _lane_rows(self, lane: _LaneRecord, i: int, j: int) -> list[MetricsRow]:
-        c = lane.chunk(i, j, self._clamp)
+        c = lane.chunk(i, j)
         runs = len(c.beta)
         r0 = [b / g if g != 0.0 else None for b, g in zip(c.beta, c.gamma)]
         rel = [None] * runs
@@ -468,7 +470,7 @@ class _Rows(Sequence):
             j = min(i + _CHUNK, self._steps)
             steps, lines = list(map(str, range(i, j))), []
             for lane in self._lanes:
-                c = lane.chunk(i, j, self._clamp)
+                c = lane.chunk(i, j)
                 heads = [f"{lane.kind},{b!r},{g!r}" for b, g in zip(c.beta, c.gamma)]
                 tails = repeat(",") if c.spectra is None else _spread(
                     [f"{s[2]!r},{s[1]!r}" for s in c.spectra], c.run)
@@ -521,7 +523,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path | None = Non
     frozen at their last state for the remaining steps. Observation noise so
     large that the noisy states or their differences are not finite, or that
     the FIM entries overflow (then naming the step), raises ``ConfigError``
-    naming ``noise.observation_std``, before any lane steps or file is
+    naming ``noise.observation_std``, and a step count whose states numpy
+    cannot allocate one naming ``steps``, before any lane steps or file is
     written. ``RunResult.rows`` is a read-only sequence of ``MetricsRow``,
     each formed from the lanes' columns when it is read.
 
@@ -577,7 +580,7 @@ class _Prepared:
         t0 = clock()
         try:
             traj = simulate(config.x0, config.sis, config.steps, config.noise)
-        except ValueError as exc:  # the config was read: only observation noise is left to fail
+        except ValueError as exc:  # the config was read: observation noise or memory can fail
             raise ConfigError(str(exc)) from None
         t1 = clock()
         # the first step from which the states, and so the rows, repeat
@@ -647,7 +650,7 @@ def _run_experiment(config: ExperimentConfig, output_dir: str | Path | None,
         lanes.append(record)
         if error is not None:
             errors.append(error)
-    rows = _Rows(lanes, config.steps, truth, config.clamp_estimates)
+    rows = _Rows(lanes, config.steps, truth)
     status = 1 if errors else 0
 
     manifest = {

@@ -179,17 +179,13 @@ def naive_fim_condition_trace(pairs: Iterable[tuple[float, float]], alpha: float
 
 
 def per_model_ie_mmai_init(theta0: Sequence[float], n_models: int, spread: float, seed: int):
-    """IE-MMAI's initial state with its models drawn one pair at a time, each
-    checked on its own; ``ValueError`` naming the first non-finite model."""
+    """IE-MMAI's initial state with its models drawn one pair at a time."""
     t1, t2 = map(float, theta0)
     rng = np.random.default_rng(seed)
     models = []
     for _ in range(n_models):
         z1, z2 = rng.standard_normal(2).tolist()
-        m1, m2 = t1 + spread * z1, t2 + spread * z2
-        if not (math.isfinite(m1) and math.isfinite(m2)):
-            raise ValueError(f"model theta must be finite, got {(m1, m2)}")
-        models.append((m1, m2, 0.0))
+        models.append((t1 + spread * z1, t2 + spread * z2, 0.0))
     return tuple(models), (0.0, 0.0, 0.0), (0.0, 0.0), False
 
 
@@ -278,12 +274,8 @@ def _metrics_row(
     fim_cond: float,
     accepted: bool | None,
     truth: tuple[float, float] | None,
-    clamp: bool,
 ) -> MetricsRow:
     beta_hat, gamma_hat = theta
-    if clamp:
-        beta_hat = beta_hat if beta_hat > 0.0 else 0.0
-        gamma_hat = gamma_hat if gamma_hat > 0.0 else 0.0
     r0_hat = beta_hat / gamma_hat if gamma_hat != 0.0 else None
     if truth is None:
         max_rel = log_rel = None
@@ -333,7 +325,6 @@ def lockstep_run(config: ExperimentConfig):
         lanes.append(_Lane(est, steps, next(steps), fim_traces[est.alpha]))
     beta, gamma = config.sis.beta, config.sis.gamma
     truth = (beta, gamma) if beta > 0 and gamma > 0 else None
-    clamp = config.clamp_estimates
 
     rows: list[MetricsRow] = []
     greedy_rows: list[tuple[int, bool, float, float]] = []
@@ -353,7 +344,7 @@ def lockstep_run(config: ExperimentConfig):
                 greedy_rows.append((k, accepted, before, after))
             rows.append(
                 _metrics_row(
-                    k, lane.settings.kind, theta, p, lane.fim_trace[k], accepted, truth, clamp,
+                    k, lane.settings.kind, theta, p, lane.fim_trace[k], accepted, truth,
                 )
             )
 

@@ -23,7 +23,6 @@ from sisid.config import (
     parse_config_text,
 )
 from sisid.dynamics import NoiseSpec, SisParams
-from sisid.estimators import MAX_IE_MMAI_MODELS
 from sisid.harness import run_experiment
 
 BASE = {"beta": "0.5", "gamma": "0.2", "x0": "0.01", "steps": "10"}
@@ -36,7 +35,7 @@ UNREAD = [
     for f in fields(EstimatorSettings)[1:]
     if f.name not in ESTIMATOR_FIELDS[kind]
 ]
-NON_DEFAULT = {"alpha": 0.5, "p0_scale": 5.0, "models": 7, "seed": 3, "spread": 0.5}
+NON_DEFAULT = {"alpha": 0.5, "p0_scale": 5.0, "seed": 3}
 # an array is not compared as one value: its truth is ambiguous
 UNREAD_CASES = [(kind, field, NON_DEFAULT[field]) for kind, field in UNREAD] + [
     ("pure_gd", "p0_scale", np.array([100.0, 1.0]))
@@ -76,10 +75,7 @@ class TestOutOfRangeFields:
             ("grls", "grls.theta0", "nan, 1.0"),
             ("pure_gd", "pure_gd.theta0", "1.0, inf"),
             ("ie_mmai", "ie_mmai.theta0", "nan, nan"),
-            ("ie_mmai", "ie_mmai.spread", "nan"),
-            ("ie_mmai", "ie_mmai.spread", "inf"),
             ("ie_mmai", "ie_mmai.seed", "-3"),
-            ("ie_mmai", "ie_mmai.models", str(MAX_IE_MMAI_MODELS + 1)),
             ("pure_gd", "pure_gd.alpha", "0"),  # an unknown key: pure GD reads no alpha
             ("ef_rls", "ef_rls.alpha", "1.5"),
             ("grls", "grls.alpha", "1"),
@@ -129,11 +125,8 @@ class TestOutOfRangeFields:
         [
             "grls.p0_scale = inf",
             "grls.theta0 = nan, 1.0",
-            "ie_mmai.spread = nan",
-            f"ie_mmai.models = {MAX_IE_MMAI_MODELS + 1}",
             "steps = 20",  # a duplicate key
             "schema = sisid-config-v0",
-            "clamp_estimates = maybe",
         ],
     )
     def test_cli_exits_2(self, tmp_path, capsys, command, line):
@@ -145,12 +138,6 @@ class TestOutOfRangeFields:
         assert cli.main([command, str(cfg)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_ie_mmai_models_at_the_bound_accepted(self):
-        config = config_from_mapping(
-            {**BASE, "estimators": "ie_mmai", "ie_mmai.models": str(MAX_IE_MMAI_MODELS)}
-        )
-        assert config.estimators[0].models == MAX_IE_MMAI_MODELS
 
 
 def _cli_config(tmp_path, lines: str) -> Path:
@@ -173,7 +160,7 @@ class TestEstimatorFieldTable:
         keys = [k for k in config_to_mapping(config) if k.split(".")[0] in ESTIMATOR_KINDS]
         assert keys == [f"{kind}.{field}" for kind, fields in ESTIMATOR_FIELDS.items()
                         for field in fields]
-        assert len(keys) == 11
+        assert len(keys) == 9
 
     @pytest.mark.parametrize("key", ["pure_gd.p0_scale", "ie_mmai.p0_scale"])
     def test_p0_scale_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
@@ -184,14 +171,19 @@ class TestEstimatorFieldTable:
         assert cli.main(["validate", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["pure_gd.alpha", "ie_mmai.alpha"])
-    def test_alpha_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
-        kind = key.split(".")[0]
-        cfg = _cli_config(tmp_path, f"estimators = {kind}\n{key} = 0.94")
-        assert cli.main(["run", str(cfg)]) == 2
-        assert f"unknown keys: {key}" in capsys.readouterr().err
-        cfg = _cli_config(tmp_path, f"estimators = {kind}")
-        assert cli.main(["sweep", str(cfg), "--param", key, "--values", "0.9"]) == 2
+    # gradient descent and IE-MMAI read no alpha; IE-MMAI's model count and draw
+    # spread are constants; reported estimates are never clamped
+    @pytest.mark.parametrize("key, value", [
+        ("pure_gd.alpha", "0.94"), ("ie_mmai.alpha", "0.94"), ("ie_mmai.models", "3"),
+        ("ie_mmai.spread", "0.25"), ("clamp_estimates", "off"),
+    ])
+    def test_a_key_that_no_run_reads_is_unknown(self, tmp_path, capsys, key, value):
+        cfg = _cli_config(tmp_path, f"estimators = pure_gd, ie_mmai\n{key} = {value}")
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg)]) == 2
+            assert f"unknown keys: {key}" in capsys.readouterr().err
+        cfg = _cli_config(tmp_path, "estimators = pure_gd, ie_mmai")
+        assert cli.main(["sweep", str(cfg), "--param", key, "--values", value]) == 2
         assert f"unknown keys: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -202,28 +194,6 @@ class TestEstimatorFieldTable:
                 sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
                 estimators=(EstimatorSettings(kind, theta0=(1.0,)),),
             )
-
-
-class TestIeMmaiSpread:
-    """A spread that draws a non-finite model fails validation, at its seed."""
-
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("seed", [2, 3])
-    def test_overflowing_draw_exits_2(self, tmp_path, capsys, command, seed):
-        cfg = _cli_config(
-            tmp_path, f"estimators = ie_mmai\nie_mmai.spread = 1e308\nie_mmai.seed = {seed}"
-        )
-        assert cli.main([command, str(cfg)]) == 2
-        assert "ie_mmai.spread" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_finite_draws_run(self, tmp_path, capsys, seed):
-        cfg = _cli_config(
-            tmp_path, f"estimators = ie_mmai\nie_mmai.spread = 1e308\nie_mmai.seed = {seed}"
-        )
-        assert cli.main(["run", str(cfg)]) == 0
-        assert (tmp_path / "out" / "metrics.csv").exists()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -237,20 +207,15 @@ def _noise(process_std: float, observation_std: float, ratio: float, seed: int) 
 
 @st.composite
 def estimator_settings(draw, kind: str) -> EstimatorSettings:
-    # only the fields the kind reads: the text format holds no others; within
-    # 1e300, IE-MMAI's theta0 + spread * z is finite for any standard normal z
-    numbers = st.floats(-1e300, 1e300) if kind == "ie_mmai" else finite
-    settings = EstimatorSettings(kind=kind, theta0=(draw(numbers), draw(numbers)))
+    # only the fields the kind reads: the text format holds no others
+    settings = EstimatorSettings(kind=kind, theta0=(draw(finite), draw(finite)))
     if kind in ("ef_rls", "grls"):
         return replace(
             settings, alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=kind == "grls")),
             p0_scale=draw(st.floats(0.0, 1e300, exclude_min=True)),
         )
     if kind == "ie_mmai":
-        return replace(
-            settings, models=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2**63)),
-            spread=draw(numbers),
-        )
+        return replace(settings, seed=draw(st.integers(0, 2**63)))
     return settings
 
 
@@ -272,7 +237,6 @@ def configs(draw, kinds: tuple[str, ...], noisy: bool) -> ExperimentConfig:
         noise=noise,
         estimators=tuple(draw(estimator_settings(k)) for k in draw(st.permutations(kinds))),
         emit=tuple(draw(st.lists(st.sampled_from(TRACE_KINDS), unique=True))),
-        clamp_estimates=draw(st.booleans()),
     )
 
 
@@ -323,8 +287,7 @@ def _four_lane_config(real, integer, p0, pair, outputs="out") -> ExperimentConfi
             EstimatorSettings("pure_gd", theta0=pair((1.0, 1.0))),
             EstimatorSettings("ef_rls", alpha=real(0.98), p0_scale=p0(50.0),
                               theta0=pair((0.5, 2.0))),
-            EstimatorSettings("ie_mmai", theta0=pair((1.0, 0.5)),
-                              models=integer(4), seed=integer(2), spread=real(0.25)),
+            EstimatorSettings("ie_mmai", theta0=pair((1.0, 0.5)), seed=integer(2)),
             EstimatorSettings("grls", alpha=real(0.94), p0_scale=p0(100.0),
                               theta0=pair((1.0, 1.0))),
         ),
@@ -347,7 +310,7 @@ class TestNumpyScalarConfig:
         for est in config.estimators:
             assert type(est.alpha) is float and type(est.p0_scale) is float
             assert type(est.theta0) is tuple and all(type(v) is float for v in est.theta0)
-            assert (type(est.models), type(est.seed), type(est.spread)) == (int, int, float)
+            assert type(est.seed) is int
         assert config == _four_lane_config(**self.PYTHON)
 
     def test_text_reads_back_equal(self):

@@ -150,6 +150,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="x0"):
             simulate(x0, FIG1, 3)
 
+    # 2**59 states take 4 EiB, which numpy refuses at once; a count the machine
+    # could allocate lazily would be stepped for hours instead
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=1), NoiseSpec(0.0, 1e-3, seed=1)],
+                             ids=["noise_off", "process_noise", "observation_noise"])
+    def test_a_count_numpy_cannot_allocate_is_refused_naming_steps(self, noise):
+        with pytest.raises(ValueError, match=r"^steps = 576460752303423488 needs "
+                                             r"4611686018427387912 bytes of states, more than "
+                                             r"numpy can allocate$"):
+            simulate(0.01, FIG3, 2**59, noise)
+
     def test_numpy_integer_steps_accepted(self):
         traj = simulate(0.1, FIG1, np.int64(3))
         assert traj.step_count == 3

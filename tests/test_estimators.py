@@ -12,7 +12,8 @@ from sisid.config import bundled_config_path, load_config
 
 from sisid.dynamics import NoiseSpec, SisParams, simulate
 from sisid.estimators import (
-    MAX_IE_MMAI_MODELS,
+    IE_MODELS,
+    IE_SPREAD,
     GrlsState,
     WeightedCostSpec,
     _finite_row,
@@ -28,7 +29,8 @@ from sisid.estimators import (
     run_grls,
 )
 from sisid.excitation import (
-    SIS_REGRESSOR, GreedySet, _offer_floats, _pair_reader, sis_regressor, sis_regressor_pair,
+    SIS_REGRESSOR, GreedySet, _offer_floats, _pair_reader, greedy_offer, sis_regressor,
+    sis_regressor_pair,
 )
 from sisid.linalg import ConditioningError, finite_scalar, sym2, sym2_array, sym2_spectrum
 
@@ -140,11 +142,9 @@ class TestCovarianceUpdate:
 
     def test_overflowing_refresh_raises_conditioning_error(self):
         # det(P) = 1e400 overflows in the refresh of the datum that joins the set
-        gset, accepted = _offer_floats(GreedySet(), (1.0, 0.0), 0.0, 0)
-        assert accepted
+        fim, rhs, _ = _offer_floats((0.0, 0.0, 0.0), (0.0, 0.0), math.inf, (1.0, 0.0), 0.0)
         with pytest.raises(ConditioningError, match="non-finite P'"):
-            _rls_update((1e200, 0.0, 1e200), (0.0, 0.0), gset.fim_entries, gset.rhs_entries,
-                        (1.0, 0.0), 0.0, 0.5, accepted)
+            _rls_update((1e200, 0.0, 1e200), (0.0, 0.0), fim, rhs, (1.0, 0.0), 0.0, 0.5, True)
 
 
 class TestPureGd:
@@ -244,7 +244,7 @@ class TestEfRls:
     "kernel",
     [
         lambda phi, y: pure_gd_kernel((1.0, 1.0), phi, y),
-        lambda phi, y: ie_mmai_kernel(ie_mmai_init((1.0, 1.0), 3), phi, y),
+        lambda phi, y: ie_mmai_kernel(ie_mmai_init((1.0, 1.0)), phi, y),
     ],
     ids=["pure_gd", "ie_mmai"],
 )
@@ -278,9 +278,11 @@ class TestGrls:
     def test_a_state_keeps_its_excitation_set_as_ints_and_floats(self):
         # a set built by hand, of numpy numbers, equals the set of Python numbers it reads as
         state = GrlsState.initial(THETA0, SIS_REGRESSOR)
-        gset = GreedySet([np.int64(0), 3], np.array([1.0, 0.5, 2.0]), (np.float64(0.1), 0.2), 3)
+        kappa = sym2_spectrum(1.0, 0.5, 2.0)[2]  # 2.78
+        gset = GreedySet([np.int64(0), 3], np.array([1.0, 0.5, 2.0]), (np.float64(0.1), 0.2),
+                         np.float64(kappa))
         read = dataclasses.replace(state, step=4, excitation=gset).excitation
-        assert read == GreedySet((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2), 3.0)
+        assert read == GreedySet((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2), kappa)
         assert list(map(type, (*read.indices, *read.fim_entries, *read.rhs_entries, read.cond))) \
             == [int] * 2 + [float] * 6
         stepped = grls_step(dataclasses.replace(state, step=4, excitation=gset), 0.1, 0.12)
@@ -291,7 +293,7 @@ class TestGrls:
         # a state at step k has offered steps 0..k-1; stepped, this set would
         # grow to (0, 3, k), which no state reads
         state = GrlsState.initial((1.0, 1.0), SIS_REGRESSOR)
-        gset = GreedySet((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2), 3.0)
+        gset = GreedySet((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2), sym2_spectrum(1.0, 0.5, 2.0)[2])
         with pytest.raises(ValueError, match=r"^excitation indices must be below step "):
             grls_step(dataclasses.replace(state, step=step, excitation=gset), 0.1, 0.12)
         stepped = grls_step(dataclasses.replace(state, step=4, excitation=gset), 0.1, 0.12)
@@ -427,7 +429,7 @@ def checked_step(state, x_k, x_next):
     phi = _finite_row(_pair_reader(state.regressor)(x_k), "regressor")
     gset, accepted = state.excitation, False
     if state.greedy_enabled:
-        gset, accepted = _offer_floats(gset, phi, y, state.step)
+        gset, accepted = greedy_offer(gset, phi, y, state.step)
     fim = gset.fim_entries if gset.indices else None
     p, theta = _rls_update(state._P, state._theta, fim, gset.rhs_entries, phi, y, state.alpha,
                            accepted)
@@ -905,7 +907,7 @@ class TestIeMmai:
 
     def test_permutation_symmetry(self):
         traj = self.make_noisy_traj()
-        base = ie_mmai_init(THETA0, n_models=3, seed=13)
+        base = ie_mmai_init(THETA0, seed=13)
         models, fim, rhs, corrected = base
         swapped = models[::-1], fim, rhs, corrected
         for phi, y in sis_data(traj)[:300]:
@@ -916,7 +918,7 @@ class TestIeMmai:
 
     def test_reproduction_number_tracks_truth(self):
         traj = self.make_noisy_traj()
-        state = ie_mmai_init(THETA0, n_models=3, seed=42)
+        state = ie_mmai_init(THETA0, seed=42)
         for phi, y in sis_data(traj):
             state = ie_mmai_kernel(state, phi, y)
         assert state[3]  # corrected
@@ -924,57 +926,40 @@ class TestIeMmai:
         assert abs(beta_hat / gamma_hat - 3.0) < 0.3
 
     def test_seeded_initialization_is_deterministic(self):
-        a = ie_mmai_init(THETA0, n_models=3, seed=21)
-        assert a == ie_mmai_init(THETA0, n_models=3, seed=21)
-        c = ie_mmai_init(THETA0, n_models=3, seed=22)
+        a = ie_mmai_init(THETA0, seed=21)
+        assert a == ie_mmai_init(THETA0, seed=21)
+        c = ie_mmai_init(THETA0, seed=22)
         assert a[0][0] != c[0][0]
 
     @pytest.mark.parametrize("seed", [0, 7, 21, 12345])
-    @pytest.mark.parametrize("spread", [0.25, 3.0])
-    def test_models_are_drawn_one_pair_at_a_time(self, seed, spread):
+    def test_models_are_drawn_one_pair_at_a_time(self, seed):
         theta0 = np.array([0.4, 1.3])
-        models, fim, rhs, corrected = ie_mmai_init(theta0, 5, spread, seed)
+        models, fim, rhs, corrected = ie_mmai_init(theta0, seed=seed)
+        assert len(models) == IE_MODELS
         rng = np.random.default_rng(seed)
         for t1, t2, cost in models:
-            expected = theta0 + spread * rng.standard_normal(2)
+            expected = theta0 + IE_SPREAD * rng.standard_normal(2)
             assert (t1, t2) == tuple(expected.tolist())
             assert cost == 0.0
         assert (fim, rhs, corrected) == ((0.0, 0.0, 0.0), (0.0, 0.0), False)
 
-    def test_model_count_validated(self):
-        with pytest.raises(ValueError):
-            ie_mmai_init(THETA0, n_models=0)
+    def test_a_positional_seed_is_refused(self):
+        # the second parameter was once the model count: it must not become a seed
+        with pytest.raises(TypeError):
+            ie_mmai_init(THETA0, 3)
 
-    def test_model_count_bounded_before_any_model_is_built(self, monkeypatch):
-        draws = []
-        monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
-        with pytest.raises(ValueError, match="n_models"):
-            ie_mmai_init(THETA0, n_models=MAX_IE_MMAI_MODELS + 1)
-        assert draws == []
-
-    def test_non_finite_model_rejected(self):
+    def test_non_finite_theta0_rejected(self):
         with pytest.raises(ValueError, match="theta0"):
-            ie_mmai_init([math.nan, 1.0], n_models=3)
-        # seed 0 draws 0.126 first: 1.7e308 + 1.26e307 overflows
-        with pytest.raises(ValueError, match="model theta"):
-            ie_mmai_init([1.7e308, 1.0], n_models=1, spread=1e308, seed=0)
+            ie_mmai_init([math.nan, 1.0])
 
-    @pytest.mark.parametrize("n_models", [1, 2, 3, 7, 1000])
-    def test_one_draw_equals_drawing_model_by_model(self, n_models):
+    @pytest.mark.parametrize("theta0", [(0.3, -2.0), (1.7976931348623157e308, -1.7e308)])
+    def test_one_draw_equals_drawing_model_by_model(self, theta0):
+        # at the float maximum too: IE_SPREAD * z is far below its spacing, so no
+        # model overflows, and pytest turns an overflow warning into an error
         for seed in range(50):
-            state = ie_mmai_init((0.3, -2.0), n_models, 0.25, seed)
-            assert state == per_model_ie_mmai_init((0.3, -2.0), n_models, 0.25, seed)
-            assert all(type(v) is float for model in state[0] for v in model)
-
-    @pytest.mark.parametrize("theta0,spread", [((1.0, 1.0), 1e308), ((-1e308, 1e308), 1e308)])
-    def test_first_non_finite_model_is_named_without_a_warning(self, theta0, spread):
-        # pytest turns warnings into errors here, so an overflow warning would fail this
-        messages = []
-        for init in (ie_mmai_init, per_model_ie_mmai_init):
-            with pytest.raises(ValueError, match="^model theta must be finite") as info:
-                init(theta0, 1000, spread, 5)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+            state = ie_mmai_init(theta0, seed=seed)
+            assert state == per_model_ie_mmai_init(theta0, IE_MODELS, IE_SPREAD, seed)
+            assert all(type(v) is float and math.isfinite(v) for model in state[0] for v in model)
 
 
 class TestPriorPositiveDefinite:

@@ -13,7 +13,7 @@ import textwrap
 import tracemalloc
 from array import array
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from sisid.dynamics import TRAJECTORY_SCHEMA, NoiseSpec, SisParams, Trajectory, 
 from sisid.excitation import (
     GREEDY_SCHEMA,
     SIS_REGRESSOR,
+    GreedySet,
     sis_regressor,
     sis_regressor_pair,
     write_acceptance_trace,
@@ -53,6 +54,7 @@ from sisid.linalg import ConditioningError, condition_number, sym2
 import sisid
 from sisid import cli
 from sisid.estimators import (
+    IE_MODELS,
     GrlsState,
     ef_rls_step,
     ie_mmai_init,
@@ -430,36 +432,6 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(small_config(steps=0))
 
-    def test_clamp_affects_reporting_only(self):
-        # starting at zero, the first gradient step drives gamma_hat negative
-        def run(clamp):
-            return run_experiment(
-                small_config(
-                    steps=40,
-                    estimators=(EstimatorSettings(kind="pure_gd", theta0=(0.0, 0.0)),),
-                    emit=(),
-                    clamp_estimates=clamp,
-                )
-            )
-
-        raw, clamped = run(False), run(True)
-        raw_gammas = np.array([r.gamma_hat for r in raw.rows])
-        clamped_gammas = np.array([r.gamma_hat for r in clamped.rows])
-        assert raw_gammas.min() < 0
-        assert clamped_gammas.min() == 0.0
-        assert np.array_equal(np.maximum(raw_gammas, 0.0), clamped_gammas)
-        # clamped-to-zero gamma leaves the ratio undefined in that row
-        first = clamped.rows[0]
-        assert first.gamma_hat == 0.0 and first.r0_hat is None
-        # the underlying iteration is untouched: beta rows agree wherever raw >= 0
-        raw_betas = np.array([r.beta_hat for r in raw.rows])
-        clamped_betas = np.array([r.beta_hat for r in clamped.rows])
-        assert np.array_equal(np.maximum(raw_betas, 0.0), clamped_betas)
-
-    def test_clamp_round_trips_through_config_text(self):
-        config = small_config(clamp_estimates=True)
-        assert parse_config_text(format_config_text(config)) == config
-
 
 class TestCli:
     def test_validate_bundled(self, capsys):
@@ -471,6 +443,18 @@ class TestCli:
         bad.write_text("beta = 0.5\ngamma = 0.2\nx0 = 0.01\nsteps = 0\nestimators = grls\n")
         assert cli.main(["validate", str(bad)]) == 2
         assert "steps" in capsys.readouterr().err
+
+    def test_a_step_count_beyond_memory_exits_2(self, tmp_path, capsys):
+        # below read_steps' bound, so the config reads it; numpy refuses its
+        # 4 EiB of states at once, before any file is written
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(
+            "beta = 0.8076\ngamma = 0.2692\nx0 = 0.01\nsteps = 576460752303423488\n"
+            f"estimators = grls\noutputs = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["run", str(cfg)]) == 2
+        assert "config error: steps = 576460752303423488 needs " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -973,9 +957,7 @@ def _rebuilt_v2_text(run_dir) -> bytes:
 
 
 @pytest.mark.parametrize("config", [
-    *(pytest.param(replace(load_config(bundled_config_path(name)), clamp_estimates=clamp),
-                   id=f"{name}-clamp={'on' if clamp else 'off'}")
-      for name in BUNDLED for clamp in (False, True)),
+    *(pytest.param(load_config(bundled_config_path(name)), id=name) for name in BUNDLED),
     *(pytest.param(small_config(sis=SisParams(beta, gamma), emit=("metrics", "trajectory")),
                    id=f"beta={beta}-gamma={gamma}")
       for beta, gamma in [(0.0, 0.2692), (0.8076, 0.0)]),
@@ -1145,7 +1127,7 @@ class TestHarnessLanes:
         result = run_experiment(config)
         est = next(e for e in config.estimators if e.kind == "ie_mmai")
         selected = [(r.beta_hat, r.gamma_hat) for r in result.rows if r.estimator == "ie_mmai"]
-        state = ie_mmai_init(est.theta0, est.models, est.spread, est.seed)
+        state = ie_mmai_init(est.theta0, seed=est.seed)
         traj = result.trajectory
         spreads = []
         for k, (x, y) in enumerate(zip(traj.states.tolist(), traj.observations.tolist())):
@@ -1156,7 +1138,7 @@ class TestHarnessLanes:
                 spreads.extend(
                     abs(m[i] - best[i]) / abs(best[i]) for m in state[0] for i in (0, 1)
                 )
-        assert len(spreads) > 2 * est.models * (config.steps - 20)
+        assert len(spreads) > 2 * IE_MODELS * (config.steps - 20)
         assert max(spreads) <= 1e-4
 
 
@@ -1210,15 +1192,6 @@ class TestLaneByLaneRun:
         result = self.assert_equals_lockstep(_reseeded(name, seed))
         if name == "fig3_noisefree":
             assert _failures(result) == [("ef_rls", 570)]
-
-    @pytest.mark.parametrize("name", ["fig1", "fig3_noisy"])
-    def test_clamped_estimates(self, name):
-        config = _in_memory(name)
-        # from zero, the first gradient steps drive estimates negative
-        estimators = tuple(replace(est, theta0=(0.0, 0.0)) for est in config.estimators)
-        config = replace(config, estimators=estimators, clamp_estimates=True)
-        result = self.assert_equals_lockstep(config)
-        assert any(r.gamma_hat == 0.0 for r in result.rows)
 
     def test_no_truth(self):
         config = replace(_in_memory("fig3_noisy"), sis=SisParams(0.0, 0.2692))
@@ -1286,7 +1259,7 @@ def _alphas(kind):
 def _fake_lanes(draw):
     """Two to four lanes, each with an alpha shared with the others or not and
     its reports (theta, P) over ``steps`` steps, the verdict of each step's
-    greedy offer, and the run's truth and clamp setting. Theta and P come in
+    greedy offer, and whether the run has a truth. Theta and P come in
     runs of their own, so that either can repeat while the other changes; a
     lane may fail at a drawn step."""
     kinds = draw(st.lists(st.sampled_from(ESTIMATOR_KINDS), min_size=2, max_size=4, unique=True))
@@ -1298,7 +1271,14 @@ def _fake_lanes(draw):
         fails_at = draw(st.one_of(st.none(), st.integers(0, steps - 1)))
         lanes.append((kind, draw(_alphas(kind)), reports, fails_at))
     verdicts = draw(st.lists(st.booleans(), min_size=steps, max_size=steps))
-    return lanes, verdicts, steps, draw(st.booleans()), draw(st.booleans())
+    return lanes, verdicts, steps, draw(st.booleans())
+
+
+def _offer_rule(verdicts):
+    """An acceptance rule whose i-th offer gives ``verdicts[i]`` and leaves the
+    set as it was: an excitation pass offers step i by its i-th call."""
+    calls = iter(verdicts)
+    return lambda fim, rhs, cond, phi, y: (fim, rhs, cond) if next(calls) else None
 
 
 def _fake_lane(reports, fails_at):
@@ -1325,7 +1305,7 @@ _ZERO_FLIP_LANES = (
         ] + [((math.nan, 2.0), p)] * 2, None)
         for kind, p in (("pure_gd", None), ("grls", (1.0, 0.0, 2.0)))
     ],
-    [k % 2 == 0 for k in range(6)], 6, False, True,
+    [k % 2 == 0 for k in range(6)], 6, True,
 )
 
 
@@ -1378,17 +1358,18 @@ class TestWriterTextReuse:
     @given(case=_fake_lanes())
     @example(case=_ZERO_FLIP_LANES)
     def test_metrics_lines_of_the_lanes_equal_the_naive_writer(self, case):
-        lanes, verdicts, steps, clamp, truth = case
+        lanes, verdicts, steps, truth = case
         config = small_config(
-            sis=FIG3 if truth else SisParams(0.0, 0.2692), steps=steps, clamp_estimates=clamp,
+            sis=FIG3 if truth else SisParams(0.0, 0.2692), steps=steps,
             estimators=tuple(EstimatorSettings(kind, alpha=alpha) for kind, alpha, *_ in lanes),
         )
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             for kind, _, reports, fails_at in lanes:
                 mp.setitem(harness._LANES, kind, _fake_lane(reports, fails_at))
-            mp.setattr(harness, "_offer_floats", lambda gset, phi, y, k: (gset, verdicts[k]))
+            mp.setattr(harness, "_offer_floats", _offer_rule(verdicts))
             result = run_experiment(config, tmp)
             written = (Path(tmp) / "metrics.csv").read_bytes()
+            mp.setattr(harness, "_offer_floats", _offer_rule(verdicts))
             rows = lockstep_run(config)[0]  # each row formed on its own from its report
         assert written == naive_metrics_csv(rows)
         assert list(map(repr, result.rows)) == list(map(repr, rows))
@@ -1438,7 +1419,7 @@ def _noise_free_configs(draw):
     )
     return ExperimentConfig(
         sis=SisParams(draw(_UNIT), draw(_UNIT)), x0=draw(_UNIT), steps=draw(st.integers(1, 800)),
-        noise=None, estimators=estimators, emit=ALL_TRACES, clamp_estimates=draw(st.booleans()),
+        noise=None, estimators=estimators, emit=ALL_TRACES,
     )
 
 
@@ -1596,7 +1577,7 @@ class TestWhereALaneEnds:
 
         monkeypatch.setitem(harness._LANES, kind, lane)
         # every offer of the GRLS lane's excitation pass has this verdict
-        monkeypatch.setattr(harness, "_offer_floats", lambda gset, phi, y, k: (gset, accepted))
+        monkeypatch.setattr(harness, "_offer_floats", _offer_rule(repeat(accepted)))
         config = replace(_in_memory("fig3_noisefree"), steps=100,
                          estimators=(EstimatorSettings(kind),))
         result = run_experiment(config)
@@ -1704,6 +1685,24 @@ def test_a_preparation_holds_at_most_64_bytes_per_step():
         tracemalloc.stop()
     assert prepared.inputs.last == steps - 1
     assert (held - before) / steps <= 64
+
+
+def test_the_excitation_pass_copies_no_index_of_its_set(monkeypatch):
+    # on a constant state every offer is accepted; a pass holding the set's
+    # indices copied k of them at acceptance k, 12.5 million over 5,000 steps
+    copied = []
+    build = GreedySet.__init__
+
+    def counted(self, indices=(), *args, **kwargs):
+        copied.append(len(indices))
+        build(self, indices, *args, **kwargs)
+
+    monkeypatch.setattr(GreedySet, "__init__", counted)
+    config = small_config(sis=SisParams(0.0, 0.0), x0=0.25, steps=5000, emit=(),
+                          estimators=(EstimatorSettings("grls"),))
+    result = run_experiment(config)
+    assert result.status == 0 and result.manifest["excitation"]["size"] == 5000
+    assert sum(copied) <= 5000
 
 
 # States whose regressor is a subnormal, a signed zero, or leaves the float
@@ -1829,9 +1828,9 @@ class TestSweepVariants:
             simulated.append(args)
             return inner_simulate(*args)
 
-        def counted_offer(gset, phi, y, k):
-            offered.append(k)
-            return inner_offer(gset, phi, y, k)
+        def counted_offer(fim, rhs, cond, phi, y):
+            offered.append((*phi, y))
+            return inner_offer(fim, rhs, cond, phi, y)
 
         monkeypatch.setattr(harness, "simulate", counted_simulate)
         monkeypatch.setattr(harness, "_offer_floats", counted_offer)
@@ -1840,5 +1839,9 @@ class TestSweepVariants:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 1  # EF-RLS fails in each variant
         assert len(simulated) == 1
-        # the pass stops at the first rejected offer from the settle step (57) on
-        assert offered == list(range(len(offered))) and 57 <= len(offered) < 2000
+        # one pass, over steps 0, 1, ... in turn; it stops at the first rejected
+        # offer from the settle step (57) on
+        traj = inner_simulate(*simulated[0])
+        rows = [(*sis_regressor_pair(x), y)
+                for x, y in zip(traj.states.tolist(), traj.observations.tolist())]
+        assert offered == rows[:len(offered)] and 57 <= len(offered) < 2000

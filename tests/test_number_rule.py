@@ -99,8 +99,7 @@ ENTRIES = {
     "WeightedCostSpec.from_grls.theta0": (
         lambda v: WeightedCostSpec.from_grls(STATE, 100.0, v), "spec.theta0"
     ),
-    "ie_mmai_init.theta0": (lambda v: ie_mmai_init(v, 3), "theta0"),
-    "ie_mmai_init.spread": (lambda v: ie_mmai_init((1.0, 1.0), 3, v), "spread"),
+    "ie_mmai_init.theta0": (lambda v: ie_mmai_init(v), "theta0"),
     "GrlsState.initial.alpha": (
         lambda v: GrlsState.initial((1.0, 1.0), SIS_REGRESSOR, v), "alpha"
     ),
@@ -123,20 +122,13 @@ ENTRIES = {
     "ExperimentConfig.ie_mmai.theta0": (
         lambda v: _config("ie_mmai", theta0=v), "ie_mmai.theta0:"
     ),
-    "ExperimentConfig.ie_mmai.models": (
-        lambda v: _config("ie_mmai", models=v), "ie_mmai.models:"
-    ),
     "ExperimentConfig.ie_mmai.seed": (lambda v: _config("ie_mmai", seed=v), "ie_mmai.seed:"),
-    "ExperimentConfig.ie_mmai.spread": (
-        lambda v: _config("ie_mmai", spread=v), "ie_mmai.spread:"
-    ),
     "simulate.x0": (lambda v: simulate(v, SisParams(0.8, 0.3), 3), "x0"),
     "simulate.steps": (lambda v: simulate(0.01, SisParams(0.8, 0.3), v), "steps"),
     "simulate.noise.seed": (
         lambda v: simulate(0.01, SisParams(0.8, 0.3), 3, NoiseSpec(seed=v)), "noise.seed"
     ),
-    "ie_mmai_init.n_models": (lambda v: ie_mmai_init((1.0, 1.0), v), "n_models"),
-    "ie_mmai_init.seed": (lambda v: ie_mmai_init((1.0, 1.0), 3, seed=v), "seed"),
+    "ie_mmai_init.seed": (lambda v: ie_mmai_init((1.0, 1.0), seed=v), "seed"),
     "sliding_fim.l": (lambda v: sliding_fim(TRAJ, SIS_REGRESSOR, v, 2), "l"),
     "sliding_fim.window": (lambda v: sliding_fim(TRAJ, SIS_REGRESSOR, 1, v), "window"),
     "is_initially_exciting.horizon": (
@@ -173,15 +165,14 @@ def test_not_a_number_is_a_value_error_naming_the_argument(entry, value):
 SCALAR_ENTRIES = [
     "finite_scalar", "grls_step.x_k", "grls_step.x_next", "GrlsState.initial.p0_scale",
     "ef_rls_step.y", "greedy_offer.y_k", "WeightedCostSpec.from_grls.p0_scale",
-    "ie_mmai_init.spread", "ef_rls_step.alpha", "fim_condition_trace.alpha",
+    "ef_rls_step.alpha", "fim_condition_trace.alpha",
     "WeightedCostSpec.alpha", "SisParams.beta", "SisParams.gamma", "NoiseSpec.observation_std",
     "NoiseSpec.bound_nu", "ExperimentConfig.x0", "ExperimentConfig.ef_rls.alpha",
-    "ExperimentConfig.grls.p0_scale", "ExperimentConfig.ie_mmai.spread", "simulate.x0",
+    "ExperimentConfig.grls.p0_scale", "simulate.x0",
     "is_initially_exciting.alpha_threshold",
 ]
 INTEGER_ENTRIES = [
-    "ExperimentConfig.steps", "ExperimentConfig.seed", "ExperimentConfig.ie_mmai.models",
-    "ExperimentConfig.ie_mmai.seed",
+    "ExperimentConfig.steps", "ExperimentConfig.seed", "ExperimentConfig.ie_mmai.seed",
 ]
 
 
@@ -274,11 +265,11 @@ def test_numbers_read_are_stored_as_floats(build, names):
     assert all(type(getattr(built, name)) is float for name in names)
 
 
-# The library's integer arguments: settings (steps, seeds, the model count)
-# and step indices. ``build_greedy_set``'s ``upto`` is one too, but None is
+# The library's integer arguments: settings (steps and seeds) and step
+# indices. ``build_greedy_set``'s ``upto`` is one too, but None is
 # its default, so it is not in ENTRIES.
 LIBRARY_INTEGER_ENTRIES = [
-    "simulate.steps", "simulate.noise.seed", "ie_mmai_init.n_models", "ie_mmai_init.seed",
+    "simulate.steps", "simulate.noise.seed", "ie_mmai_init.seed",
     "sliding_fim.l", "sliding_fim.window", "is_initially_exciting.horizon", "batch_oracle.k",
 ]
 
@@ -323,7 +314,7 @@ def test_upto_none_is_every_step():
 SETTING_ENTRIES = [
     "GrlsState.initial.alpha", "GrlsState.initial.p0_scale", "replace.alpha",
     "ef_rls_step.alpha", "fim_condition_trace.alpha", "WeightedCostSpec.alpha",
-    "WeightedCostSpec.from_grls.p0_scale", "ie_mmai_init.spread", "simulate.x0",
+    "WeightedCostSpec.from_grls.p0_scale", "simulate.x0",
     "is_initially_exciting.alpha_threshold", "SisParams.beta", "SisParams.gamma",
     "NoiseSpec.process_std", "NoiseSpec.observation_std", "NoiseSpec.bound_nu",
 ]
@@ -537,6 +528,11 @@ WHOLE_CALLS = {
     "simulate(steps=2**63)": (
         lambda: simulate(0.01, SisParams(0.8, 0.3), 2**63), ValueError, "steps must be in 1..",
     ),
+    # below the step bound, but more than numpy can allocate: refused at once
+    "simulate(steps=2**59)": (
+        lambda: simulate(0.01, SisParams(0.8, 0.3), 2**59), ValueError,
+        "steps = 576460752303423488 needs 4611686018427387912 bytes of states",
+    ),
     "ExperimentConfig(steps=2**62)": (
         lambda: _config(steps=2**62), ConfigError, "steps: must be in 1..",
     ),
@@ -579,11 +575,11 @@ WHOLE_CALLS = {
     ),
     "GrlsState(excitation cond 0.5)": (
         lambda: replace(STATE, excitation=GreedySet(cond=0.5)), ValueError,
-        "excitation cond must be >= 1 or inf",
+        "excitation cond must be the FIM's condition number inf, got 0.5",
     ),
     "GrlsState(excitation cond NaN)": (
         lambda: replace(STATE, excitation=GreedySet(cond=math.nan)), ValueError,
-        "excitation cond must be >= 1 or inf",
+        "excitation cond must be the FIM's condition number inf, got nan",
     ),
     "GrlsState(excitation cond 'x')": (
         lambda: replace(STATE, excitation=GreedySet(cond="x")), ValueError,
