@@ -952,7 +952,8 @@ class TestIeMmai:
         with pytest.raises(ValueError, match="theta0"):
             ie_mmai_init([math.nan, 1.0])
 
-    @pytest.mark.parametrize("theta0", [(0.3, -2.0), (1.7976931348623157e308, -1.7e308)])
+    @pytest.mark.parametrize("theta0", [(0.3, -2.0), (1.7976931348623157e308, -1.7e308)],
+                             ids=["unit", "float_max"])
     def test_one_draw_equals_drawing_model_by_model(self, theta0):
         # at the float maximum too: IE_SPREAD * z is far below its spacing, so no
         # model overflows, and pytest turns an overflow warning into an error
