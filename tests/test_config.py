@@ -40,6 +40,8 @@ NON_DEFAULT = {"alpha": 0.5, "p0_scale": 5.0, "seed": 3}
 UNREAD_CASES = [(kind, field, NON_DEFAULT[field]) for kind, field in UNREAD] + [
     ("pure_gd", "p0_scale", np.array([100.0, 1.0]))
 ]
+# keys no config reads any more, each with the value every run used
+REMOVED_KEYS = [("ie_mmai.models", "3"), ("ie_mmai.spread", "0.25"), ("clamp_estimates", "off")]
 
 
 @pytest.mark.parametrize(
@@ -162,6 +164,13 @@ class TestEstimatorFieldTable:
                         for field in fields]
         assert len(keys) == 9
 
+    def test_ie_mmai_reads_its_start_and_seed_alone(self):
+        # its model count, draw spread and the rest are module constants
+        assert ESTIMATOR_FIELDS["ie_mmai"] == ("theta0", "seed")
+        assert [f.name for f in fields(EstimatorSettings)] == [
+            "kind", "alpha", "p0_scale", "theta0", "seed",
+        ]
+
     @pytest.mark.parametrize("key", ["pure_gd.p0_scale", "ie_mmai.p0_scale"])
     def test_p0_scale_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
         kind = key.split(".")[0]
@@ -171,21 +180,58 @@ class TestEstimatorFieldTable:
         assert cli.main(["validate", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
-    # gradient descent and IE-MMAI read no alpha; IE-MMAI's model count and draw
-    # spread are constants; reported estimates are never clamped
-    @pytest.mark.parametrize("key, value", [
-        ("pure_gd.alpha", "0.94"), ("ie_mmai.alpha", "0.94"), ("ie_mmai.models", "3"),
-        ("ie_mmai.spread", "0.25"), ("clamp_estimates", "off"),
-    ])
-    def test_a_key_that_no_run_reads_is_unknown(self, tmp_path, capsys, key, value):
-        cfg = _cli_config(tmp_path, f"estimators = pure_gd, ie_mmai\n{key} = {value}")
-        for command in ("validate", "run"):
-            assert cli.main([command, str(cfg)]) == 2
-            assert f"unknown keys: {key}" in capsys.readouterr().err
-        cfg = _cli_config(tmp_path, "estimators = pure_gd, ie_mmai")
-        assert cli.main(["sweep", str(cfg), "--param", key, "--values", value]) == 2
+    @pytest.mark.parametrize("key", ["pure_gd.alpha", "ie_mmai.alpha"])
+    def test_alpha_of_a_kind_without_covariance_is_unknown(self, tmp_path, capsys, key):
+        kind = key.split(".")[0]
+        cfg = _cli_config(tmp_path, f"estimators = {kind}\n{key} = 0.94")
+        assert cli.main(["run", str(cfg)]) == 2
+        assert f"unknown keys: {key}" in capsys.readouterr().err
+        cfg = _cli_config(tmp_path, f"estimators = {kind}")
+        assert cli.main(["sweep", str(cfg), "--param", key, "--values", "0.9"]) == 2
         assert f"unknown keys: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # IE-MMAI's model count and draw spread are constants; reported estimates
+    # are never clamped
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS)
+    def test_a_key_that_no_run_reads_is_unknown(self, tmp_path, capsys, key, value, command):
+        if command == "sweep":
+            cfg = _cli_config(tmp_path, "estimators = pure_gd, ie_mmai")
+            argv = ["sweep", str(cfg), "--param", key, "--values", value]
+        else:
+            cfg = _cli_config(tmp_path, f"estimators = pure_gd, ie_mmai\n{key} = {value}")
+            argv = [command, str(cfg)]
+        assert cli.main(argv) == 2
+        assert f"unknown keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS)
+    def test_a_mapping_holding_a_removed_key_is_refused(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^unknown keys: {key}$"):
+            config_from_mapping({**BASE, "estimators": "ie_mmai", key: value})
+
+    # each of these bundled configs once set ie_mmai.models = 3
+    @pytest.mark.parametrize("name", ["fig2", "fig3_noisefree", "fig3_noisy"])
+    def test_a_bundled_config_with_its_old_model_count_line_exits_2(self, tmp_path, capsys,
+                                                                     name):
+        text = bundled_config_path(name).read_text()
+        assert "ie_mmai" in text and "ie_mmai.models" not in text
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"{text.rstrip()}\nie_mmai.models = 3\n")
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert "unknown keys: ie_mmai.models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build", [
+        lambda: EstimatorSettings("ie_mmai", models=3),
+        lambda: EstimatorSettings("ie_mmai", spread=0.25),
+        lambda: ExperimentConfig(sis=SisParams(0.5, 0.2), x0=0.01, steps=10, noise=None,
+                                 clamp_estimates=False),
+    ], ids=["EstimatorSettings.models", "EstimatorSettings.spread",
+            "ExperimentConfig.clamp_estimates"])
+    def test_a_removed_field_is_not_a_setting(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_validate_rejects_a_one_entry_theta0(self, kind):

@@ -12,6 +12,7 @@ from sisid.dynamics import (
     NoiseSpec,
     SisParams,
     Trajectory,
+    read_steps,
     simulate,
     sis_step,
     write_trace,
@@ -150,15 +151,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match="x0"):
             simulate(x0, FIG1, 3)
 
-    # 2**59 states take 4 EiB, which numpy refuses at once; a count the machine
-    # could allocate lazily would be stepped for hours instead
+    # 2**59 states take 4 EiB, which numpy refuses at once, and so up to the
+    # largest count read_steps reads; a count the machine could allocate lazily
+    # would be stepped for hours instead
+    @pytest.mark.parametrize("steps", [2**59, 3 * 2**58, 2**60 - 2],
+                             ids=["2**59", "3*2**58", "read_steps_bound"])
     @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=1), NoiseSpec(0.0, 1e-3, seed=1)],
                              ids=["noise_off", "process_noise", "observation_noise"])
-    def test_a_count_numpy_cannot_allocate_is_refused_naming_steps(self, noise):
-        with pytest.raises(ValueError, match=r"^steps = 576460752303423488 needs "
-                                             r"4611686018427387912 bytes of states, more than "
-                                             r"numpy can allocate$"):
-            simulate(0.01, FIG3, 2**59, noise)
+    def test_a_count_numpy_cannot_allocate_is_refused_naming_steps(self, noise, steps):
+        assert steps == read_steps(steps)
+        with pytest.raises(ValueError, match=rf"^steps = {steps} needs {(steps + 1) * 8} bytes "
+                                             r"of states, more than numpy can allocate$"):
+            simulate(0.01, FIG3, steps, noise)
 
     def test_numpy_integer_steps_accepted(self):
         traj = simulate(0.1, FIG1, np.int64(3))

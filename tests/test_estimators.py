@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +301,15 @@ class TestGrls:
         stepped = grls_step(dataclasses.replace(state, step=4, excitation=gset), 0.1, 0.12)
         assert stepped.excitation.indices == (0, 3, 4)
 
+    def test_a_set_at_its_true_cond_rejects_an_offer_that_would_raise_it(self):
+        # with cond 5.0, this set took the offer of step 1 and its kappa rose
+        # from 1.0 to 1.1341
+        gset = GreedySet((0,), (1.0, 0.0, 1.0), (0.1, 0.2), 1.0)
+        state = dataclasses.replace(GrlsState.initial((1.0, 1.0), SIS_REGRESSOR),
+                                    excitation=gset, step=1)
+        stepped = grls_step(state, 0.3, 0.31)
+        assert stepped.excitation == gset
+
     def test_alpha_must_be_strictly_below_one(self):
         with pytest.raises(ValueError):
             GrlsState.initial(THETA0, SIS_REGRESSOR, alpha=1.0)
@@ -417,6 +428,66 @@ class TestGrls:
         assert len(state.excitation.indices) == 47
         with pytest.raises(ConditioningError, match=r"alpha\^2 = 0\.0$"):
             grls_step(state, 0.25, 0.25)
+
+
+# hand-built sets: (indices, FIM entries, right-hand side), and kappa by sym2_spectrum
+EXCITATION_SETS = {
+    "empty": ((), (0.0, 0.0, 0.0), (0.0, 0.0)),
+    "rank_one": ((0,), (1.0, 2.0, 4.0), (0.1, 0.2)),
+    "orthogonal": ((0,), (1.0, 0.0, 1.0), (0.1, 0.2)),
+    "two_points": ((0, 3), (1.0, 0.5, 2.0), (0.1, 0.2)),
+}
+
+
+def _true_cond(name):
+    return sym2_spectrum(*EXCITATION_SETS[name][1])[2]
+
+
+class TestExcitationCond:
+    """A state's set carries the condition number of its own FIM entries, which
+    each offer's kappa is compared with; any other cond is refused."""
+
+    def test_the_hand_built_sets_have_the_kappas_named(self):
+        kappas = {name: _true_cond(name) for name in EXCITATION_SETS}
+        assert kappas["empty"] == kappas["rank_one"] == math.inf
+        assert kappas["orthogonal"] == 1.0
+        assert 2.78 < kappas["two_points"] < 2.79
+
+    @pytest.mark.parametrize("name", EXCITATION_SETS)
+    def test_the_true_cond_is_kept(self, name):
+        gset = GreedySet(*EXCITATION_SETS[name], _true_cond(name))
+        state = dataclasses.replace(GrlsState.initial(THETA0, SIS_REGRESSOR), step=4,
+                                    excitation=gset)
+        assert state.excitation == gset
+
+    @pytest.mark.parametrize("name, cond", [
+        *((name, cond) for name in ("orthogonal", "two_points")
+          for cond in ("next_above", "next_below", 5.0, math.inf, math.nan)),
+        *((name, cond) for name in ("empty", "rank_one")
+          for cond in (1.0, 5.0, sys.float_info.max, math.nan)),
+    ])
+    def test_another_cond_is_refused(self, name, cond):
+        kappa = _true_cond(name)
+        if cond == "next_above":
+            cond = math.nextafter(kappa, math.inf)
+        elif cond == "next_below":
+            cond = math.nextafter(kappa, 0.0)
+        gset = GreedySet(*EXCITATION_SETS[name], cond)
+        state = GrlsState.initial(THETA0, SIS_REGRESSOR)
+        with pytest.raises(ValueError, match=rf"^excitation cond must be the FIM's condition "
+                                             rf"number {re.escape(repr(kappa))}, got "):
+            dataclasses.replace(state, step=4, excitation=gset)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3_noisefree", "fig3_noisy"])
+    def test_every_set_a_recursion_reaches_is_read_back_unchanged(self, name):
+        config = load_config(bundled_config_path(name))
+        traj = simulate(config.x0, config.sis, config.steps, config.noise)
+        states = run_grls(GrlsState.initial(THETA0, SIS_REGRESSOR), traj)
+        assert states[-1].excitation.size > 1
+        for state in states:
+            gset = state.excitation
+            assert gset.cond == sym2_spectrum(*gset.fim_entries)[2]
+            assert dataclasses.replace(state).excitation == gset
 
 
 def checked_step(state, x_k, x_next):
@@ -931,9 +1002,14 @@ class TestIeMmai:
         c = ie_mmai_init(THETA0, seed=22)
         assert a[0][0] != c[0][0]
 
+    def test_the_model_count_and_spread_are_the_values_every_run_used(self):
+        assert (type(IE_MODELS), type(IE_SPREAD)) == (int, float)
+        assert (IE_MODELS, IE_SPREAD) == (3, 0.25)
+
     @pytest.mark.parametrize("seed", [0, 7, 21, 12345])
-    def test_models_are_drawn_one_pair_at_a_time(self, seed):
-        theta0 = np.array([0.4, 1.3])
+    @pytest.mark.parametrize("theta0", [(0.4, 1.3), (-3.0, 250.0)], ids=["positive", "mixed"])
+    def test_models_are_drawn_one_pair_at_a_time(self, theta0, seed):
+        theta0 = np.array(theta0)
         models, fim, rhs, corrected = ie_mmai_init(theta0, seed=seed)
         assert len(models) == IE_MODELS
         rng = np.random.default_rng(seed)
@@ -948,12 +1024,21 @@ class TestIeMmai:
         with pytest.raises(TypeError):
             ie_mmai_init(THETA0, 3)
 
+    # the model count and draw spread are constants, no longer arguments
+    @pytest.mark.parametrize("argument", [{"n_models": 3}, {"spread": 0.25}],
+                             ids=["n_models", "spread"])
+    def test_a_removed_argument_is_refused(self, argument):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            ie_mmai_init(THETA0, **argument)
+
     def test_non_finite_theta0_rejected(self):
         with pytest.raises(ValueError, match="theta0"):
             ie_mmai_init([math.nan, 1.0])
 
-    @pytest.mark.parametrize("theta0", [(0.3, -2.0), (1.7976931348623157e308, -1.7e308)],
-                             ids=["unit", "float_max"])
+    @pytest.mark.parametrize("theta0", [
+        (0.3, -2.0), (0.0, 0.0), (5e-324, -5e-324), (1.7976931348623157e308, -1.7e308),
+        (-1.7976931348623157e308, 1.7976931348623157e308),
+    ], ids=["unit", "zero", "subnormal", "float_max", "negative_float_max"])
     def test_one_draw_equals_drawing_model_by_model(self, theta0):
         # at the float maximum too: IE_SPREAD * z is far below its spacing, so no
         # model overflows, and pytest turns an overflow warning into an error

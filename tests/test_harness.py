@@ -41,6 +41,7 @@ from sisid.excitation import (
     GREEDY_SCHEMA,
     SIS_REGRESSOR,
     GreedySet,
+    build_greedy_set,
     sis_regressor,
     sis_regressor_pair,
     write_acceptance_trace,
@@ -432,6 +433,20 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(small_config(steps=0))
 
+    def test_a_step_count_beyond_memory_is_a_config_error_naming_steps(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^steps = 576460752303423488 needs "):
+            run_experiment(small_config(steps=2**59), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_estimates_are_reported_as_they_are(self):
+        # starting at zero, the first gradient step drives gamma_hat negative
+        result = run_experiment(small_config(
+            steps=40, estimators=(EstimatorSettings(kind="pure_gd", theta0=(0.0, 0.0)),),
+            emit=(),
+        ))
+        assert min(r.gamma_hat for r in result.rows) < 0.0
+        assert all(r.r0_hat == r.beta_hat / r.gamma_hat for r in result.rows)
+
 
 class TestCli:
     def test_validate_bundled(self, capsys):
@@ -454,6 +469,17 @@ class TestCli:
         )
         assert cli.main(["run", str(cfg)]) == 2
         assert "config error: steps = 576460752303423488 needs " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_swept_step_count_beyond_memory_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "beta = 0.8076\ngamma = 0.2692\nx0 = 0.01\nsteps = 40\n"
+            f"estimators = grls\noutputs = {tmp_path / 'out'}\n"
+        )
+        argv = ["sweep", str(cfg), "--param", "steps", "--values", "576460752303423488"]
+        assert cli.main(argv) == 2
+        assert "steps = 576460752303423488 needs " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_writes_outputs(self, tmp_path, capsys):
@@ -957,12 +983,16 @@ def _rebuilt_v2_text(run_dir) -> bytes:
 
 
 @pytest.mark.parametrize("config", [
-    *(pytest.param(load_config(bundled_config_path(name)), id=name) for name in BUNDLED),
+    *(pytest.param((name, seed), id=f"{name}-seed={seed}")
+      for name in BUNDLED for seed in (0, 101)),
     *(pytest.param(small_config(sis=SisParams(beta, gamma), emit=("metrics", "trajectory")),
                    id=f"beta={beta}-gamma={gamma}")
       for beta, gamma in [(0.0, 0.2692), (0.8076, 0.0)]),
 ])
 def test_the_columns_a_metrics_trace_leaves_out_come_back_exactly(tmp_path, config):
+    if isinstance(config, tuple):  # a bundled config, reseeded
+        name, seed = config
+        config = replace(_reseeded(name, seed), emit=("metrics", "trajectory"))
     result = run_experiment(config, tmp_path)
     rebuilt = [columns for _, columns in _left_out_columns(tmp_path)]
     assert len(rebuilt) == len(result.rows)
@@ -1192,6 +1222,14 @@ class TestLaneByLaneRun:
         result = self.assert_equals_lockstep(_reseeded(name, seed))
         if name == "fig3_noisefree":
             assert _failures(result) == [("ef_rls", 570)]
+
+    @pytest.mark.parametrize("name", ["fig1", "fig3_noisy"])
+    def test_negative_estimates(self, name):
+        config = _in_memory(name)
+        # from zero, the first gradient steps drive estimates negative
+        estimators = tuple(replace(est, theta0=(0.0, 0.0)) for est in config.estimators)
+        result = self.assert_equals_lockstep(replace(config, estimators=estimators))
+        assert any(r.gamma_hat < 0.0 for r in result.rows)
 
     def test_no_truth(self):
         config = replace(_in_memory("fig3_noisy"), sis=SisParams(0.0, 0.2692))
@@ -1687,9 +1725,11 @@ def test_a_preparation_holds_at_most_64_bytes_per_step():
     assert (held - before) / steps <= 64
 
 
-def test_the_excitation_pass_copies_no_index_of_its_set(monkeypatch):
+@pytest.mark.parametrize("steps", [1000, 5000])
+def test_the_excitation_pass_copies_no_index_of_its_set(monkeypatch, steps):
     # on a constant state every offer is accepted; a pass holding the set's
-    # indices copied k of them at acceptance k, 12.5 million over 5,000 steps
+    # indices copied k of them at acceptance k, 12.5 million over 5,000 steps;
+    # held as its sums alone, it copies none at any length
     copied = []
     build = GreedySet.__init__
 
@@ -1698,11 +1738,31 @@ def test_the_excitation_pass_copies_no_index_of_its_set(monkeypatch):
         build(self, indices, *args, **kwargs)
 
     monkeypatch.setattr(GreedySet, "__init__", counted)
-    config = small_config(sis=SisParams(0.0, 0.0), x0=0.25, steps=5000, emit=(),
+    config = small_config(sis=SisParams(0.0, 0.0), x0=0.25, steps=steps, emit=(),
                           estimators=(EstimatorSettings("grls"),))
     result = run_experiment(config)
-    assert result.status == 0 and result.manifest["excitation"]["size"] == 5000
-    assert sum(copied) <= 5000
+    assert result.status == 0 and result.manifest["excitation"]["size"] == steps
+    assert sum(copied) <= steps
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "slow", "constant"])
+def test_the_excitation_pass_accepts_the_steps_of_the_greedy_set(name):
+    # the pass holds its set as sums alone; its verdicts give the set's steps
+    if name == "constant":
+        config = small_config(sis=SisParams(0.0, 0.0), x0=0.25, steps=400)
+    else:
+        config = _in_memory(name)
+    traj = simulate(config.x0, config.sis, config.steps, config.noise)
+    rows = [(*sis_regressor_pair(x), y)
+            for x, y in zip(traj.states.tolist(), traj.observations.tolist())]
+    excitation = harness._excitation_pass(rows)
+    verdicts = excitation.offers.data[::3]
+    gset = build_greedy_set(traj, SIS_REGRESSOR)
+    assert len(verdicts) == config.steps and set(verdicts) <= {0.0, 1.0}
+    assert tuple(k for k, v in enumerate(verdicts) if v == 1.0) == gset.indices
+    assert len(excitation.sets) == gset.size
+    assert excitation.sets[-1] == (gset.fim_entries, gset.rhs_entries)
+    assert excitation.offers.data[-1] == gset.cond
 
 
 # States whose regressor is a subnormal, a signed zero, or leaves the float

@@ -533,6 +533,10 @@ WHOLE_CALLS = {
         lambda: simulate(0.01, SisParams(0.8, 0.3), 2**59), ValueError,
         "steps = 576460752303423488 needs 4611686018427387912 bytes of states",
     ),
+    "simulate(steps=2**60-2)": (
+        lambda: simulate(0.01, SisParams(0.8, 0.3), 2**60 - 2), ValueError,
+        "steps = 1152921504606846974 needs 9223372036854775800 bytes of states",
+    ),
     "ExperimentConfig(steps=2**62)": (
         lambda: _config(steps=2**62), ConfigError, "steps: must be in 1..",
     ),
@@ -580,6 +584,12 @@ WHOLE_CALLS = {
     "GrlsState(excitation cond NaN)": (
         lambda: replace(STATE, excitation=GreedySet(cond=math.nan)), ValueError,
         "excitation cond must be the FIM's condition number inf, got nan",
+    ),
+    # a set of kappa 1.0 that claims 5.0 would accept offers that raise its kappa
+    "GrlsState(excitation cond 5.0 of a kappa-1 set)": (
+        lambda: replace(STATE, step=1, excitation=GreedySet((0,), (1.0, 0.0, 1.0), (0.1, 0.2),
+                                                            5.0)),
+        ValueError, "excitation cond must be the FIM's condition number 1.0, got 5.0",
     ),
     "GrlsState(excitation cond 'x')": (
         lambda: replace(STATE, excitation=GreedySet(cond="x")), ValueError,

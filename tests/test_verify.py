@@ -148,13 +148,33 @@ def test_an_echo_that_does_not_parse_back_exits_2(copy, capsys):
     assert "'np.float64(0.01)'" in err
 
 
-# pure GD reads no alpha, and no config sets IE-MMAI's model count or draw
-# spread or clamps estimates, so an echo written with one does not parse back
-@pytest.mark.parametrize("key, value", [("pure_gd.alpha", "0.94"), ("ie_mmai.models", "3"),
-                                        ("ie_mmai.spread", "0.25"), ("clamp_estimates", "on")])
+def test_an_echo_holding_an_alpha_that_no_kind_reads_exits_2(copy, capsys):
+    # pure GD reads no alpha, so an echo holding one does not parse back
+    edit_manifest(copy, lambda m: m["config"].update({"pure_gd.alpha": "0.94"}))
+    assert cli.main(["verify", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {copy / 'manifest.json'}: ConfigError: unknown keys: ")
+    assert "pure_gd.alpha" in err
+
+
+# no config sets IE-MMAI's model count or draw spread or clamps estimates, so
+# an echo written with one does not parse back
+REMOVED_KEYS = {"ie_mmai.models": "3", "ie_mmai.spread": "0.25", "clamp_estimates": "off"}
+
+
+@pytest.mark.parametrize("key, value", REMOVED_KEYS.items())
 def test_an_echo_holding_a_key_that_no_run_reads_exits_2(copy, capsys, key, value):
     edit_manifest(copy, lambda m: m["config"].update({key: value}))
     assert cli.main(["verify", str(copy)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {copy / 'manifest.json'}: ConfigError: unknown keys: ")
     assert key in err
+
+
+def test_a_run_written_with_the_removed_keys_names_each_of_them(copy, capsys):
+    # a run written while the three keys were settings echoes all of them
+    edit_manifest(copy, lambda m: m["config"].update(REMOVED_KEYS))
+    assert cli.main(["verify", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert all(key in err for key in REMOVED_KEYS)
